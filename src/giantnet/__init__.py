@@ -41,6 +41,7 @@ from .errors import (
     MissingReference,
     NotPositiveDefinite,
     NotStochastic,
+    NotSymmetric,
     ParseError,
     ValidationError,
 )
@@ -53,7 +54,14 @@ from .harness import (
     tune_epsilon,
     validate_experiment,
 )
-from .numerics import SpdFactorization, second_singular_value, spd_factorize, spd_solve
+from .numerics import (
+    SpdFactorization,
+    second_singular_value,
+    spd_factorize,
+    spd_factorize_stack,
+    spd_solve,
+    spd_solve_stack,
+)
 from .objectives import (
     LocalObjective,
     LogisticObjective,

@@ -3,9 +3,10 @@
 Every algorithm is expressed as a pure state-transition step acting on
 stacked n x d arrays, with row i holding agent i's variables. Steps never
 mutate their inputs, so trajectories can be replayed and states shared
-freely. Per-agent work inside a step depends only on the incoming state;
-results are merged in agent order, so the output does not depend on
-evaluation order.
+freely. Per-agent work inside a step depends only on the incoming state
+and runs for all agents at once: one batched gradient evaluation, one
+batched Cholesky factorization of the local Hessians (reused across
+rounds when they are constant) and one batched solve.
 
 The main method combines gradient tracking with local inverse-Hessian
 steps and consensus averaging:
@@ -24,18 +25,15 @@ inverse Hessian to that estimate.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import MetricsLog, metrics_record, tracking_drift
+from .diagnostics import MetricsLog, metrics_record
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import spd_factorize, spd_solve
+from .numerics import spd_factorize, spd_solve, spd_solve_stack
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
-
-logger = logging.getLogger(__name__)
 
 ALGORITHMS = ("giant", "dgd", "gt")
 
@@ -50,25 +48,21 @@ class AlgorithmConfig:
     """Step size, consensus rounds per iteration and stopping limits.
 
     ``epsilon = 0`` is accepted so pure-consensus dynamics can be studied;
-    optimization configs should keep it positive. ``hessian_shift`` adds a
-    Levenberg-style diagonal shift to every local Hessian before the
-    solve. It is off by default and flagged in the run log when active,
-    since it changes the method.
+    optimization configs should keep it positive.
     """
 
     epsilon: float = 1.0
     K: int = 1
     max_iters: int = 5000
     grad_tol: float = 1e-10
-    hessian_shift: float = 0.0
 
     def __post_init__(self):
         if self.epsilon < 0:
             raise InvalidParams(f"epsilon must be nonnegative, got {self.epsilon}")
         if self.K < 1:
             raise InvalidParams(f"K must be a positive integer, got {self.K}")
-        if self.max_iters < 0 or self.grad_tol < 0 or self.hessian_shift < 0:
-            raise InvalidParams("max_iters, grad_tol and hessian_shift must be nonnegative")
+        if self.max_iters < 0 or self.grad_tol < 0:
+            raise InvalidParams("max_iters and grad_tol must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -124,6 +118,7 @@ def giant_step(
     instance: ProblemInstance,
     P: MixingMatrix,
     cfg: AlgorithmConfig,
+    p_eff: np.ndarray | None = None,
 ) -> NetworkState:
     """One synchronous round of the tracked Newton-type iteration.
 
@@ -133,6 +128,8 @@ def giant_step(
     are realized as a single multiplication by the precomputed power P^K
     applied to both the tracker and the iterate update, which keeps a
     K-round step bitwise identical to a one-round step under P^K.
+    ``p_eff`` is that power when the caller already holds it (``run``
+    computes it once per run); otherwise it is computed here.
 
     Raises NotPositiveDefinite if a local Hessian stops being positive
     definite at the current iterate, which signals that the iterate left
@@ -141,19 +138,12 @@ def giant_step(
     x = _check_stack(instance, state.x)
     if P.n != instance.n_agents:
         raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
-    p_eff = P.power(cfg.K)
+    if p_eff is None:
+        p_eff = P.power(cfg.K)
 
     grads = instance.stacked_gradient(x)
     w_next = p_eff @ (state.w + grads - state.g)
-
-    directions = np.empty_like(x)
-    shift = cfg.hessian_shift
-    for i, obj in enumerate(instance.objectives):
-        h = obj.hessian(x[i])
-        if shift > 0:
-            h = h + shift * np.eye(instance.dimension)
-        directions[i] = spd_solve(spd_factorize(h), w_next[i])
-
+    directions = spd_solve_stack(instance.hessian_factors(x), w_next)
     x_next = p_eff @ (x - cfg.epsilon * directions)
     return NetworkState(x=x_next, g=grads, w=w_next, iteration=state.iteration + 1)
 
@@ -245,30 +235,23 @@ def run(
     if instance.reference_solution is None:
         raise MissingReference("instance has no reference solution; compute one first")
     x0 = _check_stack(instance, x0)
-    if cfg.hessian_shift > 0:
-        logger.warning(
-            "hessian_shift=%g active: local curvature is modified, results deviate "
-            "from the plain method", cfg.hessian_shift,
-        )
-
     f_star = instance.average_value(instance.reference_solution)
 
     if algorithm == "giant":
         state = giant_init(instance, x0)
+        p_eff = P.power(cfg.K)
     elif algorithm == "gt":
         state = gt_init(instance, x0)
     else:
         state = x0
 
     log = MetricsLog()
-    prev_x = x0
     with np.errstate(all="ignore"):
-        log.append(metrics_record(instance, x0, 0, _drift(algorithm, state, instance, prev_x), f_star))
+        log.append(metrics_record(instance, x0, 0, _drift(algorithm, state), f_star))
         k = 0
         while k < cfg.max_iters and log.records[-1].grad_norm > cfg.grad_tol:
-            prev_x = _state_x(algorithm, state)
             if algorithm == "giant":
-                state = giant_step(state, instance, P, cfg)
+                state = giant_step(state, instance, P, cfg, p_eff)
                 blocks = (state.x, state.g, state.w)
             elif algorithm == "gt":
                 state = gt_step(state, instance, P, cfg.epsilon)
@@ -278,9 +261,7 @@ def run(
                 blocks = (state,)
             k += 1
             x = _state_x(algorithm, state)
-            log.append(
-                metrics_record(instance, x, k, _drift(algorithm, state, instance, prev_x), f_star)
-            )
+            log.append(metrics_record(instance, x, k, _drift(algorithm, state), f_star))
             if _diverged(blocks):
                 log.diverged = True
                 break
@@ -291,11 +272,18 @@ def _state_x(algorithm: str, state) -> np.ndarray:
     return state if algorithm == "dgd" else state.x
 
 
-def _drift(algorithm: str, state, instance: ProblemInstance, prev_x: np.ndarray) -> float:
+def _drift(algorithm: str, state) -> float:
+    """Residual of the tracking identity against the gradients the state stores.
+
+    giant's ``g`` holds the gradients at the previous iterate and gt's
+    ``prev_grad`` those at the current one, bitwise as a fresh evaluation
+    would return them, so this equals ``diagnostics.tracking_drift``
+    without evaluating them again.
+    """
     if algorithm == "giant":
-        return tracking_drift(state, instance, prev_x)
-    if algorithm == "gt":
-        # Same telescoping identity, against the tracker's own gradients.
-        resid = state.y.sum(axis=0) - instance.stacked_gradient(state.x).sum(axis=0)
-        return float(np.linalg.norm(resid))
-    return 0.0
+        resid = state.w.sum(axis=0) - state.g.sum(axis=0)
+    elif algorithm == "gt":
+        resid = state.y.sum(axis=0) - state.prev_grad.sum(axis=0)
+    else:
+        return 0.0
+    return float(np.linalg.norm(resid))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InsufficientData, MissingReference
-from .numerics import spd_factorize, spd_solve
+from .numerics import spd_solve_stack
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -94,15 +94,12 @@ def harmonic_hessian_mean(instance: ProblemInstance, x: np.ndarray) -> np.ndarra
 
     M is the arithmetic mean of the inverse Hessians, i.e. the inverse of
     the scaled harmonic mean of the Hessians; its eigenvalues lie in
-    [1/L, 1/mu]. Inverses are applied through Cholesky solves, never
-    formed from explicit inversion routines.
+    [1/L, 1/mu]. Inverses are applied through batched Cholesky solves
+    against the identity, never formed from explicit inversion routines.
     """
-    d = instance.dimension
-    m = np.zeros((d, d))
-    eye = np.eye(d)
-    for obj in instance.objectives:
-        m += spd_solve(spd_factorize(obj.hessian(x)), eye)
-    m /= instance.n_agents
+    lower = instance.hessian_factors(instance.consensus_stack(x))
+    eye = np.broadcast_to(np.eye(instance.dimension), lower.shape)
+    m = spd_solve_stack(lower, eye).mean(axis=0)
     return 0.5 * (m + m.T)
 
 

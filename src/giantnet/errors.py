@@ -13,6 +13,10 @@ class NotPositiveDefinite(GiantNetError):
     """A matrix required to be SPD has a non-positive pivot."""
 
 
+class NotSymmetric(GiantNetError, ValueError):
+    """A matrix required to be symmetric deviates beyond the relative tolerance."""
+
+
 class NotStochastic(GiantNetError):
     """Row or column sums of a mixing matrix deviate from one."""
 
@@ -22,7 +26,7 @@ class InvalidSpec(GiantNetError):
 
 
 class InvalidParams(GiantNetError):
-    """A graph generator received invalid parameters."""
+    """A graph generator or an algorithm configuration received invalid parameters."""
 
 
 class ConnectivityFailure(GiantNetError):

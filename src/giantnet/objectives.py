@@ -4,18 +4,28 @@ Each objective family exposes value, gradient and Hessian, and declares
 global curvature bounds mu and L such that mu*I <= hessian(x) <= L*I
 everywhere. Objectives are immutable after construction and evaluation is
 pure, so instances are safe to share across threads.
+
+An instance evaluates all of its agents at once through an agent family:
+the quadratic family holds ``A (n,d,d)``, ``b (n,d)`` and ``c (n,)``, the
+logistic family ``F (n,m,d)``, ``Y (n,m)`` and ``ridge``, and each
+quantity is one batched numpy expression over those stacks. Generated
+instances store the stacks once; their per-agent objectives are views
+into them. An instance built from a tuple of objectives (mixed families,
+user subclasses, logistic agents with unequal sample counts) is evaluated
+by looping over the objects.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import spd_factorize, spd_solve
+from .numerics import spd_factorize, spd_factorize_stack, spd_solve
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
 # log-uniformly from [1, 1 + h * HETEROGENEITY_SPREAD], so h = 1 yields a
@@ -132,6 +142,107 @@ class LogisticObjective(LocalObjective):
         return h
 
 
+class AgentFamily(ABC):
+    """Values, gradients and Hessians of all n agents, row i at row i of X (n, d)."""
+
+    @abstractmethod
+    def values(self, x: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def gradients(self, x: np.ndarray) -> np.ndarray: ...
+
+    @abstractmethod
+    def hessians(self, x: np.ndarray) -> np.ndarray: ...
+
+    def hessian_factors(self, x: np.ndarray) -> np.ndarray:
+        """Stacked lower Cholesky factors of the local Hessians."""
+        return spd_factorize_stack(self.hessians(x))
+
+
+@dataclass(frozen=True)
+class QuadraticFamily(AgentFamily):
+    """f_i(x) = 0.5 * x'A_i x + b_i'x + c_i over stacks a (n,d,d), b (n,d), c (n,)."""
+
+    a: np.ndarray
+    b: np.ndarray
+    c: np.ndarray
+
+    def views(self) -> tuple[QuadraticObjective, ...]:
+        """Per-agent objectives whose arrays are views into the stacks."""
+        return tuple(QuadraticObjective(*args) for args in zip(self.a, self.b, self.c))
+
+    def values(self, x):
+        ax = np.einsum("nij,nj->ni", self.a, x)
+        return 0.5 * np.einsum("ni,ni->n", ax, x) + np.einsum("ni,ni->n", self.b, x) + self.c
+
+    def gradients(self, x):
+        return np.einsum("nij,nj->ni", self.a, x) + self.b
+
+    def hessians(self, x):
+        out = self.a.view()
+        out.flags.writeable = False
+        return out
+
+    def hessian_factors(self, x):
+        return self._factors
+
+    @cached_property
+    def _factors(self) -> np.ndarray:
+        # Constant Hessians: factored once per instance, on first use.
+        return spd_factorize_stack(self.a)
+
+
+@dataclass(frozen=True)
+class LogisticFamily(AgentFamily):
+    """Ridge-logistic losses over stacks features (n,m,d) and labels (n,m)."""
+
+    features: np.ndarray
+    labels: np.ndarray
+    ridge: float
+
+    def views(self) -> tuple[LogisticObjective, ...]:
+        """Per-agent objectives whose arrays are views into the stacks."""
+        return tuple(LogisticObjective(f, y, self.ridge) for f, y in zip(self.features, self.labels))
+
+    def _margins(self, x):
+        return self.labels * np.einsum("nmd,nd->nm", self.features, x)
+
+    def values(self, x):
+        losses = np.logaddexp(0.0, -self._margins(x))
+        return losses.mean(axis=1) + 0.5 * self.ridge * np.einsum("nd,nd->n", x, x)
+
+    def gradients(self, x):
+        coeffs = -self.labels * expit(-self._margins(x))
+        m = self.features.shape[1]
+        return np.einsum("nmd,nm->nd", self.features, coeffs) / m + self.ridge * x
+
+    def hessians(self, x):
+        s = expit(self._margins(x))
+        weights = s * (1.0 - s)
+        m, d = self.features.shape[1:]
+        # The weighted transpose is the one (n, d, m) temporary per call.
+        h = np.matmul(self.features.transpose(0, 2, 1) * weights[:, None, :], self.features)
+        h /= m
+        h += self.ridge * np.eye(d)
+        return h
+
+
+@dataclass(frozen=True)
+class ObjectiveLoop(AgentFamily):
+    """Any tuple of objectives, evaluated one agent at a time."""
+
+    objectives: tuple[LocalObjective, ...]
+
+    def values(self, x):
+        return np.array([obj.value(x[i]) for i, obj in enumerate(self.objectives)])
+
+    def gradients(self, x):
+        return np.stack([obj.gradient(x[i]) for i, obj in enumerate(self.objectives)])
+
+    def hessians(self, x):
+        return np.stack([obj.hessian(x[i]) for i, obj in enumerate(self.objectives)])
+
+
 @dataclass(frozen=True)
 class ProblemInstance:
     """n local objectives over a shared decision variable, with global bounds.
@@ -141,6 +252,9 @@ class ProblemInstance:
     the harness fills it in for families without a closed form.
     ``bounds_estimated`` marks mu/L obtained by sampling rather than by
     construction, which relaxes diagnostic tolerances.
+    ``family`` evaluates all agents at once and must describe the same
+    agents as ``objectives``; when omitted, the objectives are evaluated
+    one by one. :func:`generate_problem` supplies stacked families.
     """
 
     objectives: tuple[LocalObjective, ...]
@@ -148,6 +262,7 @@ class ProblemInstance:
     lipschitz: float
     reference_solution: np.ndarray | None = None
     bounds_estimated: bool = False
+    family: AgentFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.objectives:
@@ -157,6 +272,8 @@ class ProblemInstance:
             raise DimensionMismatch(f"objectives disagree on dimension: {sorted(dims)}")
         if not 0 < self.mu <= self.lipschitz:
             raise InvalidSpec(f"bounds must satisfy 0 < mu <= L, got ({self.mu}, {self.lipschitz})")
+        if self.family is None:
+            object.__setattr__(self, "family", ObjectiveLoop(self.objectives))
 
     @property
     def n_agents(self) -> int:
@@ -166,30 +283,47 @@ class ProblemInstance:
     def dimension(self) -> int:
         return self.objectives[0].dimension
 
-    def average_value(self, x: np.ndarray) -> float:
-        """(1/n) * sum_i f_i(x), the global cost at a single point."""
-        return sum(obj.value(x) for obj in self.objectives) / self.n_agents
+    def consensus_stack(self, x: np.ndarray) -> np.ndarray:
+        """The (n, d) stack with every agent at the single point ``x``; a read-only view."""
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dimension,):
+            raise DimensionMismatch(
+                f"point has shape {x.shape}, objective dimension is {self.dimension}"
+            )
+        return np.broadcast_to(x, (self.n_agents, self.dimension))
 
-    def average_gradient(self, x: np.ndarray) -> np.ndarray:
-        g = np.zeros(self.dimension)
-        for obj in self.objectives:
-            g += obj.gradient(x)
-        return g / self.n_agents
-
-    def average_hessian(self, x: np.ndarray) -> np.ndarray:
-        h = np.zeros((self.dimension, self.dimension))
-        for obj in self.objectives:
-            h += obj.hessian(x)
-        return h / self.n_agents
-
-    def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Row i of the result is grad f_i evaluated at row i of ``x``."""
+    def _check_stack(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_agents, self.dimension):
             raise DimensionMismatch(
                 f"stacked iterate has shape {x.shape}, expected {(self.n_agents, self.dimension)}"
             )
-        return np.stack([obj.gradient(x[i]) for i, obj in enumerate(self.objectives)])
+        return x
+
+    def average_value(self, x: np.ndarray) -> float:
+        """(1/n) * sum_i f_i(x), the global cost at a single point."""
+        return float(self.family.values(self.consensus_stack(x)).mean())
+
+    def average_gradient(self, x: np.ndarray) -> np.ndarray:
+        return self.family.gradients(self.consensus_stack(x)).mean(axis=0)
+
+    def average_hessian(self, x: np.ndarray) -> np.ndarray:
+        return self.family.hessians(self.consensus_stack(x)).mean(axis=0)
+
+    def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
+        """Row i of the result is grad f_i evaluated at row i of ``x``."""
+        return self.family.gradients(self._check_stack(x))
+
+    def stacked_hessian(self, x: np.ndarray) -> np.ndarray:
+        """Entry i of the (n, d, d) result is hess f_i at row i of ``x``; treat it as read-only."""
+        return self.family.hessians(self._check_stack(x))
+
+    def hessian_factors(self, x: np.ndarray) -> np.ndarray:
+        """Stacked lower Cholesky factors of the local Hessians at the rows of ``x``.
+
+        Raises NotPositiveDefinite if any local Hessian is not positive definite.
+        """
+        return self.family.hessian_factors(self._check_stack(x))
 
     def with_reference(self, x_star: np.ndarray) -> "ProblemInstance":
         return replace(self, reference_solution=np.asarray(x_star, dtype=float))
@@ -244,43 +378,43 @@ def generate_problem(seed: int, spec: ProblemSpec) -> ProblemInstance:
 def _generate_quadratic(rng: np.random.Generator, spec: ProblemSpec) -> ProblemInstance:
     n, d, h = spec.n, spec.d, spec.heterogeneity
     top = 1.0 + h * HETEROGENEITY_SPREAD
-    mats = []
-    for _ in range(n):
+    mats = np.empty((n, d, d))
+    for i in range(n):
         if h == 0.0:
-            mats.append(np.eye(d))
+            mats[i] = np.eye(d)
             continue
         eigs = np.exp(rng.uniform(0.0, np.log(top), size=d))
         q = _random_orthogonal(rng, d)
         a = (q * eigs) @ q.T
-        mats.append(0.5 * (a + a.T))
+        mats[i] = 0.5 * (a + a.T)
     b0 = rng.standard_normal(d)
     offsets = b0 + h * rng.standard_normal((n, d))
-    objectives = tuple(QuadraticObjective(a, b) for a, b in zip(mats, offsets))
 
     # Exact minimizer of the averaged cost: (sum A_i) x = -sum b_i.
     a_sum = np.sum(mats, axis=0)
     x_star = spd_solve(spd_factorize(a_sum), -offsets.sum(axis=0))
+    family = QuadraticFamily(mats, offsets, np.zeros(n))
     return ProblemInstance(
-        objectives=objectives, mu=1.0, lipschitz=top, reference_solution=x_star
+        family.views(), mu=1.0, lipschitz=top, reference_solution=x_star, family=family
     )
 
 
 def _generate_logistic(rng: np.random.Generator, spec: ProblemSpec) -> ProblemInstance:
     n, d, m, h = spec.n, spec.d, spec.samples_per_agent, spec.heterogeneity
     x_true = rng.standard_normal(d)
-    objectives = []
+    features = np.empty((n, m, d))
+    labels = np.empty((n, m))
     lipschitz = 0.0
-    for _ in range(n):
+    for i in range(n):
         shift = rng.standard_normal(d)
-        feats = rng.standard_normal((m, d)) + h * shift
+        features[i] = rng.standard_normal((m, d)) + h * shift
+        feats = features[i]
         probs = expit(feats @ x_true)
-        labels = np.where(rng.random(m) < probs, 1.0, -1.0)
-        objectives.append(LogisticObjective(feats, labels, spec.ridge))
+        labels[i] = np.where(rng.random(m) < probs, 1.0, -1.0)
         gram_top = float(np.linalg.eigvalsh(feats.T @ feats)[-1])
         lipschitz = max(lipschitz, spec.ridge + gram_top / (4.0 * m))
-    return ProblemInstance(
-        objectives=tuple(objectives), mu=spec.ridge, lipschitz=lipschitz
-    )
+    family = LogisticFamily(features, labels, spec.ridge)
+    return ProblemInstance(family.views(), mu=spec.ridge, lipschitz=lipschitz, family=family)
 
 
 def estimate_bounds(
@@ -293,14 +427,10 @@ def estimate_bounds(
     """
     if not sample_points:
         raise InvalidSpec("need at least one sample point")
-    mu_hat = np.inf
-    l_hat = -np.inf
-    for x in sample_points:
-        for obj in instance.objectives:
-            eigs = np.linalg.eigvalsh(obj.hessian(x))
-            mu_hat = min(mu_hat, eigs[0])
-            l_hat = max(l_hat, eigs[-1])
-    return float(mu_hat), float(l_hat)
+    eigs = np.stack(
+        [np.linalg.eigvalsh(instance.stacked_hessian(instance.consensus_stack(x))) for x in sample_points]
+    )
+    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
 
 
 def finite_difference_gradient(func, x: np.ndarray) -> np.ndarray:

@@ -21,6 +21,7 @@ from giantnet import (
     make_graph,
     metropolis_weights,
     run,
+    tracking_drift,
 )
 from giantnet.objectives import LocalObjective
 
@@ -301,6 +302,33 @@ class TestRun:
         stripped = replace(instance, reference_solution=None)
         with pytest.raises(MissingReference):
             run("giant", stripped, mix, AlgorithmConfig(), x0)
+
+    def test_logged_drift_is_the_independent_recomputation(self, hetero_ring):
+        # oracle: diagnostics.tracking_drift, which re-evaluates the gradients
+        instance, mix, x0 = hetero_ring
+        cfg = AlgorithmConfig(epsilon=0.25, max_iters=8, grad_tol=0.0)
+        _, log = run("giant", instance, mix, cfg, x0)
+        state = giant_init(instance, x0)
+        expected = [tracking_drift(state, instance, x0)]
+        for _ in range(cfg.max_iters):
+            prev = state.x
+            state = giant_step(state, instance, mix, cfg)
+            expected.append(tracking_drift(state, instance, prev))
+        assert [r.tracking_drift for r in log.records] == expected
+
+    def test_mixing_power_computed_once_per_run(self, hetero_ring, monkeypatch):
+        instance, mix, x0 = hetero_ring
+        calls = []
+        original = MixingMatrix.power
+
+        def counted(self, k):
+            calls.append(k)
+            return original(self, k)
+
+        monkeypatch.setattr(MixingMatrix, "power", counted)
+        _, log = run("giant", instance, mix, AlgorithmConfig(epsilon=0.1, K=3, max_iters=6, grad_tol=0.0), x0)
+        assert len(log) == 7
+        assert calls == [3]
 
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring

@@ -5,11 +5,14 @@ from giantnet import (
     DimensionMismatch,
     NotPositiveDefinite,
     NotStochastic,
+    NotSymmetric,
     make_graph,
     metropolis_weights,
     second_singular_value,
     spd_factorize,
+    spd_factorize_stack,
     spd_solve,
+    spd_solve_stack,
 )
 
 from conftest import rng_for
@@ -83,6 +86,66 @@ class TestSolve:
         f = spd_factorize(np.eye(3))
         with pytest.raises(DimensionMismatch):
             spd_solve(f, np.ones(4))
+
+
+def random_spd_stack(rng, n, d):
+    a = rng.standard_normal((n, d, d))
+    return a @ a.transpose(0, 2, 1) + 0.5 * np.eye(d)
+
+
+class TestStack:
+    def test_asymmetric_is_typed(self):
+        h = np.array([[1.0, 0.5], [0.1, 1.0]])
+        with pytest.raises(NotSymmetric):
+            spd_factorize(h)
+        stack = np.stack([np.eye(2), h, np.eye(2)])
+        with pytest.raises(NotSymmetric) as info:
+            spd_factorize_stack(stack)
+        assert isinstance(info.value, ValueError)
+
+    def test_one_indefinite_matrix_fails_the_stack(self):
+        stack = random_spd_stack(rng_for(2), 6, 3)
+        stack[4] = np.diag([1.0, -1.0, 2.0])
+        with pytest.raises(NotPositiveDefinite):
+            spd_factorize_stack(stack)
+
+    def test_rejects_bad_shapes(self):
+        with pytest.raises(DimensionMismatch):
+            spd_factorize_stack(np.eye(3))
+        lower = spd_factorize_stack(np.stack([np.eye(3)] * 2))
+        with pytest.raises(DimensionMismatch):
+            spd_solve_stack(lower, np.ones((3, 3)))
+        with pytest.raises(DimensionMismatch):
+            spd_solve_stack(lower, np.ones(2))
+        with pytest.raises(DimensionMismatch):
+            spd_solve_stack(lower[0], np.ones((3, 3)))
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (7, 1), (12, 6)])
+    def test_matches_per_matrix_factor_and_solve(self, n, d):
+        # oracle: the single-matrix factorization and LAPACK triangular solves
+        rng = rng_for(3)
+        h = random_spd_stack(rng, n, d)
+        b = rng.standard_normal((n, d))
+        rhs = rng.standard_normal((n, d, 3))
+        lower = spd_factorize_stack(h)
+        x = spd_solve_stack(lower, b)
+        xs = spd_solve_stack(lower, rhs)
+        assert x.shape == b.shape and xs.shape == rhs.shape
+        for i in range(n):
+            f = spd_factorize(h[i])
+            assert np.allclose(lower[i], f.lower, rtol=1e-12, atol=0)
+            ref = spd_solve(f, b[i])
+            assert np.linalg.norm(x[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+            ref = spd_solve(f, rhs[i])
+            assert np.linalg.norm(xs[i] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_inputs_untouched(self):
+        rng = rng_for(4)
+        lower = spd_factorize_stack(random_spd_stack(rng, 3, 4))
+        b = rng.standard_normal((3, 4))
+        kept = b.copy()
+        spd_solve_stack(lower, b)
+        assert np.array_equal(b, kept)
 
 
 class TestSecondSingularValue:

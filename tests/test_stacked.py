@@ -1,0 +1,173 @@
+"""Batched agent families against the per-agent objectives they replace.
+
+The per-agent ``LocalObjective`` methods and the ``ObjectiveLoop`` family
+are the references: every batched quantity must agree with them to 1e-12
+relative, and generated instances must stay bitwise identical to the
+per-agent generator.
+"""
+
+import numpy as np
+import pytest
+from scipy.special import expit
+
+from giantnet import (
+    AlgorithmConfig,
+    LogisticObjective,
+    NotPositiveDefinite,
+    ProblemInstance,
+    ProblemSpec,
+    QuadraticObjective,
+    centralized_newton,
+    generate_problem,
+    giant_init,
+    giant_step,
+    harmonic_hessian_mean,
+    make_graph,
+    metropolis_weights,
+    run,
+    spd_factorize,
+    spd_solve,
+    spd_solve_stack,
+)
+from giantnet.objectives import HETEROGENEITY_SPREAD, ObjectiveLoop, QuadraticFamily
+
+from conftest import rng_for
+
+REL = 1e-12
+
+SHAPES = [(1, 1), (1, 3), (5, 1), (6, 4)]
+
+
+def close(a, b):
+    return np.linalg.norm(np.asarray(a) - b) <= REL * np.linalg.norm(b)
+
+
+def instance_for(kind, n, d, seed=5):
+    spec = ProblemSpec(kind=kind, n=n, d=d, samples_per_agent=12, heterogeneity=0.7)
+    return generate_problem(seed, spec)
+
+
+def looped(instance):
+    """The same agents, evaluated one object at a time."""
+    reference = ProblemInstance(instance.objectives, mu=instance.mu, lipschitz=instance.lipschitz)
+    assert isinstance(reference.family, ObjectiveLoop)
+    return reference
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("n,d", SHAPES)
+class TestAgainstPerAgent:
+    def test_stacked_quantities(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        x = rng_for(20).standard_normal((n, d))
+        objs = instance.objectives
+        assert close(instance.stacked_gradient(x), [o.gradient(x[i]) for i, o in enumerate(objs)])
+        assert close(instance.stacked_hessian(x), [o.hessian(x[i]) for i, o in enumerate(objs)])
+        assert close(instance.family.values(x), [o.value(x[i]) for i, o in enumerate(objs)])
+
+    def test_averages(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        x = rng_for(21).standard_normal(d)
+        objs = instance.objectives
+        assert close(instance.average_value(x), np.mean([o.value(x) for o in objs]))
+        assert close(instance.average_gradient(x), np.mean([o.gradient(x) for o in objs], axis=0))
+        assert close(instance.average_hessian(x), np.mean([o.hessian(x) for o in objs], axis=0))
+
+    def test_newton_directions(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        rng = rng_for(22)
+        x = rng.standard_normal((n, d))
+        w = rng.standard_normal((n, d))
+        dirs = np.stack(
+            [spd_solve(spd_factorize(o.hessian(x[i])), w[i]) for i, o in enumerate(instance.objectives)]
+        )
+        assert close(spd_solve_stack(instance.hessian_factors(x), w), dirs)
+
+    def test_giant_step_and_harmonic_mean_match_loop_family(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        reference = looped(instance)
+        mix = metropolis_weights(make_graph("ring", n))
+        rng = rng_for(23)
+        state = giant_init(instance, rng.standard_normal((n, d)))
+        a = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.3))
+        b = giant_step(state, reference, mix, AlgorithmConfig(epsilon=0.3))
+        assert close(a.x, b.x) and close(a.w, b.w) and close(a.g, b.g)
+        point = rng.standard_normal(d)
+        assert close(harmonic_hessian_mean(instance, point), harmonic_hessian_mean(reference, point))
+
+
+def test_generation_bitwise_equal_to_per_agent_draws():
+    # oracle: the per-agent generator, drawing from Philox in the same order
+    spec = ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=0.8)
+    rng = np.random.Generator(np.random.Philox(7))
+    top = 1.0 + spec.heterogeneity * HETEROGENEITY_SPREAD
+    mats = []
+    for _ in range(spec.n):
+        eigs = np.exp(rng.uniform(0.0, np.log(top), size=spec.d))
+        q, r = np.linalg.qr(rng.standard_normal((spec.d, spec.d)))
+        q = q * np.sign(np.diag(r))
+        a = (q * eigs) @ q.T
+        mats.append(0.5 * (a + a.T))
+    offsets = rng.standard_normal(spec.d) + spec.heterogeneity * rng.standard_normal((spec.n, spec.d))
+    instance = generate_problem(7, spec)
+    assert np.array_equal(instance.family.a, np.stack(mats))
+    assert np.array_equal(instance.family.b, offsets)
+
+    spec = ProblemSpec(kind="logistic", n=3, d=2, samples_per_agent=10, heterogeneity=0.5)
+    rng = np.random.Generator(np.random.Philox(8))
+    x_true = rng.standard_normal(spec.d)
+    instance = generate_problem(8, spec)
+    for obj in instance.objectives:
+        shift = rng.standard_normal(spec.d)
+        feats = rng.standard_normal((10, spec.d)) + spec.heterogeneity * shift
+        labels = np.where(rng.random(10) < expit(feats @ x_true), 1.0, -1.0)
+        assert np.array_equal(obj.features, feats)
+        assert np.array_equal(obj.labels, labels)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+def test_objectives_are_views_into_the_stacks(kind):
+    instance = instance_for(kind, 4, 3)
+    family = instance.family
+    stack = family.a if kind == "quadratic" else family.features
+    for obj in instance.objectives:
+        assert np.shares_memory(obj.a if kind == "quadratic" else obj.features, stack)
+    assert instance.with_reference(np.zeros(3)).family is family
+
+
+def test_mixed_and_unequal_agents_run_on_the_loop():
+    rng = rng_for(24)
+    a = rng.standard_normal((3, 3))
+    objs = (
+        QuadraticObjective(a @ a.T + np.eye(3), rng.standard_normal(3)),
+        LogisticObjective(rng.standard_normal((8, 3)), np.where(rng.random(8) < 0.5, -1.0, 1.0), 0.1),
+        LogisticObjective(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, -1.0, 1.0), 0.1),
+    )
+    instance = ProblemInstance(objs, mu=0.1, lipschitz=100.0)
+    assert isinstance(instance.family, ObjectiveLoop)
+    instance = instance.with_reference(centralized_newton(instance, np.zeros(3), tol=1e-12))
+    mix = metropolis_weights(make_graph("complete", 3))
+    _, log = run(
+        "giant", instance, mix, AlgorithmConfig(epsilon=0.1, max_iters=2000, grad_tol=1e-9), np.zeros((3, 3))
+    )
+    assert log.final.grad_norm <= 1e-9
+    assert max(r.tracking_drift for r in log.records) <= 1e-9
+
+
+def test_indefinite_hessian_in_one_row_raises():
+    a = np.stack([np.eye(2)] * 4)
+    a[2] = np.diag([1.0, -0.5])
+    family = QuadraticFamily(a, np.zeros((4, 2)), np.zeros(4))
+    instance = ProblemInstance(family.views(), mu=1.0, lipschitz=1.0, family=family)
+    mix = metropolis_weights(make_graph("ring", 4))
+    state = giant_init(instance, np.ones((4, 2)))
+    for _ in range(2):  # a failed factorization is not cached
+        with pytest.raises(NotPositiveDefinite):
+            giant_step(state, instance, mix, AlgorithmConfig())
+
+
+def test_constant_hessian_stack_is_read_only():
+    instance = instance_for("quadratic", 3, 2)
+    h = instance.stacked_hessian(np.zeros((3, 2)))
+    with pytest.raises(ValueError):
+        h[0, 0, 0] = 5.0
