@@ -57,12 +57,15 @@ class AlgorithmConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.epsilon < 0:
+        # Messages lead with the field name; NaN fails every comparison.
+        if not self.epsilon >= 0:
             raise InvalidParams(f"epsilon must be nonnegative, got {self.epsilon}")
-        if self.K < 1:
+        if not self.K >= 1:
             raise InvalidParams(f"K must be a positive integer, got {self.K}")
-        if self.max_iters < 0 or self.grad_tol < 0:
-            raise InvalidParams("max_iters and grad_tol must be nonnegative")
+        if not self.max_iters >= 0:
+            raise InvalidParams(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not self.grad_tol >= 0:
+            raise InvalidParams(f"grad_tol must be nonnegative, got {self.grad_tol}")
 
 
 @dataclass(frozen=True)
@@ -94,21 +97,13 @@ class GtState:
             raise DimensionMismatch("gradient-tracking blocks disagree on shape")
 
 
-def _check_stack(instance: ProblemInstance, x0: np.ndarray) -> np.ndarray:
-    x0 = np.array(x0, dtype=float)
-    expected = (instance.n_agents, instance.dimension)
-    if x0.shape != expected:
-        raise DimensionMismatch(f"initial stack has shape {x0.shape}, expected {expected}")
-    return x0
-
-
 def giant_init(instance: ProblemInstance, x0: np.ndarray) -> NetworkState:
     """Start state with g_i = w_i = grad f_i(x_i^0).
 
     This initialization makes the tracking identity
     sum_i w_i = sum_i grad f_i(x_i) hold from the first iteration.
     """
-    x0 = _check_stack(instance, x0)
+    x0 = instance.check_stack(x0).copy()
     grads = instance.stacked_gradient(x0)
     return NetworkState(x=x0, g=grads, w=grads.copy(), iteration=0)
 
@@ -135,7 +130,7 @@ def giant_step(
     definite at the current iterate, which signals that the iterate left
     the region where the curvature assumptions hold numerically.
     """
-    x = _check_stack(instance, state.x)
+    x = instance.check_stack(state.x)
     if P.n != instance.n_agents:
         raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
     if p_eff is None:
@@ -152,13 +147,13 @@ def dgd_step(
     x: np.ndarray, instance: ProblemInstance, P: MixingMatrix, epsilon: float
 ) -> np.ndarray:
     """Decentralized gradient descent: x_next = P x - eps * grad f(x)."""
-    x = _check_stack(instance, x)
+    x = instance.check_stack(x)
     return P.p @ x - epsilon * instance.stacked_gradient(x)
 
 
 def gt_init(instance: ProblemInstance, x0: np.ndarray) -> GtState:
     """Gradient-tracking start state with y^0 = grad f(x^0)."""
-    x0 = _check_stack(instance, x0)
+    x0 = instance.check_stack(x0).copy()
     grads = instance.stacked_gradient(x0)
     return GtState(x=x0, y=grads, prev_grad=grads.copy())
 
@@ -173,7 +168,7 @@ def gt_step(
 
     The agent sum of y telescopes to the sum of current local gradients.
     """
-    x = _check_stack(instance, state.x)
+    x = instance.check_stack(state.x)
     x_next = P.p @ x - epsilon * state.y
     grads_next = instance.stacked_gradient(x_next)
     y_next = P.p @ state.y + grads_next - state.prev_grad
@@ -192,8 +187,6 @@ def centralized_newton(
     gradient norm drops to ``tol``. Exact in one step on quadratics.
     """
     x = np.array(x0, dtype=float)
-    if x.shape != (instance.dimension,):
-        raise DimensionMismatch(f"start point has shape {x.shape}, expected ({instance.dimension},)")
     for _ in range(max_iters):
         g = instance.average_gradient(x)
         if np.linalg.norm(g) <= tol:
@@ -230,60 +223,52 @@ def run(
     iteration-0 record, so ``max_iters = 0`` yields exactly one record.
     Requires ``instance.reference_solution`` for the optimality gap.
     """
-    if algorithm not in ALGORITHMS:
-        raise InvalidParams(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
     if instance.reference_solution is None:
         raise MissingReference("instance has no reference solution; compute one first")
-    x0 = _check_stack(instance, x0)
     f_star = instance.average_value(instance.reference_solution)
 
+    # view(state) is (x, tracker, gradient memory). The steps are looked up
+    # by module-global name at call time, so a rebinding of one reaches run.
     if algorithm == "giant":
         state = giant_init(instance, x0)
         p_eff = P.power(cfg.K)
+        step = lambda s: giant_step(s, instance, P, cfg, p_eff)
+        view = lambda s: (s.x, s.w, s.g)
     elif algorithm == "gt":
         state = gt_init(instance, x0)
+        step = lambda s: gt_step(s, instance, P, cfg.epsilon)
+        view = lambda s: (s.x, s.y, s.prev_grad)
+    elif algorithm == "dgd":
+        state = instance.check_stack(x0).copy()
+        step = lambda s: dgd_step(s, instance, P, cfg.epsilon)
+        view = lambda s: (s, None, None)
     else:
-        state = x0
+        raise InvalidParams(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
 
     log = MetricsLog()
     with np.errstate(all="ignore"):
-        log.append(metrics_record(instance, x0, 0, _drift(algorithm, state), f_star))
+        x, tracker, memory = view(state)
+        log.append(metrics_record(instance, x, 0, _drift(tracker, memory), f_star))
         k = 0
         while k < cfg.max_iters and log.records[-1].grad_norm > cfg.grad_tol:
-            if algorithm == "giant":
-                state = giant_step(state, instance, P, cfg, p_eff)
-                blocks = (state.x, state.g, state.w)
-            elif algorithm == "gt":
-                state = gt_step(state, instance, P, cfg.epsilon)
-                blocks = (state.x, state.y)
-            else:
-                state = dgd_step(state, instance, P, cfg.epsilon)
-                blocks = (state,)
+            state = step(state)
             k += 1
-            x = _state_x(algorithm, state)
-            log.append(metrics_record(instance, x, k, _drift(algorithm, state), f_star))
-            if _diverged(blocks):
+            x, tracker, memory = view(state)
+            log.append(metrics_record(instance, x, k, _drift(tracker, memory), f_star))
+            if _diverged(b for b in (x, tracker, memory) if b is not None):
                 log.diverged = True
                 break
     return state, log
 
 
-def _state_x(algorithm: str, state) -> np.ndarray:
-    return state if algorithm == "dgd" else state.x
-
-
-def _drift(algorithm: str, state) -> float:
+def _drift(tracker: np.ndarray | None, memory: np.ndarray | None) -> float:
     """Residual of the tracking identity against the gradients the state stores.
 
     giant's ``g`` holds the gradients at the previous iterate and gt's
     ``prev_grad`` those at the current one, bitwise as a fresh evaluation
     would return them, so this equals ``diagnostics.tracking_drift``
-    without evaluating them again.
+    without evaluating them again. dgd has no tracker and logs 0.
     """
-    if algorithm == "giant":
-        resid = state.w.sum(axis=0) - state.g.sum(axis=0)
-    elif algorithm == "gt":
-        resid = state.y.sum(axis=0) - state.prev_grad.sum(axis=0)
-    else:
+    if tracker is None:
         return 0.0
-    return float(np.linalg.norm(resid))
+    return float(np.linalg.norm(tracker.sum(axis=0) - memory.sum(axis=0)))

@@ -59,9 +59,6 @@ class MetricsLog:
     def __len__(self) -> int:
         return len(self.records)
 
-    def __iter__(self):
-        return iter(self.records)
-
     @property
     def final(self) -> MetricsRecord:
         return self.records[-1]
@@ -109,10 +106,6 @@ class DescentCheck:
     passed: bool
     lhs: float
     rhs: float
-
-    @property
-    def margin(self) -> float:
-        return self.lhs - self.rhs
 
 
 @dataclass(frozen=True)
@@ -253,13 +246,9 @@ def metrics_record(
     x: np.ndarray,
     iteration: int,
     drift: float,
-    f_star: float | None = None,
+    f_star: float,
 ) -> MetricsRecord:
-    """Assemble the standard per-iteration record from a stacked iterate."""
-    if instance.reference_solution is None:
-        raise MissingReference("metrics need a reference solution for the optimality gap")
-    if f_star is None:
-        f_star = instance.average_value(instance.reference_solution)
+    """Assemble the standard per-iteration record; ``f_star`` is the optimal averaged cost."""
     mean, disagreement = decompose(x)
     x_bar = mean[0]
     gap = instance.average_value(x_bar) - f_star

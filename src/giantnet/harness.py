@@ -10,19 +10,20 @@ including its CSV output, byte-reproducible.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .algorithms import ALGORITHMS, AlgorithmConfig, centralized_newton, run
 from .diagnostics import MetricsLog, estimate_rate
-from .errors import InsufficientData, InvalidParams, ParseError, ValidationError
+from .errors import InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
 from .objectives import ProblemInstance, ProblemSpec, generate_problem
 from .topology import (
-    GRAPH_KINDS,
     Graph,
     MixingMatrix,
     ValidationReport,
+    check_graph,
     make_graph,
     metropolis_weights,
     validate_mixing,
@@ -47,6 +48,9 @@ class TopologySpec:
     n: int
     p: float = 0.5
     seed: int = 0
+
+    def __post_init__(self):
+        check_graph(self.kind, self.n, self.p, self.seed)
 
 
 @dataclass(frozen=True)
@@ -82,10 +86,27 @@ def _as_int(value, where: str) -> int:
     return value
 
 
+def _as_seed(value, where: str) -> int:
+    seed = _as_int(value, where)
+    if seed < 0:
+        raise ValidationError(f"{where} must be nonnegative, got {seed}")
+    return seed
+
+
 def _as_real(value, where: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{where} must be a number, got {value!r}")
+    # json.loads also accepts NaN, Infinity and integers too large for a float.
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):
+        raise ValidationError(f"{where} must be a finite number, got {value!r}")
     return float(value)
+
+
+def _construct(block: str, spec, **fields):
+    """``spec(**fields)``; its range errors lead with the key, so they name the config path."""
+    try:
+        return spec(**fields)
+    except (InvalidSpec, InvalidParams) as exc:
+        raise ValidationError(f"{block}.{exc}") from exc
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -93,8 +114,9 @@ def load_config(path: str) -> ExperimentConfig:
 
     Defaults: epsilon 1.0, K 1, max_iters 5000, grad_tol 1e-10,
     heterogeneity 0, seeds 0, topology.n = problem.n, output metrics.csv.
-    Raises ParseError for malformed JSON (with line/column context) and
-    ValidationError naming the offending field(s) otherwise.
+    The spec constructors check the ranges. Raises ParseError for malformed
+    JSON (with line/column context) and ValidationError naming the
+    offending field(s) otherwise.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -108,39 +130,31 @@ def load_config(path: str) -> ExperimentConfig:
 
     prob = _require(raw, "problem", "config")
     _reject_unknown(prob, _PROBLEM_FIELDS, "problem")
-    kind = _require(prob, "kind", "problem")
-    if kind not in ("quadratic", "logistic"):
-        raise ValidationError(f"problem.kind must be quadratic or logistic, got {kind!r}")
-    n = _as_int(_require(prob, "n", "problem"), "problem.n")
-    d = _as_int(_require(prob, "d", "problem"), "problem.d")
-    if n < 1 or d < 1:
-        raise ValidationError("problem.n and problem.d must be >= 1")
-    ridge = _as_real(prob.get("lambda", 0.1), "problem.lambda")
-    if kind == "logistic" and ridge <= 0:
-        raise ValidationError("problem.lambda must be positive for logistic problems")
-    samples = _as_int(prob.get("samples_per_agent", 20), "problem.samples_per_agent")
-    if kind == "logistic" and samples < 1:
-        raise ValidationError("problem.samples_per_agent must be >= 1 for logistic problems")
-    heterogeneity = _as_real(prob.get("heterogeneity", 0.0), "problem.heterogeneity")
-    if heterogeneity < 0:
-        raise ValidationError("problem.heterogeneity must be nonnegative")
-    problem = ProblemSpec(
-        kind=kind, n=n, d=d, samples_per_agent=samples, ridge=ridge, heterogeneity=heterogeneity
+    problem = _construct(
+        "problem",
+        ProblemSpec,
+        kind=_require(prob, "kind", "problem"),
+        n=_as_int(_require(prob, "n", "problem"), "problem.n"),
+        d=_as_int(_require(prob, "d", "problem"), "problem.d"),
+        samples_per_agent=_as_int(prob.get("samples_per_agent", 20), "problem.samples_per_agent"),
+        ridge=_as_real(prob.get("lambda", 0.1), "problem.lambda"),
+        heterogeneity=_as_real(prob.get("heterogeneity", 0.0), "problem.heterogeneity"),
     )
-    problem_seed = _as_int(prob.get("seed", 0), "problem.seed")
+    problem_seed = _as_seed(prob.get("seed", 0), "problem.seed")
 
     topo = _require(raw, "topology", "config")
     _reject_unknown(topo, _TOPOLOGY_FIELDS, "topology")
-    topo_kind = _require(topo, "kind", "topology")
-    if topo_kind not in GRAPH_KINDS:
-        raise ValidationError(f"topology.kind must be one of {GRAPH_KINDS}, got {topo_kind!r}")
-    topo_n = _as_int(topo.get("n", n), "topology.n")
-    if topo_n != n:
-        raise ValidationError(f"topology.n ({topo_n}) must equal problem.n ({n})")
-    p = _as_real(topo.get("p", 0.5), "topology.p")
-    if topo_kind == "erdos_renyi" and not 0.0 < p <= 1.0:
-        raise ValidationError(f"topology.p must be in (0, 1], got {p}")
-    topology = TopologySpec(kind=topo_kind, n=topo_n, p=p, seed=_as_int(topo.get("seed", 0), "topology.seed"))
+    topo_n = _as_int(topo.get("n", problem.n), "topology.n")
+    if topo_n != problem.n:
+        raise ValidationError(f"topology.n ({topo_n}) must equal problem.n ({problem.n})")
+    topology = _construct(
+        "topology",
+        TopologySpec,
+        kind=_require(topo, "kind", "topology"),
+        n=topo_n,
+        p=_as_real(topo.get("p", 0.5), "topology.p"),
+        seed=_as_int(topo.get("seed", 0), "topology.seed"),
+    )
 
     algo = raw.get("algorithm", {})
     _reject_unknown(algo, _ALGORITHM_FIELDS, "algorithm")
@@ -150,16 +164,14 @@ def load_config(path: str) -> ExperimentConfig:
     epsilon = _as_real(algo.get("epsilon", 1.0), "algorithm.epsilon")
     if epsilon <= 0:
         raise ValidationError(f"algorithm.epsilon must be positive, got {epsilon}")
-    big_k = _as_int(algo.get("K", 1), "algorithm.K")
-    if big_k < 1:
-        raise ValidationError(f"algorithm.K must be >= 1, got {big_k}")
-    max_iters = _as_int(algo.get("max_iters", 5000), "algorithm.max_iters")
-    if max_iters < 0:
-        raise ValidationError("algorithm.max_iters must be nonnegative")
-    grad_tol = _as_real(algo.get("grad_tol", 1e-10), "algorithm.grad_tol")
-    if grad_tol < 0:
-        raise ValidationError("algorithm.grad_tol must be nonnegative")
-    algorithm = AlgorithmConfig(epsilon=epsilon, K=big_k, max_iters=max_iters, grad_tol=grad_tol)
+    algorithm = _construct(
+        "algorithm",
+        AlgorithmConfig,
+        epsilon=epsilon,
+        K=_as_int(algo.get("K", 1), "algorithm.K"),
+        max_iters=_as_int(algo.get("max_iters", 5000), "algorithm.max_iters"),
+        grad_tol=_as_real(algo.get("grad_tol", 1e-10), "algorithm.grad_tol"),
+    )
 
     grid = None
     if "tuner" in raw:
@@ -184,7 +196,7 @@ def load_config(path: str) -> ExperimentConfig:
         algorithm=algorithm,
         epsilon_grid=grid,
         output=output,
-        run_seed=_as_int(raw.get("run_seed", 0), "run_seed"),
+        run_seed=_as_seed(raw.get("run_seed", 0), "run_seed"),
     )
 
 

@@ -292,7 +292,8 @@ class ProblemInstance:
             )
         return np.broadcast_to(x, (self.n_agents, self.dimension))
 
-    def _check_stack(self, x: np.ndarray) -> np.ndarray:
+    def check_stack(self, x: np.ndarray) -> np.ndarray:
+        """``x`` as a float array, not copied if it is one, after checking its (n, d) shape."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n_agents, self.dimension):
             raise DimensionMismatch(
@@ -312,18 +313,18 @@ class ProblemInstance:
 
     def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
         """Row i of the result is grad f_i evaluated at row i of ``x``."""
-        return self.family.gradients(self._check_stack(x))
+        return self.family.gradients(self.check_stack(x))
 
     def stacked_hessian(self, x: np.ndarray) -> np.ndarray:
         """Entry i of the (n, d, d) result is hess f_i at row i of ``x``; treat it as read-only."""
-        return self.family.hessians(self._check_stack(x))
+        return self.family.hessians(self.check_stack(x))
 
     def hessian_factors(self, x: np.ndarray) -> np.ndarray:
         """Stacked lower Cholesky factors of the local Hessians at the rows of ``x``.
 
         Raises NotPositiveDefinite if any local Hessian is not positive definite.
         """
-        return self.family.hessian_factors(self._check_stack(x))
+        return self.family.hessian_factors(self.check_stack(x))
 
     def with_reference(self, x_star: np.ndarray) -> "ProblemInstance":
         return replace(self, reference_solution=np.asarray(x_star, dtype=float))
@@ -341,17 +342,20 @@ class ProblemSpec:
     heterogeneity: float = 0.0
 
     def __post_init__(self):
+        # Messages lead with the config key (lambda for ridge); NaN fails every comparison.
         if self.kind not in ("quadratic", "logistic"):
-            raise InvalidSpec(f"unknown problem kind {self.kind!r}")
-        if self.n < 1 or self.d < 1:
-            raise InvalidSpec(f"need n >= 1 and d >= 1, got n={self.n}, d={self.d}")
-        if self.heterogeneity < 0:
-            raise InvalidSpec("heterogeneity must be nonnegative")
+            raise InvalidSpec(f"kind must be quadratic or logistic, got {self.kind!r}")
+        if not self.n >= 1:
+            raise InvalidSpec(f"n must be >= 1, got {self.n}")
+        if not self.d >= 1:
+            raise InvalidSpec(f"d must be >= 1, got {self.d}")
+        if not self.heterogeneity >= 0:
+            raise InvalidSpec(f"heterogeneity must be nonnegative, got {self.heterogeneity}")
         if self.kind == "logistic":
-            if self.ridge <= 0:
-                raise InvalidSpec("logistic problems need ridge > 0")
-            if self.samples_per_agent < 1:
-                raise InvalidSpec("logistic problems need samples_per_agent >= 1")
+            if not self.ridge > 0:
+                raise InvalidSpec(f"lambda (ridge) must be > 0 for logistic problems, got {self.ridge}")
+            if not self.samples_per_agent >= 1:
+                raise InvalidSpec("samples_per_agent must be >= 1 for logistic problems")
 
 
 def _random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:

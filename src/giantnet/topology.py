@@ -30,16 +30,6 @@ class Graph:
     def degree(self, i: int) -> int:
         return sum(1 for e in self.edges if i in e)
 
-    def neighbors(self, i: int) -> list[int]:
-        out = [j for (a, j) in self.edges if a == i] + [a for (a, j) in self.edges if j == i]
-        return sorted(out)
-
-    def adjacency(self) -> np.ndarray:
-        a = np.zeros((self.n, self.n))
-        for i, j in self.edges:
-            a[i, j] = a[j, i] = 1.0
-        return a
-
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
@@ -55,9 +45,6 @@ class Graph:
                     seen.add(j)
                     stack.append(j)
         return len(seen) == self.n
-
-    def sorted_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edges)
 
 
 @dataclass(frozen=True)
@@ -88,6 +75,20 @@ def _edge(i: int, j: int) -> tuple[int, int]:
     return (i, j) if i < j else (j, i)
 
 
+def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:
+    """Raise InvalidParams, led by the parameter's name, for arguments ``make_graph`` rejects."""
+    if not n >= 1:
+        raise InvalidParams(f"n must be >= 1, got {n}")
+    if kind not in GRAPH_KINDS:
+        raise InvalidParams(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
+    if kind == "grid" and n % int(np.ceil(np.sqrt(n))):
+        raise InvalidParams(f"n must be a multiple of ceil(sqrt(n)) for a grid, got {n}")
+    if kind == "erdos_renyi" and not 0.0 < p <= 1.0:
+        raise InvalidParams(f"p must be in (0, 1], got {p}")
+    if not seed >= 0:
+        raise InvalidParams(f"seed must be nonnegative, got {seed}")
+
+
 def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     """Generate a connected graph of the requested kind.
 
@@ -97,8 +98,7 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     ``seed``. The grid kind lays nodes on a ceil(sqrt(n)) wide lattice and
     refuses node counts that do not factor exactly.
     """
-    if n < 1:
-        raise InvalidParams(f"need n >= 1, got {n}")
+    check_graph(kind, n, p, seed)
     if kind == "ring":
         edges = {_edge(i, (i + 1) % n) for i in range(n) if n > 1}
     elif kind == "complete":
@@ -107,11 +107,7 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
         edges = {(0, i) for i in range(1, n)}
     elif kind == "grid":
         rows = int(np.ceil(np.sqrt(n)))
-        cols = int(np.ceil(n / rows))
-        if rows * cols != n:
-            raise InvalidParams(
-                f"grid needs n = rows * cols with rows = ceil(sqrt(n)); {n} != {rows}*{cols}"
-            )
+        cols = n // rows
         edges = set()
         for r in range(rows):
             for c in range(cols):
@@ -120,9 +116,7 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
                     edges.add(_edge(i, i + 1))
                 if r + 1 < rows:
                     edges.add(_edge(i, i + cols))
-    elif kind == "erdos_renyi":
-        if not 0.0 < p <= 1.0:
-            raise InvalidParams(f"edge probability must be in (0, 1], got {p}")
+    else:
         rng = np.random.Generator(np.random.Philox(seed))
         pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
         for _ in range(MAX_CONNECTIVITY_RETRIES):
@@ -134,8 +128,6 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
         raise ConnectivityFailure(
             f"no connected graph with n={n}, p={p} in {MAX_CONNECTIVITY_RETRIES} attempts"
         )
-    else:
-        raise InvalidParams(f"unknown graph kind {kind!r}; choose from {GRAPH_KINDS}")
     return Graph(n=n, edges=frozenset(edges))
 
 
@@ -221,5 +213,5 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
 
 def write_edge_list(g: Graph, stream) -> None:
     """Write one ``i j`` line per edge, 0-indexed, sorted for determinism."""
-    for i, j in g.sorted_edges():
+    for i, j in sorted(g.edges):
         stream.write(f"{i} {j}\n")

@@ -1,3 +1,6 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -329,6 +332,28 @@ class TestRun:
         _, log = run("giant", instance, mix, AlgorithmConfig(epsilon=0.1, K=3, max_iters=6, grad_tol=0.0), x0)
         assert len(log) == 7
         assert calls == [3]
+
+    def test_benchmark_tracer_sees_each_step(self, hetero_ring):
+        # perfbench/spans.py patches module namespaces only; run must look the
+        # steps up by module-global name or the per-step spans read zero.
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+        spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        instance, mix, x0 = hetero_ring
+        cfg = AlgorithmConfig(epsilon=0.05, max_iters=3, grad_tol=0.0)
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            for name in ("giant", "gt", "dgd"):
+                run(name, instance, mix, cfg, x0)
+        finally:
+            restored = tracer.restore()
+        report = tracer.report()
+        assert report["absent"] == []
+        for step in ("giant_step", "gt_step", "dgd_step"):
+            assert report["calls"][f"algorithms.{step}"] == 3
+        assert restored
 
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring

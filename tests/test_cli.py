@@ -50,6 +50,19 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_range_errors_found_at_load_exit_one(tmp_path, capsys):
+    grid5 = json.loads(json.dumps(GOOD))
+    grid5["problem"]["n"] = 5
+    grid5["topology"] = {"kind": "grid", "n": 5}
+    negative_seed = dict(GOOD, run_seed=-1)
+    for payload, path in ((grid5, "topology.n"), (negative_seed, "run_seed")):
+        cfg = write_cfg(tmp_path, payload)
+        for command in ("validate", "run"):
+            assert main([command, "--config", cfg]) == 1
+            err = capsys.readouterr().err
+            assert f"config error: {path} " in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config error" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -102,6 +103,39 @@ class TestLoadConfig:
     def test_bad_graph_kind_rejected(self, tmp_path):
         payload = base_cfg(topology={"kind": "torus"})
         with pytest.raises(ValidationError, match="topology.kind"):
+            load_config(write_cfg(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "overrides, path",
+        [
+            ({"problem": {"kind": "cubic"}}, "problem.kind"),
+            ({"problem": {"n": 0}}, "problem.n"),
+            ({"problem": {"d": 0}}, "problem.d"),
+            ({"problem": {"kind": "logistic", "samples_per_agent": 0}}, "problem.samples_per_agent"),
+            ({"problem": {"heterogeneity": -0.5}}, "problem.heterogeneity"),
+            ({"problem": {"kind": "logistic", "lambda": -0.1}}, "problem.lambda"),
+            ({"topology": {"kind": "torus"}}, "topology.kind"),
+            ({"topology": {"kind": "erdos_renyi", "p": 0.0}}, "topology.p"),
+            ({"problem": {"n": 5}, "topology": {"kind": "grid", "n": 5}}, "topology.n"),
+            ({"algorithm": {"K": 0}}, "algorithm.K"),
+            ({"algorithm": {"max_iters": -1}}, "algorithm.max_iters"),
+            ({"algorithm": {"grad_tol": -1e-3}}, "algorithm.grad_tol"),
+            ({"algorithm": {"epsilon": float("nan")}}, "algorithm.epsilon"),
+            ({"algorithm": {"grad_tol": float("nan")}}, "algorithm.grad_tol"),
+            ({"algorithm": {"grad_tol": float("inf")}}, "algorithm.grad_tol"),
+            ({"problem": {"heterogeneity": float("inf")}}, "problem.heterogeneity"),
+            ({"problem": {"heterogeneity": 10**400}}, "problem.heterogeneity"),
+            ({"topology": {"kind": "erdos_renyi", "p": float("nan")}}, "topology.p"),
+            ({"tuner": {"epsilon_grid": [0.1, float("-inf")]}}, "tuner.epsilon_grid"),
+            ({"problem": {"seed": -1}}, "problem.seed"),
+            ({"topology": {"seed": -1}}, "topology.seed"),
+            ({"run_seed": -1}, "run_seed"),
+        ],
+    )
+    def test_out_of_range_value_names_config_path(self, tmp_path, overrides, path):
+        # json.dumps writes nan and inf as the NaN/Infinity literals json.loads accepts
+        payload = base_cfg(**overrides)
+        with pytest.raises(ValidationError, match=rf"^{re.escape(path)} "):
             load_config(write_cfg(tmp_path, payload))
 
 
