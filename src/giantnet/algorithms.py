@@ -221,11 +221,13 @@ def run(
 
     Returns (final_state, MetricsLog). The log always contains the
     iteration-0 record, so ``max_iters = 0`` yields exactly one record.
-    Requires ``instance.reference_solution`` for the optimality gap.
+    Requires ``instance.reference_solution`` and one row of P per agent.
     """
     if instance.reference_solution is None:
         raise MissingReference("instance has no reference solution; compute one first")
     f_star = instance.average_value(instance.reference_solution)
+    if P.n != instance.n_agents:
+        raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
 
     # view(state) is (x, tracker, gradient memory). The steps are looked up
     # by module-global name at call time, so a rebinding of one reaches run.

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import DimensionMismatch, NotPositiveDefinite, NotStochastic, NotSymmetric
 
@@ -102,15 +101,14 @@ def spd_solve(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
     """Solve H x = b given the Cholesky factorization of H.
 
     ``b`` may be a vector of length d or a (d, k) matrix of stacked
-    right-hand sides. Two triangular solves; the inverse is never formed.
+    right-hand sides. It is the one-matrix case of :func:`spd_solve_stack`.
     """
     b = np.asarray(b, dtype=float)
     if b.shape[0] != f.dimension:
         raise DimensionMismatch(
             f"right-hand side has leading dimension {b.shape[0]}, factor is {f.dimension}"
         )
-    y = solve_triangular(f.lower, b, lower=True)
-    return solve_triangular(f.lower.T, y, lower=False)
+    return spd_solve_stack(f.lower[None], b[None])[0]
 
 
 def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,31 +21,33 @@ WEIGHT_TOL = 1e-12
 SIGMA2_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
-    """Undirected connected graph on nodes 0..n-1; edges stored as (i, j) with i < j."""
+    """Undirected graph on nodes 0..n-1.
+
+    ``edges`` is a read-only (E, 2) int64 array of distinct pairs (i, j)
+    with i < j, in lexicographic order.
+    """
 
     n: int
-    edges: frozenset[tuple[int, int]]
+    edges: np.ndarray
 
-    def degree(self, i: int) -> int:
-        return sum(1 for e in self.edges if i in e)
+    @cached_property
+    def degrees(self) -> np.ndarray:
+        deg = np.bincount(self.edges.ravel(), minlength=self.n)
+        deg.flags.writeable = False
+        return deg
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = {i: [] for i in range(self.n)}
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for j in adj[stack.pop()]:
-                if j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        return len(seen) == self.n
+        """Frontier sweep from node 0: each pass marks every neighbour of the reached set."""
+        a, b = self.edges.T
+        reached = np.arange(self.n) == 0
+        while True:
+            size = np.count_nonzero(reached)
+            reached[b[reached[a]]] = True
+            reached[a[reached[b]]] = True
+            if np.count_nonzero(reached) == size:
+                return size == self.n
 
 
 @dataclass(frozen=True)
@@ -69,10 +72,6 @@ class MixingMatrix:
         for _ in range(k - 1):
             out = out @ self.p
         return out
-
-
-def _edge(i: int, j: int) -> tuple[int, int]:
-    return (i, j) if i < j else (j, i)
 
 
 def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:
@@ -100,35 +99,35 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
     """
     check_graph(kind, n, p, seed)
     if kind == "ring":
-        edges = {_edge(i, (i + 1) % n) for i in range(n) if n > 1}
-    elif kind == "complete":
-        edges = {(i, j) for i in range(n) for j in range(i + 1, n)}
-    elif kind == "star":
-        edges = {(0, i) for i in range(1, n)}
-    elif kind == "grid":
-        rows = int(np.ceil(np.sqrt(n)))
-        cols = n // rows
-        edges = set()
-        for r in range(rows):
-            for c in range(cols):
-                i = r * cols + c
-                if c + 1 < cols:
-                    edges.add(_edge(i, i + 1))
-                if r + 1 < rows:
-                    edges.add(_edge(i, i + cols))
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-        for _ in range(MAX_CONNECTIVITY_RETRIES):
-            draws = rng.random(len(pairs))
-            edges = {pair for pair, u in zip(pairs, draws) if u < p}
-            g = Graph(n=n, edges=frozenset(edges))
-            if g.is_connected():
-                return g
-        raise ConnectivityFailure(
-            f"no connected graph with n={n}, p={p} in {MAX_CONNECTIVITY_RETRIES} attempts"
-        )
-    return Graph(n=n, edges=frozenset(edges))
+        a = np.arange(n if n > 1 else 0)
+        return _graph(n, a, (a + 1) % n)
+    if kind == "complete":
+        return _graph(n, *np.triu_indices(n, 1))
+    if kind == "star":
+        return _graph(n, np.zeros(n - 1, dtype=np.int64), np.arange(1, n))
+    if kind == "grid":
+        cols = n // int(np.ceil(np.sqrt(n)))
+        a = np.arange(n)
+        right, down = a[a % cols < cols - 1], a[: n - cols]
+        return _graph(n, np.concatenate([right, down]), np.concatenate([right + 1, down + cols]))
+    rng = np.random.Generator(np.random.Philox(seed))
+    a, b = np.triu_indices(n, 1)
+    for _ in range(MAX_CONNECTIVITY_RETRIES):
+        keep = rng.random(a.size) < p
+        g = _graph(n, a[keep], b[keep])
+        if g.is_connected():
+            return g
+    raise ConnectivityFailure(
+        f"no connected graph with n={n}, p={p} in {MAX_CONNECTIVITY_RETRIES} attempts"
+    )
+
+
+def _graph(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
+    """The graph with an edge {a[k], b[k]} for every k (a[k] != b[k]); repeats collapse."""
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    edges = np.stack(np.divmod(keys, n), axis=1)
+    edges.flags.writeable = False
+    return Graph(n=n, edges=edges)
 
 
 def metropolis_weights(g: Graph) -> MixingMatrix:
@@ -136,13 +135,10 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
 
     P_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal takes the slack.
     """
+    a, b = g.edges.T
     p = np.zeros((g.n, g.n))
-    deg = [g.degree(i) for i in range(g.n)]
-    for i, j in g.edges:
-        w = 1.0 / (1.0 + max(deg[i], deg[j]))
-        p[i, j] = p[j, i] = w
-    for i in range(g.n):
-        p[i, i] = 1.0 - p[i].sum()
+    p[a, b] = p[b, a] = 1.0 / (1.0 + np.maximum(g.degrees[a], g.degrees[b]))
+    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
     return MixingMatrix(p)
 
 
@@ -191,11 +187,12 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
     neg = max(0.0, float(-p.min()))
     checks.append(MixingCheck("nonnegativity", neg <= WEIGHT_TOL, neg))
 
-    off_graph = 0.0
-    for i in range(g.n):
-        for j in range(g.n):
-            if i != j and _edge(i, j) not in g.edges:
-                off_graph = max(off_graph, abs(p[i, j]))
+    # The n*n sentinel keeps every searchsorted index in bounds, even with no edges.
+    i, j = np.nonzero(p)
+    keys = np.minimum(i, j) * g.n + np.maximum(i, j)
+    edge_keys = np.append(g.edges[:, 0] * g.n + g.edges[:, 1], g.n * g.n)
+    off = (i != j) & (edge_keys[np.searchsorted(edge_keys, keys)] != keys)
+    off_graph = float(np.abs(p[i[off], j[off]]).max(initial=0.0))
     checks.append(MixingCheck("sparsity", off_graph <= WEIGHT_TOL, off_graph))
 
     asym = float(np.abs(p - p.T).max())
@@ -206,12 +203,13 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
     col_dev = float(np.abs(p.sum(axis=0) - 1.0).max())
     checks.append(MixingCheck("column_sums", col_dev <= WEIGHT_TOL, col_dev))
 
-    sigma2 = second_singular_value(p, check=False)
+    # The SVD raises on NaN or infinite entries; report sigma2 as NaN instead.
+    sigma2 = second_singular_value(p, check=False) if np.isfinite(p).all() else float("nan")
     checks.append(MixingCheck("sigma2", sigma2 <= 1.0 - SIGMA2_MARGIN, sigma2))
     return ValidationReport(tuple(checks))
 
 
 def write_edge_list(g: Graph, stream) -> None:
     """Write one ``i j`` line per edge, 0-indexed, sorted for determinism."""
-    for i, j in sorted(g.edges):
+    for i, j in g.edges.tolist():
         stream.write(f"{i} {j}\n")

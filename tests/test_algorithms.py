@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from giantnet import (
+    ALGORITHMS,
     AlgorithmConfig,
     DimensionMismatch,
     InvalidParams,
@@ -28,7 +29,7 @@ from giantnet import (
 )
 from giantnet.objectives import LocalObjective
 
-from conftest import identical_quadratic_instance, rng_for
+from conftest import identical_quadratic_instance, ring_mixing, rng_for
 
 
 class TestInit:
@@ -354,6 +355,12 @@ class TestRun:
         for step in ("giant_step", "gt_step", "dgd_step"):
             assert report["calls"][f"algorithms.{step}"] == 3
         assert restored
+
+    @pytest.mark.parametrize("name", ALGORITHMS)
+    def test_mixing_size_checked_for_every_algorithm(self, name):
+        instance = generate_problem(42, ProblemSpec(kind="quadratic", n=6, d=3))
+        with pytest.raises(DimensionMismatch):
+            run(name, instance, ring_mixing(5), AlgorithmConfig(max_iters=2), np.zeros((6, 3)))
 
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring

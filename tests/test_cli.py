@@ -1,5 +1,7 @@
 import json
-
+import subprocess
+import sys
+from pathlib import Path
 
 from giantnet.cli import main
 
@@ -118,3 +120,15 @@ def test_graph_stdout_mode(tmp_path, capsys):
     cfg = write_cfg(tmp_path, GOOD)
     assert main(["graph", "--config", cfg]) == 0
     assert "0 1" in capsys.readouterr().out
+
+
+def test_import_loads_neither_scipy_linalg_nor_sparse():
+    # Each raises the peak memory of every process that imports giantnet by
+    # several MiB (scipy.linalg by 6.3 MiB with scipy 1.17.1).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import giantnet; "
+        "print([m for m in ('scipy.linalg', 'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
