@@ -47,8 +47,11 @@ NEWTON_MAX_ITERS = 200
 class AlgorithmConfig:
     """Step size, consensus rounds per iteration and stopping limits.
 
-    ``epsilon = 0`` is accepted so pure-consensus dynamics can be studied;
-    optimization configs should keep it positive.
+    ``K`` applies to ``giant`` only: ``gt_step`` and ``dgd_step`` mix once
+    per iteration with ``P.p``, so ``compare`` at ``K > 1`` gives giant K
+    rounds per iteration and the baselines one. ``epsilon = 0`` is
+    accepted so pure-consensus dynamics can be studied; optimization
+    configs should keep it positive.
     """
 
     epsilon: float = 1.0

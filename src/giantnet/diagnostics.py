@@ -120,9 +120,6 @@ class DescentReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def failures(self) -> list[DescentCheck]:
-        return [c for c in self.checks if not c.passed]
-
     def __str__(self) -> str:
         note = " (estimated bounds, relaxed tolerance)" if self.estimated_bounds else ""
         lines = [f"descent checks at tolerance {self.tolerance:g}{note}"]
@@ -202,12 +199,7 @@ class RateEstimate:
     window: tuple[int, int]
 
 
-def estimate_rate(
-    log: MetricsLog,
-    tail_fraction: float = 0.5,
-    gap_floor: float = GAP_FLOOR,
-    transient_fraction: float = TRANSIENT_FRACTION,
-) -> RateEstimate:
+def estimate_rate(log: MetricsLog, tail_fraction: float = 0.5) -> RateEstimate:
     """Least-squares fit of log10(opt_gap) against iteration over the tail.
 
     Records with gaps at the floating-point floor and the initial
@@ -217,8 +209,8 @@ def estimate_rate(
     """
     records = log.records
     if records:
-        k_cut = transient_fraction * records[-1].iteration
-        usable = [r for r in records if r.opt_gap > gap_floor and r.iteration >= k_cut]
+        k_cut = TRANSIENT_FRACTION * records[-1].iteration
+        usable = [r for r in records if r.opt_gap > GAP_FLOOR and r.iteration >= k_cut]
     else:
         usable = []
     take = int(np.ceil(tail_fraction * len(usable)))

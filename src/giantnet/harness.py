@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algorithms import ALGORITHMS, AlgorithmConfig, centralized_newton, run
+from .algorithms import ALGORITHMS, DIVERGENCE_LIMIT, AlgorithmConfig, centralized_newton, run
 from .diagnostics import MetricsLog, estimate_rate
 from .errors import InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
 from .objectives import ProblemInstance, ProblemSpec, generate_problem
@@ -244,75 +244,71 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
+def _write_csv(path: str, columns, rows) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(columns) + "\n")
+        for row in rows:
+            fh.write(",".join(row) + "\n")
+
+
 def write_metrics_csv(log: MetricsLog, path: str) -> None:
     """Serialize a run log; floats carry 17 significant digits for round-trips."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for r in log.records:
-            fh.write(
-                ",".join(
-                    (
-                        str(r.iteration),
-                        _fmt(r.opt_gap),
-                        _fmt(r.consensus_err),
-                        _fmt(r.grad_norm),
-                        _fmt(r.tracking_drift),
-                        _fmt(r.lyapunov),
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(
+        path,
+        CSV_COLUMNS,
+        (
+            (str(r.iteration), _fmt(r.opt_gap), _fmt(r.consensus_err), _fmt(r.grad_norm),
+             _fmt(r.tracking_drift), _fmt(r.lyapunov))
+            for r in log.records
+        ),
+    )
 
 
 @dataclass(frozen=True)
 class TuneResult:
+    """How one algorithm's run at one step size ended; ``rate`` is set by ``compare``."""
+
+    algorithm: str
     epsilon: float
     status: str  # reached | not_reached | diverged
     iterations: int | None
     final_gap: float
-
-
-@dataclass(frozen=True)
-class ComparisonRow:
-    algorithm: str
-    epsilon: float
-    iterations: int | None
-    status: str
-    final_gap: float
-    rate: float | None
+    rate: float | None = None
 
 
 @dataclass(frozen=True)
 class ComparisonSummary:
     target: float
-    rows: tuple[ComparisonRow, ...]
+    rows: tuple[TuneResult, ...]
 
 
-def _tune_one(instance, mix, x0, name, algo_cfg, grid, target):
-    results = []
-    logs = []
+def _tune(instance, mix, x0, name, algo_cfg, grid, target):
+    """Run ``name`` at every grid step size: ``(results, winner, winner's log)``.
+
+    Only the winner's log is kept. A later point replaces it only when
+    strictly better under ``_tune_key``, so among ties the earliest wins.
+    """
+    results, best, best_log = [], None, None
     for eps in grid:
-        cfg = replace(algo_cfg, epsilon=eps)
-        _, log = run(name, instance, mix, cfg, x0)
-        final_gap = log.final.opt_gap
-        if log.diverged or not np.isfinite(final_gap) or final_gap > 1e12:
-            results.append(TuneResult(eps, "diverged", None, float(final_gap)))
+        _, log = run(name, instance, mix, replace(algo_cfg, epsilon=eps), x0)
+        gap = float(log.final.opt_gap)
+        if log.diverged or not np.isfinite(gap) or gap > DIVERGENCE_LIMIT:
+            result = TuneResult(name, eps, "diverged", None, gap)
         else:
             hit = log.first_iteration_below(target)
-            if hit is None:
-                results.append(TuneResult(eps, "not_reached", None, float(final_gap)))
-            else:
-                results.append(TuneResult(eps, "reached", hit, float(final_gap)))
-        logs.append(log)
-    best_idx = min(range(len(results)), key=lambda i: _tune_key(results[i], i))
-    return best_idx, results, logs
+            result = TuneResult(name, eps, "not_reached" if hit is None else "reached", hit, gap)
+        results.append(result)
+        if best is None or _tune_key(result) < _tune_key(best):
+            best, best_log = result, log
+        del log  # no losing log is held while the next point runs
+    return results, best, best_log
 
 
-def _tune_key(r: TuneResult, idx: int):
+def _tune_key(r: TuneResult):
     rank = {"reached": 0, "not_reached": 1, "diverged": 2}[r.status]
     iters = r.iterations if r.iterations is not None else np.inf
     gap = r.final_gap if np.isfinite(r.final_gap) else np.inf
-    return (rank, iters, gap, idx)
+    return (rank, iters, gap)
 
 
 def tune_epsilon(
@@ -333,10 +329,8 @@ def tune_epsilon(
     instance = build_instance(cfg)
     _, mix = build_network(cfg)
     x0 = initial_stack(cfg, instance)
-    best_idx, results, _ = _tune_one(
-        instance, mix, x0, cfg.algorithm_name, cfg.algorithm, grid, target
-    )
-    return results[best_idx].epsilon, results
+    results, best, _ = _tune(instance, mix, x0, cfg.algorithm_name, cfg.algorithm, grid, target)
+    return best.epsilon, results
 
 
 def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = 1e-6) -> ComparisonSummary:
@@ -357,44 +351,25 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = 1e-6) 
 
     rows = []
     for name in algorithms:
-        best_idx, results, logs = _tune_one(
-            instance, mix, x0, name, cfg.algorithm, grid, target
-        )
-        best = results[best_idx]
+        _, best, log = _tune(instance, mix, x0, name, cfg.algorithm, grid, target)
         try:
-            rate = estimate_rate(logs[best_idx]).rate
+            best = replace(best, rate=estimate_rate(log).rate)
         except InsufficientData:
-            rate = None
-        rows.append(
-            ComparisonRow(
-                algorithm=name,
-                epsilon=best.epsilon,
-                iterations=best.iterations,
-                status=best.status,
-                final_gap=best.final_gap,
-                rate=rate,
-            )
-        )
+            pass
+        rows.append(best)
     return ComparisonSummary(target=target, rows=tuple(rows))
 
 
 def write_comparison_csv(summary: ComparisonSummary, path: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(COMPARISON_COLUMNS) + "\n")
-        for r in summary.rows:
-            fh.write(
-                ",".join(
-                    (
-                        r.algorithm,
-                        _fmt(r.epsilon),
-                        "" if r.iterations is None else str(r.iterations),
-                        r.status,
-                        _fmt(r.final_gap),
-                        "" if r.rate is None else _fmt(r.rate),
-                    )
-                )
-                + "\n"
-            )
+    _write_csv(
+        path,
+        COMPARISON_COLUMNS,
+        (
+            (r.algorithm, _fmt(r.epsilon), "" if r.iterations is None else str(r.iterations),
+             r.status, _fmt(r.final_gap), "" if r.rate is None else _fmt(r.rate))
+            for r in summary.rows
+        ),
+    )
 
 
 def format_comparison(summary: ComparisonSummary) -> str:

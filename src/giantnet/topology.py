@@ -184,7 +184,7 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
         checks.append(MixingCheck("shape", False, float(abs(p.shape[0] - g.n))))
         return ValidationReport(tuple(checks))
 
-    neg = max(0.0, float(-p.min()))
+    neg = float(np.maximum(0.0, -p.min()))  # NaN propagates, unlike max()
     checks.append(MixingCheck("nonnegativity", neg <= WEIGHT_TOL, neg))
 
     # The n*n sentinel keeps every searchsorted index in bounds, even with no edges.
@@ -195,12 +195,13 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
     off_graph = float(np.abs(p[i[off], j[off]]).max(initial=0.0))
     checks.append(MixingCheck("sparsity", off_graph <= WEIGHT_TOL, off_graph))
 
-    asym = float(np.abs(p - p.T).max())
+    # inf - inf gives NaN, which fails its check; numpy need not warn about it.
+    with np.errstate(invalid="ignore"):
+        asym = float(np.abs(p - p.T).max())
+        row_dev = float(np.abs(p.sum(axis=1) - 1.0).max())
+        col_dev = float(np.abs(p.sum(axis=0) - 1.0).max())
     checks.append(MixingCheck("symmetry", asym <= WEIGHT_TOL, asym))
-
-    row_dev = float(np.abs(p.sum(axis=1) - 1.0).max())
     checks.append(MixingCheck("row_sums", row_dev <= WEIGHT_TOL, row_dev))
-    col_dev = float(np.abs(p.sum(axis=0) - 1.0).max())
     checks.append(MixingCheck("column_sums", col_dev <= WEIGHT_TOL, col_dev))
 
     # The SVD raises on NaN or infinite entries; report sigma2 as NaN instead.

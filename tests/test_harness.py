@@ -1,10 +1,11 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from giantnet import ParseError, ValidationError, load_config, run, tune_epsilon
+from giantnet import ParseError, ValidationError, estimate_rate, load_config, run, tune_epsilon
 from giantnet.harness import (
     CSV_COLUMNS,
     build_instance,
@@ -268,3 +269,19 @@ class TestCompare:
         a = compare(cfg, ("giant", "gt"), target=1e-6)
         b = compare(cfg, ("giant", "gt"), target=1e-6)
         assert a == b
+
+    def test_rows_are_tune_epsilon_winners_with_their_rate(self, tmp_path):
+        payload = base_cfg(
+            algorithm={"max_iters": 300}, tuner={"epsilon_grid": [0.02, 0.05, 0.25, 1.0]}
+        )
+        cfg = load_config(write_cfg(tmp_path, payload))
+        summary = compare(cfg, ("giant", "dgd", "gt"), target=1e-6)
+        instance = build_instance(cfg)
+        _, mix = build_network(cfg)
+        x0 = initial_stack(cfg, instance)
+        for row in summary.rows:
+            algo_cfg = replace(cfg, algorithm_name=row.algorithm)
+            best, results = tune_epsilon(algo_cfg, cfg.epsilon_grid, target=1e-6)
+            (winner,) = [r for r in results if r.epsilon == best]
+            _, log = run(row.algorithm, instance, mix, replace(cfg.algorithm, epsilon=best), x0)
+            assert row == replace(winner, rate=estimate_rate(log).rate)

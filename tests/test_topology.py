@@ -117,12 +117,14 @@ class TestValidateMixing:
         report = validate_mixing(p, g)
         assert "sparsity" in {c.name for c in report.failures()}
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_reported_not_raised(self, bad):
         report = validate_mixing(np.full((4, 4), bad), make_graph("ring", 4))
         assert not report.passed
-        assert "sigma2" in {c.name for c in report.failures()}
+        failed = {c.name for c in report.failures()}
+        assert "sigma2" in failed
+        # inf is nonnegative; NaN is not known to be.
+        assert ("nonnegativity" in failed) == np.isnan(bad)
 
     def test_consensus_contraction_property(self):
         rng = rng_for(21)
