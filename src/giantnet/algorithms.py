@@ -202,10 +202,8 @@ def centralized_newton(
 
 
 def _diverged(arrays) -> bool:
-    for a in arrays:
-        if not np.all(np.isfinite(a)) or np.abs(a).max(initial=0.0) > DIVERGENCE_LIMIT:
-            return True
-    return False
+    # One reduction per block: a NaN maximum fails the comparison, as does inf.
+    return any(not np.abs(a).max(initial=0.0) <= DIVERGENCE_LIMIT for a in arrays)
 
 
 def run(

@@ -13,6 +13,11 @@ instances store the stacks once; their per-agent objectives are views
 into them. An instance built from a tuple of objectives (mixed families,
 user subclasses, logistic agents with unequal sample counts) is evaluated
 by looping over the objects.
+
+The averaged cost (1/n) * sum_i f_i of a stacked family is itself one
+objective of that family: the quadratic with the mean A, b and c, and the
+logistic loss over all n*m samples pooled (every agent has m of them). So
+the cost, gradient and Hessian at a single point take one evaluation, not n.
 """
 
 from __future__ import annotations
@@ -158,6 +163,11 @@ class AgentFamily(ABC):
         """Stacked lower Cholesky factors of the local Hessians."""
         return spd_factorize_stack(self.hessians(x))
 
+    @property
+    @abstractmethod
+    def average(self) -> LocalObjective:
+        """The averaged cost (1/n) * sum_i f_i as one objective over R^d."""
+
 
 @dataclass(frozen=True)
 class QuadraticFamily(AgentFamily):
@@ -190,6 +200,10 @@ class QuadraticFamily(AgentFamily):
     def _factors(self) -> np.ndarray:
         # Constant Hessians: factored once per instance, on first use.
         return spd_factorize_stack(self.a)
+
+    @cached_property
+    def average(self) -> QuadraticObjective:
+        return QuadraticObjective(self.a.mean(axis=0), self.b.mean(axis=0), self.c.mean())
 
 
 @dataclass(frozen=True)
@@ -226,6 +240,35 @@ class LogisticFamily(AgentFamily):
         h += self.ridge * np.eye(d)
         return h
 
+    @cached_property
+    def average(self) -> LogisticObjective:
+        # Views when the stacks are C-contiguous, as generated ones are.
+        d = self.features.shape[2]
+        return LogisticObjective(self.features.reshape(-1, d), self.labels.reshape(-1), self.ridge)
+
+
+class _AgentMean(LocalObjective):
+    """The mean of a tuple of objectives, each evaluated at the same point."""
+
+    def __init__(self, objectives: tuple[LocalObjective, ...]):
+        self.objectives = objectives
+
+    @property
+    def dimension(self) -> int:
+        return self.objectives[0].dimension
+
+    def value(self, x):
+        x = self._check_point(x)
+        return float(np.mean([obj.value(x) for obj in self.objectives]))
+
+    def gradient(self, x):
+        x = self._check_point(x)
+        return np.mean([obj.gradient(x) for obj in self.objectives], axis=0)
+
+    def hessian(self, x):
+        x = self._check_point(x)
+        return np.mean([obj.hessian(x) for obj in self.objectives], axis=0)
+
 
 @dataclass(frozen=True)
 class ObjectiveLoop(AgentFamily):
@@ -241,6 +284,10 @@ class ObjectiveLoop(AgentFamily):
 
     def hessians(self, x):
         return np.stack([obj.hessian(x[i]) for i, obj in enumerate(self.objectives)])
+
+    @cached_property
+    def average(self) -> _AgentMean:
+        return _AgentMean(self.objectives)
 
 
 @dataclass(frozen=True)
@@ -302,14 +349,18 @@ class ProblemInstance:
         return x
 
     def average_value(self, x: np.ndarray) -> float:
-        """(1/n) * sum_i f_i(x), the global cost at a single point."""
-        return float(self.family.values(self.consensus_stack(x)).mean())
+        """(1/n) * sum_i f_i(x), the global cost at a single point of shape (d,).
+
+        The three averages evaluate ``family.average`` once; it raises
+        DimensionMismatch unless ``x`` has shape (d,).
+        """
+        return self.family.average.value(x)
 
     def average_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self.family.gradients(self.consensus_stack(x)).mean(axis=0)
+        return self.family.average.gradient(x)
 
     def average_hessian(self, x: np.ndarray) -> np.ndarray:
-        return self.family.hessians(self.consensus_stack(x)).mean(axis=0)
+        return self.family.average.hessian(x)
 
     def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
         """Row i of the result is grad f_i evaluated at row i of ``x``."""

@@ -27,6 +27,7 @@ from giantnet import (
     run,
     tracking_drift,
 )
+from giantnet.algorithms import DIVERGENCE_LIMIT, _diverged
 from giantnet.objectives import LocalObjective
 
 from conftest import identical_quadratic_instance, ring_mixing, rng_for
@@ -366,6 +367,27 @@ class TestRun:
         instance, mix, x0 = hetero_ring
         with pytest.raises(InvalidParams):
             run("sgd", instance, mix, AlgorithmConfig(), x0)
+
+
+@pytest.mark.parametrize(
+    "entry, diverged",
+    [
+        (np.nan, True),
+        (np.inf, True),
+        (-np.inf, True),
+        (DIVERGENCE_LIMIT, False),
+        (-DIVERGENCE_LIMIT, False),
+        (np.nextafter(DIVERGENCE_LIMIT, np.inf), True),
+        (-np.nextafter(DIVERGENCE_LIMIT, np.inf), True),
+        (-3.5, False),
+        (0.0, False),
+    ],
+)
+def test_divergence_rule(entry, diverged):
+    block = np.ones((4, 3))
+    block[2, 1] = entry
+    assert _diverged([np.zeros((4, 3)), block]) is diverged
+    assert _diverged([block, np.zeros((0, 3))]) is diverged
 
 
 def test_config_validation():

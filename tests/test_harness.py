@@ -1,6 +1,7 @@
 import json
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from giantnet.harness import (
     validate_experiment,
     write_comparison_csv,
 )
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 BASE = {
     "problem": {"kind": "quadratic", "n": 6, "d": 3, "heterogeneity": 1.0, "seed": 5},
@@ -285,3 +288,28 @@ class TestCompare:
             (winner,) = [r for r in results if r.epsilon == best]
             _, log = run(row.algorithm, instance, mix, replace(cfg.algorithm, epsilon=best), x0)
             assert row == replace(winner, rate=estimate_rate(log).rate)
+
+
+class TestShippedConfigs:
+    """Pins the figures the benchmark checks, so a last-bit move cannot flip a tuned winner."""
+
+    def test_compare_table(self):
+        summary = compare(load_config(str(CONFIGS / "quadratic_ring.json")), target=1e-6)
+        rows = {r.algorithm: r for r in summary.rows}
+        assert list(rows) == ["giant", "dgd", "gt"]
+        expected = {
+            "giant": (0.05, 88, "reached", 0.8770),
+            "dgd": (0.02, None, "not_reached", 1.0000),
+            "gt": (0.02, 107, "reached", 0.8872),
+        }
+        for name, (epsilon, iterations, status, rate) in expected.items():
+            row = rows[name]
+            assert (row.epsilon, row.iterations, row.status) == (epsilon, iterations, status)
+            assert abs(row.rate - rate) <= 1e-3
+        assert abs(rows["giant"].final_gap) <= 1e-15
+        assert abs(rows["gt"].final_gap) <= 1e-15
+
+    @pytest.mark.parametrize("name, records", [("quadratic_ring", 687), ("logistic_er", 91)])
+    def test_run_record_counts(self, tmp_path, name, records):
+        cfg = load_config(str(CONFIGS / f"{name}.json"))
+        assert len(run_experiment(cfg, str(tmp_path / "m.csv"))) == records

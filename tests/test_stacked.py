@@ -12,12 +12,14 @@ from scipy.special import expit
 
 from giantnet import (
     AlgorithmConfig,
+    DimensionMismatch,
     LogisticObjective,
     NotPositiveDefinite,
     ProblemInstance,
     ProblemSpec,
     QuadraticObjective,
     centralized_newton,
+    decompose,
     generate_problem,
     giant_init,
     giant_step,
@@ -29,6 +31,7 @@ from giantnet import (
     spd_solve,
     spd_solve_stack,
 )
+from giantnet.diagnostics import metrics_record
 from giantnet.objectives import HETEROGENEITY_SPREAD, ObjectiveLoop, QuadraticFamily
 
 from conftest import rng_for
@@ -94,6 +97,26 @@ class TestAgainstPerAgent:
         assert close(a.x, b.x) and close(a.w, b.w) and close(a.g, b.g)
         point = rng.standard_normal(d)
         assert close(harmonic_hessian_mean(instance, point), harmonic_hessian_mean(reference, point))
+
+    def test_metrics_record_closed_forms_match_loop_family(self, kind, n, d):
+        # oracle: the loop family's per-agent mean at the same point
+        instance = instance_for(kind, n, d)
+        reference = looped(instance)
+        f_star = reference.average_value(centralized_newton(reference, np.zeros(d)))
+        x = 2.0 + rng_for(25).standard_normal((n, d))
+        a = metrics_record(instance, x, 7, 0.0, f_star)
+        b = metrics_record(reference, x, 7, 0.0, f_star)
+        assert a.opt_gap > 1e-3
+        assert a.consensus_err == b.consensus_err == np.linalg.norm(decompose(x)[1])
+        assert close(a.opt_gap, b.opt_gap) and close(a.grad_norm, b.grad_norm)
+
+    def test_averages_reject_points_of_the_wrong_shape(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        for inst in (instance, looped(instance)):
+            for average in (inst.average_value, inst.average_gradient, inst.average_hessian):
+                for bad in (np.zeros(d + 1), np.zeros((n, d))):
+                    with pytest.raises(DimensionMismatch, match="point has shape"):
+                        average(bad)
 
 
 def test_generation_bitwise_equal_to_per_agent_draws():
