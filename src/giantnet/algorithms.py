@@ -48,7 +48,7 @@ class AlgorithmConfig:
     """Step size, consensus rounds per iteration and stopping limits.
 
     ``K`` applies to ``giant`` only: ``gt_step`` and ``dgd_step`` mix once
-    per iteration with ``P.p``, so ``compare`` at ``K > 1`` gives giant K
+    per iteration with ``P.mix``, so ``compare`` at ``K > 1`` gives giant K
     rounds per iteration and the baselines one. ``epsilon = 0`` is
     accepted so pure-consensus dynamics can be studied; optimization
     configs should keep it positive.
@@ -116,33 +116,26 @@ def giant_step(
     instance: ProblemInstance,
     P: MixingMatrix,
     cfg: AlgorithmConfig,
-    p_eff: np.ndarray | None = None,
 ) -> NetworkState:
     """One synchronous round of the tracked Newton-type iteration.
 
     Update order: refresh the tracker with the new local gradients, store
     those gradients, apply each agent's inverse Hessian to its fresh
     tracker value, then take the damped step and mix. K consensus rounds
-    are realized as a single multiplication by the precomputed power P^K
-    applied to both the tracker and the iterate update, which keeps a
-    K-round step bitwise identical to a one-round step under P^K.
-    ``p_eff`` is that power when the caller already holds it (``run``
-    computes it once per run); otherwise it is computed here.
+    are ``P.mix(v, K)``: one multiplication by P^K, which the matrix
+    computes once and keeps, applied to both the tracker and the iterate
+    update. This keeps a K-round step bitwise identical to a one-round
+    step under P^K.
 
     Raises NotPositiveDefinite if a local Hessian stops being positive
     definite at the current iterate, which signals that the iterate left
     the region where the curvature assumptions hold numerically.
     """
     x = instance.check_stack(state.x)
-    if P.n != instance.n_agents:
-        raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
-    if p_eff is None:
-        p_eff = P.power(cfg.K)
-
     grads = instance.stacked_gradient(x)
-    w_next = p_eff @ (state.w + grads - state.g)
+    w_next = P.mix(state.w + grads - state.g, cfg.K)
     directions = spd_solve_stack(instance.hessian_factors(x), w_next)
-    x_next = p_eff @ (x - cfg.epsilon * directions)
+    x_next = P.mix(x - cfg.epsilon * directions, cfg.K)
     return NetworkState(x=x_next, g=grads, w=w_next, iteration=state.iteration + 1)
 
 
@@ -151,7 +144,7 @@ def dgd_step(
 ) -> np.ndarray:
     """Decentralized gradient descent: x_next = P x - eps * grad f(x)."""
     x = instance.check_stack(x)
-    return P.p @ x - epsilon * instance.stacked_gradient(x)
+    return P.mix(x) - epsilon * instance.stacked_gradient(x)
 
 
 def gt_init(instance: ProblemInstance, x0: np.ndarray) -> GtState:
@@ -172,9 +165,9 @@ def gt_step(
     The agent sum of y telescopes to the sum of current local gradients.
     """
     x = instance.check_stack(state.x)
-    x_next = P.p @ x - epsilon * state.y
+    x_next = P.mix(x) - epsilon * state.y
     grads_next = instance.stacked_gradient(x_next)
-    y_next = P.p @ state.y + grads_next - state.prev_grad
+    y_next = P.mix(state.y) + grads_next - state.prev_grad
     return GtState(x=x_next, y=y_next, prev_grad=grads_next)
 
 
@@ -234,8 +227,7 @@ def run(
     # by module-global name at call time, so a rebinding of one reaches run.
     if algorithm == "giant":
         state = giant_init(instance, x0)
-        p_eff = P.power(cfg.K)
-        step = lambda s: giant_step(s, instance, P, cfg, p_eff)
+        step = lambda s: giant_step(s, instance, P, cfg)
         view = lambda s: (s.x, s.w, s.g)
     elif algorithm == "gt":
         state = gt_init(instance, x0)

@@ -22,10 +22,8 @@ from .objectives import ProblemInstance
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms import NetworkState
 
-# Additive slack for the descent inequalities with declared bounds, and
-# the relaxed slack when mu/L were merely estimated from samples.
+# Additive slack for the descent inequalities.
 DESCENT_TOL = 1e-10
-DESCENT_TOL_ESTIMATED = 1e-6
 
 # Optimality gaps at or below this are floating-point floor, not signal.
 GAP_FLOOR = 1e-14
@@ -114,7 +112,6 @@ class DescentReport:
 
     checks: tuple[DescentCheck, ...]
     tolerance: float
-    estimated_bounds: bool
 
     @property
     def passed(self) -> bool:
@@ -142,7 +139,6 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
     x = np.asarray(x, dtype=float)
     x_star = instance.reference_solution
     mu, lip = instance.mu, instance.lipschitz
-    tol = DESCENT_TOL_ESTIMATED if instance.bounds_estimated else DESCENT_TOL
 
     g = instance.average_gradient(x)
     m = harmonic_hessian_mean(instance, x)
@@ -152,7 +148,7 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
     v = instance.average_value(x) - instance.average_value(x_star)
 
     def geq(name, lhs, rhs):
-        return DescentCheck(name, lhs >= rhs - tol, float(lhs), float(rhs))
+        return DescentCheck(name, lhs >= rhs - DESCENT_TOL, float(lhs), float(rhs))
 
     checks = (
         geq("curvature_lower", quad, gnorm2 / lip),
@@ -161,7 +157,7 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
         geq("value_upper", 0.5 * lip**2 * r2, v),
         geq("gradient_bound", lip * np.sqrt(r2), np.sqrt(gnorm2)),
     )
-    return DescentReport(checks=checks, tolerance=tol, estimated_bounds=instance.bounds_estimated)
+    return DescentReport(checks=checks, tolerance=DESCENT_TOL)
 
 
 def tracking_drift(state: "NetworkState", instance: ProblemInstance, prev_x: np.ndarray) -> float:

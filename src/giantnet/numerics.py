@@ -45,6 +45,8 @@ class SpdFactorization:
 def spd_factorize(h: np.ndarray) -> SpdFactorization:
     """Factor a symmetric positive definite matrix as L @ L.T.
 
+    It is the one-matrix case of :func:`spd_factorize_stack`.
+
     Parameters
     ----------
     h : (d, d) array
@@ -67,22 +69,16 @@ def spd_factorize(h: np.ndarray) -> SpdFactorization:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    scale = np.abs(h).max()
-    if scale > 0 and np.abs(h - h.T).max() > SYMMETRY_RTOL * scale:
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    try:
-        lower = np.linalg.cholesky(h)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("matrix is not positive definite") from exc
-    return SpdFactorization(lower)
+    return SpdFactorization(spd_factorize_stack(h[None])[0])
 
 
 def spd_factorize_stack(h: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of an (n, d, d) stack of SPD matrices.
 
-    Each matrix gets the checks of :func:`spd_factorize`; the factors come
-    from one batched call. Raises NotSymmetric or NotPositiveDefinite if
-    any matrix of the stack fails, DimensionMismatch on a bad shape.
+    Each matrix is checked for symmetry to ``SYMMETRY_RTOL`` relative to
+    its own largest entry; the factors come from one batched call. Raises
+    NotSymmetric or NotPositiveDefinite if any matrix of the stack fails,
+    DimensionMismatch on a bad shape.
     """
     h = np.asarray(h, dtype=float)
     if h.ndim != 3 or h.shape[1] != h.shape[2]:

@@ -148,10 +148,7 @@ class LogisticObjective(LocalObjective):
 
 
 class AgentFamily(ABC):
-    """Values, gradients and Hessians of all n agents, row i at row i of X (n, d)."""
-
-    @abstractmethod
-    def values(self, x: np.ndarray) -> np.ndarray: ...
+    """Gradients and Hessians of all n agents, row i at row i of X (n, d)."""
 
     @abstractmethod
     def gradients(self, x: np.ndarray) -> np.ndarray: ...
@@ -180,10 +177,6 @@ class QuadraticFamily(AgentFamily):
     def views(self) -> tuple[QuadraticObjective, ...]:
         """Per-agent objectives whose arrays are views into the stacks."""
         return tuple(QuadraticObjective(*args) for args in zip(self.a, self.b, self.c))
-
-    def values(self, x):
-        ax = np.einsum("nij,nj->ni", self.a, x)
-        return 0.5 * np.einsum("ni,ni->n", ax, x) + np.einsum("ni,ni->n", self.b, x) + self.c
 
     def gradients(self, x):
         return np.einsum("nij,nj->ni", self.a, x) + self.b
@@ -220,10 +213,6 @@ class LogisticFamily(AgentFamily):
 
     def _margins(self, x):
         return self.labels * np.einsum("nmd,nd->nm", self.features, x)
-
-    def values(self, x):
-        losses = np.logaddexp(0.0, -self._margins(x))
-        return losses.mean(axis=1) + 0.5 * self.ridge * np.einsum("nd,nd->n", x, x)
 
     def gradients(self, x):
         coeffs = -self.labels * expit(-self._margins(x))
@@ -276,9 +265,6 @@ class ObjectiveLoop(AgentFamily):
 
     objectives: tuple[LocalObjective, ...]
 
-    def values(self, x):
-        return np.array([obj.value(x[i]) for i, obj in enumerate(self.objectives)])
-
     def gradients(self, x):
         return np.stack([obj.gradient(x[i]) for i, obj in enumerate(self.objectives)])
 
@@ -297,8 +283,6 @@ class ProblemInstance:
     ``mu`` and ``lipschitz`` bound every local Hessian from below and above.
     ``reference_solution`` is the minimizer of the averaged cost when known;
     the harness fills it in for families without a closed form.
-    ``bounds_estimated`` marks mu/L obtained by sampling rather than by
-    construction, which relaxes diagnostic tolerances.
     ``family`` evaluates all agents at once and must describe the same
     agents as ``objectives``; when omitted, the objectives are evaluated
     one by one. :func:`generate_problem` supplies stacked families.
@@ -308,7 +292,6 @@ class ProblemInstance:
     mu: float
     lipschitz: float
     reference_solution: np.ndarray | None = None
-    bounds_estimated: bool = False
     family: AgentFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):

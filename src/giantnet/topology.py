@@ -2,12 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConnectivityFailure, InvalidParams
+from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams
 from .numerics import second_singular_value
 
 GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
@@ -50,28 +50,46 @@ class Graph:
                 return size == self.n
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Consensus weights over a graph; rows and columns sum to one."""
+    """Consensus weights over a graph; rows and columns sum to one.
+
+    Every consensus product goes through :meth:`mix`. Powers of ``p`` are
+    memoized per instance, so ``p`` must not be modified after the first
+    call to ``mix`` or ``power``.
+    """
 
     p: np.ndarray
+    _powers: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
 
     def power(self, k: int) -> np.ndarray:
-        """P^k by repeated left-to-right multiplication.
+        """P^k by repeated left-to-right multiplication, built once per k.
 
         The association order is pinned so that k rounds of mixing and a
         single multiplication by the precomputed power are bitwise equal.
+        ``power(1)`` is ``p`` itself.
         """
         if k < 1:
             raise InvalidParams("power requires k >= 1")
-        out = self.p
-        for _ in range(k - 1):
-            out = out @ self.p
-        return out
+        if k not in self._powers:
+            out = self.p
+            for _ in range(k - 1):
+                out = out @ self.p
+            if k > 1:
+                out.flags.writeable = False  # shared by every later call
+            self._powers[k] = out
+        return self._powers[k]
+
+    def mix(self, x: np.ndarray, k: int = 1) -> np.ndarray:
+        """k consensus rounds on an (n, d) stack: P^k @ x."""
+        if x.shape[0] != self.n:
+            raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
+        pk = self._powers.get(k)  # a hit skips power, so power runs once per k
+        return (self.power(k) if pk is None else pk) @ x
 
 
 def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:

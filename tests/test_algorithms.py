@@ -363,6 +363,21 @@ class TestRun:
         with pytest.raises(DimensionMismatch):
             run(name, instance, ring_mixing(5), AlgorithmConfig(max_iters=2), np.zeros((6, 3)))
 
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda inst, mix, x0: giant_step(giant_init(inst, x0), inst, mix, AlgorithmConfig(K=2)),
+            lambda inst, mix, x0: gt_step(gt_init(inst, x0), inst, mix, 0.1),
+            lambda inst, mix, x0: dgd_step(x0, inst, mix, 0.1),
+        ],
+        ids=["giant", "gt", "dgd"],
+    )
+    def test_mixing_size_checked_by_every_step(self, step):
+        # the steps called directly, without run's up-front check
+        instance = generate_problem(42, ProblemSpec(kind="quadratic", n=6, d=3))
+        with pytest.raises(DimensionMismatch, match="5x5 for 6 agents"):
+            step(instance, ring_mixing(5), np.zeros((6, 3)))
+
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring
         with pytest.raises(InvalidParams):

@@ -3,7 +3,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+import giantnet.cli
 from giantnet.cli import main
+from giantnet.topology import MixingCheck, ValidationReport
 
 GOOD = {
     "problem": {"kind": "quadratic", "n": 6, "d": 3, "heterogeneity": 1.0, "seed": 5},
@@ -76,6 +78,16 @@ def test_validate_good_config(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "sigma2" in out
     assert "OK" in out
+
+
+def test_validate_failing_report_exits_one(tmp_path, capsys, monkeypatch):
+    failing = ValidationReport((MixingCheck("symmetry", False, 0.5),))
+    monkeypatch.setattr(giantnet.cli, "validate_experiment", lambda cfg: failing)
+    cfg = write_cfg(tmp_path, GOOD)
+    assert main(["validate", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "FAIL" in out
+    assert "OK" not in out
 
 
 def test_validate_rejects_unknown_field(tmp_path):

@@ -131,15 +131,6 @@ class TestDescentCheck:
         with pytest.raises(MissingReference):
             descent_check(inst, np.zeros(3))
 
-    def test_estimated_bounds_relax_tolerance(self):
-        from dataclasses import replace
-
-        inst = generate_problem(4, ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=0.5))
-        est = replace(inst, bounds_estimated=True)
-        report = descent_check(est, inst.reference_solution + np.ones(3))
-        assert report.estimated_bounds
-        assert report.tolerance == 1e-6
-
 
 class TestTrackingDrift:
     def test_zero_right_after_init(self, hetero_ring):

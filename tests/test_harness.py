@@ -231,6 +231,11 @@ class TestTuneEpsilon:
         for r in results:
             assert r.iterations == oracle[r.epsilon]
 
+    def test_target_defaults_to_grad_tol(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, base_cfg()))
+        grid = [0.25, 0.4]
+        assert tune_epsilon(cfg, grid) == tune_epsilon(cfg, grid, target=cfg.algorithm.grad_tol)
+
     def test_empty_grid_rejected(self, tmp_path):
         from giantnet import InvalidParams
 

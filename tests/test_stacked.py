@@ -66,7 +66,6 @@ class TestAgainstPerAgent:
         objs = instance.objectives
         assert close(instance.stacked_gradient(x), [o.gradient(x[i]) for i, o in enumerate(objs)])
         assert close(instance.stacked_hessian(x), [o.hessian(x[i]) for i, o in enumerate(objs)])
-        assert close(instance.family.values(x), [o.value(x[i]) for i, o in enumerate(objs)])
 
     def test_averages(self, kind, n, d):
         instance = instance_for(kind, n, d)

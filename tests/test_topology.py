@@ -97,6 +97,23 @@ class TestMetropolisWeights:
         assert report.passed, str(report)
 
 
+class TestMix:
+    def test_k_rounds_are_one_product_by_the_power(self):
+        mix = metropolis_weights(make_graph("ring", 6))
+        x = rng_for(5).standard_normal((6, 3))
+        assert np.array_equal(mix.mix(x), mix.p @ x)
+        assert np.array_equal(mix.mix(x, 3), mix.p @ mix.p @ mix.p @ x)
+        with pytest.raises(InvalidParams):
+            mix.mix(x, 0)
+
+    def test_powers_built_once_and_shared(self):
+        mix = metropolis_weights(make_graph("ring", 6))
+        assert mix.power(1) is mix.p
+        cube = mix.power(3)
+        assert mix.power(3) is cube
+        assert not cube.flags.writeable
+
+
 class TestValidateMixing:
     def test_identity_fails_sigma2(self):
         g = make_graph("ring", 4)
