@@ -10,6 +10,11 @@ call over an (n, d, d) stack, and substitution that loops over the d
 coordinates while each step covers every agent. Per-matrix LAPACK
 triangular solves cost a call per agent, which dominates at n >= 100.
 
+The consensus contraction factor sigma2 comes from the symmetric
+eigensolver when the mixing matrix equals its transpose exactly, and
+from a full SVD otherwise; a matrix with a NaN or infinite entry has
+sigma2 NaN and reaches neither.
+
 All functions are pure; returned arrays are fresh and never alias inputs.
 """
 
@@ -135,8 +140,12 @@ def second_singular_value(p: np.ndarray, check: bool = True) -> float:
     """Largest singular value of P - (1/n) * ones: the consensus contraction factor.
 
     For a doubly stochastic P this is the per-round shrink rate of the
-    disagreement component; values below 1 certify mixing. Computed by a
-    full SVD of the projected matrix, which is fine at simulation scale.
+    disagreement component; values below 1 certify mixing. If P equals
+    its transpose exactly, the projected matrix is symmetric and its
+    largest singular value is its largest eigenvalue magnitude,
+    max(|lambda_min|, |lambda_max|), taken from ``eigvalsh``. Any other
+    matrix, including one symmetric only to within roundoff, gets a full
+    SVD. A NaN or infinite entry gives NaN without a LAPACK call.
 
     Parameters
     ----------
@@ -144,19 +153,23 @@ def second_singular_value(p: np.ndarray, check: bool = True) -> float:
         Mixing matrix.
     check : bool
         When true, require row and column sums to equal 1 within
-        ``STOCHASTIC_ATOL`` and raise :class:`NotStochastic` otherwise.
-        Validation code passes ``check=False`` to measure broken inputs.
+        ``STOCHASTIC_ATOL`` and raise :class:`NotStochastic` otherwise,
+        which every non-finite matrix fails. Validation code passes
+        ``check=False`` to measure broken inputs.
     """
     p = np.asarray(p, dtype=float)
     if p.ndim != 2 or p.shape[0] != p.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {p.shape}")
     if check:
-        row_dev = np.abs(p.sum(axis=1) - 1.0).max()
-        col_dev = np.abs(p.sum(axis=0) - 1.0).max()
-        if max(row_dev, col_dev) > STOCHASTIC_ATOL:
-            raise NotStochastic(
-                f"row/column sums deviate from 1 by {max(row_dev, col_dev):.3e}"
-            )
-    n = p.shape[0]
-    projected = p - 1.0 / n
+        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
+            sums = np.concatenate([p.sum(axis=1), p.sum(axis=0)])
+            dev = float(np.abs(sums - 1.0).max())
+        if not dev <= STOCHASTIC_ATOL:  # NaN fails too
+            raise NotStochastic(f"row/column sums deviate from 1 by {dev:.3e}")
+    if not np.isfinite(p).all():
+        return float("nan")
+    projected = p - 1.0 / p.shape[0]
+    if np.array_equal(p, p.T):
+        w = np.linalg.eigvalsh(projected)  # ascending
+        return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.svd(projected, compute_uv=False)[0])

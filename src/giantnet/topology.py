@@ -16,8 +16,10 @@ GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
 MAX_CONNECTIVITY_RETRIES = 1000
 
 WEIGHT_TOL = 1e-12
-# sigma2 must sit strictly below 1; the margin absorbs SVD roundoff on
-# projections whose true second singular value equals 1 exactly.
+# sigma2 must sit strictly below 1. The margin absorbs the roundoff of the
+# eigensolver or SVD on matrices whose true sigma2 is exactly 1 (a
+# disconnected support, the identity), and so rejects every matrix with
+# 1 - sigma2 below it, however it is computed.
 SIGMA2_MARGIN = 1e-9
 
 
@@ -194,7 +196,11 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
     Failures come back as report entries, never exceptions, so that
     user-supplied matrices can be inspected. Checks: nonnegativity,
     sparsity conformance to the graph, symmetry, row sums, column sums
-    and sigma2 < 1.
+    and sigma2 <= 1 - ``SIGMA2_MARGIN``.
+
+    The sigma2 check fails by construction on graphs that mix too slowly
+    for the margin: a ring with n >~ 1.15e5 nodes has
+    1 - sigma2 = 4 pi^2 / (3 n^2) < ``SIGMA2_MARGIN``.
     """
     p = np.asarray(p, dtype=float)
     checks = []
@@ -202,7 +208,8 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
         checks.append(MixingCheck("shape", False, float(abs(p.shape[0] - g.n))))
         return ValidationReport(tuple(checks))
 
-    neg = float(np.maximum(0.0, -p.min()))  # NaN propagates, unlike max()
+    # 0.0 - 0.0 is +0.0 where -0.0 is not; NaN propagates, unlike max().
+    neg = float(np.maximum(0.0, 0.0 - p.min()))
     checks.append(MixingCheck("nonnegativity", neg <= WEIGHT_TOL, neg))
 
     # The n*n sentinel keeps every searchsorted index in bounds, even with no edges.
@@ -222,8 +229,7 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
     checks.append(MixingCheck("row_sums", row_dev <= WEIGHT_TOL, row_dev))
     checks.append(MixingCheck("column_sums", col_dev <= WEIGHT_TOL, col_dev))
 
-    # The SVD raises on NaN or infinite entries; report sigma2 as NaN instead.
-    sigma2 = second_singular_value(p, check=False) if np.isfinite(p).all() else float("nan")
+    sigma2 = second_singular_value(p, check=False)  # NaN for non-finite p, which fails
     checks.append(MixingCheck("sigma2", sigma2 <= 1.0 - SIGMA2_MARGIN, sigma2))
     return ValidationReport(tuple(checks))
 

@@ -184,3 +184,55 @@ class TestSecondSingularValue:
         p = np.eye(3)
         p[0, 0] = 0.9
         second_singular_value(p, check=False)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_is_not_stochastic_or_nan(self, bad, capfd):
+        p = np.full((3, 3), bad)
+        with pytest.raises(NotStochastic):
+            second_singular_value(p)
+        assert np.isnan(second_singular_value(p, check=False))
+        assert capfd.readouterr().err == ""  # no LAPACK complaint: it was never called
+
+
+def _svd_oracle(p):
+    return np.linalg.svd(p - 1 / p.shape[0], compute_uv=False)[0]
+
+
+def _oracle_cases():
+    sizes = [1, 2, 3, 8, 17, 100, 1000]
+    cases = [(kind, n) for kind in ("ring", "complete", "star", "erdos_renyi") for n in sizes]
+    # a grid needs n to be a multiple of ceil(sqrt(n)); it takes the nearest such sizes
+    return cases + [("grid", n) for n in (1, 2, 6, 20, 100, 992)]
+
+
+class TestSecondSingularValueOracle:
+    """Symmetric P takes the eigensolver, any other P the SVD; both match the SVD oracle."""
+
+    @pytest.mark.parametrize("kind,n", _oracle_cases())
+    def test_metropolis_matches_svd(self, kind, n):
+        p = metropolis_weights(make_graph(kind, n, p=0.3, seed=n)).p
+        assert abs(second_singular_value(p) - _svd_oracle(p)) <= 1e-13
+
+    def test_non_normal_asymmetric_gets_the_singular_value(self):
+        p = np.array([[0.0, 1.0, 0.0], [0.5, 0.0, 0.5], [0.5, 0.0, 0.5]])
+        projected = p - 1 / 3
+        radius = np.abs(np.linalg.eigvals(projected)).max()
+        sigma = _svd_oracle(p)
+        assert radius < sigma - 0.4  # an eigenvalue shortcut would read 0.5, not 1
+        assert second_singular_value(p) == sigma
+
+    def test_path_follows_exact_symmetry(self, monkeypatch):
+        p = metropolis_weights(make_graph("erdos_renyi", 12, p=0.4, seed=3)).p
+        near = p.copy()
+        near[0, 1] += 1e-15  # symmetric only to within roundoff
+        expected = _svd_oracle(near)
+        sym_value = second_singular_value(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("wrong solver for this matrix")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert second_singular_value(near) == expected
+        monkeypatch.undo()
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert second_singular_value(p) == sym_value

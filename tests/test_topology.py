@@ -143,6 +143,18 @@ class TestValidateMixing:
         # inf is nonnegative; NaN is not known to be.
         assert ("nonnegativity" in failed) == np.isnan(bad)
 
+    def test_valid_matrix_nonnegativity_deviation_is_positive_zero(self):
+        g = make_graph("ring", 5)
+        check = validate_mixing(metropolis_weights(g).p, g).checks[0]
+        assert check.name == "nonnegativity"
+        assert check.deviation == 0.0 and not np.signbit(check.deviation)
+
+    @pytest.mark.parametrize("kind,n", [("star", 500), ("complete", 300), ("ring", 1000)])
+    def test_large_star_complete_ring_pass(self, kind, n):
+        g = make_graph(kind, n)
+        report = validate_mixing(metropolis_weights(g).p, g)
+        assert report.passed, str(report)
+
     def test_consensus_contraction_property(self):
         rng = rng_for(21)
         for seed in range(4):
