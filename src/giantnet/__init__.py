@@ -10,13 +10,11 @@ structure, and a reproducible experiment harness with a CLI.
 from .algorithms import (
     ALGORITHMS,
     AlgorithmConfig,
-    GtState,
     NetworkState,
     centralized_newton,
     dgd_step,
     giant_init,
     giant_step,
-    gt_init,
     gt_step,
     run,
 )

@@ -21,6 +21,10 @@ The tracker's agent sum telescopes to the sum of the latest local
 gradients because P is doubly stochastic, so each w_i estimates the
 global average gradient, and the local curvature correction applies the
 inverse Hessian to that estimate.
+
+The baseline ``gt`` is the same tracker with the identity in place of the
+Hessian and carries the same NetworkState from ``giant_init``. Every step
+is ``step(state, instance, P, cfg)``; dgd's state is the bare n x d stack.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ import numpy as np
 
 from .diagnostics import MetricsLog, metrics_record
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import spd_factorize, spd_solve, spd_solve_stack
+from .numerics import is_integer, spd_factorize, spd_solve, spd_solve_stack
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
@@ -49,9 +53,10 @@ class AlgorithmConfig:
 
     ``K`` applies to ``giant`` only: ``gt_step`` and ``dgd_step`` mix once
     per iteration with ``P.mix``, so ``compare`` at ``K > 1`` gives giant K
-    rounds per iteration and the baselines one. ``epsilon = 0`` is
-    accepted so pure-consensus dynamics can be studied; optimization
-    configs should keep it positive.
+    rounds per iteration and the baselines one. ``K`` and ``max_iters`` are
+    Python or NumPy integers, never bools. ``epsilon = 0`` is accepted so
+    pure-consensus dynamics can be studied; optimization configs should
+    keep it positive.
     """
 
     epsilon: float = 1.0
@@ -63,10 +68,10 @@ class AlgorithmConfig:
         # Messages lead with the field name; NaN fails every comparison.
         if not self.epsilon >= 0:
             raise InvalidParams(f"epsilon must be nonnegative, got {self.epsilon}")
-        if not self.K >= 1:
+        if not (is_integer(self.K) and self.K >= 1):
             raise InvalidParams(f"K must be a positive integer, got {self.K}")
-        if not self.max_iters >= 0:
-            raise InvalidParams(f"max_iters must be nonnegative, got {self.max_iters}")
+        if not (is_integer(self.max_iters) and self.max_iters >= 0):
+            raise InvalidParams(f"max_iters must be a nonnegative integer, got {self.max_iters}")
         if not self.grad_tol >= 0:
             raise InvalidParams(f"grad_tol must be nonnegative, got {self.grad_tol}")
 
@@ -87,21 +92,8 @@ class NetworkState:
             )
 
 
-@dataclass(frozen=True)
-class GtState:
-    """State of the first-order gradient-tracking baseline."""
-
-    x: np.ndarray
-    y: np.ndarray
-    prev_grad: np.ndarray
-
-    def __post_init__(self):
-        if not (self.x.shape == self.y.shape == self.prev_grad.shape):
-            raise DimensionMismatch("gradient-tracking blocks disagree on shape")
-
-
 def giant_init(instance: ProblemInstance, x0: np.ndarray) -> NetworkState:
-    """Start state with g_i = w_i = grad f_i(x_i^0).
+    """Start state of both tracking methods, giant and gt: g_i = w_i = grad f_i(x_i^0).
 
     This initialization makes the tracking identity
     sum_i w_i = sum_i grad f_i(x_i) hold from the first iteration.
@@ -140,35 +132,33 @@ def giant_step(
 
 
 def dgd_step(
-    x: np.ndarray, instance: ProblemInstance, P: MixingMatrix, epsilon: float
+    x: np.ndarray, instance: ProblemInstance, P: MixingMatrix, cfg: AlgorithmConfig
 ) -> np.ndarray:
-    """Decentralized gradient descent: x_next = P x - eps * grad f(x)."""
+    """Decentralized gradient descent: x_next = P x - eps * grad f(x).
+
+    The state stays the bare (n, d) stack: a tracker triple would add two
+    divergence reductions and a drift norm to every iteration.
+    """
     x = instance.check_stack(x)
-    return P.mix(x) - epsilon * instance.stacked_gradient(x)
-
-
-def gt_init(instance: ProblemInstance, x0: np.ndarray) -> GtState:
-    """Gradient-tracking start state with y^0 = grad f(x^0)."""
-    x0 = instance.check_stack(x0).copy()
-    grads = instance.stacked_gradient(x0)
-    return GtState(x=x0, y=grads, prev_grad=grads.copy())
+    return P.mix(x) - cfg.epsilon * instance.stacked_gradient(x)
 
 
 def gt_step(
-    state: GtState, instance: ProblemInstance, P: MixingMatrix, epsilon: float
-) -> GtState:
-    """First-order gradient tracking:
+    state: NetworkState, instance: ProblemInstance, P: MixingMatrix, cfg: AlgorithmConfig
+) -> NetworkState:
+    """First-order gradient tracking, with tracker w and gradient memory g:
 
-    x_next = P x - eps * y
-    y_next = P y + grad f(x_next) - grad f(x)
+    x_next = P x - eps * w
+    w_next = P w + grad f(x_next) - g
+    g_next = grad f(x_next)
 
-    The agent sum of y telescopes to the sum of current local gradients.
+    The agent sum of w telescopes to the sum of current local gradients.
     """
     x = instance.check_stack(state.x)
-    x_next = P.mix(x) - epsilon * state.y
+    x_next = P.mix(x) - cfg.epsilon * state.w
     grads_next = instance.stacked_gradient(x_next)
-    y_next = P.mix(state.y) + grads_next - state.prev_grad
-    return GtState(x=x_next, y=y_next, prev_grad=grads_next)
+    w_next = P.mix(state.w) + grads_next - state.g
+    return NetworkState(x=x_next, g=grads_next, w=w_next, iteration=state.iteration + 1)
 
 
 def centralized_newton(
@@ -205,7 +195,7 @@ def run(
     P: MixingMatrix,
     cfg: AlgorithmConfig,
     x0: np.ndarray,
-) -> tuple[NetworkState | GtState | np.ndarray, MetricsLog]:
+) -> tuple[NetworkState | np.ndarray, MetricsLog]:
     """Drive an algorithm to its stopping rule, logging one record per iteration.
 
     Stops when the gradient norm of the averaged cost at the mean iterate
@@ -213,7 +203,8 @@ def run(
     or when any state entry leaves [-1e12, 1e12] or turns non-finite, in
     which case the log is marked diverged instead of raising.
 
-    Returns (final_state, MetricsLog). The log always contains the
+    Returns (final_state, MetricsLog): a NetworkState for giant and gt,
+    the bare iterate stack for dgd. The log always contains the
     iteration-0 record, so ``max_iters = 0`` yields exactly one record.
     Requires ``instance.reference_solution`` and one row of P per agent.
     """
@@ -222,48 +213,38 @@ def run(
     f_star = instance.average_value(instance.reference_solution)
     if P.n != instance.n_agents:
         raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
-
-    # view(state) is (x, tracker, gradient memory). The steps are looked up
-    # by module-global name at call time, so a rebinding of one reaches run.
-    if algorithm == "giant":
-        state = giant_init(instance, x0)
-        step = lambda s: giant_step(s, instance, P, cfg)
-        view = lambda s: (s.x, s.w, s.g)
-    elif algorithm == "gt":
-        state = gt_init(instance, x0)
-        step = lambda s: gt_step(s, instance, P, cfg.epsilon)
-        view = lambda s: (s.x, s.y, s.prev_grad)
-    elif algorithm == "dgd":
-        state = instance.check_stack(x0).copy()
-        step = lambda s: dgd_step(s, instance, P, cfg.epsilon)
-        view = lambda s: (s, None, None)
-    else:
+    if algorithm not in ALGORITHMS:
         raise InvalidParams(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+
+    # Built per call from the module globals, so a rebinding of a step reaches run.
+    step = {"giant": giant_step, "gt": gt_step, "dgd": dgd_step}[algorithm]
+    tracked = algorithm != "dgd"
+    state = giant_init(instance, x0) if tracked else instance.check_stack(x0).copy()
 
     log = MetricsLog()
     with np.errstate(all="ignore"):
-        x, tracker, memory = view(state)
-        log.append(metrics_record(instance, x, 0, _drift(tracker, memory), f_star))
+        x, w, g = (state.x, state.w, state.g) if tracked else (state, None, None)
+        log.append(metrics_record(instance, x, 0, _drift(w, g), f_star))
         k = 0
         while k < cfg.max_iters and log.records[-1].grad_norm > cfg.grad_tol:
-            state = step(state)
+            state = step(state, instance, P, cfg)
             k += 1
-            x, tracker, memory = view(state)
-            log.append(metrics_record(instance, x, k, _drift(tracker, memory), f_star))
-            if _diverged(b for b in (x, tracker, memory) if b is not None):
+            x, w, g = (state.x, state.w, state.g) if tracked else (state, None, None)
+            log.append(metrics_record(instance, x, k, _drift(w, g), f_star))
+            if _diverged(b for b in (x, w, g) if b is not None):
                 log.diverged = True
                 break
     return state, log
 
 
-def _drift(tracker: np.ndarray | None, memory: np.ndarray | None) -> float:
+def _drift(w: np.ndarray | None, g: np.ndarray | None) -> float:
     """Residual of the tracking identity against the gradients the state stores.
 
     giant's ``g`` holds the gradients at the previous iterate and gt's
-    ``prev_grad`` those at the current one, bitwise as a fresh evaluation
-    would return them, so this equals ``diagnostics.tracking_drift``
-    without evaluating them again. dgd has no tracker and logs 0.
+    ``g`` those at the current one, bitwise as a fresh evaluation would
+    return them, so this equals ``diagnostics.tracking_drift`` without
+    evaluating them again. dgd has no tracker and logs 0.
     """
-    if tracker is None:
+    if w is None:
         return 0.0
-    return float(np.linalg.norm(tracker.sum(axis=0) - memory.sum(axis=0)))
+    return float(np.linalg.norm(w.sum(axis=0) - g.sum(axis=0)))

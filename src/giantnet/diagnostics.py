@@ -148,7 +148,7 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
     v = instance.average_value(x) - instance.average_value(x_star)
 
     def geq(name, lhs, rhs):
-        return DescentCheck(name, lhs >= rhs - DESCENT_TOL, float(lhs), float(rhs))
+        return DescentCheck(name, bool(lhs >= rhs - DESCENT_TOL), float(lhs), float(rhs))
 
     checks = (
         geq("curvature_lower", quad, gnorm2 / lip),
@@ -163,7 +163,9 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
 def tracking_drift(state: "NetworkState", instance: ProblemInstance, prev_x: np.ndarray) -> float:
     """Residual of the tracking identity: ||sum_i w_i - sum_i grad f_i(prev_x_i)||.
 
-    The tracker recursion preserves the agent sum of the previous round's
+    ``prev_x`` is the iterate whose gradients the state's memory ``g``
+    holds: for giant the previous round's iterate, for gt the current
+    ``state.x``. The tracker recursion preserves the agent sum of those
     gradients under a doubly stochastic mixing matrix, so a correct
     implementation keeps this at roundoff level (<= 1e-9) forever.
     Immediately after initialization, pass the initial stack itself.

@@ -112,8 +112,9 @@ def _construct(block: str, spec, **fields):
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file.
 
-    Defaults: epsilon 1.0, K 1, max_iters 5000, grad_tol 1e-10,
-    heterogeneity 0, seeds 0, topology.n = problem.n, output metrics.csv.
+    Defaults: algorithm.name giant, epsilon 1.0, K 1, max_iters 5000,
+    grad_tol 1e-10, samples_per_agent 20, lambda 0.1, heterogeneity 0,
+    seeds 0, topology.n = problem.n, topology.p 0.5, output metrics.csv.
     The spec constructors check the ranges. Raises ParseError for malformed
     JSON (with line/column context) and ValidationError naming the
     offending field(s) otherwise.
@@ -311,6 +312,12 @@ def _tune_key(r: TuneResult):
     return (rank, iters, gap)
 
 
+def _check_target(target) -> None:
+    # NaN would compare below no gap, so every run would read not_reached.
+    if not 0.0 <= target < np.inf:
+        raise InvalidParams(f"target must be a finite number >= 0, got {target}")
+
+
 def tune_epsilon(
     cfg: ExperimentConfig, grid, target: float | None = None
 ) -> tuple[float, list[TuneResult]]:
@@ -319,13 +326,15 @@ def tune_epsilon(
     ``target`` defaults to the configured grad_tol, reused as an
     optimality-gap threshold. Diverged runs are marked, never raised;
     among runs that never reach the target the smallest final gap wins,
-    with grid order breaking ties.
+    with grid order breaking ties. Raises InvalidParams for an empty or
+    nonpositive grid and for a target that is not a finite number >= 0.
     """
     grid = tuple(float(e) for e in grid)
     if not grid or any(e <= 0 for e in grid):
         raise InvalidParams("epsilon grid must be nonempty and positive")
     if target is None:
         target = cfg.algorithm.grad_tol
+    _check_target(target)
     instance = build_instance(cfg)
     _, mix = build_network(cfg)
     x0 = initial_stack(cfg, instance)
@@ -339,11 +348,16 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = 1e-6) 
     The problem, graph and initial stack are built once from the config
     seeds and shared, never regenerated per algorithm. Each algorithm is
     tuned over the config's epsilon grid (or its single configured
-    epsilon) and reported at its best step size.
+    epsilon) and reported at its best step size. Raises InvalidParams for
+    an empty algorithm list, an unknown name and a target that is not a
+    finite number >= 0.
     """
+    if not algorithms:
+        raise InvalidParams(f"algorithms must name at least one of {ALGORITHMS}")
     for name in algorithms:
         if name not in ALGORITHMS:
             raise InvalidParams(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
+    _check_target(target)
     grid = cfg.epsilon_grid or (cfg.algorithm.epsilon,)
     instance = build_instance(cfg)
     _, mix = build_network(cfg)

@@ -33,6 +33,11 @@ SYMMETRY_RTOL = 1e-10
 STOCHASTIC_ATOL = 1e-9
 
 
+def is_integer(value) -> bool:
+    """True for Python and NumPy integers; a bool is a flag, not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpdFactorization:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""

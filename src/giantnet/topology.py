@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams
-from .numerics import second_singular_value
+from .numerics import is_integer, second_singular_value
 
 GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
 
@@ -75,8 +75,8 @@ class MixingMatrix:
         single multiplication by the precomputed power are bitwise equal.
         ``power(1)`` is ``p`` itself.
         """
-        if k < 1:
-            raise InvalidParams("power requires k >= 1")
+        if not (is_integer(k) and k >= 1):
+            raise InvalidParams(f"k must be a positive integer, got {k}")
         if k not in self._powers:
             out = self.p
             for _ in range(k - 1):
@@ -88,6 +88,8 @@ class MixingMatrix:
 
     def mix(self, x: np.ndarray, k: int = 1) -> np.ndarray:
         """k consensus rounds on an (n, d) stack: P^k @ x."""
+        if not is_integer(k):  # 2.0 or True would hit the memo of 2 or 1
+            raise InvalidParams(f"k must be a positive integer, got {k}")
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
         pk = self._powers.get(k)  # a hit skips power, so power runs once per k

@@ -20,7 +20,6 @@ from giantnet import (
     generate_problem,
     giant_init,
     giant_step,
-    gt_init,
     gt_step,
     make_graph,
     metropolis_weights,
@@ -194,12 +193,12 @@ class TestGiantStep:
 class TestBaselines:
     def test_dgd_zero_step_is_consensus(self, hetero_ring):
         instance, mix, x0 = hetero_ring
-        assert np.allclose(dgd_step(x0, instance, mix, 0.0), mix.p @ x0, atol=1e-15)
+        assert np.allclose(dgd_step(x0, instance, mix, AlgorithmConfig(epsilon=0.0)), mix.p @ x0, atol=1e-15)
 
     def test_dgd_scalar_gradient_descent(self):
         inst = identical_quadratic_instance(1, np.zeros(1))
         mix = metropolis_weights(make_graph("ring", 1))
-        x1 = dgd_step(np.array([[1.0]]), inst, mix, 0.1)
+        x1 = dgd_step(np.array([[1.0]]), inst, mix, AlgorithmConfig(epsilon=0.1))
         assert x1[0, 0] == pytest.approx(0.9, abs=1e-15)
 
     def test_dgd_matches_centralized_gd_at_consensus(self):
@@ -210,7 +209,7 @@ class TestBaselines:
         z = x[0].copy()
         eps = 0.3
         for _ in range(10):
-            x = dgd_step(x, inst, mix, eps)
+            x = dgd_step(x, inst, mix, AlgorithmConfig(epsilon=eps))
             z = z - eps * (z - c)  # centralized oracle on f(x) = 0.5||x - c||^2
             assert np.allclose(x, np.tile(z, (4, 1)), atol=1e-12)
 
@@ -219,29 +218,29 @@ class TestBaselines:
         inst = identical_quadratic_instance(5, c)
         mix = metropolis_weights(make_graph("complete", 5))
         x0 = np.tile(np.array([2.0, 2.0]), (5, 1))
-        state = gt_init(inst, x0)
+        state = giant_init(inst, x0)
         z = x0[0].copy()
         eps = 0.2
         for _ in range(10):
-            state = gt_step(state, inst, mix, eps)
+            state = gt_step(state, inst, mix, AlgorithmConfig(epsilon=eps))
             z = z - eps * (z - c)
             assert np.allclose(state.x, np.tile(z, (5, 1)), atol=1e-12)
 
     def test_gt_tracking_identity(self, hetero_ring):
         instance, mix, x0 = hetero_ring
-        state = gt_init(instance, x0)
+        state = giant_init(instance, x0)
         for _ in range(100):
-            state = gt_step(state, instance, mix, 0.02)
+            state = gt_step(state, instance, mix, AlgorithmConfig(epsilon=0.02))
             expected = instance.stacked_gradient(state.x).sum(axis=0)
-            assert np.linalg.norm(state.y.sum(axis=0) - expected) <= 1e-9
+            assert np.linalg.norm(state.w.sum(axis=0) - expected) <= 1e-9
 
     def test_gt_zero_step_keeps_tracking(self, hetero_ring):
         instance, mix, x0 = hetero_ring
-        state = gt_init(instance, x0)
-        nxt = gt_step(state, instance, mix, 0.0)
+        state = giant_init(instance, x0)
+        nxt = gt_step(state, instance, mix, AlgorithmConfig(epsilon=0.0))
         assert np.allclose(nxt.x, mix.p @ x0, atol=1e-15)
         expected = instance.stacked_gradient(nxt.x).sum(axis=0)
-        assert np.linalg.norm(nxt.y.sum(axis=0) - expected) <= 1e-9
+        assert np.linalg.norm(nxt.w.sum(axis=0) - expected) <= 1e-9
 
 
 class TestCentralizedNewton:
@@ -367,8 +366,8 @@ class TestRun:
         "step",
         [
             lambda inst, mix, x0: giant_step(giant_init(inst, x0), inst, mix, AlgorithmConfig(K=2)),
-            lambda inst, mix, x0: gt_step(gt_init(inst, x0), inst, mix, 0.1),
-            lambda inst, mix, x0: dgd_step(x0, inst, mix, 0.1),
+            lambda inst, mix, x0: gt_step(giant_init(inst, x0), inst, mix, AlgorithmConfig(epsilon=0.1)),
+            lambda inst, mix, x0: dgd_step(x0, inst, mix, AlgorithmConfig(epsilon=0.1)),
         ],
         ids=["giant", "gt", "dgd"],
     )
@@ -411,3 +410,15 @@ def test_config_validation():
     with pytest.raises(InvalidParams):
         AlgorithmConfig(K=0)
     AlgorithmConfig(epsilon=0.0)  # pure consensus is allowed at library level
+
+
+@pytest.mark.parametrize("value, accepted", [(2.5, False), (True, False), (np.int64(2), True)])
+@pytest.mark.parametrize("field", ["K", "max_iters"])
+def test_integer_fields_are_typed(field, value, accepted):
+    # range() in MixingMatrix.power and the run loop's count need integers;
+    # a bool is an int subclass but never a count.
+    if accepted:
+        assert getattr(AlgorithmConfig(**{field: value}), field) == 2
+    else:
+        with pytest.raises(InvalidParams, match=f"^{field} must be"):
+            AlgorithmConfig(**{field: value})

@@ -1,7 +1,10 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import giantnet.cli
 from giantnet.cli import main
@@ -119,6 +122,15 @@ def test_compare_unknown_algorithm_is_runtime_error(tmp_path):
     assert main(["compare", "--config", cfg, "--algos", "giant,sgd"]) == 2
 
 
+@pytest.mark.parametrize("args", [["--algos", ","], ["--target", "nan"], ["--target=-1"]])
+def test_compare_argument_errors_exit_two(tmp_path, capsys, args):
+    cfg = write_cfg(tmp_path, GOOD)
+    assert main(["compare", "--config", cfg, *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_graph_exports_edge_list(tmp_path):
     cfg = write_cfg(tmp_path, GOOD)
     out = tmp_path / "edges.txt"
@@ -144,3 +156,16 @@ def test_import_loads_neither_scipy_linalg_nor_sparse():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs(tmp_path):
+    # The README's one python block, run as a reader would paste it.
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme, flags=re.S | re.M)
+    code = f"import sys; sys.path.insert(0, {str(root / 'src')!r})\n{block}"
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-c", code], capture_output=True, text=True, cwd=tmp_path
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "True []"  # as the example's comment shows

@@ -16,7 +16,9 @@ from giantnet import (
     generate_problem,
     giant_init,
     giant_step,
+    gt_step,
     harmonic_hessian_mean,
+    run,
     tracking_drift,
 )
 
@@ -126,6 +128,13 @@ class TestDescentCheck:
             x = inst.reference_solution + 3.0 * rng.standard_normal(4)
             assert descent_check(inst, x).passed
 
+    def test_passed_is_a_python_bool(self):
+        # json.dumps rejects numpy's bool, so a run summary could not hold it
+        inst = generate_problem(2, ProblemSpec(kind="quadratic", n=6, d=4, heterogeneity=0.9))
+        report = descent_check(inst, inst.reference_solution + 1.0)
+        assert [type(c.passed) for c in report.checks] == [bool] * len(report.checks)
+        assert type(report.passed) is bool
+
     def test_missing_reference(self):
         inst = generate_problem(3, ProblemSpec(kind="logistic", n=3, d=3))
         with pytest.raises(MissingReference):
@@ -145,6 +154,19 @@ class TestTrackingDrift:
             nxt = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.25))
             assert tracking_drift(nxt, instance, state.x) <= 1e-9
             state = nxt
+
+    def test_gt_memory_holds_the_current_gradients(self, hetero_ring):
+        # gt's g stores grad f(x) at its current iterate, so prev_x is state.x
+        instance, mix, x0 = hetero_ring
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=60, grad_tol=0.0)
+        _, log = run("gt", instance, mix, cfg, x0)
+        state = giant_init(instance, x0)
+        drifts = [tracking_drift(state, instance, state.x)]
+        for _ in range(cfg.max_iters):
+            state = gt_step(state, instance, mix, cfg)
+            drifts.append(tracking_drift(state, instance, state.x))
+            assert drifts[-1] <= 1e-9
+        assert [r.tracking_drift for r in log.records] == drifts
 
     def test_injected_fault_detected(self, hetero_ring):
         instance, _, x0 = hetero_ring

@@ -244,7 +244,29 @@ class TestTuneEpsilon:
             tune_epsilon(cfg, [])
 
 
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -1e-6])
+    def test_target_must_be_finite_and_nonnegative(self, tmp_path, target):
+        from giantnet import InvalidParams
+
+        cfg = load_config(write_cfg(tmp_path, base_cfg()))
+        with pytest.raises(InvalidParams, match="^target must be"):
+            tune_epsilon(cfg, [0.25], target=target)
+
+
 class TestCompare:
+    @pytest.mark.parametrize(
+        "algorithms, target, field",
+        [((), 1e-6, "algorithms"), (("giant",), np.nan, "target"),
+         (("giant",), np.inf, "target"), (("giant",), -1e-6, "target")],
+    )
+    def test_empty_list_and_bad_target_rejected(self, tmp_path, algorithms, target, field):
+        # a NaN target reads every run as not_reached; an empty list prints an empty table
+        from giantnet import InvalidParams
+
+        cfg = load_config(write_cfg(tmp_path, base_cfg()))
+        with pytest.raises(InvalidParams, match=f"^{field} must"):
+            compare(cfg, algorithms, target=target)
+
     def test_single_algorithm_row(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, base_cfg()))
         summary = compare(cfg, ("giant",), target=1e-8)

@@ -106,6 +106,20 @@ class TestMix:
         with pytest.raises(InvalidParams):
             mix.mix(x, 0)
 
+    @pytest.mark.parametrize("k, accepted", [(2.5, False), (True, False), (2.0, False), (np.int64(2), True)])
+    def test_rounds_are_integers(self, k, accepted):
+        mix = metropolis_weights(make_graph("ring", 6))
+        x = rng_for(5).standard_normal((6, 3))
+        squared = mix.mix(x, 2)
+        mix.mix(x)  # True and 2.0 hash like the memoized 1 and 2
+        if accepted:
+            assert np.array_equal(mix.mix(x, k), squared)
+            return
+        with pytest.raises(InvalidParams, match="^k must be"):
+            mix.power(k)
+        with pytest.raises(InvalidParams, match="^k must be"):
+            mix.mix(x, k)
+
     def test_powers_built_once_and_shared(self):
         mix = metropolis_weights(make_graph("ring", 6))
         assert mix.power(1) is mix.p
