@@ -14,6 +14,7 @@ import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .algorithms import ALGORITHMS, DIVERGENCE_LIMIT, AlgorithmConfig, centralized_newton, run
 from .diagnostics import MetricsLog, estimate_rate
@@ -227,7 +228,7 @@ def validate_experiment(cfg: ExperimentConfig) -> ValidationReport:
 
 def initial_stack(cfg: ExperimentConfig, instance: ProblemInstance) -> np.ndarray:
     """Per-agent standard-normal start, deterministic in run_seed."""
-    rng = np.random.Generator(np.random.Philox(cfg.run_seed))
+    rng = Generator(Philox(cfg.run_seed))
     return rng.standard_normal((instance.n_agents, instance.dimension))
 
 

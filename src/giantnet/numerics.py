@@ -38,6 +38,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for Python and NumPy real scalars (integers included, NaN too); never a bool."""
+    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SpdFactorization:
     """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""

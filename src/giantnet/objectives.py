@@ -18,6 +18,9 @@ The averaged cost (1/n) * sum_i f_i of a stacked family is itself one
 objective of that family: the quadratic with the mean A, b and c, and the
 logistic loss over all n*m samples pooled (every agent has m of them). So
 the cost, gradient and Hessian at a single point take one evaluation, not n.
+
+The logistic sigmoid is scipy.special.expit's formula, 1 / (1 + exp(-t)),
+evaluated with numpy's exp, so the package needs numpy alone at run time.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.special import expit
+from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
 from .numerics import spd_factorize, spd_factorize_stack, spd_solve
@@ -36,6 +39,16 @@ from .numerics import spd_factorize, spd_factorize_stack, spd_solve
 # log-uniformly from [1, 1 + h * HETEROGENEITY_SPREAD], so h = 1 yields a
 # condition spread of 11 across the instance.
 HETEROGENEITY_SPREAD = 10.0
+
+
+def _sigmoid(t: np.ndarray) -> np.ndarray:
+    """scipy.special.expit's formula, 1 / (1 + exp(-t)), over numpy's exp.
+
+    For t below about -709.8, exp(-t) overflows to inf and the quotient is
+    exactly 0; that overflow is the intended result, so it is not warned.
+    """
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-t))
 
 
 class LocalObjective(ABC):
@@ -133,13 +146,13 @@ class LogisticObjective(LocalObjective):
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)
         # d/dt log(1 + exp(-t)) = -sigmoid(-t)
-        coeffs = -self.labels * expit(-self._margins(x))
+        coeffs = -self.labels * _sigmoid(-self._margins(x))
         m = self.features.shape[0]
         return self.features.T @ coeffs / m + self.ridge * x
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
         x = self._check_point(x)
-        s = expit(self._margins(x))
+        s = _sigmoid(self._margins(x))
         weights = s * (1.0 - s)
         m = self.features.shape[0]
         h = (self.features.T * weights) @ self.features / m
@@ -215,12 +228,12 @@ class LogisticFamily(AgentFamily):
         return self.labels * np.einsum("nmd,nd->nm", self.features, x)
 
     def gradients(self, x):
-        coeffs = -self.labels * expit(-self._margins(x))
+        coeffs = -self.labels * _sigmoid(-self._margins(x))
         m = self.features.shape[1]
         return np.einsum("nmd,nm->nd", self.features, coeffs) / m + self.ridge * x
 
     def hessians(self, x):
-        s = expit(self._margins(x))
+        s = _sigmoid(self._margins(x))
         weights = s * (1.0 - s)
         m, d = self.features.shape[1:]
         # The weighted transpose is the one (n, d, m) temporary per call.
@@ -392,7 +405,7 @@ class ProblemSpec:
                 raise InvalidSpec("samples_per_agent must be >= 1 for logistic problems")
 
 
-def _random_orthogonal(rng: np.random.Generator, d: int) -> np.ndarray:
+def _random_orthogonal(rng: Generator, d: int) -> np.ndarray:
     q, r = np.linalg.qr(rng.standard_normal((d, d)))
     return q * np.sign(np.diag(r))
 
@@ -407,13 +420,13 @@ def generate_problem(seed: int, spec: ProblemSpec) -> ProblemInstance:
     the averaged normal equations. Logistic instances leave it unset; the
     harness computes one with the centralized Newton oracle.
     """
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = Generator(Philox(seed))
     if spec.kind == "quadratic":
         return _generate_quadratic(rng, spec)
     return _generate_logistic(rng, spec)
 
 
-def _generate_quadratic(rng: np.random.Generator, spec: ProblemSpec) -> ProblemInstance:
+def _generate_quadratic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
     n, d, h = spec.n, spec.d, spec.heterogeneity
     top = 1.0 + h * HETEROGENEITY_SPREAD
     mats = np.empty((n, d, d))
@@ -437,7 +450,7 @@ def _generate_quadratic(rng: np.random.Generator, spec: ProblemSpec) -> ProblemI
     )
 
 
-def _generate_logistic(rng: np.random.Generator, spec: ProblemSpec) -> ProblemInstance:
+def _generate_logistic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
     n, d, m, h = spec.n, spec.d, spec.samples_per_agent, spec.heterogeneity
     x_true = rng.standard_normal(d)
     features = np.empty((n, m, d))
@@ -447,7 +460,7 @@ def _generate_logistic(rng: np.random.Generator, spec: ProblemSpec) -> ProblemIn
         shift = rng.standard_normal(d)
         features[i] = rng.standard_normal((m, d)) + h * shift
         feats = features[i]
-        probs = expit(feats @ x_true)
+        probs = _sigmoid(feats @ x_true)
         labels[i] = np.where(rng.random(m) < probs, 1.0, -1.0)
         gram_top = float(np.linalg.eigvalsh(feats.T @ feats)[-1])
         lipschitz = max(lipschitz, spec.ridge + gram_top / (4.0 * m))

@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.random import Generator, Philox
 
 from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams
 from .numerics import is_integer, second_singular_value
@@ -132,7 +133,7 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
         a = np.arange(n)
         right, down = a[a % cols < cols - 1], a[: n - cols]
         return _graph(n, np.concatenate([right, down]), np.concatenate([right + 1, down + cols]))
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = Generator(Philox(seed))
     a, b = np.triu_indices(n, 1)
     for _ in range(MAX_CONNECTIVITY_RETRIES):
         keep = rng.random(a.size) < p
@@ -146,7 +147,8 @@ def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:
 
 def _graph(n: int, a: np.ndarray, b: np.ndarray) -> Graph:
     """The graph with an edge {a[k], b[k]} for every k (a[k] != b[k]); repeats collapse."""
-    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = np.sort(np.minimum(a, b) * n + np.maximum(a, b))
+    keys = keys[np.diff(keys, prepend=-1) != 0]  # keys are >= 0, so the first always stays
     edges = np.stack(np.divmod(keys, n), axis=1)
     edges.flags.writeable = False
     return Graph(n=n, edges=edges)

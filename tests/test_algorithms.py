@@ -422,3 +422,24 @@ def test_integer_fields_are_typed(field, value, accepted):
     else:
         with pytest.raises(InvalidParams, match=f"^{field} must be"):
             AlgorithmConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "value, accepted",
+    [
+        (True, False),
+        ("0.1", False),
+        (np.array([0.1, 0.2]), False),
+        (float("nan"), False),
+        (np.float32(0.5), True),
+        (np.int64(2), True),
+    ],
+)
+@pytest.mark.parametrize("field", ["epsilon", "grad_tol"])
+def test_real_fields_are_typed(field, value, accepted):
+    # A bool is a flag and an array is not one step size; NaN fails the range check.
+    if accepted:
+        assert getattr(AlgorithmConfig(**{field: value}), field) == value
+    else:
+        with pytest.raises(InvalidParams, match=f"^{field} must be a nonnegative real number"):
+            AlgorithmConfig(**{field: value})

@@ -158,6 +158,33 @@ def test_import_loads_neither_scipy_linalg_nor_sparse():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_paths_load_numpy_only(tmp_path):
+    # scipy.special alone took most of the import time and 19 MiB of peak
+    # memory (scipy 1.17.1). The check after the commands catches numpy submodules that load
+    # lazily (numpy.random, numpy.ma via np.unique), which would move that
+    # cost into setup instead of removing it.
+    root = Path(__file__).resolve().parents[1]
+    quad, logi = (str(root / "configs" / f"{name}.json") for name in ("quadratic_ring", "logistic_er"))
+    code = f"""
+import contextlib, io, sys
+sys.path.insert(0, {str(root / 'src')!r})
+import giantnet, giantnet.cli
+print(sorted(m for m in sys.modules if m.startswith("scipy")))
+before = set(sys.modules)
+with contextlib.redirect_stdout(io.StringIO()):
+    for cfg in {quad!r}, {logi!r}:
+        assert giantnet.cli.main(["run", "--config", cfg, "--out", {str(tmp_path / 'run.csv')!r}]) == 0
+        assert giantnet.cli.main(["validate", "--config", cfg]) == 0
+        assert giantnet.cli.main(["graph", "--config", cfg]) == 0
+    cmp = ["compare", "--config", {quad!r}, "--out", {str(tmp_path / 'cmp.csv')!r}]
+    assert giantnet.cli.main(cmp) == 0
+print(sorted(m for m in set(sys.modules) - before if m.startswith(("numpy", "scipy"))))
+"""
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, cwd=tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["[]", "[]"]
+
+
 def test_readme_library_example_runs(tmp_path):
     # The README's one python block, run as a reader would paste it.
     root = Path(__file__).resolve().parents[1]

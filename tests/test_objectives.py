@@ -12,7 +12,7 @@ from giantnet import (
     estimate_bounds,
     generate_problem,
 )
-from giantnet.objectives import finite_difference_gradient, finite_difference_hessian
+from giantnet.objectives import _sigmoid, finite_difference_gradient, finite_difference_hessian
 
 from conftest import rng_for
 
@@ -88,6 +88,25 @@ class TestLogistic:
             LogisticObjective(feats, np.array([0.0, 1.0]), ridge=0.1)
         with pytest.raises(InvalidSpec):
             LogisticObjective(feats, np.array([1.0, -1.0]), ridge=0.0)
+
+
+class TestSigmoid:
+    # scipy is the oracle here only; the package itself imports numpy alone.
+    def test_matches_scipy_expit(self):
+        from scipy.special import expit
+
+        t = np.linspace(-800.0, 800.0, 160_001)
+        np.testing.assert_allclose(_sigmoid(t), expit(t), rtol=1e-15, atol=0)
+
+    def test_exact_values_and_nan(self):
+        out = _sigmoid(np.array([0.0, np.inf, -np.inf, np.nan]))
+        assert out[0] == 0.5 and out[1] == 1.0 and out[2] == 0.0
+        assert np.isnan(out[3])
+
+    def test_very_negative_margin_is_zero_without_warning(self):
+        # exp(1000) overflows; the suite turns any RuntimeWarning into an error
+        assert _sigmoid(np.array([-1000.0]))[0] == 0.0
+        assert _sigmoid(-1000.0) == 0.0
 
 
 class TestDerivativeConsistency:
