@@ -66,7 +66,6 @@ from .objectives import (
     ProblemInstance,
     ProblemSpec,
     QuadraticObjective,
-    estimate_bounds,
     generate_problem,
 )
 from .topology import Graph, MixingMatrix, make_graph, metropolis_weights, validate_mixing

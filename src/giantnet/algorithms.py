@@ -172,7 +172,12 @@ def centralized_newton(
 
     Iterates x <- x - hess_avg(x)^{-1} grad_avg(x) until the averaged
     gradient norm drops to ``tol``. Exact in one step on quadratics.
+    ``tol`` is a nonnegative real number and ``max_iters`` a nonnegative integer.
     """
+    if not (is_real(tol) and tol >= 0):
+        raise InvalidParams(f"tol must be a nonnegative real number, got {tol!r}")
+    if not (is_integer(max_iters) and max_iters >= 0):
+        raise InvalidParams(f"max_iters must be a nonnegative integer, got {max_iters!r}")
     x = np.array(x0, dtype=float)
     for _ in range(max_iters):
         g = instance.average_gradient(x)

@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import InsufficientData, MissingReference
-from .numerics import spd_solve_stack
+from .errors import InsufficientData, InvalidParams, MissingReference
+from .numerics import is_real, spd_solve_stack
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -194,9 +194,11 @@ def estimate_rate(log: MetricsLog, tail_fraction: float = 0.5) -> RateEstimate:
 
     Records with gaps at the floating-point floor and the initial
     transient are excluded; of the remaining usable records the final
-    ``tail_fraction`` enter the fit. Raises InsufficientData with fewer
-    than 10 usable records in that window.
+    ``tail_fraction``, a real number in (0, 1], enter the fit. Raises
+    InsufficientData with fewer than 10 usable records in that window.
     """
+    if not (is_real(tail_fraction) and 0 < tail_fraction <= 1):
+        raise InvalidParams(f"tail_fraction must be a real number in (0, 1], got {tail_fraction!r}")
     records = log.records
     if records:
         k_cut = TRANSIENT_FRACTION * records[-1].iteration

@@ -8,11 +8,11 @@ pure, so instances are safe to share across threads.
 An instance evaluates all of its agents at once through an agent family:
 the quadratic family holds ``A (n,d,d)``, ``b (n,d)`` and ``c (n,)``, the
 logistic family ``F (n,m,d)``, ``Y (n,m)`` and ``ridge``, and each
-quantity is one batched numpy expression over those stacks. Generated
-instances store the stacks once; their per-agent objectives are views
-into them. An instance built from a tuple of objectives (mixed families,
-user subclasses, logistic agents with unequal sample counts) is evaluated
-by looping over the objects.
+quantity is one batched numpy expression over those stacks. An instance
+holds its family only; per-agent objectives are built on demand, as views
+into the stacks. An instance built from a tuple of objectives (mixed
+families, user subclasses, logistic agents with unequal sample counts)
+wraps them in ``ObjectiveLoop``, which loops over the objects.
 
 The averaged cost (1/n) * sum_i f_i of a stacked family is itself one
 objective of that family: the quadratic with the mean A, b and c, and the
@@ -125,8 +125,8 @@ class LogisticObjective(LocalObjective):
             )
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise InvalidSpec("labels must be -1 or +1")
-        if ridge <= 0:
-            raise InvalidSpec("ridge weight must be positive")
+        if not ridge > 0:
+            raise InvalidSpec(f"ridge weight must be positive, got {ridge}")
         self.features = features
         self.labels = labels
         self.ridge = float(ridge)
@@ -161,7 +161,7 @@ class LogisticObjective(LocalObjective):
 
 
 class AgentFamily(ABC):
-    """Gradients and Hessians of all n agents, row i at row i of X (n, d)."""
+    """The n agents: ``shape`` (n, d), ``objectives``, and gradients and Hessians, row i at row i of X."""
 
     @abstractmethod
     def gradients(self, x: np.ndarray) -> np.ndarray: ...
@@ -179,7 +179,7 @@ class AgentFamily(ABC):
         """The averaged cost (1/n) * sum_i f_i as one objective over R^d."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadraticFamily(AgentFamily):
     """f_i(x) = 0.5 * x'A_i x + b_i'x + c_i over stacks a (n,d,d), b (n,d), c (n,)."""
 
@@ -187,8 +187,17 @@ class QuadraticFamily(AgentFamily):
     b: np.ndarray
     c: np.ndarray
 
-    def views(self) -> tuple[QuadraticObjective, ...]:
-        """Per-agent objectives whose arrays are views into the stacks."""
+    def __post_init__(self):
+        a, b, c = self.a, self.b, self.c
+        if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2] or c.shape != a.shape[:1]:
+            raise DimensionMismatch(f"incompatible quadratic stacks: A {a.shape}, b {b.shape}, c {c.shape}")
+
+    @property
+    def shape(self):
+        return self.a.shape[:2]
+
+    @property
+    def objectives(self) -> tuple[QuadraticObjective, ...]:
         return tuple(QuadraticObjective(*args) for args in zip(self.a, self.b, self.c))
 
     def gradients(self, x):
@@ -212,7 +221,7 @@ class QuadraticFamily(AgentFamily):
         return QuadraticObjective(self.a.mean(axis=0), self.b.mean(axis=0), self.c.mean())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LogisticFamily(AgentFamily):
     """Ridge-logistic losses over stacks features (n,m,d) and labels (n,m)."""
 
@@ -220,8 +229,19 @@ class LogisticFamily(AgentFamily):
     labels: np.ndarray
     ridge: float
 
-    def views(self) -> tuple[LogisticObjective, ...]:
-        """Per-agent objectives whose arrays are views into the stacks."""
+    def __post_init__(self):
+        f, y = self.features, self.labels
+        if f.ndim != 3 or y.shape != f.shape[:2]:
+            raise DimensionMismatch(f"incompatible sample stacks: features {f.shape}, labels {y.shape}")
+        if not (np.all(np.isin(y, (-1.0, 1.0))) and self.ridge > 0):
+            raise InvalidSpec(f"labels must be -1 or +1 and ridge > 0, got ridge {self.ridge}")
+
+    @property
+    def shape(self):
+        return self.features.shape[0], self.features.shape[2]
+
+    @property
+    def objectives(self) -> tuple[LogisticObjective, ...]:
         return tuple(LogisticObjective(f, y, self.ridge) for f, y in zip(self.features, self.labels))
 
     def _margins(self, x):
@@ -278,6 +298,17 @@ class ObjectiveLoop(AgentFamily):
 
     objectives: tuple[LocalObjective, ...]
 
+    def __post_init__(self):
+        if not self.objectives:
+            raise InvalidSpec("instance needs at least one objective")
+        dims = {obj.dimension for obj in self.objectives}
+        if len(dims) != 1:
+            raise DimensionMismatch(f"objectives disagree on dimension: {sorted(dims)}")
+
+    @property
+    def shape(self):
+        return len(self.objectives), self.objectives[0].dimension
+
     def gradients(self, x):
         return np.stack([obj.gradient(x[i]) for i, obj in enumerate(self.objectives)])
 
@@ -289,42 +320,42 @@ class ObjectiveLoop(AgentFamily):
         return _AgentMean(self.objectives)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """n local objectives over a shared decision variable, with global bounds.
 
-    ``mu`` and ``lipschitz`` bound every local Hessian from below and above.
-    ``reference_solution`` is the minimizer of the averaged cost when known;
-    the harness fills it in for families without a closed form.
-    ``family`` evaluates all agents at once and must describe the same
-    agents as ``objectives``; when omitted, the objectives are evaluated
-    one by one. :func:`generate_problem` supplies stacked families.
+    ``family`` is the agents' one description, from which ``objectives``,
+    ``n_agents`` and ``dimension`` derive; a tuple of objectives passed in its
+    place is wrapped in ``ObjectiveLoop``. ``mu`` and ``lipschitz`` bound
+    every local Hessian from below and above. ``reference_solution`` is the
+    minimizer of the averaged cost when known; the harness fills it in for
+    families without a closed form. Instances compare by identity.
     """
 
-    objectives: tuple[LocalObjective, ...]
+    family: AgentFamily = field(repr=False)
     mu: float
     lipschitz: float
     reference_solution: np.ndarray | None = None
-    family: AgentFamily | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if not self.objectives:
-            raise InvalidSpec("instance needs at least one objective")
-        dims = {obj.dimension for obj in self.objectives}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"objectives disagree on dimension: {sorted(dims)}")
+        if not isinstance(self.family, AgentFamily):
+            object.__setattr__(self, "family", ObjectiveLoop(tuple(self.family)))
+        if not self.n_agents >= 1:
+            raise InvalidSpec("instance needs at least one agent")
         if not 0 < self.mu <= self.lipschitz:
             raise InvalidSpec(f"bounds must satisfy 0 < mu <= L, got ({self.mu}, {self.lipschitz})")
-        if self.family is None:
-            object.__setattr__(self, "family", ObjectiveLoop(self.objectives))
+
+    @property
+    def objectives(self) -> tuple[LocalObjective, ...]:
+        return self.family.objectives
 
     @property
     def n_agents(self) -> int:
-        return len(self.objectives)
+        return self.family.shape[0]
 
     @property
     def dimension(self) -> int:
-        return self.objectives[0].dimension
+        return self.family.shape[1]
 
     def consensus_stack(self, x: np.ndarray) -> np.ndarray:
         """The (n, d) stack with every agent at the single point ``x``; a read-only view."""
@@ -333,15 +364,13 @@ class ProblemInstance:
             raise DimensionMismatch(
                 f"point has shape {x.shape}, objective dimension is {self.dimension}"
             )
-        return np.broadcast_to(x, (self.n_agents, self.dimension))
+        return np.broadcast_to(x, self.family.shape)
 
     def check_stack(self, x: np.ndarray) -> np.ndarray:
         """``x`` as a float array, not copied if it is one, after checking its (n, d) shape."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n_agents, self.dimension):
-            raise DimensionMismatch(
-                f"stacked iterate has shape {x.shape}, expected {(self.n_agents, self.dimension)}"
-            )
+        if x.shape != self.family.shape:
+            raise DimensionMismatch(f"stacked iterate has shape {x.shape}, expected {self.family.shape}")
         return x
 
     def average_value(self, x: np.ndarray) -> float:
@@ -445,9 +474,7 @@ def _generate_quadratic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
     a_sum = np.sum(mats, axis=0)
     x_star = spd_solve(spd_factorize(a_sum), -offsets.sum(axis=0))
     family = QuadraticFamily(mats, offsets, np.zeros(n))
-    return ProblemInstance(
-        family.views(), mu=1.0, lipschitz=top, reference_solution=x_star, family=family
-    )
+    return ProblemInstance(family, mu=1.0, lipschitz=top, reference_solution=x_star)
 
 
 def _generate_logistic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
@@ -465,23 +492,7 @@ def _generate_logistic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
         gram_top = float(np.linalg.eigvalsh(feats.T @ feats)[-1])
         lipschitz = max(lipschitz, spec.ridge + gram_top / (4.0 * m))
     family = LogisticFamily(features, labels, spec.ridge)
-    return ProblemInstance(family.views(), mu=spec.ridge, lipschitz=lipschitz, family=family)
-
-
-def estimate_bounds(
-    instance: ProblemInstance, sample_points: list[np.ndarray]
-) -> tuple[float, float]:
-    """Numerically bracket the curvature of an instance over sample points.
-
-    Returns (mu_hat, L_hat): the smallest and largest Hessian eigenvalues
-    seen across all objectives and samples.
-    """
-    if not sample_points:
-        raise InvalidSpec("need at least one sample point")
-    eigs = np.stack(
-        [np.linalg.eigvalsh(instance.stacked_hessian(instance.consensus_stack(x))) for x in sample_points]
-    )
-    return float(eigs[..., 0].min()), float(eigs[..., -1].max())
+    return ProblemInstance(family, mu=spec.ridge, lipschitz=lipschitz)
 
 
 def finite_difference_gradient(func, x: np.ndarray) -> np.ndarray:

@@ -259,6 +259,22 @@ class TestCentralizedNewton:
         with pytest.raises(MaxItersExceeded):
             centralized_newton(inst, np.array([5.0]), tol=1e-12, max_iters=0)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("tol", float("nan")),
+            ("tol", -1.0),
+            ("tol", True),
+            ("max_iters", -1),
+            ("max_iters", True),
+            ("max_iters", 2.5),
+        ],
+    )
+    def test_rejects_bad_arguments(self, name, value):
+        inst = identical_quadratic_instance(2, np.array([1.0]))
+        with pytest.raises(InvalidParams, match=f"^{name} must be"):
+            centralized_newton(inst, np.array([5.0]), **{name: value})
+
 
 class TestRun:
     def test_zero_max_iters_single_record(self, hetero_ring):

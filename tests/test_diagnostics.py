@@ -4,6 +4,7 @@ import pytest
 from giantnet import (
     AlgorithmConfig,
     InsufficientData,
+    InvalidParams,
     MetricsLog,
     MetricsRecord,
     MissingReference,
@@ -237,3 +238,10 @@ class TestEstimateRate:
         log = _log_from_gaps([1.0, 0.1, 0.01])
         with pytest.raises(InsufficientData):
             estimate_rate(log, tail_fraction=1.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), 0, -0.5, 1.5, True])
+    def test_rejects_tail_fraction_outside_unit_interval(self, bad):
+        log = _log_from_gaps([0.5**k for k in range(30)])
+        with pytest.raises(InvalidParams, match="^tail_fraction"):
+            estimate_rate(log, tail_fraction=bad)
+        assert estimate_rate(log, tail_fraction=0.5).window[1] == 29

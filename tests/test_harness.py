@@ -6,7 +6,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from giantnet import ParseError, ValidationError, estimate_rate, load_config, run, tune_epsilon
+from giantnet import (
+    LogisticObjective,
+    ParseError,
+    QuadraticObjective,
+    ValidationError,
+    estimate_rate,
+    load_config,
+    run,
+    tune_epsilon,
+)
 from giantnet.harness import (
     CSV_COLUMNS,
     build_instance,
@@ -340,3 +349,19 @@ class TestShippedConfigs:
     def test_run_record_counts(self, tmp_path, name, records):
         cfg = load_config(str(CONFIGS / f"{name}.json"))
         assert len(run_experiment(cfg, str(tmp_path / "m.csv"))) == records
+
+    @pytest.mark.parametrize(
+        "name, averaged", [("quadratic_ring", "QuadraticObjective"), ("logistic_er", "LogisticObjective")]
+    )
+    def test_run_builds_only_the_averaged_objective(self, tmp_path, monkeypatch, name, averaged):
+        # The agents stay stacked; the one objective a run builds is the averaged cost.
+        built = []
+        for cls in (QuadraticObjective, LogisticObjective):
+
+            def counting_init(self, *args, _init=cls.__init__, **kwargs):
+                built.append(type(self).__name__)
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        run_experiment(load_config(str(CONFIGS / f"{name}.json")), str(tmp_path / "m.csv"))
+        assert built == [averaged]

@@ -9,7 +9,6 @@ from giantnet import (
     ProblemSpec,
     QuadraticObjective,
     centralized_newton,
-    estimate_bounds,
     generate_problem,
 )
 from giantnet.objectives import _sigmoid, finite_difference_gradient, finite_difference_hessian
@@ -88,6 +87,8 @@ class TestLogistic:
             LogisticObjective(feats, np.array([0.0, 1.0]), ridge=0.1)
         with pytest.raises(InvalidSpec):
             LogisticObjective(feats, np.array([1.0, -1.0]), ridge=0.0)
+        with pytest.raises(InvalidSpec):
+            LogisticObjective(feats, np.array([1.0, -1.0]), ridge=float("nan"))
 
 
 class TestSigmoid:
@@ -166,35 +167,6 @@ class TestConvexityProperties:
                     + 0.5 * instance.mu * np.sum((y - x) ** 2)
                 )
                 assert lhs >= rhs - 1e-10
-
-
-class TestEstimateBounds:
-    def test_uniform_quadratics(self):
-        objs = tuple(QuadraticObjective(2.0 * np.eye(2), np.zeros(2)) for _ in range(3))
-        instance = ProblemInstance(objs, mu=2.0, lipschitz=2.0)
-        mu_hat, l_hat = estimate_bounds(instance, [np.zeros(2), np.ones(2)])
-        assert mu_hat == pytest.approx(2.0)
-        assert l_hat == pytest.approx(2.0)
-
-    def test_mixed_quadratics(self):
-        objs = (
-            QuadraticObjective(np.eye(2), np.zeros(2)),
-            QuadraticObjective(3.0 * np.eye(2), np.zeros(2)),
-        )
-        instance = ProblemInstance(objs, mu=1.0, lipschitz=3.0)
-        mu_hat, l_hat = estimate_bounds(instance, [np.zeros(2)])
-        assert (mu_hat, l_hat) == (pytest.approx(1.0), pytest.approx(3.0))
-
-    def test_logistic_floor(self):
-        instance = generate_problem(6, ProblemSpec(kind="logistic", n=3, d=4, ridge=0.2))
-        rng = rng_for(14)
-        mu_hat, _ = estimate_bounds(instance, [rng.standard_normal(4) for _ in range(5)])
-        assert mu_hat >= 0.2 - 1e-12
-
-    def test_empty_samples_rejected(self):
-        instance = generate_problem(6, ProblemSpec(kind="quadratic", n=2, d=2))
-        with pytest.raises(InvalidSpec):
-            estimate_bounds(instance, [])
 
 
 class TestGenerateProblem:

@@ -13,6 +13,7 @@ from scipy.special import expit
 from giantnet import (
     AlgorithmConfig,
     DimensionMismatch,
+    InvalidSpec,
     LogisticObjective,
     NotPositiveDefinite,
     ProblemInstance,
@@ -32,7 +33,7 @@ from giantnet import (
     spd_solve_stack,
 )
 from giantnet.diagnostics import metrics_record
-from giantnet.objectives import HETEROGENEITY_SPREAD, ObjectiveLoop, QuadraticFamily
+from giantnet.objectives import HETEROGENEITY_SPREAD, LogisticFamily, ObjectiveLoop, QuadraticFamily
 
 from conftest import rng_for
 
@@ -180,7 +181,7 @@ def test_indefinite_hessian_in_one_row_raises():
     a = np.stack([np.eye(2)] * 4)
     a[2] = np.diag([1.0, -0.5])
     family = QuadraticFamily(a, np.zeros((4, 2)), np.zeros(4))
-    instance = ProblemInstance(family.views(), mu=1.0, lipschitz=1.0, family=family)
+    instance = ProblemInstance(family, mu=1.0, lipschitz=1.0)
     mix = metropolis_weights(make_graph("ring", 4))
     state = giant_init(instance, np.ones((4, 2)))
     for _ in range(2):  # a failed factorization is not cached
@@ -193,3 +194,38 @@ def test_constant_hessian_stack_is_read_only():
     h = instance.stacked_hessian(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         h[0, 0, 0] = 5.0
+
+
+def test_families_reject_stacks_that_disagree_on_n():
+    eyes = np.stack([np.eye(2)] * 3)
+    with pytest.raises(DimensionMismatch, match="quadratic stacks"):
+        QuadraticFamily(eyes, np.zeros((4, 2)), np.zeros(3))
+    with pytest.raises(DimensionMismatch, match="quadratic stacks"):
+        QuadraticFamily(eyes, np.zeros((3, 2)), np.zeros(4))
+    with pytest.raises(DimensionMismatch, match="sample stacks"):
+        LogisticFamily(np.ones((3, 4, 2)), np.ones((2, 4)), 0.1)
+
+
+@pytest.mark.parametrize("label, ridge", [(0.0, 0.1), (1.0, 0.0), (1.0, float("nan"))])
+def test_logistic_family_rejects_bad_labels_and_ridge(label, ridge):
+    labels = np.ones((3, 4))
+    labels[1, 2] = label
+    with pytest.raises(InvalidSpec):
+        LogisticFamily(np.ones((3, 4, 2)), labels, ridge)
+
+
+def test_instance_needs_an_agent():
+    with pytest.raises(InvalidSpec):
+        ProblemInstance((), mu=1.0, lipschitz=1.0)
+    empty = QuadraticFamily(np.empty((0, 2, 2)), np.empty((0, 2)), np.empty(0))
+    with pytest.raises(InvalidSpec):
+        ProblemInstance(empty, mu=1.0, lipschitz=1.0)
+
+
+def test_instances_and_stacked_families_compare_by_identity():
+    instance = instance_for("logistic", 3, 2)
+    other = instance.with_reference(np.zeros(2))
+    assert instance == instance
+    assert (instance == other) is False
+    assert (instance.family == instance_for("logistic", 3, 2).family) is False
+    assert "Family" not in repr(other) and repr(other).startswith("ProblemInstance(mu=")
