@@ -35,7 +35,7 @@ import numpy as np
 
 from .diagnostics import MetricsLog, metrics_record
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import is_integer, is_real, spd_factorize, spd_solve, spd_solve_stack
+from .numerics import frobenius_norm, is_integer, is_real, spd_factorize, spd_solve, spd_solve_stack
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
@@ -191,8 +191,12 @@ def centralized_newton(
 
 
 def _diverged(arrays) -> bool:
-    # One reduction per block: a NaN maximum fails the comparison, as does inf.
-    return any(not np.abs(a).max(initial=0.0) <= DIVERGENCE_LIMIT for a in arrays)
+    # One reduction per block, the one ndarray.max(initial=0.0) runs; a NaN
+    # maximum fails the comparison, as does inf.
+    for a in arrays:
+        if not np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= DIVERGENCE_LIMIT:
+            return True
+    return False
 
 
 def run(
@@ -237,7 +241,7 @@ def run(
             k += 1
             x, w, g = (state.x, state.w, state.g) if tracked else (state, None, None)
             log.append(metrics_record(instance, x, k, _drift(w, g), f_star))
-            if _diverged(b for b in (x, w, g) if b is not None):
+            if _diverged((x, w, g) if tracked else (x,)):
                 log.diverged = True
                 break
     return state, log
@@ -249,8 +253,9 @@ def _drift(w: np.ndarray | None, g: np.ndarray | None) -> float:
     giant's ``g`` holds the gradients at the previous iterate and gt's
     ``g`` those at the current one, bitwise as a fresh evaluation would
     return them, so this equals ``diagnostics.tracking_drift`` without
-    evaluating them again. dgd has no tracker and logs 0.
+    evaluating them again. dgd has no tracker and logs 0. The sums and the
+    norm run the ufuncs of ``sum(axis=0)`` and ``np.linalg.norm`` directly.
     """
     if w is None:
         return 0.0
-    return float(np.linalg.norm(w.sum(axis=0) - g.sum(axis=0)))
+    return frobenius_norm(np.add.reduce(w, 0) - np.add.reduce(g, 0))

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import InsufficientData, InvalidParams, MissingReference
-from .numerics import is_real, spd_solve_stack
+from .numerics import frobenius_norm, is_real, spd_solve_stack
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -240,15 +240,17 @@ def metrics_record(
     grad f(x_bar) = A_bar x_bar + b_bar with the agent means A_bar, b_bar,
     c_bar; on logistic losses one pass over the n*m pooled samples.
     ``consensus_err`` is ||x - x_bar||_F, bitwise the norm of the
-    disagreement that :func:`decompose` returns.
+    disagreement that :func:`decompose` returns. x_bar and the norms run
+    the ufuncs of ``x.mean(axis=0)`` and ``np.linalg.norm`` directly, so
+    they are the same bits without those functions' argument handling.
     """
-    x_bar = x.mean(axis=0)
+    x_bar = np.add.reduce(x, 0) / x.shape[0]
     gap = instance.average_value(x_bar) - f_star
     return MetricsRecord(
         iteration=iteration,
         opt_gap=gap,
-        consensus_err=float(np.linalg.norm(x - x_bar)),
-        grad_norm=float(np.linalg.norm(instance.average_gradient(x_bar))),
+        consensus_err=frobenius_norm(x - x_bar),
+        grad_norm=frobenius_norm(instance.average_gradient(x_bar)),
         tracking_drift=float(drift),
         lyapunov=gap,
     )

@@ -9,6 +9,11 @@ The ``*_stack`` variants act on all agents at once: one batched Cholesky
 call over an (n, d, d) stack, and substitution that loops over the d
 coordinates while each step covers every agent. Per-matrix LAPACK
 triangular solves cost a call per agent, which dominates at n >= 100.
+The substitution runs coordinate-major: it copies the factors to a
+C-contiguous (d, d, n) array and the right-hand sides to (d, n[, k]), so
+every step reads and updates contiguous rows instead of strided slices
+of the agent-major stacks. Each entry sees the same operations in the
+same order as it would agent-major, so the results are the same bits.
 
 The consensus contraction factor sigma2 comes from the symmetric
 eigensolver when the mixing matrix equals its transpose exactly, and
@@ -20,6 +25,7 @@ All functions are pure; returned arrays are fresh and never alias inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +47,18 @@ def is_integer(value) -> bool:
 def is_real(value) -> bool:
     """True for Python and NumPy real scalars (integers included, NaN too); never a bool."""
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
+
+
+def frobenius_norm(v: np.ndarray) -> float:
+    """sqrt of the sum of squares of all entries of a float array, as a Python float.
+
+    It runs the ufunc sequence of ``np.linalg.norm(v)`` without its
+    argument dispatch (a dot product over ``ravel(order="K")``, then a
+    correctly rounded square root), so it returns the same bits,
+    NaN and inf included.
+    """
+    v = v.ravel(order="K")
+    return math.sqrt(v.dot(v))
 
 
 @dataclass(frozen=True)
@@ -128,22 +146,30 @@ def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``lower`` is an (n, d, d) stack from :func:`spd_factorize_stack`;
     ``b`` is (n, d), or (n, d, k) for k right-hand sides per matrix.
     Forward then backward substitution, each step vectorized over the
-    agents; the inverse is never formed.
+    agents; the inverse is never formed. The substitution works on
+    coordinate-major copies, the factors as (d, d, n) and the right-hand
+    sides as (d, n[, k]), so row k of the copy holds coordinate k of every
+    agent contiguously. The result is a fresh C-contiguous (n, d[, k])
+    array.
     """
-    x = np.array(b, dtype=float)
-    if lower.ndim != 3 or x.ndim not in (2, 3) or x.shape[:2] != lower.shape[:2]:
+    b = np.asarray(b, dtype=float)
+    if lower.ndim != 3 or b.ndim not in (2, 3) or b.shape[:2] != lower.shape[:2]:
         raise DimensionMismatch(
-            f"right-hand sides have shape {x.shape}, factors are {lower.shape}"
+            f"right-hand sides have shape {b.shape}, factors are {lower.shape}"
         )
-    cols = x.reshape(x.shape[0], x.shape[1], -1)  # a view: updates land in x
-    d = lower.shape[1]
+    lt = lower.transpose(1, 2, 0).copy()  # lt[i, j] is entry (i, j) of every factor
+    if b.ndim == 3:
+        lt = lt[..., None]  # broadcast over the k right-hand sides
+    swap = (1, 0, 2)[:b.ndim]  # (n, d[, k]) <-> (d, n[, k])
+    y = b.transpose(swap).copy()
+    d = lt.shape[0]
     for k in range(d):  # L y = b, column-oriented
-        cols[:, k] /= lower[:, k, k, None]
-        cols[:, k + 1:] -= lower[:, k + 1:, k, None] * cols[:, k, None]
+        y[k] /= lt[k, k]
+        y[k + 1:] -= lt[k + 1:, k] * y[k]
     for k in reversed(range(d)):  # L' x = y
-        cols[:, k] /= lower[:, k, k, None]
-        cols[:, :k] -= lower[:, k, :k, None] * cols[:, k, None]
-    return x
+        y[k] /= lt[k, k]
+        y[:k] -= lt[k, :k] * y[k]
+    return y.transpose(swap).copy()
 
 
 def second_singular_value(p: np.ndarray, check: bool = True) -> float:

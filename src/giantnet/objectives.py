@@ -33,7 +33,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import spd_factorize, spd_factorize_stack, spd_solve
+from .numerics import is_real, spd_factorize, spd_factorize_stack, spd_solve
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
 # log-uniformly from [1, 1 + h * HETEROGENEITY_SPREAD], so h = 1 yields a
@@ -107,6 +107,12 @@ class QuadraticObjective(LocalObjective):
         return self.a.copy()
 
 
+def _check_ridge(ridge) -> None:
+    # NaN fails the comparison; a bool or a string is not a ridge weight.
+    if not (is_real(ridge) and ridge > 0):
+        raise InvalidSpec(f"ridge weight must be a positive real number, got {ridge!r}")
+
+
 class LogisticObjective(LocalObjective):
     """Ridge-regularized logistic loss over labelled samples.
 
@@ -125,8 +131,7 @@ class LogisticObjective(LocalObjective):
             )
         if not np.all(np.isin(labels, (-1.0, 1.0))):
             raise InvalidSpec("labels must be -1 or +1")
-        if not ridge > 0:
-            raise InvalidSpec(f"ridge weight must be positive, got {ridge}")
+        _check_ridge(ridge)
         self.features = features
         self.labels = labels
         self.ridge = float(ridge)
@@ -188,6 +193,9 @@ class QuadraticFamily(AgentFamily):
     c: np.ndarray
 
     def __post_init__(self):
+        # Float arrays are kept as given, so generated stacks are not copied.
+        for name in ("a", "b", "c"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         a, b, c = self.a, self.b, self.c
         if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2] or c.shape != a.shape[:1]:
             raise DimensionMismatch(f"incompatible quadratic stacks: A {a.shape}, b {b.shape}, c {c.shape}")
@@ -230,11 +238,15 @@ class LogisticFamily(AgentFamily):
     ridge: float
 
     def __post_init__(self):
+        for name in ("features", "labels"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=float))
         f, y = self.features, self.labels
         if f.ndim != 3 or y.shape != f.shape[:2]:
             raise DimensionMismatch(f"incompatible sample stacks: features {f.shape}, labels {y.shape}")
-        if not (np.all(np.isin(y, (-1.0, 1.0))) and self.ridge > 0):
-            raise InvalidSpec(f"labels must be -1 or +1 and ridge > 0, got ridge {self.ridge}")
+        if not np.all(np.isin(y, (-1.0, 1.0))):
+            raise InvalidSpec("labels must be -1 or +1")
+        _check_ridge(self.ridge)
+        object.__setattr__(self, "ridge", float(self.ridge))
 
     @property
     def shape(self):

@@ -15,6 +15,7 @@ from giantnet import (
     NotPositiveDefinite,
     ProblemInstance,
     ProblemSpec,
+    QuadraticObjective,
     centralized_newton,
     dgd_step,
     generate_problem,
@@ -392,6 +393,54 @@ class TestRun:
         instance = generate_problem(42, ProblemSpec(kind="quadratic", n=6, d=3))
         with pytest.raises(DimensionMismatch, match="5x5 for 6 agents"):
             step(instance, ring_mixing(5), np.zeros((6, 3)))
+
+    @pytest.mark.parametrize("n,d", [(1, 4), (6, 1), (1, 1)])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_single_agent_and_scalar_runs_converge(self, kind, n, d):
+        instance = generate_problem(11, ProblemSpec(kind=kind, n=n, d=d, heterogeneity=1.0))
+        if instance.reference_solution is None:
+            instance = instance.with_reference(centralized_newton(instance, np.zeros(d)))
+        x0 = rng_for(12).standard_normal((n, d))
+        cfg = AlgorithmConfig(epsilon=0.1)
+        _, log = run("giant", instance, ring_mixing(n), cfg, x0)
+        assert not log.diverged
+        assert log.final.grad_norm <= cfg.grad_tol
+        assert log.final.iteration < cfg.max_iters
+        assert max(r.tracking_drift for r in log.records) <= 1e-9
+
+    def test_hessian_turning_indefinite_mid_run_is_typed(self):
+        class TurnsIndefinite(LocalObjective):
+            """0.5 * ||x - center||^2 whose Hessian reads diag(1, -1) from its third evaluation on."""
+
+            def __init__(self, center):
+                self.center = center
+                self.hessian_calls = 0
+
+            @property
+            def dimension(self):
+                return 2
+
+            def value(self, x):
+                return float(0.5 * np.sum((x - self.center) ** 2))
+
+            def gradient(self, x):
+                return x - self.center
+
+            def hessian(self, x):
+                self.hessian_calls += 1
+                return np.eye(2) if self.hessian_calls < 3 else np.diag([1.0, -1.0])
+
+        objs = (
+            QuadraticObjective(np.eye(2), np.array([1.0, 0.0])),
+            TurnsIndefinite(np.array([2.0, -1.0])),
+            QuadraticObjective(np.eye(2), np.array([0.0, 3.0])),
+        )
+        instance = ProblemInstance(objs, mu=1.0, lipschitz=1.0, reference_solution=np.zeros(2))
+        cfg = AlgorithmConfig(epsilon=0.1, max_iters=50, grad_tol=0.0)
+        with pytest.raises(NotPositiveDefinite) as info:
+            run("giant", instance, ring_mixing(3), cfg, np.zeros((3, 2)))
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+        assert objs[1].hessian_calls == 3  # one evaluation per step: the third step raised
 
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring

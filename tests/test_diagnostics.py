@@ -23,6 +23,9 @@ from giantnet import (
     tracking_drift,
 )
 
+from giantnet.algorithms import _drift
+from giantnet.diagnostics import metrics_record
+
 from conftest import rng_for
 
 
@@ -196,6 +199,86 @@ def test_structure_holds_along_logistic_trajectory():
         nxt = giant_step(state, instance, mix, cfg)
         assert tracking_drift(nxt, instance, state.x) <= 1e-9
         state = nxt
+
+
+def _layout(a, order):
+    """``a`` as a C-ordered, Fortran-ordered or transposed-view stack of the same values."""
+    if order == "C":
+        return np.ascontiguousarray(a)
+    if order == "F":
+        return np.asfortranarray(a)
+    return np.ascontiguousarray(a.T).T
+
+
+def _bits(*values):
+    return [np.float64(v).tobytes() for v in values]
+
+
+class TestMetricsBitwise:
+    """metrics_record and run's drift give the bits of x.mean(axis=0) and np.linalg.norm."""
+
+    ENTRIES = [(), (np.nan,), (np.inf,), (-np.inf,), (np.nan, np.inf)]
+
+    @staticmethod
+    def _stack(seed, entries, offset=0.0):
+        # An offset makes ||x - x_bar|| sensitive to the last bit of x_bar.
+        a = offset + rng_for(seed).standard_normal((6, 4))
+        for i, v in enumerate(entries):
+            a[2 * i + 1, i] = v
+        return a
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("entries", ENTRIES)
+    @pytest.mark.parametrize("order", ["C", "F", "T"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_metrics_record(self, kind, order, entries, offset, monkeypatch):
+        instance = generate_problem(5, ProblemSpec(kind=kind, n=6, d=4, heterogeneity=1.0))
+        x = _layout(self._stack(30, entries, offset), order)
+        # The norms are flat in x_bar to first order, so x_bar is checked where it is used.
+        seen = []
+
+        def spying(original):
+            def spy(inst, point):
+                seen.append(point.copy())
+                return original(inst, point)
+
+            return spy
+
+        for name in ("average_value", "average_gradient"):
+            monkeypatch.setattr(ProblemInstance, name, spying(getattr(ProblemInstance, name)))
+        with np.errstate(all="ignore"):
+            rec = metrics_record(instance, x, 7, 0.25, 0.125)
+            monkeypatch.undo()
+            x_bar = x.mean(axis=0)
+            assert len(seen) == 2
+            assert all(p.tobytes() == x_bar.tobytes() for p in seen)
+            gap = instance.average_value(x_bar) - 0.125
+            expected = (
+                gap,
+                float(np.linalg.norm(x - x_bar)),
+                float(np.linalg.norm(instance.average_gradient(x_bar))),
+                0.25,
+                gap,
+            )
+        got = (rec.opt_gap, rec.consensus_err, rec.grad_norm, rec.tracking_drift, rec.lyapunov)
+        assert _bits(*got) == _bits(*expected)
+        assert all(type(v) is float for v in got[1:4]) and rec.iteration == 7
+        if entries:
+            assert not np.isfinite(rec.consensus_err)
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("entries", ENTRIES)
+    @pytest.mark.parametrize("order", ["C", "F", "T"])
+    def test_drift(self, order, entries, offset):
+        w = _layout(self._stack(31, entries, offset), order)
+        g = _layout(self._stack(32, (), offset), order)
+        with np.errstate(all="ignore"):
+            expected = float(np.linalg.norm(w.sum(axis=0) - g.sum(axis=0)))
+            got = _drift(w, g)
+        assert type(got) is float and _bits(got) == _bits(expected)
+        if entries:
+            assert not np.isfinite(got)
+        assert _drift(None, None) == 0.0
 
 
 def _log_from_gaps(gaps):

@@ -148,6 +148,63 @@ class TestStack:
         assert np.array_equal(b, kept)
 
 
+def agent_major_solve(lower, b):
+    """The agent-major substitution that spd_solve_stack ran over strided slices."""
+    x = np.array(b, dtype=float)
+    cols = x.reshape(x.shape[0], x.shape[1], -1)
+    d = lower.shape[1]
+    for k in range(d):
+        cols[:, k] /= lower[:, k, k, None]
+        cols[:, k + 1:] -= lower[:, k + 1:, k, None] * cols[:, k, None]
+    for k in reversed(range(d)):
+        cols[:, k] /= lower[:, k, k, None]
+        cols[:, :k] -= lower[:, k, :k, None] * cols[:, k, None]
+    return x
+
+
+def assert_fresh_and_equal(x, lower, b):
+    assert np.array_equal(x, agent_major_solve(lower, b))
+    assert x.shape == b.shape and x.dtype == np.float64
+    assert x.flags.c_contiguous and x.flags.writeable
+    assert not np.shares_memory(x, lower) and not np.shares_memory(x, b)
+
+
+class TestCoordinateMajorSolve:
+    """spd_solve_stack gives the agent-major loop's bits, on every layout of its inputs."""
+
+    @pytest.mark.parametrize("k", [None, 3])
+    @pytest.mark.parametrize("n,d", [(1, 1), (1, 4), (7, 1), (10, 5), (100, 20), (1000, 5)])
+    def test_bitwise_equal_to_agent_major_loop(self, n, d, k):
+        rng = rng_for(50 + n + d)
+        lower = spd_factorize_stack(random_spd_stack(rng, n, d))
+        b = rng.standard_normal((n, d) if k is None else (n, d, k))
+        kept = b.copy()
+        assert_fresh_and_equal(spd_solve_stack(lower, b), lower, b)
+        assert np.array_equal(b, kept)
+
+    @pytest.mark.parametrize("n,d", [(1, 1), (4, 3), (10, 5)])
+    def test_read_only_broadcast_identity(self, n, d):
+        # The right-hand side harmonic_hessian_mean passes.
+        lower = spd_factorize_stack(random_spd_stack(rng_for(60), n, d))
+        eye = np.broadcast_to(np.eye(d), lower.shape)
+        assert not eye.flags.writeable
+        assert_fresh_and_equal(spd_solve_stack(lower, eye), lower, eye)
+
+    @pytest.mark.parametrize("k", [None, 2])
+    def test_non_contiguous_factors_and_rhs(self, k):
+        rng = rng_for(61)
+        n, d = 9, 4
+        lower = spd_factorize_stack(random_spd_stack(rng, n, d))
+        strided = np.empty((d, d, 2 * n)).transpose(2, 0, 1)[::2]  # neither C nor F order
+        strided[...] = lower
+        assert not strided.flags.c_contiguous and not strided.flags.f_contiguous
+        shape = (n, d) if k is None else (n, d, k)
+        b = np.asfortranarray(rng.standard_normal(shape))
+        x = spd_solve_stack(strided, b)
+        assert_fresh_and_equal(x, strided, b)
+        assert np.array_equal(x, spd_solve_stack(lower, np.ascontiguousarray(b)))
+
+
 class TestSecondSingularValue:
     def test_uniform_average_matrix(self):
         p = np.full((3, 3), 1.0 / 3.0)

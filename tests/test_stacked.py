@@ -214,6 +214,38 @@ def test_logistic_family_rejects_bad_labels_and_ridge(label, ridge):
         LogisticFamily(np.ones((3, 4, 2)), labels, ridge)
 
 
+def test_families_convert_list_stacks_and_type_bad_shapes():
+    family = QuadraticFamily([[[2.0]]], [[1.0]], [0])
+    assert family.a.dtype == family.b.dtype == family.c.dtype == np.float64
+    assert np.array_equal(family.gradients(np.ones((1, 1))), [[3.0]])
+    family = LogisticFamily([[[1.0, 0.0], [0.0, 1.0]]], [[1, -1]], 0.5)
+    assert family.features.dtype == family.labels.dtype == np.float64
+    assert family.shape == (1, 2)
+    with pytest.raises(DimensionMismatch, match="quadratic stacks"):
+        QuadraticFamily([[1.0]], [[0.0]], [0.0])
+    with pytest.raises(DimensionMismatch, match="quadratic stacks"):
+        QuadraticFamily([[[1.0]]], [0.0], [0.0])
+    with pytest.raises(DimensionMismatch, match="sample stacks"):
+        LogisticFamily([[1.0, 0.0]], [[1.0]], 0.1)
+    with pytest.raises(DimensionMismatch, match="sample stacks"):
+        LogisticFamily([[[1.0, 0.0]]], [1.0], 0.1)
+
+
+@pytest.mark.parametrize("ridge", [True, "0.1", float("nan"), 0, -1])
+def test_ridge_must_be_a_positive_real(ridge):
+    with pytest.raises(InvalidSpec, match="ridge"):
+        LogisticObjective(np.ones((4, 2)), np.ones(4), ridge)
+    with pytest.raises(InvalidSpec, match="ridge"):
+        LogisticFamily(np.ones((3, 4, 2)), np.ones((3, 4)), ridge)
+
+
+@pytest.mark.parametrize("ridge", [1, np.float32(0.25), 0.1])
+def test_family_stores_ridge_as_float(ridge):
+    family = LogisticFamily(np.ones((3, 4, 2)), np.ones((3, 4)), ridge)
+    assert type(family.ridge) is float and family.ridge == float(ridge)
+    assert type(LogisticObjective(np.ones((4, 2)), np.ones(4), ridge).ridge) is float
+
+
 def test_instance_needs_an_agent():
     with pytest.raises(InvalidSpec):
         ProblemInstance((), mu=1.0, lipschitz=1.0)
