@@ -25,6 +25,7 @@ evaluated with numpy's exp, so the package needs numpy alone at run time.
 
 from __future__ import annotations
 
+import sys
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, replace
 from functools import cached_property
@@ -33,12 +34,14 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import is_real, spd_factorize, spd_factorize_stack, spd_solve
+from .numerics import is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
 # log-uniformly from [1, 1 + h * HETEROGENEITY_SPREAD], so h = 1 yields a
 # condition spread of 11 across the instance.
 HETEROGENEITY_SPREAD = 10.0
+# Above it the top eigenvalue 1 + h * HETEROGENEITY_SPREAD is not a finite float.
+MAX_HETEROGENEITY = sys.float_info.max / HETEROGENEITY_SPREAD
 
 
 def _sigmoid(t: np.ndarray) -> np.ndarray:
@@ -433,12 +436,18 @@ class ProblemSpec:
         # Messages lead with the config key (lambda for ridge); NaN fails every comparison.
         if self.kind not in ("quadratic", "logistic"):
             raise InvalidSpec(f"kind must be quadratic or logistic, got {self.kind!r}")
-        if not self.n >= 1:
-            raise InvalidSpec(f"n must be >= 1, got {self.n}")
-        if not self.d >= 1:
-            raise InvalidSpec(f"d must be >= 1, got {self.d}")
-        if not self.heterogeneity >= 0:
-            raise InvalidSpec(f"heterogeneity must be nonnegative, got {self.heterogeneity}")
+        if not (is_integer(self.n) and self.n >= 1):
+            raise InvalidSpec(f"n must be an integer >= 1, got {self.n!r}")
+        if not (is_integer(self.d) and self.d >= 1):
+            raise InvalidSpec(f"d must be an integer >= 1, got {self.d!r}")
+        if not is_integer(self.samples_per_agent):
+            raise InvalidSpec(f"samples_per_agent must be an integer, got {self.samples_per_agent!r}")
+        if not (is_real(self.heterogeneity) and 0 <= self.heterogeneity <= MAX_HETEROGENEITY):
+            raise InvalidSpec(
+                f"heterogeneity must be a number in [0, {MAX_HETEROGENEITY:.4g}], got {self.heterogeneity!r}"
+            )
+        if not (is_real(self.ridge) and abs(self.ridge) <= sys.float_info.max):
+            raise InvalidSpec(f"lambda (ridge) must be a finite number, got {self.ridge!r}")
         if self.kind == "logistic":
             if not self.ridge > 0:
                 raise InvalidSpec(f"lambda (ridge) must be > 0 for logistic problems, got {self.ridge}")

@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,7 @@ from giantnet import (
     run,
     tracking_drift,
 )
+from giantnet import topology
 from giantnet.algorithms import DIVERGENCE_LIMIT, _diverged
 from giantnet.objectives import LocalObjective
 
@@ -441,6 +443,37 @@ class TestRun:
             run("giant", instance, ring_mixing(3), cfg, np.zeros((3, 2)))
         assert not isinstance(info.value, np.linalg.LinAlgError)
         assert objs[1].hessian_calls == 3  # one evaluation per step: the third step raised
+
+    @pytest.mark.parametrize("epsilon", [0.5, 50.0])
+    def test_sparse_mixing_run_matches_the_dense_run(self, monkeypatch, epsilon):
+        # Ring n=400 is above the CSR crossover. A dense product spreads NaN to every
+        # row once one entry is inf (0 * inf), a CSR product does not; the
+        # divergence check must still fire at the same iteration on both paths.
+        n = 400
+        instance = generate_problem(5, ProblemSpec(kind="quadratic", n=n, d=3, heterogeneity=1.0))
+        x0 = rng_for(13).standard_normal((n, 3))
+        cfg = AlgorithmConfig(epsilon=epsilon, max_iters=20, grad_tol=0.0)
+        sparse_mix = ring_mixing(n)
+        _, log = run("giant", instance, sparse_mix, cfg, x0)
+        assert not isinstance(sparse_mix._products[1], np.ndarray)
+        monkeypatch.setattr(topology, "SPARSE_RATIO", np.inf)  # every P^k stays dense
+        dense_mix = ring_mixing(n)
+        _, ref = run("giant", instance, dense_mix, cfg, x0)
+        assert dense_mix._products[1] is dense_mix.p
+
+        assert log.diverged == ref.diverged == (epsilon > 1)
+        assert [r.iteration for r in log.records] == [r.iteration for r in ref.records]
+        if log.diverged:
+            return
+        assert len(log) == 21
+        got, want = (np.array([astuple(r) for r in lg.records]) for lg in (log, ref))
+        assert np.isfinite(got).all()
+        assert got[:, 4].max() <= 1e-9  # tracking_drift
+        # Each column to 1e-12 of its largest entry; the drift column is roundoff in
+        # both runs, so it agrees to the drift bound only.
+        for col in (1, 2, 3, 5):  # opt_gap, consensus_err, grad_norm, lyapunov
+            assert np.abs(got[:, col] - want[:, col]).max() <= 1e-12 * np.abs(want[:, col]).max()
+        assert np.abs(got[:, 4] - want[:, 4]).max() <= 1e-9
 
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring

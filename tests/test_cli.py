@@ -8,7 +8,14 @@ import pytest
 
 import giantnet.cli
 from giantnet.cli import main
-from giantnet.topology import MixingCheck, ValidationReport
+from giantnet.topology import (
+    MixingCheck,
+    ValidationReport,
+    _product,
+    _RowSparse,
+    make_graph,
+    metropolis_weights,
+)
 
 GOOD = {
     "problem": {"kind": "quadratic", "n": 6, "d": 3, "heterogeneity": 1.0, "seed": 5},
@@ -163,8 +170,16 @@ def test_cli_paths_load_numpy_only(tmp_path):
     # memory (scipy 1.17.1). The check after the commands catches numpy submodules that load
     # lazily (numpy.random, numpy.ma via np.unique), which would move that
     # cost into setup instead of removing it.
+    # A 400-node ring is above the crossover where mix applies P as CSR.
+    assert isinstance(_product(metropolis_weights(make_graph("ring", 400)).p), _RowSparse)
     root = Path(__file__).resolve().parents[1]
     quad, logi = (str(root / "configs" / f"{name}.json") for name in ("quadratic_ring", "logistic_er"))
+    ring = tmp_path / "ring400.json"
+    ring.write_text(json.dumps({
+        "problem": {"kind": "quadratic", "n": 400, "d": 2, "heterogeneity": 1.0},
+        "topology": {"kind": "ring"},
+        "algorithm": {"epsilon": 0.2, "max_iters": 5},
+    }))
     code = f"""
 import contextlib, io, sys
 sys.path.insert(0, {str(root / 'src')!r})
@@ -172,7 +187,7 @@ import giantnet, giantnet.cli
 print(sorted(m for m in sys.modules if m.startswith("scipy")))
 before = set(sys.modules)
 with contextlib.redirect_stdout(io.StringIO()):
-    for cfg in {quad!r}, {logi!r}:
+    for cfg in {quad!r}, {logi!r}, {str(ring)!r}:
         assert giantnet.cli.main(["run", "--config", cfg, "--out", {str(tmp_path / 'run.csv')!r}]) == 0
         assert giantnet.cli.main(["validate", "--config", cfg]) == 0
         assert giantnet.cli.main(["graph", "--config", cfg]) == 0

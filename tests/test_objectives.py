@@ -11,7 +11,12 @@ from giantnet import (
     centralized_newton,
     generate_problem,
 )
-from giantnet.objectives import _sigmoid, finite_difference_gradient, finite_difference_hessian
+from giantnet.objectives import (
+    MAX_HETEROGENEITY,
+    _sigmoid,
+    finite_difference_gradient,
+    finite_difference_hessian,
+)
 
 from conftest import rng_for
 
@@ -219,3 +224,28 @@ class TestGenerateProblem:
             ProblemSpec(kind="logistic", n=2, d=2, ridge=-1.0)
         with pytest.raises(InvalidSpec):
             ProblemSpec(kind="cubic", n=2, d=2)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("n", 2.5),
+            ("n", True),
+            ("d", "3"),
+            ("samples_per_agent", 2.5),
+            ("ridge", True),
+            ("ridge", "0.1"),
+            ("ridge", float("inf")),
+            ("heterogeneity", float("inf")),
+            ("heterogeneity", 1e308),  # 1 + 10 h overflows
+            ("heterogeneity", True),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_spec_fields_are_typed(self, kind, field, value):
+        key = "lambda" if field == "ridge" else field  # messages name the config key
+        with pytest.raises(InvalidSpec, match=f"^{key} "):
+            ProblemSpec(kind=kind, **{"n": 2, "d": 2, field: value})
+
+    def test_largest_heterogeneity_generates(self):
+        spec = ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=MAX_HETEROGENEITY)
+        assert np.isfinite(generate_problem(1, spec).lipschitz)

@@ -6,6 +6,7 @@ import pytest
 from giantnet import (
     ConnectivityFailure,
     InvalidParams,
+    MixingMatrix,
     make_graph,
     metropolis_weights,
     second_singular_value,
@@ -126,6 +127,58 @@ class TestMix:
         cube = mix.power(3)
         assert mix.power(3) is cube
         assert not cube.flags.writeable
+
+    @pytest.mark.parametrize(
+        "kind, n, sparse",
+        # the benchmark's graphs: ring10 and er100 stay dense, ring1000 goes sparse
+        [("ring", 10, False), ("erdos_renyi", 100, False), ("ring", 200, False), ("ring", 1000, True)],
+    )
+    def test_sparse_path_chosen_from_n_and_nnz(self, kind, n, sparse):
+        mix = metropolis_weights(make_graph(kind, n, p=0.1))
+        mix.mix(np.ones((n, 2)))
+        assert on_sparse_path(mix) == sparse
+
+    @pytest.mark.parametrize("shape", [(1,), (5,), ()], ids=["d1", "d5", "vector"])
+    @pytest.mark.parametrize("kind, n", [("ring", 400), ("star", 400), ("grid", 676)])
+    def test_sparse_product_agrees_with_dense(self, kind, n, shape):
+        mix = metropolis_weights(make_graph(kind, n))
+        # positive entries: no cancellation, so the few ulp of a reordered sum stay relative
+        x = rng_for(6).uniform(1.0, 2.0, size=(n, *shape))
+        out = mix.mix(x)
+        assert on_sparse_path(mix)
+        assert out.shape == x.shape
+        np.testing.assert_allclose(out, mix.p @ x, rtol=1e-14, atol=0)
+
+    @pytest.mark.parametrize("n, sparse", [(6, False), (700, True)])
+    def test_k_rounds_are_the_product_by_the_power_on_both_paths(self, n, sparse):
+        mix = metropolis_weights(make_graph("ring", n))
+        x = rng_for(7).standard_normal((n, 3))
+        out = mix.mix(x, 2)
+        assert on_sparse_path(mix, 2) == sparse
+        assert np.array_equal(out, MixingMatrix(mix.power(2)).mix(x))
+
+    def test_zero_row_mixes_to_exact_zeros(self):
+        p = metropolis_weights(make_graph("ring", 400)).p.copy()
+        p[7] = 0.0
+        mix = MixingMatrix(p)
+        x = rng_for(8).standard_normal((400, 3))
+        out = mix.mix(x)
+        assert not on_sparse_path(mix)
+        assert np.array_equal(out[7], np.zeros(3))
+        assert np.array_equal(out, p @ x)
+
+    @pytest.mark.parametrize("n", [6, 400])
+    def test_repeated_calls_are_bitwise_equal(self, n):
+        mix = metropolis_weights(make_graph("ring", n))
+        x = rng_for(9).standard_normal((n, 4))
+        first = mix.mix(x)
+        assert np.array_equal(mix.mix(x), first)
+        assert np.array_equal(mix.mix(x.copy()), first)
+
+
+def on_sparse_path(mix: MixingMatrix, k: int = 1) -> bool:
+    """Whether ``mix`` applies P^k as CSR; read after its first ``mix(x, k)``."""
+    return not isinstance(mix._products[k], np.ndarray)
 
 
 class TestValidateMixing:
