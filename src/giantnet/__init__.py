@@ -53,7 +53,6 @@ from .harness import (
     validate_experiment,
 )
 from .numerics import (
-    SpdFactorization,
     second_singular_value,
     spd_factorize,
     spd_factorize_stack,

@@ -35,7 +35,9 @@ import numpy as np
 
 from .diagnostics import MetricsLog, metrics_record
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import frobenius_norm, is_integer, is_real, spd_factorize, spd_solve, spd_solve_stack
+from .numerics import (
+    frobenius_norm, is_finite_real, is_integer, is_real, spd_factorize, spd_solve, spd_solve_stack
+)
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
@@ -54,10 +56,10 @@ class AlgorithmConfig:
     ``K`` applies to ``giant`` only: ``gt_step`` and ``dgd_step`` mix once
     per iteration with ``P.mix``, so ``compare`` at ``K > 1`` gives giant K
     rounds per iteration and the baselines one. ``K`` and ``max_iters`` are
-    Python or NumPy integers, ``epsilon`` and ``grad_tol`` Python or NumPy
-    real numbers, never bools. ``epsilon = 0`` is accepted so
-    pure-consensus dynamics can be studied; optimization configs should
-    keep it positive.
+    Python or NumPy integers, ``epsilon`` and ``grad_tol`` finite Python or
+    NumPy real numbers (no NaN, infinity or integer beyond the float
+    range), never bools. ``epsilon = 0`` is accepted so pure-consensus
+    dynamics can be studied; optimization configs should keep it positive.
     """
 
     epsilon: float = 1.0
@@ -66,14 +68,14 @@ class AlgorithmConfig:
     grad_tol: float = 1e-10
 
     def __post_init__(self):
-        # Messages lead with the field name; NaN fails every comparison.
-        if not (is_real(self.epsilon) and self.epsilon >= 0):
+        # Messages lead with the field name.
+        if not (is_finite_real(self.epsilon) and self.epsilon >= 0):
             raise InvalidParams(f"epsilon must be a nonnegative real number, got {self.epsilon!r}")
         if not (is_integer(self.K) and self.K >= 1):
             raise InvalidParams(f"K must be a positive integer, got {self.K}")
         if not (is_integer(self.max_iters) and self.max_iters >= 0):
             raise InvalidParams(f"max_iters must be a nonnegative integer, got {self.max_iters}")
-        if not (is_real(self.grad_tol) and self.grad_tol >= 0):
+        if not (is_finite_real(self.grad_tol) and self.grad_tol >= 0):
             raise InvalidParams(f"grad_tol must be a nonnegative real number, got {self.grad_tol!r}")
 
 

@@ -10,7 +10,6 @@ including its CSV output, byte-reproducible.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -19,6 +18,7 @@ from numpy.random import Generator, Philox
 from .algorithms import ALGORITHMS, DIVERGENCE_LIMIT, AlgorithmConfig, centralized_newton, run
 from .diagnostics import MetricsLog, estimate_rate
 from .errors import InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
+from .numerics import is_finite_real, is_integer
 from .objectives import ProblemInstance, ProblemSpec, generate_problem
 from .topology import (
     Graph,
@@ -81,29 +81,22 @@ def _require(block: dict, key: str, where: str):
     return block[key]
 
 
-def _as_int(value, where: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{where} must be an integer, got {value!r}")
+def _as_seed(value, where: str) -> int:
+    if not (is_integer(value) and value >= 0):
+        raise ValidationError(f"{where} must be a nonnegative integer, got {value!r}")
     return value
 
 
-def _as_seed(value, where: str) -> int:
-    seed = _as_int(value, where)
-    if seed < 0:
-        raise ValidationError(f"{where} must be nonnegative, got {seed}")
-    return seed
-
-
-def _as_real(value, where: str) -> float:
-    # json.loads also accepts NaN, Infinity and integers too large for a float.
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) <= sys.float_info.max):
-        raise ValidationError(f"{where} must be a finite number, got {value!r}")
-    return float(value)
+def _epsilon_grid(values) -> tuple[float, ...]:
+    """The step sizes of a tuning grid as floats; InvalidParams unless each is a finite real > 0."""
+    grid = tuple(values)
+    if not grid or not all(is_finite_real(eps) and eps > 0 for eps in grid):
+        raise InvalidParams(f"epsilon_grid must be a nonempty list of finite reals > 0, got {list(grid)}")
+    return tuple(float(eps) for eps in grid)
 
 
 def _construct(block: str, spec, **fields):
-    """``spec(**fields)``; its range errors lead with the key, so they name the config path."""
+    """``spec(**fields)``; its type and range errors lead with the key, so they name the config path."""
     try:
         return spec(**fields)
     except (InvalidSpec, InvalidParams) as exc:
@@ -116,9 +109,9 @@ def load_config(path: str) -> ExperimentConfig:
     Defaults: algorithm.name giant, epsilon 1.0, K 1, max_iters 5000,
     grad_tol 1e-10, samples_per_agent 20, lambda 0.1, heterogeneity 0,
     seeds 0, topology.n = problem.n, topology.p 0.5, output metrics.csv.
-    The spec constructors check the ranges. Raises ParseError for malformed
-    JSON (with line/column context) and ValidationError naming the
-    offending field(s) otherwise.
+    The spec constructors type the fields and check their ranges. Raises
+    ParseError for malformed JSON (with line/column context) and
+    ValidationError naming the offending field(s) otherwise.
     """
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -136,55 +129,51 @@ def load_config(path: str) -> ExperimentConfig:
         "problem",
         ProblemSpec,
         kind=_require(prob, "kind", "problem"),
-        n=_as_int(_require(prob, "n", "problem"), "problem.n"),
-        d=_as_int(_require(prob, "d", "problem"), "problem.d"),
-        samples_per_agent=_as_int(prob.get("samples_per_agent", 20), "problem.samples_per_agent"),
-        ridge=_as_real(prob.get("lambda", 0.1), "problem.lambda"),
-        heterogeneity=_as_real(prob.get("heterogeneity", 0.0), "problem.heterogeneity"),
+        n=_require(prob, "n", "problem"),
+        d=_require(prob, "d", "problem"),
+        samples_per_agent=prob.get("samples_per_agent", 20),
+        ridge=prob.get("lambda", 0.1),
+        heterogeneity=prob.get("heterogeneity", 0.0),
     )
     problem_seed = _as_seed(prob.get("seed", 0), "problem.seed")
 
     topo = _require(raw, "topology", "config")
     _reject_unknown(topo, _TOPOLOGY_FIELDS, "topology")
-    topo_n = _as_int(topo.get("n", problem.n), "topology.n")
-    if topo_n != problem.n:
-        raise ValidationError(f"topology.n ({topo_n}) must equal problem.n ({problem.n})")
     topology = _construct(
         "topology",
         TopologySpec,
         kind=_require(topo, "kind", "topology"),
-        n=topo_n,
-        p=_as_real(topo.get("p", 0.5), "topology.p"),
-        seed=_as_int(topo.get("seed", 0), "topology.seed"),
+        n=topo.get("n", problem.n),
+        p=topo.get("p", 0.5),
+        seed=topo.get("seed", 0),
     )
+    if topology.n != problem.n:
+        raise ValidationError(f"topology.n ({topology.n}) must equal problem.n ({problem.n})")
 
     algo = raw.get("algorithm", {})
     _reject_unknown(algo, _ALGORITHM_FIELDS, "algorithm")
     name = algo.get("name", "giant")
     if name not in ALGORITHMS:
         raise ValidationError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
-    epsilon = _as_real(algo.get("epsilon", 1.0), "algorithm.epsilon")
-    if epsilon <= 0:
-        raise ValidationError(f"algorithm.epsilon must be positive, got {epsilon}")
     algorithm = _construct(
         "algorithm",
         AlgorithmConfig,
-        epsilon=epsilon,
-        K=_as_int(algo.get("K", 1), "algorithm.K"),
-        max_iters=_as_int(algo.get("max_iters", 5000), "algorithm.max_iters"),
-        grad_tol=_as_real(algo.get("grad_tol", 1e-10), "algorithm.grad_tol"),
+        epsilon=algo.get("epsilon", 1.0),
+        K=algo.get("K", 1),
+        max_iters=algo.get("max_iters", 5000),
+        grad_tol=algo.get("grad_tol", 1e-10),
     )
+    if not algorithm.epsilon > 0:
+        raise ValidationError(f"algorithm.epsilon must be positive, got {algorithm.epsilon}")
 
     grid = None
     if "tuner" in raw:
         tuner = raw["tuner"]
         _reject_unknown(tuner, _TUNER_FIELDS, "tuner")
         values = _require(tuner, "epsilon_grid", "tuner")
-        if not isinstance(values, list) or not values:
+        if not isinstance(values, list):
             raise ValidationError("tuner.epsilon_grid must be a nonempty list")
-        grid = tuple(_as_real(v, "tuner.epsilon_grid") for v in values)
-        if any(v <= 0 for v in grid):
-            raise ValidationError("tuner.epsilon_grid entries must be positive")
+        grid = _construct("tuner", _epsilon_grid, values=values)
 
     output = raw.get("output", "metrics.csv")
     if not isinstance(output, str):
@@ -315,7 +304,7 @@ def _tune_key(r: TuneResult):
 
 def _check_target(target) -> None:
     # NaN would compare below no gap, so every run would read not_reached.
-    if not 0.0 <= target < np.inf:
+    if not (is_finite_real(target) and target >= 0):
         raise InvalidParams(f"target must be a finite number >= 0, got {target}")
 
 
@@ -327,12 +316,11 @@ def tune_epsilon(
     ``target`` defaults to the configured grad_tol, reused as an
     optimality-gap threshold. Diverged runs are marked, never raised;
     among runs that never reach the target the smallest final gap wins,
-    with grid order breaking ties. Raises InvalidParams for an empty or
-    nonpositive grid and for a target that is not a finite number >= 0.
+    with grid order breaking ties. Raises InvalidParams for a grid that is
+    empty or holds anything but finite reals > 0, and for a target that is
+    not a finite number >= 0.
     """
-    grid = tuple(float(e) for e in grid)
-    if not grid or any(e <= 0 for e in grid):
-        raise InvalidParams("epsilon grid must be nonempty and positive")
+    grid = _epsilon_grid(grid)
     if target is None:
         target = cfg.algorithm.grad_tol
     _check_target(target)

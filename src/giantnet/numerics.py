@@ -5,20 +5,26 @@ few hundred): Cholesky factorization of SPD matrices, triangular solves
 that realize inverse-Hessian action without ever forming an inverse, and
 the spectral quantity governing consensus contraction.
 
-The ``*_stack`` variants act on all agents at once: one batched Cholesky
-call over an (n, d, d) stack, and substitution that loops over the d
-coordinates while each step covers every agent. Per-matrix LAPACK
-triangular solves cost a call per agent, which dominates at n >= 100.
-The substitution runs coordinate-major: it copies the factors to a
-C-contiguous (d, d, n) array and the right-hand sides to (d, n[, k]), so
-every step reads and updates contiguous rows instead of strided slices
-of the agent-major stacks. Each entry sees the same operations in the
-same order as it would agent-major, so the results are the same bits.
+A Cholesky factor is a plain lower-triangular array: (d, d) from
+``spd_factorize``, (n, d, d) from ``spd_factorize_stack``, and the solves
+take it as it comes. The ``*_stack`` variants act on all agents at once:
+one batched Cholesky call over an (n, d, d) stack, and substitution that
+loops over the d coordinates while each step covers every agent.
+Per-matrix LAPACK triangular solves cost a call per agent, which
+dominates at n >= 100. The substitution runs coordinate-major: it copies
+the factors to a C-contiguous (d, d, n) array and the right-hand sides
+to (d, n[, k]), so every step reads and updates contiguous rows instead
+of strided slices of the agent-major stacks. Each entry sees the same
+operations in the same order as it would agent-major, so the results
+are the same bits.
 
 The consensus contraction factor sigma2 comes from the symmetric
 eigensolver when the mixing matrix equals its transpose exactly, and
 from a full SVD otherwise; a matrix with a NaN or infinite entry has
 sigma2 NaN and reaches neither.
+
+``is_integer``, ``is_real`` and ``is_finite_real`` are the type tests
+every constructor applies to its scalar fields.
 
 All functions are pure; returned arrays are fresh and never alias inputs.
 """
@@ -26,7 +32,6 @@ All functions are pure; returned arrays are fresh and never alias inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,6 +54,14 @@ def is_real(value) -> bool:
     return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
 
 
+def is_finite_real(value) -> bool:
+    """``is_real`` and finite as a float: no NaN, no infinity, no integer too large for a float."""
+    try:
+        return is_real(value) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        return False
+
+
 def frobenius_norm(v: np.ndarray) -> float:
     """sqrt of the sum of squares of all entries of a float array, as a Python float.
 
@@ -61,21 +74,7 @@ def frobenius_norm(v: np.ndarray) -> float:
     return math.sqrt(v.dot(v))
 
 
-@dataclass(frozen=True)
-class SpdFactorization:
-    """Lower-triangular Cholesky factor of a symmetric positive definite matrix."""
-
-    lower: np.ndarray
-
-    @property
-    def dimension(self) -> int:
-        return self.lower.shape[0]
-
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        return spd_solve(self, b)
-
-
-def spd_factorize(h: np.ndarray) -> SpdFactorization:
+def spd_factorize(h: np.ndarray) -> np.ndarray:
     """Factor a symmetric positive definite matrix as L @ L.T.
 
     It is the one-matrix case of :func:`spd_factorize_stack`.
@@ -88,7 +87,8 @@ def spd_factorize(h: np.ndarray) -> SpdFactorization:
 
     Returns
     -------
-    SpdFactorization
+    (d, d) array
+        The lower-triangular factor L, which :func:`spd_solve` takes.
 
     Raises
     ------
@@ -102,7 +102,7 @@ def spd_factorize(h: np.ndarray) -> SpdFactorization:
     h = np.asarray(h, dtype=float)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    return SpdFactorization(spd_factorize_stack(h[None])[0])
+    return spd_factorize_stack(h[None])[0]
 
 
 def spd_factorize_stack(h: np.ndarray) -> np.ndarray:
@@ -126,18 +126,18 @@ def spd_factorize_stack(h: np.ndarray) -> np.ndarray:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
 
 
-def spd_solve(f: SpdFactorization, b: np.ndarray) -> np.ndarray:
-    """Solve H x = b given the Cholesky factorization of H.
+def spd_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve H x = b given the lower Cholesky factor of H from :func:`spd_factorize`.
 
     ``b`` may be a vector of length d or a (d, k) matrix of stacked
     right-hand sides. It is the one-matrix case of :func:`spd_solve_stack`.
     """
     b = np.asarray(b, dtype=float)
-    if b.shape[0] != f.dimension:
+    if b.shape[0] != lower.shape[0]:
         raise DimensionMismatch(
-            f"right-hand side has leading dimension {b.shape[0]}, factor is {f.dimension}"
+            f"right-hand side has leading dimension {b.shape[0]}, factor is {lower.shape[0]}"
         )
-    return spd_solve_stack(f.lower[None], b[None])[0]
+    return spd_solve_stack(lower[None], b[None])[0]
 
 
 def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

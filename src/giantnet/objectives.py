@@ -34,7 +34,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve
+from .numerics import is_finite_real, is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
 # log-uniformly from [1, 1 + h * HETEROGENEITY_SPREAD], so h = 1 yields a
@@ -341,10 +341,11 @@ class ProblemInstance:
 
     ``family`` is the agents' one description, from which ``objectives``,
     ``n_agents`` and ``dimension`` derive; a tuple of objectives passed in its
-    place is wrapped in ``ObjectiveLoop``. ``mu`` and ``lipschitz`` bound
-    every local Hessian from below and above. ``reference_solution`` is the
-    minimizer of the averaged cost when known; the harness fills it in for
-    families without a closed form. Instances compare by identity.
+    place is wrapped in ``ObjectiveLoop``. ``mu`` and ``lipschitz``, finite
+    real numbers (never bools) with 0 < mu <= L, bound every local Hessian from
+    below and above. ``reference_solution`` is the minimizer of the averaged
+    cost when known; the harness fills it in for families without a closed
+    form. Instances compare by identity.
     """
 
     family: AgentFamily = field(repr=False)
@@ -357,8 +358,8 @@ class ProblemInstance:
             object.__setattr__(self, "family", ObjectiveLoop(tuple(self.family)))
         if not self.n_agents >= 1:
             raise InvalidSpec("instance needs at least one agent")
-        if not 0 < self.mu <= self.lipschitz:
-            raise InvalidSpec(f"bounds must satisfy 0 < mu <= L, got ({self.mu}, {self.lipschitz})")
+        if not (is_finite_real(self.mu) and is_finite_real(self.lipschitz) and 0 < self.mu <= self.lipschitz):
+            raise InvalidSpec(f"bounds must be finite with 0 < mu <= L, got ({self.mu!r}, {self.lipschitz!r})")
 
     @property
     def objectives(self) -> tuple[LocalObjective, ...]:
@@ -446,7 +447,7 @@ class ProblemSpec:
             raise InvalidSpec(
                 f"heterogeneity must be a number in [0, {MAX_HETEROGENEITY:.4g}], got {self.heterogeneity!r}"
             )
-        if not (is_real(self.ridge) and abs(self.ridge) <= sys.float_info.max):
+        if not is_finite_real(self.ridge):
             raise InvalidSpec(f"lambda (ridge) must be a finite number, got {self.ridge!r}")
         if self.kind == "logistic":
             if not self.ridge > 0:

@@ -15,7 +15,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams
-from .numerics import is_integer, second_singular_value
+from .numerics import is_finite_real, is_integer, second_singular_value
 
 GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
 
@@ -84,11 +84,11 @@ class Graph:
 class MixingMatrix:
     """Consensus weights over a graph; rows and columns sum to one.
 
-    Every consensus product goes through :meth:`mix`. Powers of ``p`` and
-    the form in which ``mix`` applies each of them are memoized per
-    instance, so ``p`` must not be modified after the first call to
-    ``mix`` or ``power``. ``p`` itself stays the dense array that
-    validation and ``power`` read.
+    ``p`` is converted to a float array (a float array is kept as is) and
+    must be square. Every consensus product goes through :meth:`mix`,
+    which memoizes per k the form in which it applies P^k, so ``p`` must
+    not be modified after the first call to ``mix``. ``p`` itself stays the
+    dense array that validation and ``power`` read.
 
     ``mix`` applies P^k as the dense ``@`` unless nnz(P^k) * SPARSE_RATIO
     <= n^2 and every row of P^k has a nonzero; then it sums the nonzeros
@@ -99,30 +99,31 @@ class MixingMatrix:
     """
 
     p: np.ndarray
-    _powers: dict = field(default_factory=dict, init=False, repr=False)
     _products: dict = field(default_factory=dict, init=False, repr=False)  # k -> P^k as mix applies it
+
+    def __post_init__(self):
+        p = np.asarray(self.p, dtype=float)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise DimensionMismatch(f"mixing matrix must be square, got shape {p.shape}")
+        object.__setattr__(self, "p", p)
 
     @property
     def n(self) -> int:
         return self.p.shape[0]
 
     def power(self, k: int) -> np.ndarray:
-        """P^k by repeated left-to-right multiplication, built once per k.
+        """P^k by repeated left-to-right multiplication; ``power(1)`` is ``p`` itself.
 
         The association order is pinned so that k rounds of mixing and a
-        single multiplication by the precomputed power are bitwise equal.
-        ``power(1)`` is ``p`` itself.
+        single multiplication by the power are bitwise equal. Each call
+        builds the power afresh; ``mix`` keeps what it applies.
         """
         if not (is_integer(k) and k >= 1):
             raise InvalidParams(f"k must be a positive integer, got {k}")
-        if k not in self._powers:
-            out = self.p
-            for _ in range(k - 1):
-                out = out @ self.p
-            if k > 1:
-                out.flags.writeable = False  # shared by every later call
-            self._powers[k] = out
-        return self._powers[k]
+        out = self.p
+        for _ in range(k - 1):
+            out = out @ self.p
+        return out
 
     def mix(self, x: np.ndarray, k: int = 1) -> np.ndarray:
         """k consensus rounds on an (n, d) stack or an (n,) vector: P^k @ x."""
@@ -130,7 +131,7 @@ class MixingMatrix:
             raise InvalidParams(f"k must be a positive integer, got {k}")
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
-        op = self._products.get(k)  # a hit skips power, so power runs once per k
+        op = self._products.get(k)  # a hit skips power, so power runs once per k and instance
         if op is None:
             op = self._products[k] = _product(self.power(k))
         return op @ x
@@ -169,17 +170,22 @@ def _product(pk: np.ndarray) -> np.ndarray | _RowSparse:
 
 
 def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:
-    """Raise InvalidParams, led by the parameter's name, for arguments ``make_graph`` rejects."""
-    if not n >= 1:
-        raise InvalidParams(f"n must be >= 1, got {n}")
+    """Raise InvalidParams, led by the parameter's name, for arguments ``make_graph`` rejects.
+
+    ``n`` and ``seed`` must be integers and ``p`` a finite real for every kind, never bools.
+    """
+    if not (is_integer(n) and n >= 1):
+        raise InvalidParams(f"n must be an integer >= 1, got {n!r}")
     if kind not in GRAPH_KINDS:
         raise InvalidParams(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
     if kind == "grid" and n % int(np.ceil(np.sqrt(n))):
         raise InvalidParams(f"n must be a multiple of ceil(sqrt(n)) for a grid, got {n}")
+    if not is_finite_real(p):
+        raise InvalidParams(f"p must be a finite real number, got {p!r}")
     if kind == "erdos_renyi" and not 0.0 < p <= 1.0:
         raise InvalidParams(f"p must be in (0, 1], got {p}")
-    if not seed >= 0:
-        raise InvalidParams(f"seed must be nonnegative, got {seed}")
+    if not (is_integer(seed) and seed >= 0):
+        raise InvalidParams(f"seed must be a nonnegative integer, got {seed!r}")
 
 
 def make_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> Graph:

@@ -531,11 +531,13 @@ def test_integer_fields_are_typed(field, value, accepted):
         (float("nan"), False),
         (np.float32(0.5), True),
         (np.int64(2), True),
+        (float("inf"), False),
+        pytest.param(10**400, False, id="1e400"),  # json.loads reads such an integer exactly
     ],
 )
 @pytest.mark.parametrize("field", ["epsilon", "grad_tol"])
 def test_real_fields_are_typed(field, value, accepted):
-    # A bool is a flag and an array is not one step size; NaN fails the range check.
+    # A bool is a flag and an array is not one step size; NaN and infinities are not finite.
     if accepted:
         assert getattr(AlgorithmConfig(**{field: value}), field) == value
     else:

@@ -7,12 +7,18 @@ import numpy as np
 import pytest
 
 from giantnet import (
+    AlgorithmConfig,
+    InvalidParams,
+    InvalidSpec,
     LogisticObjective,
     ParseError,
+    ProblemSpec,
     QuadraticObjective,
+    TopologySpec,
     ValidationError,
     estimate_rate,
     load_config,
+    make_graph,
     run,
     tune_epsilon,
 )
@@ -51,6 +57,61 @@ def base_cfg(**overrides):
         else:
             cfg[key] = value
     return cfg
+
+
+def tune_on_shipped_config(epsilon_grid):
+    # tune_epsilon checks its grid before it builds anything
+    return tune_epsilon(load_config(str(CONFIGS / "quadratic_ring.json")), epsilon_grid)
+
+
+# The owner of each checked field: the calls that receive it, their other arguments, their error.
+OWNERS = {
+    "problem": ((ProblemSpec,), {"kind": "quadratic", "n": 6, "d": 3}, InvalidSpec),
+    "topology": ((TopologySpec, make_graph), {"kind": "ring", "n": 6}, InvalidParams),
+    "algorithm": ((AlgorithmConfig,), {}, InvalidParams),
+    "tuner": ((tune_on_shipped_config,), {}, InvalidParams),
+}
+
+# (config overrides, config path, owner, the owner's arguments holding the same bad value);
+# owner None: the loader makes the check itself (seeds outside the topology block).
+CONFIG_CASES = [
+    ({"problem": {"kind": "cubic"}}, "problem.kind", "problem", {"kind": "cubic"}),
+    ({"problem": {"n": 0}}, "problem.n", "problem", {"n": 0}),
+    ({"problem": {"d": 0}}, "problem.d", "problem", {"d": 0}),
+    ({"problem": {"kind": "logistic", "samples_per_agent": 0}}, "problem.samples_per_agent",
+     "problem", {"kind": "logistic", "samples_per_agent": 0}),
+    ({"problem": {"heterogeneity": -0.5}}, "problem.heterogeneity", "problem", {"heterogeneity": -0.5}),
+    ({"problem": {"kind": "logistic", "lambda": -0.1}}, "problem.lambda",
+     "problem", {"kind": "logistic", "ridge": -0.1}),
+    ({"topology": {"kind": "torus"}}, "topology.kind", "topology", {"kind": "torus"}),
+    ({"topology": {"kind": "erdos_renyi", "p": 0.0}}, "topology.p",
+     "topology", {"kind": "erdos_renyi", "p": 0.0}),
+    ({"problem": {"n": 5}, "topology": {"kind": "grid", "n": 5}}, "topology.n",
+     "topology", {"kind": "grid", "n": 5}),
+    ({"algorithm": {"K": 0}}, "algorithm.K", "algorithm", {"K": 0}),
+    ({"algorithm": {"max_iters": -1}}, "algorithm.max_iters", "algorithm", {"max_iters": -1}),
+    ({"algorithm": {"grad_tol": -1e-3}}, "algorithm.grad_tol", "algorithm", {"grad_tol": -1e-3}),
+    ({"algorithm": {"epsilon": float("nan")}}, "algorithm.epsilon", "algorithm", {"epsilon": float("nan")}),
+    ({"algorithm": {"grad_tol": float("nan")}}, "algorithm.grad_tol", "algorithm", {"grad_tol": float("nan")}),
+    ({"algorithm": {"grad_tol": float("inf")}}, "algorithm.grad_tol", "algorithm", {"grad_tol": float("inf")}),
+    ({"problem": {"heterogeneity": float("inf")}}, "problem.heterogeneity",
+     "problem", {"heterogeneity": float("inf")}),
+    ({"problem": {"heterogeneity": 10**400}}, "problem.heterogeneity", "problem", {"heterogeneity": 10**400}),
+    ({"topology": {"kind": "erdos_renyi", "p": float("nan")}}, "topology.p",
+     "topology", {"kind": "erdos_renyi", "p": float("nan")}),
+    ({"tuner": {"epsilon_grid": [0.1, float("-inf")]}}, "tuner.epsilon_grid",
+     "tuner", {"epsilon_grid": [0.1, float("-inf")]}),
+    ({"problem": {"seed": -1}}, "problem.seed", None, None),
+    ({"topology": {"seed": -1}}, "topology.seed", "topology", {"seed": -1}),
+    ({"run_seed": -1}, "run_seed", None, None),
+    ({"algorithm": {"epsilon": 10**400}}, "algorithm.epsilon", "algorithm", {"epsilon": 10**400}),
+    ({"algorithm": {"grad_tol": 10**400}}, "algorithm.grad_tol", "algorithm", {"grad_tol": 10**400}),
+    ({"tuner": {"epsilon_grid": ["0.1"]}}, "tuner.epsilon_grid", "tuner", {"epsilon_grid": ["0.1"]}),
+    ({"tuner": {"epsilon_grid": [True]}}, "tuner.epsilon_grid", "tuner", {"epsilon_grid": [True]}),
+    ({"topology": {"seed": 1.5}}, "topology.seed", "topology", {"seed": 1.5}),
+    ({"topology": {"p": float("nan")}}, "topology.p", "topology", {"p": float("nan")}),
+]
+CONSTRUCTOR_OWNED = [case for case in CONFIG_CASES if case[2] is not None]
 
 
 class TestLoadConfig:
@@ -118,38 +179,27 @@ class TestLoadConfig:
         with pytest.raises(ValidationError, match="topology.kind"):
             load_config(write_cfg(tmp_path, payload))
 
-    @pytest.mark.parametrize(
-        "overrides, path",
-        [
-            ({"problem": {"kind": "cubic"}}, "problem.kind"),
-            ({"problem": {"n": 0}}, "problem.n"),
-            ({"problem": {"d": 0}}, "problem.d"),
-            ({"problem": {"kind": "logistic", "samples_per_agent": 0}}, "problem.samples_per_agent"),
-            ({"problem": {"heterogeneity": -0.5}}, "problem.heterogeneity"),
-            ({"problem": {"kind": "logistic", "lambda": -0.1}}, "problem.lambda"),
-            ({"topology": {"kind": "torus"}}, "topology.kind"),
-            ({"topology": {"kind": "erdos_renyi", "p": 0.0}}, "topology.p"),
-            ({"problem": {"n": 5}, "topology": {"kind": "grid", "n": 5}}, "topology.n"),
-            ({"algorithm": {"K": 0}}, "algorithm.K"),
-            ({"algorithm": {"max_iters": -1}}, "algorithm.max_iters"),
-            ({"algorithm": {"grad_tol": -1e-3}}, "algorithm.grad_tol"),
-            ({"algorithm": {"epsilon": float("nan")}}, "algorithm.epsilon"),
-            ({"algorithm": {"grad_tol": float("nan")}}, "algorithm.grad_tol"),
-            ({"algorithm": {"grad_tol": float("inf")}}, "algorithm.grad_tol"),
-            ({"problem": {"heterogeneity": float("inf")}}, "problem.heterogeneity"),
-            ({"problem": {"heterogeneity": 10**400}}, "problem.heterogeneity"),
-            ({"topology": {"kind": "erdos_renyi", "p": float("nan")}}, "topology.p"),
-            ({"tuner": {"epsilon_grid": [0.1, float("-inf")]}}, "tuner.epsilon_grid"),
-            ({"problem": {"seed": -1}}, "problem.seed"),
-            ({"topology": {"seed": -1}}, "topology.seed"),
-            ({"run_seed": -1}, "run_seed"),
-        ],
-    )
+    @pytest.mark.parametrize("overrides, path", [case[:2] for case in CONFIG_CASES])
     def test_out_of_range_value_names_config_path(self, tmp_path, overrides, path):
         # json.dumps writes nan and inf as the NaN/Infinity literals json.loads accepts
         payload = base_cfg(**overrides)
         with pytest.raises(ValidationError, match=rf"^{re.escape(path)} "):
             load_config(write_cfg(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "overrides, path, owner, args", CONSTRUCTOR_OWNED, ids=[c[1] for c in CONSTRUCTOR_OWNED]
+    )
+    def test_constructor_owns_the_check(self, tmp_path, overrides, path, owner, args):
+        # The config error is the owner's, re-raised with the block name, so the loader made no
+        # check of its own first; called directly, the owner raises the same check.
+        calls, defaults, error = OWNERS[owner]
+        with pytest.raises(ValidationError) as info:
+            load_config(write_cfg(tmp_path, base_cfg(**overrides)))
+        assert isinstance(info.value.__cause__, error)
+        field = path.split(".")[-1]
+        for call in calls:
+            with pytest.raises(error, match=rf"^{field} "):
+                call(**{**defaults, **args})
 
 
 class TestRunExperiment:
@@ -253,7 +303,7 @@ class TestTuneEpsilon:
             tune_epsilon(cfg, [])
 
 
-    @pytest.mark.parametrize("target", [np.nan, np.inf, -1e-6])
+    @pytest.mark.parametrize("target", [np.nan, np.inf, -1e-6, "1e-6", pytest.param(10**400, id="1e400")])
     def test_target_must_be_finite_and_nonnegative(self, tmp_path, target):
         from giantnet import InvalidParams
 

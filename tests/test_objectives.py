@@ -246,6 +246,17 @@ class TestGenerateProblem:
         with pytest.raises(InvalidSpec, match=f"^{key} "):
             ProblemSpec(kind=kind, **{"n": 2, "d": 2, field: value})
 
+    @pytest.mark.parametrize(
+        "bounds",
+        [{"mu": "1"}, {"mu": True}, {"lipschitz": "10"}, {"lipschitz": True}, {"mu": None},
+         {"lipschitz": float("inf")}, {"mu": float("inf"), "lipschitz": float("inf")}],
+    )
+    def test_instance_bounds_are_typed(self, bounds):
+        quad = QuadraticObjective(np.eye(2), np.zeros(2))
+        with pytest.raises(InvalidSpec, match="^bounds must be finite"):
+            ProblemInstance((quad,), **{"mu": 0.5, "lipschitz": 2.0, **bounds})
+        assert ProblemInstance((quad,), mu=np.float32(0.5), lipschitz=2).lipschitz == 2
+
     def test_largest_heterogeneity_generates(self):
         spec = ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=MAX_HETEROGENEITY)
         assert np.isfinite(generate_problem(1, spec).lipschitz)

@@ -5,6 +5,7 @@ import pytest
 
 from giantnet import (
     ConnectivityFailure,
+    DimensionMismatch,
     InvalidParams,
     MixingMatrix,
     make_graph,
@@ -68,6 +69,30 @@ class TestMakeGraph:
             assert g.edges.tolist() == []
             assert g.is_connected()
 
+    @pytest.mark.parametrize(
+        "kind, n, kwargs, name",
+        [
+            ("ring", 2.5, {}, "n"),
+            ("complete", 3.0, {}, "n"),
+            ("grid", 4.0, {}, "n"),
+            ("star", 3.0, {}, "n"),
+            ("ring", True, {}, "n"),
+            ("erdos_renyi", 5, {"p": "0.5"}, "p"),
+            ("ring", 5, {"p": float("nan")}, "p"),
+            ("erdos_renyi", 5, {"seed": 1.5}, "seed"),
+            ("ring", 5, {"seed": "a"}, "seed"),
+        ],
+    )
+    def test_arguments_are_typed(self, kind, n, kwargs, name):
+        # typed before use: a float n would build float edges, a string p or seed hit a bare TypeError
+        with pytest.raises(InvalidParams, match=f"^{name} must be"):
+            make_graph(kind, n, **kwargs)
+
+    def test_numpy_integers_accepted(self):
+        g = make_graph("ring", np.int64(4), seed=np.int64(1))
+        assert g.edges.dtype == np.int64
+        assert g.edges.tolist() == make_graph("ring", 4).edges.tolist()
+
 
 class TestMetropolisWeights:
     def test_single_node(self):
@@ -121,12 +146,22 @@ class TestMix:
         with pytest.raises(InvalidParams, match="^k must be"):
             mix.mix(x, k)
 
+    @pytest.mark.parametrize("p", [np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))])
+    def test_rejects_non_square_weights(self, p):
+        with pytest.raises(DimensionMismatch, match="must be square"):
+            MixingMatrix(p)
+
+    def test_weights_become_a_float_array(self):
+        mix = MixingMatrix([[0.5, 0.5], [0.5, 0.5]])
+        assert isinstance(mix.p, np.ndarray) and mix.p.dtype == float
+        assert np.array_equal(mix.mix(np.array([1.0, 3.0])), [2.0, 2.0])
+        p = np.full((2, 2), 0.5)
+        assert MixingMatrix(p).p is p
+
     def test_powers_built_once_and_shared(self):
         mix = metropolis_weights(make_graph("ring", 6))
         assert mix.power(1) is mix.p
-        cube = mix.power(3)
-        assert mix.power(3) is cube
-        assert not cube.flags.writeable
+        assert np.array_equal(mix.power(3), mix.p @ mix.p @ mix.p)
 
     @pytest.mark.parametrize(
         "kind, n, sparse",
