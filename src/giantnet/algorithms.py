@@ -36,7 +36,7 @@ import numpy as np
 from .diagnostics import MetricsLog, metrics_record
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
 from .numerics import (
-    frobenius_norm, is_finite_real, is_integer, is_real, spd_factorize, spd_solve, spd_solve_stack
+    frobenius_norm, is_finite_real, is_integer, spd_factorize, spd_solve, spd_solve_stack
 )
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
@@ -174,10 +174,10 @@ def centralized_newton(
 
     Iterates x <- x - hess_avg(x)^{-1} grad_avg(x) until the averaged
     gradient norm drops to ``tol``. Exact in one step on quadratics.
-    ``tol`` is a nonnegative real number and ``max_iters`` a nonnegative integer.
+    ``tol`` is a finite nonnegative real number and ``max_iters`` a nonnegative integer.
     """
-    if not (is_real(tol) and tol >= 0):
-        raise InvalidParams(f"tol must be a nonnegative real number, got {tol!r}")
+    if not (is_finite_real(tol) and tol >= 0):
+        raise InvalidParams(f"tol must be a finite nonnegative real number, got {tol!r}")
     if not (is_integer(max_iters) and max_iters >= 0):
         raise InvalidParams(f"max_iters must be a nonnegative integer, got {max_iters!r}")
     x = np.array(x0, dtype=float)

@@ -35,6 +35,7 @@ from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
 from .numerics import is_finite_real, is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve
+from .topology import MAX_NODES
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
 # log-uniformly from [1, 1 + h * HETEROGENEITY_SPREAD], so h = 1 yields a
@@ -437,8 +438,8 @@ class ProblemSpec:
         # Messages lead with the config key (lambda for ridge); NaN fails every comparison.
         if self.kind not in ("quadratic", "logistic"):
             raise InvalidSpec(f"kind must be quadratic or logistic, got {self.kind!r}")
-        if not (is_integer(self.n) and self.n >= 1):
-            raise InvalidSpec(f"n must be an integer >= 1, got {self.n!r}")
+        if not (is_integer(self.n) and 1 <= self.n <= MAX_NODES):  # the agents are the graph's nodes
+            raise InvalidSpec(f"n must be an integer in [1, {MAX_NODES}], got {self.n!r}")
         if not (is_integer(self.d) and self.d >= 1):
             raise InvalidSpec(f"d must be an integer >= 1, got {self.d!r}")
         if not is_integer(self.samples_per_agent):
@@ -456,16 +457,17 @@ class ProblemSpec:
                 raise InvalidSpec("samples_per_agent must be >= 1 for logistic problems")
 
 
-def _random_orthogonal(rng: Generator, d: int) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((d, d)))
-    return q * np.sign(np.diag(r))
-
-
 def generate_problem(seed: int, spec: ProblemSpec) -> ProblemInstance:
     """Build a deterministic synthetic instance from a seed and a spec.
 
     Uses the Philox counter-based generator, so identical (seed, spec)
-    pairs reproduce bitwise identical instances on any platform.
+    pairs draw the same numbers on any platform. The draws come agent by
+    agent, in a fixed order: a quadratic agent draws its d
+    log-eigenvalues, then its raw d x d normals; a logistic agent its
+    shift, its m x d features, then its m label uniforms. The linear
+    algebra (QR, products, eigenvalues) runs once on the (n, d, d)
+    stacks after the draws, and gives the bits a per-agent loop gives;
+    its last bits can differ between BLAS and LAPACK builds.
 
     Quadratic instances carry an exact reference solution obtained from
     the averaged normal equations. Logistic instances leave it unset; the
@@ -480,15 +482,18 @@ def generate_problem(seed: int, spec: ProblemSpec) -> ProblemInstance:
 def _generate_quadratic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
     n, d, h = spec.n, spec.d, spec.heterogeneity
     top = 1.0 + h * HETEROGENEITY_SPREAD
-    mats = np.empty((n, d, d))
-    for i in range(n):
-        if h == 0.0:
-            mats[i] = np.eye(d)
-            continue
-        eigs = np.exp(rng.uniform(0.0, np.log(top), size=d))
-        q = _random_orthogonal(rng, d)
-        a = (q * eigs) @ q.T
-        mats[i] = 0.5 * (a + a.T)
+    if h == 0.0:
+        mats = np.tile(np.eye(d), (n, 1, 1))
+    else:
+        log_eigs = np.empty((n, d))
+        raw = np.empty((n, d, d))
+        for i in range(n):
+            log_eigs[i] = rng.uniform(0.0, np.log(top), size=d)
+            raw[i] = rng.standard_normal((d, d))
+        # No Haar sign fix from diag(R): Q diag(e) Q^T is bitwise the same whatever Q's column signs.
+        q = np.linalg.qr(raw)[0]
+        a = (q * np.exp(log_eigs)[:, None, :]) @ np.swapaxes(q, 1, 2)
+        mats = 0.5 * (a + np.swapaxes(a, 1, 2))
     b0 = rng.standard_normal(d)
     offsets = b0 + h * rng.standard_normal((n, d))
 
@@ -503,18 +508,16 @@ def _generate_logistic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
     n, d, m, h = spec.n, spec.d, spec.samples_per_agent, spec.heterogeneity
     x_true = rng.standard_normal(d)
     features = np.empty((n, m, d))
-    labels = np.empty((n, m))
-    lipschitz = 0.0
+    uniforms = np.empty((n, m))
     for i in range(n):
         shift = rng.standard_normal(d)
         features[i] = rng.standard_normal((m, d)) + h * shift
-        feats = features[i]
-        probs = _sigmoid(feats @ x_true)
-        labels[i] = np.where(rng.random(m) < probs, 1.0, -1.0)
-        gram_top = float(np.linalg.eigvalsh(feats.T @ feats)[-1])
-        lipschitz = max(lipschitz, spec.ridge + gram_top / (4.0 * m))
+        uniforms[i] = rng.random(m)
+    labels = np.where(uniforms < _sigmoid(features @ x_true), 1.0, -1.0)
+    # ridge + g / (4m) rounds monotonically in g, so the largest Gram eigenvalue gives L.
+    gram_top = np.linalg.eigvalsh(np.swapaxes(features, 1, 2) @ features)[:, -1].max()
     family = LogisticFamily(features, labels, spec.ridge)
-    return ProblemInstance(family, mu=spec.ridge, lipschitz=lipschitz)
+    return ProblemInstance(family, mu=spec.ridge, lipschitz=float(spec.ridge + gram_top / (4.0 * m)))
 
 
 def finite_difference_gradient(func, x: np.ndarray) -> np.ndarray:

@@ -8,6 +8,7 @@ choice is made once per k from n and nnz(P^k); see ``SPARSE_RATIO``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -21,6 +22,9 @@ GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
 
 # Maximum resampling attempts for erdos_renyi before giving up.
 MAX_CONNECTIVITY_RETRIES = 1000
+
+# The largest n whose edge keys lo * n + hi (see _graph) fit in int64.
+MAX_NODES = math.isqrt(2**63 - 1)
 
 WEIGHT_TOL = 1e-12
 # sigma2 must sit strictly below 1. The margin absorbs the roundoff of the
@@ -174,8 +178,8 @@ def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:
 
     ``n`` and ``seed`` must be integers and ``p`` a finite real for every kind, never bools.
     """
-    if not (is_integer(n) and n >= 1):
-        raise InvalidParams(f"n must be an integer >= 1, got {n!r}")
+    if not (is_integer(n) and 1 <= n <= MAX_NODES):
+        raise InvalidParams(f"n must be an integer in [1, {MAX_NODES}], got {n!r}")
     if kind not in GRAPH_KINDS:
         raise InvalidParams(f"kind must be one of {GRAPH_KINDS}, got {kind!r}")
     if kind == "grid" and n % int(np.ceil(np.sqrt(n))):
@@ -293,22 +297,23 @@ def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
     neg = float(np.maximum(0.0, 0.0 - p.min()))
     checks.append(MixingCheck("nonnegativity", neg <= WEIGHT_TOL, neg))
 
-    # The n*n sentinel keeps every searchsorted index in bounds, even with no edges.
-    i, j = np.nonzero(p)
-    keys = np.minimum(i, j) * g.n + np.maximum(i, j)
-    edge_keys = np.append(g.edges[:, 0] * g.n + g.edges[:, 1], g.n * g.n)
-    off = (i != j) & (edge_keys[np.searchsorted(edge_keys, keys)] != keys)
-    off_graph = float(np.abs(p[i[off], j[off]]).max(initial=0.0))
+    # What |p| holds off the graph and the diagonal; -0.0 reads 0 and NaN propagates.
+    buf = np.abs(p)
+    a, b = g.edges.T
+    buf[a, b] = buf[b, a] = 0.0
+    np.fill_diagonal(buf, 0.0)
+    off_graph = float(buf.max())
     checks.append(MixingCheck("sparsity", off_graph <= WEIGHT_TOL, off_graph))
 
     # inf - inf gives NaN, which fails its check; numpy need not warn about it.
     with np.errstate(invalid="ignore"):
-        asym = float(np.abs(p - p.T).max())
+        asym = float(np.abs(np.subtract(p, p.T, out=buf), out=buf).max())
         row_dev = float(np.abs(p.sum(axis=1) - 1.0).max())
         col_dev = float(np.abs(p.sum(axis=0) - 1.0).max())
     checks.append(MixingCheck("symmetry", asym <= WEIGHT_TOL, asym))
     checks.append(MixingCheck("row_sums", row_dev <= WEIGHT_TOL, row_dev))
     checks.append(MixingCheck("column_sums", col_dev <= WEIGHT_TOL, col_dev))
+    del buf  # n*n floats, freed before the eigensolver allocates its own
 
     sigma2 = second_singular_value(p, check=False)  # NaN for non-finite p, which fails
     checks.append(MixingCheck("sigma2", sigma2 <= 1.0 - SIGMA2_MARGIN, sigma2))

@@ -266,6 +266,7 @@ class TestCentralizedNewton:
         "name, value",
         [
             ("tol", float("nan")),
+            ("tol", float("inf")),  # every gradient norm is <= inf: x0 would come back as the minimizer
             ("tol", -1.0),
             ("tol", True),
             ("max_iters", -1),

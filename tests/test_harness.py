@@ -110,6 +110,8 @@ CONFIG_CASES = [
     ({"tuner": {"epsilon_grid": [True]}}, "tuner.epsilon_grid", "tuner", {"epsilon_grid": [True]}),
     ({"topology": {"seed": 1.5}}, "topology.seed", "topology", {"seed": 1.5}),
     ({"topology": {"p": float("nan")}}, "topology.p", "topology", {"p": float("nan")}),
+    # beyond int64: the graph's edge keys lo * n + hi would overflow
+    ({"problem": {"n": 10**23}, "topology": {"n": 10**23}}, "problem.n", "problem", {"n": 10**23}),
 ]
 CONSTRUCTOR_OWNED = [case for case in CONFIG_CASES if case[2] is not None]
 

@@ -1,5 +1,8 @@
+import hashlib
+
 import numpy as np
 import pytest
+from numpy.random import Generator, Philox
 
 from giantnet import (
     DimensionMismatch,
@@ -12,6 +15,7 @@ from giantnet import (
     generate_problem,
 )
 from giantnet.objectives import (
+    HETEROGENEITY_SPREAD,
     MAX_HETEROGENEITY,
     _sigmoid,
     finite_difference_gradient,
@@ -174,6 +178,67 @@ class TestConvexityProperties:
                 assert lhs >= rhs - 1e-10
 
 
+# sha256, as little-endian float64 bytes, of generator output for seed 3 that is only
+# Philox draws and elementwise arithmetic on them: the quadratic offsets b and the logistic
+# features. They pin the stream and its draw order across versions and machines. What goes
+# through LAPACK or BLAS (matrices, labels, L) is instead checked against a per-agent loop
+# on the same machine, because its last bits depend on the BLAS build and CPU kernel.
+GOLDEN_QUADRATIC_OFFSETS = {
+    (1000, 5, 1): "70f52fb6a4205fbd4c016ed0f3d746f1d3853da08e860e025956444ee678c7da",
+    (10, 5, 1): "455249661379e89cdd182afac988c3fef1eaf584af86edc70a27216924c97c7b",
+    (100, 20, 1): "08d9e4154b14ba28c7e1d1661daedc18e05c7991800f798a1f6ca9700ce03e5c",
+    (50, 50, 1): "e831e44c7ca14effc812e6d0a60fb0bbb4ce1837bde92acc5648a2111834b585",
+    (7, 3, 0): "33d9b8fb3277664d16fbe3eb3801579e97360c6f9339e0274b29709f4a9ae5d2",
+    (1, 1, 2): "d33b30f032e582fb364cb8e93c86d5a7a0b9e54788d73596a489b9cf232a4f45",
+}
+# At h = 0 the matrices are identities, so the whole family and (mu, L) are pinned.
+GOLDEN_IDENTITY_QUADRATIC = "93bd44de37c8bb0431a99d4e6ddd33cf0cc8c5b7b7b56a7fe381761dbf95108f"
+GOLDEN_LOGISTIC_FEATURES = {
+    (100, 20, 50, 0): "7ba4e5098a92c0723f6fc83986793692dc1aeb133341e81879494a530b0f4fa0",
+    (7, 4, 12, 0.7): "798e75bace1af9a2369b1b237a050158a710f074226fd9ba30ac8e74fed0e38c",
+    (1, 1, 1, 1): "580e83251762d28eceda783efc883d63189ad3dad3873c1adc8aa0d3f884b5db",
+    (20, 30, 5, 1): "74cf99290fea8c769e4f0b95905e98ad8c941b38fc1c8d0b680745aea6d52b2e",
+}
+
+
+def instance_digest(*arrays):
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+def per_agent_quadratic_matrices(seed, n, d, h):
+    """The quadratic matrices built one agent at a time: its draws, then its QR and products."""
+    rng = Generator(Philox(seed))
+    top = 1.0 + h * HETEROGENEITY_SPREAD
+    mats = np.empty((n, d, d))
+    for i in range(n):
+        eigs = np.exp(rng.uniform(0.0, np.log(top), size=d))
+        q, r = np.linalg.qr(rng.standard_normal((d, d)))
+        q = q * np.sign(np.diag(r))
+        a = (q * eigs) @ q.T
+        mats[i] = 0.5 * (a + a.T)
+    return mats
+
+
+def per_agent_logistic(seed, spec):
+    """Features, labels and L built one agent at a time, each agent's algebra after its draws."""
+    n, d, m, h = spec.n, spec.d, spec.samples_per_agent, spec.heterogeneity
+    rng = Generator(Philox(seed))
+    x_true = rng.standard_normal(d)
+    features = np.empty((n, m, d))
+    labels = np.empty((n, m))
+    lipschitz = 0.0
+    for i in range(n):
+        shift = rng.standard_normal(d)
+        feats = rng.standard_normal((m, d)) + h * shift
+        features[i] = feats
+        labels[i] = np.where(rng.random(m) < _sigmoid(feats @ x_true), 1.0, -1.0)
+        lipschitz = max(lipschitz, spec.ridge + np.linalg.eigvalsh(feats.T @ feats)[-1] / (4.0 * m))
+    return features, labels, lipschitz
+
+
 class TestGenerateProblem:
     def test_deterministic_in_seed(self):
         spec = ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=0.8)
@@ -183,6 +248,39 @@ class TestGenerateProblem:
             assert np.array_equal(oa.a, ob.a)
             assert np.array_equal(oa.b, ob.b)
         assert np.array_equal(a.reference_solution, b.reference_solution)
+
+    @pytest.mark.parametrize("n, d, h", list(GOLDEN_QUADRATIC_OFFSETS))
+    def test_quadratic_offsets_golden_digest(self, n, d, h):
+        inst = generate_problem(3, ProblemSpec(kind="quadratic", n=n, d=d, heterogeneity=h))
+        assert instance_digest(inst.family.b) == GOLDEN_QUADRATIC_OFFSETS[n, d, h]
+
+    def test_identity_quadratic_golden_digest(self):
+        inst = generate_problem(3, ProblemSpec(kind="quadratic", n=7, d=3, heterogeneity=0))
+        fam = inst.family
+        assert instance_digest(fam.a, fam.b, fam.c, [inst.mu, inst.lipschitz]) == GOLDEN_IDENTITY_QUADRATIC
+        # Every offset is b0, so the minimizer of the averaged cost is -b0.
+        np.testing.assert_allclose(inst.reference_solution, -fam.b[0], rtol=1e-14)
+
+    @pytest.mark.parametrize("n, d, h", [shape for shape in GOLDEN_QUADRATIC_OFFSETS if shape[2] != 0])
+    def test_quadratic_matrices_match_per_agent_loop(self, n, d, h):
+        inst = generate_problem(3, ProblemSpec(kind="quadratic", n=n, d=d, heterogeneity=h))
+        assert np.array_equal(inst.family.a, per_agent_quadratic_matrices(3, n, d, h))
+
+    @pytest.mark.parametrize("n, d, m, h", list(GOLDEN_LOGISTIC_FEATURES))
+    def test_logistic_features_golden_digest(self, n, d, m, h):
+        spec = ProblemSpec(kind="logistic", n=n, d=d, samples_per_agent=m, heterogeneity=h)
+        inst = generate_problem(3, spec)
+        assert inst.reference_solution is None
+        assert instance_digest(inst.family.features) == GOLDEN_LOGISTIC_FEATURES[n, d, m, h]
+
+    @pytest.mark.parametrize("n, d, m, h", list(GOLDEN_LOGISTIC_FEATURES))
+    def test_logistic_matches_per_agent_loop(self, n, d, m, h):
+        spec = ProblemSpec(kind="logistic", n=n, d=d, samples_per_agent=m, heterogeneity=h)
+        inst = generate_problem(3, spec)
+        features, labels, lipschitz = per_agent_logistic(3, spec)
+        assert np.array_equal(inst.family.features, features)
+        assert np.array_equal(inst.family.labels, labels)
+        assert inst.lipschitz == lipschitz
 
     def test_logistic_deterministic(self):
         spec = ProblemSpec(kind="logistic", n=3, d=2, samples_per_agent=10)

@@ -13,7 +13,7 @@ from giantnet import (
     second_singular_value,
     validate_mixing,
 )
-from giantnet.topology import MAX_CONNECTIVITY_RETRIES
+from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, check_graph
 
 from conftest import rng_for
 
@@ -81,12 +81,20 @@ class TestMakeGraph:
             ("ring", 5, {"p": float("nan")}, "p"),
             ("erdos_renyi", 5, {"seed": 1.5}, "seed"),
             ("ring", 5, {"seed": "a"}, "seed"),
+            ("ring", 10**23, {}, "n"),  # beyond int64, where numpy raised untyped errors
+            ("grid", 10**23, {}, "n"),
         ],
     )
     def test_arguments_are_typed(self, kind, n, kwargs, name):
         # typed before use: a float n would build float edges, a string p or seed hit a bare TypeError
         with pytest.raises(InvalidParams, match=f"^{name} must be"):
             make_graph(kind, n, **kwargs)
+
+    def test_largest_n_keeps_edge_keys_in_int64(self):
+        assert (MAX_NODES - 1) * MAX_NODES + MAX_NODES - 1 <= np.iinfo(np.int64).max
+        check_graph("ring", MAX_NODES)
+        with pytest.raises(InvalidParams, match="^n must be"):
+            check_graph("ring", MAX_NODES + 1)
 
     def test_numpy_integers_accepted(self):
         g = make_graph("ring", np.int64(4), seed=np.int64(1))
@@ -235,6 +243,40 @@ class TestValidateMixing:
         p = metropolis_weights(make_graph("complete", 4)).p
         report = validate_mixing(p, g)
         assert "sparsity" in {c.name for c in report.failures()}
+
+    # The sparsity check reads |p| off the graph and the diagonal only.
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_on_an_edge_is_not_a_sparsity_failure(self, bad):
+        g = make_graph("ring", 4)
+        p = metropolis_weights(g).p.copy()
+        p[0, 1] = p[1, 0] = bad
+        check = validate_mixing(p, g).checks[1]
+        assert check.name == "sparsity" and check.passed and check.deviation == 0.0
+
+    @pytest.mark.parametrize("weight", [np.nan, -0.25])
+    def test_weight_off_the_graph_fails_sparsity(self, weight):
+        g = make_graph("ring", 4)
+        p = metropolis_weights(g).p.copy()
+        p[0, 2] = weight  # 0 and 2 are not neighbours on the 4-ring
+        check = validate_mixing(p, g).checks[1]
+        assert check.name == "sparsity" and not check.passed
+        assert np.array_equal(check.deviation, abs(weight), equal_nan=True)
+
+    def test_negative_zero_off_the_graph_is_zero(self):
+        g = make_graph("ring", 4)
+        p = metropolis_weights(g).p.copy()
+        p[0, 2] = p[2, 0] = -0.0
+        report = validate_mixing(p, g)
+        check = report.checks[1]
+        assert check.name == "sparsity" and check.deviation == 0.0 and not np.signbit(check.deviation)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("weight, failed", [(1.0, set()), (0.5, {"row_sums", "column_sums"})])
+    def test_single_node(self, weight, failed):
+        report = validate_mixing(np.array([[weight]]), make_graph("ring", 1))
+        sparsity = report.checks[1]
+        assert sparsity.name == "sparsity" and sparsity.passed and sparsity.deviation == 0.0
+        assert {c.name for c in report.failures()} == failed
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_entries_reported_not_raised(self, bad):
