@@ -235,10 +235,9 @@ def metrics_record(
     """Assemble the standard per-iteration record; ``f_star`` is the optimal averaged cost.
 
     All metrics are taken at the mean iterate x_bar and evaluate the averaged
-    cost f = (1/n) * sum_i f_i once, in closed form per family: on quadratics
-    f(x_bar) = 0.5 * x_bar'A_bar x_bar + b_bar'x_bar + c_bar and
-    grad f(x_bar) = A_bar x_bar + b_bar with the agent means A_bar, b_bar,
-    c_bar; on logistic losses one pass over the n*m pooled samples.
+    cost f = (1/n) * sum_i f_i once, as the 1-agent family
+    ``instance.family.average``: the quadratic with the agent means of A, b
+    and c, or one pass over the n*m pooled logistic samples.
     ``consensus_err`` is ||x - x_bar||_F, bitwise the norm of the
     disagreement that :func:`decompose` returns. x_bar and the norms run
     the ufuncs of ``x.mean(axis=0)`` and ``np.linalg.norm`` directly, so

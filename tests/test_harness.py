@@ -406,7 +406,9 @@ class TestShippedConfigs:
         "name, averaged", [("quadratic_ring", "QuadraticObjective"), ("logistic_er", "LogisticObjective")]
     )
     def test_run_builds_only_the_averaged_objective(self, tmp_path, monkeypatch, name, averaged):
-        # The agents stay stacked; the one objective a run builds is the averaged cost.
+        # The agents stay stacked and the averaged cost is a 1-agent family,
+        # so a run builds no per-point objective, not even the averaged one
+        # (``averaged`` names the class whose objective a run once built).
         built = []
         for cls in (QuadraticObjective, LogisticObjective):
 
@@ -416,4 +418,4 @@ class TestShippedConfigs:
 
             monkeypatch.setattr(cls, "__init__", counting_init)
         run_experiment(load_config(str(CONFIGS / f"{name}.json")), str(tmp_path / "m.csv"))
-        assert built == [averaged]
+        assert built == []

@@ -1,9 +1,11 @@
-"""Batched agent families against the per-agent objectives they replace.
+"""Batched agent families against per-agent references.
 
-The per-agent ``LocalObjective`` methods and the ``ObjectiveLoop`` family
-are the references: every batched quantity must agree with them to 1e-12
-relative, and generated instances must stay bitwise identical to the
-per-agent generator.
+The per-point objectives are 1-agent families, so they share the
+families' formulas. The independent oracle is ``reference.py``: plain
+per-agent formulas that every batched quantity, average and value must
+agree with to 1e-12 relative. The ``ObjectiveLoop`` family checks the
+stacked paths against the loop over objects, and generated instances
+must stay bitwise identical to the per-agent generator.
 """
 
 import numpy as np
@@ -35,6 +37,7 @@ from giantnet import (
 from giantnet.diagnostics import metrics_record
 from giantnet.objectives import HETEROGENEITY_SPREAD, LogisticFamily, ObjectiveLoop, QuadraticFamily
 
+import reference
 from conftest import rng_for
 
 REL = 1e-12
@@ -119,6 +122,69 @@ class TestAgainstPerAgent:
                         average(bad)
 
 
+@pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+@pytest.mark.parametrize("n,d", SHAPES)
+class TestAgainstReference:
+    # oracle: reference.py's per-agent formulas, which share no code with the families
+    def test_stacked_quantities_and_values(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        x = rng_for(26).standard_normal((n, d))
+        values, gradients, hessians = reference.stacked(instance.family, x)
+        assert close(instance.family.values(x), values)
+        assert close(instance.stacked_gradient(x), gradients)
+        assert close(instance.stacked_hessian(x), hessians)
+
+    def test_averages(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        x = rng_for(27).standard_normal(d)
+        value, gradient, hessian = reference.averaged(instance.family, x)
+        assert close(instance.average_value(x), value)
+        assert close(instance.average_gradient(x), gradient)
+        assert close(instance.average_hessian(x), hessian)
+        assert close(instance.family.average.values(x[None]), [value])
+
+    def test_per_point_objectives(self, kind, n, d):
+        instance = instance_for(kind, n, d)
+        x = rng_for(28).standard_normal(d)
+        for obj, agent in zip(instance.objectives, reference.agents(instance.family)):
+            value, gradient, hessian = agent(x)
+            assert close(obj.value(x), value)
+            assert close(obj.gradient(x), gradient)
+            assert close(obj.hessian(x), hessian)
+
+
+def test_objectives_and_averages_use_the_family_formulas(monkeypatch):
+    # Each cost has one formula, the family's: patching it moves the per-point
+    # objectives and the instance's averages alike.
+    quadratic = instance_for("quadratic", 3, 2)
+    logistic = instance_for("logistic", 3, 2)
+    x = rng_for(29).standard_normal(2)
+    quad_obj, logi_obj = quadratic.objectives[0], logistic.objectives[0]
+    before = (quad_obj.value(x), quadratic.average_value(x), logi_obj.gradient(x), logistic.average_gradient(x))
+    values, gradients = QuadraticFamily.values, LogisticFamily.gradients
+    monkeypatch.setattr(QuadraticFamily, "values", lambda self, x: values(self, x) + 1.0)
+    monkeypatch.setattr(LogisticFamily, "gradients", lambda self, x: gradients(self, x) + 1.0)
+    after = (quad_obj.value(x), quadratic.average_value(x), logi_obj.gradient(x), logistic.average_gradient(x))
+    for old, new in zip(before, after):
+        assert np.allclose(new, np.add(old, 1.0), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "loop"])
+def test_average_is_a_one_agent_family_of_the_same_class(kind):
+    instance = instance_for("quadratic" if kind == "loop" else kind, 4, 3)
+    family = looped(instance).family if kind == "loop" else instance.family
+    assert family.average.shape == (1, 3)
+    assert type(family.average) is type(family)
+
+
+def test_pooled_logistic_average_shares_memory_with_the_stacks():
+    family = instance_for("logistic", 4, 3).family
+    assert family.average.shape == (1, 3)
+    assert family.average.features.shape == (1, 4 * 12, 3) and family.average.labels.shape == (1, 4 * 12)
+    assert np.shares_memory(family.average.features, family.features)
+    assert np.shares_memory(family.average.labels, family.labels)
+
+
 def test_generation_bitwise_equal_to_per_agent_draws():
     # oracle: the per-agent generator, drawing from Philox in the same order
     spec = ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=0.8)
@@ -175,6 +241,25 @@ def test_mixed_and_unequal_agents_run_on_the_loop():
     )
     assert log.final.grad_norm <= 1e-9
     assert max(r.tracking_drift for r in log.records) <= 1e-9
+
+
+def test_loop_values_on_mixed_and_unequal_agents():
+    # the agents of test_mixed_and_unequal_agents_run_on_the_loop
+    rng = rng_for(24)
+    a = rng.standard_normal((3, 3))
+    objs = (
+        QuadraticObjective(a @ a.T + np.eye(3), rng.standard_normal(3)),
+        LogisticObjective(rng.standard_normal((8, 3)), np.where(rng.random(8) < 0.5, -1.0, 1.0), 0.1),
+        LogisticObjective(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, -1.0, 1.0), 0.1),
+    )
+    family = ProblemInstance(objs, mu=0.1, lipschitz=100.0).family
+    x = rng_for(30).standard_normal((3, 3))
+    values = family.values(x)
+    assert values.shape == (3,)
+    assert np.array_equal(values, [obj.value(x[i]) for i, obj in enumerate(objs)])
+    value = reference.quadratic(objs[0].a, objs[0].b, objs[0].c, x[0])[0]
+    assert close(values[0], value)
+    assert close(family.average.values(x[:1]), [np.mean([obj.value(x[0]) for obj in objs])])
 
 
 def test_indefinite_hessian_in_one_row_raises():
