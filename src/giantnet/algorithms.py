@@ -4,9 +4,10 @@ Every algorithm is expressed as a pure state-transition step acting on
 stacked n x d arrays, with row i holding agent i's variables. Steps never
 mutate their inputs, so trajectories can be replayed and states shared
 freely. Per-agent work inside a step depends only on the incoming state
-and runs for all agents at once: one batched gradient evaluation, one
-batched Cholesky factorization of the local Hessians (reused across
-rounds when they are constant) and one batched solve.
+and runs for all agents at once: one batched gradient evaluation and one
+batched application of the local inverse Hessians, by Cholesky solves, or
+as one matrix product with the inverses of constant (quadratic) Hessians,
+solved once against the identity.
 
 The main method combines gradient tracking with local inverse-Hessian
 steps and consensus averaging:
@@ -35,9 +36,7 @@ import numpy as np
 
 from .diagnostics import MetricsLog, metrics_record
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import (
-    frobenius_norm, is_finite_real, is_integer, spd_factorize, spd_solve, spd_solve_stack
-)
+from .numerics import frobenius_norm, is_finite_real, is_integer, spd_factorize, spd_solve
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
@@ -129,7 +128,7 @@ def giant_step(
     x = instance.check_stack(state.x)
     grads = instance.stacked_gradient(x)
     w_next = P.mix(state.w + grads - state.g, cfg.K)
-    directions = spd_solve_stack(instance.hessian_factors(x), w_next)
+    directions = instance.family.newton_directions(x, w_next)
     x_next = P.mix(x - cfg.epsilon * directions, cfg.K)
     return NetworkState(x=x_next, g=grads, w=w_next, iteration=state.iteration + 1)
 

@@ -11,7 +11,7 @@ geometrically. This module measures each of them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -32,9 +32,8 @@ GAP_FLOOR = 1e-14
 TRANSIENT_FRACTION = 0.1
 
 
-@dataclass(frozen=True)
-class MetricsRecord:
-    """One iteration's worth of convergence metrics."""
+class MetricsRecord(NamedTuple):
+    """One iteration's worth of convergence metrics; an immutable tuple in CSV column order."""
 
     iteration: int
     opt_gap: float
@@ -237,19 +236,15 @@ def metrics_record(
     All metrics are taken at the mean iterate x_bar and evaluate the averaged
     cost f = (1/n) * sum_i f_i once, as the 1-agent family
     ``instance.family.average``: the quadratic with the agent means of A, b
-    and c, or one pass over the n*m pooled logistic samples.
+    and c, or one pass over the n*m pooled logistic samples, with one
+    ``values_and_gradients`` call: the bits of ``average_value`` and
+    ``average_gradient`` without their point check, as x_bar is built here.
     ``consensus_err`` is ||x - x_bar||_F, bitwise the norm of the
     disagreement that :func:`decompose` returns. x_bar and the norms run
     the ufuncs of ``x.mean(axis=0)`` and ``np.linalg.norm`` directly, so
     they are the same bits without those functions' argument handling.
     """
     x_bar = np.add.reduce(x, 0) / x.shape[0]
-    gap = instance.average_value(x_bar) - f_star
-    return MetricsRecord(
-        iteration=iteration,
-        opt_gap=gap,
-        consensus_err=frobenius_norm(x - x_bar),
-        grad_norm=frobenius_norm(instance.average_gradient(x_bar)),
-        tracking_drift=float(drift),
-        lyapunov=gap,
-    )
+    value, grad = instance.family.average.values_and_gradients(x_bar[None])
+    gap = float(value[0]) - f_star
+    return MetricsRecord(iteration, gap, frobenius_norm(x - x_bar), frobenius_norm(grad), float(drift), gap)

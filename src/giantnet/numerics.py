@@ -2,8 +2,9 @@
 
 Everything here is sized for desk-scale simulations (dimensions up to a
 few hundred): Cholesky factorization of SPD matrices, triangular solves
-that realize inverse-Hessian action without ever forming an inverse, and
-the spectral quantity governing consensus contraction.
+that realize inverse-Hessian action (an inverse that is kept is a solve
+against the identity; no inversion routine is called), and the spectral
+quantity governing consensus contraction.
 
 A Cholesky factor is a plain lower-triangular array: (d, d) from
 ``spd_factorize``, (n, d, d) from ``spd_factorize_stack``, and the solves
@@ -146,7 +147,7 @@ def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     ``lower`` is an (n, d, d) stack from :func:`spd_factorize_stack`;
     ``b`` is (n, d), or (n, d, k) for k right-hand sides per matrix.
     Forward then backward substitution, each step vectorized over the
-    agents; the inverse is never formed. The substitution works on
+    agents; identity right-hand sides give the inverses. The substitution works on
     coordinate-major copies, the factors as (d, d, n) and the right-hand
     sides as (d, n[, k]), so row k of the copy holds coordinate k of every
     agent contiguously. The result is a fresh C-contiguous (n, d[, k])

@@ -20,7 +20,11 @@ The averaged cost (1/n) * sum_i f_i is ``family.average``, a family of one
 agent of the same class: the quadratic with the mean A, b and c, the
 logistic loss over all n*m samples pooled (every agent has m of them), or
 for ``ObjectiveLoop`` the mean of its objects. So the cost, gradient and
-Hessian at a single point take one evaluation of one agent, not n.
+Hessian at a single point take one evaluation of one agent, not n, and
+``values_and_gradients`` shares the quadratic A x or the logistic margins.
+``newton_directions`` applies the inverse local Hessians by Cholesky
+solves; the quadratic family's are constant, so it solves against the
+identity once and then applies them as one batched matrix product.
 
 The logistic sigmoid is scipy.special.expit's formula, 1 / (1 + exp(-t)),
 evaluated with numpy's exp, so the package needs numpy alone at run time.
@@ -37,7 +41,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import is_finite_real, is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve
+from .numerics import is_finite_real, is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve, spd_solve_stack
 from .topology import MAX_NODES
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
@@ -98,9 +102,17 @@ class AgentFamily(ABC):
     @abstractmethod
     def hessians(self, x: np.ndarray) -> np.ndarray: ...
 
+    def values_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values(x), gradients(x))``, with the work they share done once where a family can."""
+        return self.values(x), self.gradients(x)
+
     def hessian_factors(self, x: np.ndarray) -> np.ndarray:
         """Stacked lower Cholesky factors of the local Hessians."""
         return spd_factorize_stack(self.hessians(x))
+
+    def newton_directions(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Row i is hess f_i(x_i)^{-1} v_i, by Cholesky solves against the factors."""
+        return spd_solve_stack(self.hessian_factors(x), v)
 
     @property
     @abstractmethod
@@ -135,11 +147,14 @@ class QuadraticFamily(AgentFamily):
     # Batched matmul, not einsum: less dispatch on the 1-agent average, which
     # the metrics evaluate every iteration.
     def values(self, x):
-        ax = (self.a @ x[..., None])[..., 0]
-        return ((0.5 * ax + self.b) * x).sum(axis=1) + self.c
+        return self.values_and_gradients(x)[0]
 
     def gradients(self, x):
         return (self.a @ x[..., None])[..., 0] + self.b
+
+    def values_and_gradients(self, x):
+        ax = (self.a @ x[..., None])[..., 0]
+        return ((0.5 * ax + self.b) * x).sum(axis=1) + self.c, ax + self.b
 
     def hessians(self, x):
         out = self.a.view()
@@ -149,10 +164,18 @@ class QuadraticFamily(AgentFamily):
     def hessian_factors(self, x):
         return self._factors
 
+    def newton_directions(self, x, v):
+        return (self._inverse @ v[..., None])[..., 0]
+
     @cached_property
     def _factors(self) -> np.ndarray:
         # Constant Hessians: factored once per instance, on first use.
         return spd_factorize_stack(self.a)
+
+    @cached_property
+    def _inverse(self) -> np.ndarray:
+        # Constant Hessians: inverted once, by a solve against the identity, so a round is one matmul.
+        return spd_solve_stack(self._factors, np.broadcast_to(np.eye(self.a.shape[1]), self.a.shape))
 
     @cached_property
     def average(self) -> QuadraticFamily:
@@ -197,12 +220,22 @@ class LogisticFamily(AgentFamily):
         return self.labels * (self.features @ x[..., None])[..., 0]
 
     def values(self, x):
-        losses = np.logaddexp(0.0, -self._margins(x))
-        return losses.mean(axis=1) + 0.5 * self.ridge * (x * x).sum(axis=1)
+        return self._values(x, self._margins(x))
 
     def gradients(self, x):
+        return self._gradients(x, self._margins(x))
+
+    def values_and_gradients(self, x):
+        margins = self._margins(x)
+        return self._values(x, margins), self._gradients(x, margins)
+
+    def _values(self, x, margins):
+        losses = np.logaddexp(0.0, -margins)
+        return losses.mean(axis=1) + 0.5 * self.ridge * (x * x).sum(axis=1)
+
+    def _gradients(self, x, margins):
         # d/dt log(1 + exp(-t)) = -sigmoid(-t)
-        coeffs = -self.labels * _sigmoid(-self._margins(x))
+        coeffs = -self.labels * _sigmoid(-margins)
         m = self.features.shape[1]
         return (coeffs[:, None, :] @ self.features)[:, 0] / m + self.ridge * x
 

@@ -1,5 +1,4 @@
 import importlib.util
-from dataclasses import astuple
 from pathlib import Path
 
 import numpy as np
@@ -467,7 +466,7 @@ class TestRun:
         if log.diverged:
             return
         assert len(log) == 21
-        got, want = (np.array([astuple(r) for r in lg.records]) for lg in (log, ref))
+        got, want = (np.array([tuple(r) for r in lg.records]) for lg in (log, ref))
         assert np.isfinite(got).all()
         assert got[:, 4].max() <= 1e-9  # tracking_drift
         # Each column to 1e-12 of its largest entry; the drift column is roundoff in

@@ -25,6 +25,7 @@ from giantnet import (
 
 from giantnet.algorithms import _drift
 from giantnet.diagnostics import metrics_record
+from giantnet.harness import CSV_COLUMNS, write_metrics_csv
 
 from conftest import rng_for
 
@@ -236,22 +237,20 @@ class TestMetricsBitwise:
         x = _layout(self._stack(30, entries, offset), order)
         # The norms are flat in x_bar to first order, so x_bar is checked where it is used.
         seen = []
+        family_class = type(instance.family.average)
+        original = family_class.values_and_gradients
 
-        def spying(original):
-            def spy(inst, point):
-                seen.append(point.copy())
-                return original(inst, point)
+        def spy(family, point):
+            seen.append(point.copy())
+            return original(family, point)
 
-            return spy
-
-        for name in ("average_value", "average_gradient"):
-            monkeypatch.setattr(ProblemInstance, name, spying(getattr(ProblemInstance, name)))
+        monkeypatch.setattr(family_class, "values_and_gradients", spy)
         with np.errstate(all="ignore"):
             rec = metrics_record(instance, x, 7, 0.25, 0.125)
             monkeypatch.undo()
             x_bar = x.mean(axis=0)
-            assert len(seen) == 2
-            assert all(p.tobytes() == x_bar.tobytes() for p in seen)
+            assert len(seen) == 1  # the averaged cost is evaluated once per record
+            assert all(p.shape == (1, 4) and p[0].tobytes() == x_bar.tobytes() for p in seen)
             gap = instance.average_value(x_bar) - 0.125
             expected = (
                 gap,
@@ -269,6 +268,24 @@ class TestMetricsBitwise:
     @pytest.mark.parametrize("offset", [0.0, 1e3])
     @pytest.mark.parametrize("entries", ENTRIES)
     @pytest.mark.parametrize("order", ["C", "F", "T"])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic", "loop"])
+    def test_values_and_gradients(self, kind, order, entries, offset):
+        instance = generate_problem(5, ProblemSpec(kind=kind.replace("loop", "logistic"), n=6, d=4, heterogeneity=1.0))
+        family = instance.family
+        if kind == "loop":
+            family = ProblemInstance(instance.objectives, mu=instance.mu, lipschitz=instance.lipschitz).family
+        x = _layout(self._stack(30, entries, offset), order)
+        with np.errstate(all="ignore"):
+            for fam, point in ((family, x), (family.average, x.mean(axis=0)[None])):
+                values, grads = fam.values_and_gradients(point)
+                assert values.tobytes() == fam.values(point).tobytes()
+                assert grads.tobytes() == fam.gradients(point).tobytes()
+        if entries:
+            assert not np.isfinite(values).all()
+
+    @pytest.mark.parametrize("offset", [0.0, 1e3])
+    @pytest.mark.parametrize("entries", ENTRIES)
+    @pytest.mark.parametrize("order", ["C", "F", "T"])
     def test_drift(self, order, entries, offset):
         w = _layout(self._stack(31, entries, offset), order)
         g = _layout(self._stack(32, (), offset), order)
@@ -279,6 +296,38 @@ class TestMetricsBitwise:
         if entries:
             assert not np.isfinite(got)
         assert _drift(None, None) == 0.0
+
+
+class TestMetricsRecord:
+    ROWS = [
+        (0, 0.1, 1 / 3, 2.0, 0.0, 0.1),
+        (1, np.float64(1e-300), 5e-324, -0.0, 1.5e-15, np.float64(1e-300)),
+        (2, np.nan, np.inf, -np.inf, 0.0, np.nan),
+        (10**6, 123456789.0, 2.0**-20, 7.0, 3.0, 123456789.0),
+    ]
+
+    def test_fields_in_csv_column_order(self):
+        assert MetricsRecord._fields == ("iteration",) + CSV_COLUMNS[1:]
+        rec = MetricsRecord(*self.ROWS[0])
+        assert tuple(rec) == self.ROWS[0] and rec.grad_norm == 2.0
+
+    def test_immutable(self):
+        rec = MetricsRecord(*self.ROWS[0])
+        with pytest.raises(AttributeError):
+            rec.opt_gap = 1.0
+
+    def test_csv_bytes_of_a_fixed_log(self, tmp_path):
+        log = MetricsLog()
+        for row in self.ROWS:
+            log.append(MetricsRecord(*row))
+        write_metrics_csv(log, tmp_path / "m.csv")
+        assert (tmp_path / "m.csv").read_bytes() == (
+            b"iter,opt_gap,consensus_err,grad_norm,tracking_drift,lyapunov\n"
+            b"0,0.10000000000000001,0.33333333333333331,2,0,0.10000000000000001\n"
+            b"1,1e-300,4.9406564584124654e-324,-0,1.4999999999999999e-15,1e-300\n"
+            b"2,nan,inf,-inf,0,nan\n"
+            b"1000000,123456789,9.5367431640625e-07,7,3,123456789\n"
+        )
 
 
 def _log_from_gaps(gaps):

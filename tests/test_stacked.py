@@ -34,6 +34,7 @@ from giantnet import (
     spd_solve,
     spd_solve_stack,
 )
+from giantnet import algorithms, diagnostics, numerics, objectives
 from giantnet.diagnostics import metrics_record
 from giantnet.objectives import HETEROGENEITY_SPREAD, LogisticFamily, ObjectiveLoop, QuadraticFamily
 
@@ -272,6 +273,61 @@ def test_indefinite_hessian_in_one_row_raises():
     for _ in range(2):  # a failed factorization is not cached
         with pytest.raises(NotPositiveDefinite):
             giant_step(state, instance, mix, AlgorithmConfig())
+
+
+@pytest.mark.parametrize("h", [0.0, 1.0, 1e3])
+def test_cached_inverse_matches_the_factor_solve(h):
+    family = generate_problem(7, ProblemSpec(kind="quadratic", n=10, d=5, heterogeneity=h)).family
+    x, v = rng_for(40).standard_normal((2, 10, 5))
+    got = family.newton_directions(x, v)
+    want = spd_solve_stack(family.hessian_factors(x), v)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def _record_calls(monkeypatch, name):
+    """Arguments of every call to numerics' ``name``, from whichever giantnet module makes it."""
+    calls = []
+    original = getattr(numerics, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    for module in (numerics, objectives, diagnostics, algorithms):
+        if getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+def _giant_linear_algebra(instance, iterations, monkeypatch):
+    n, d = instance.family.shape
+    factorizations = _record_calls(monkeypatch, "spd_factorize_stack")
+    solves = _record_calls(monkeypatch, "spd_solve_stack")
+    cfg = AlgorithmConfig(epsilon=0.1, max_iters=iterations, grad_tol=0.0)
+    _, log = run("giant", instance, metropolis_weights(make_graph("ring", n)), cfg, rng_for(41).standard_normal((n, d)))
+    assert len(log) == iterations + 1
+    return factorizations, solves
+
+
+def test_quadratic_run_factors_and_inverts_once(monkeypatch):
+    instance = instance_for("quadratic", 6, 4)
+    factorizations, solves = _giant_linear_algebra(instance, 20, monkeypatch)
+    assert len(factorizations) == 1
+    assert len(solves) == 1 and np.array_equal(solves[0][1], np.broadcast_to(np.eye(4), (6, 4, 4)))
+
+
+@pytest.mark.parametrize("kind", ["logistic", "loop"])
+def test_other_families_factor_and_solve_every_round(kind, monkeypatch):
+    # Logistic Hessians change with x; a loop's objects may be any costs, so
+    # even quadratic objects get no cached inverse.
+    instance = instance_for("logistic" if kind == "logistic" else "quadratic", 6, 4)
+    if kind == "loop":
+        instance = looped(instance).with_reference(instance.reference_solution)
+    else:
+        instance = instance.with_reference(centralized_newton(instance, np.zeros(4)))
+    factorizations, solves = _giant_linear_algebra(instance, 5, monkeypatch)
+    assert len(factorizations) == 5
+    assert len(solves) == 5 and all(rhs.shape == (6, 4) for _, rhs in solves)
 
 
 def test_constant_hessian_stack_is_read_only():
