@@ -26,6 +26,10 @@ inverse Hessian to that estimate.
 The baseline ``gt`` is the same tracker with the identity in place of the
 Hessian and carries the same NetworkState from ``giant_init``. Every step
 is ``step(state, instance, P, cfg)``; dgd's state is the bare n x d stack.
+
+``run`` checks its stopping rule once per block of up to 64 steps, in one
+batched pass over the block's stacked (B, n, d) states, with the records,
+stop and final state of a check after every step.
 """
 
 from __future__ import annotations
@@ -34,9 +38,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import MetricsLog, metrics_record
+from .diagnostics import MetricsLog, metrics_records
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import frobenius_norm, is_finite_real, is_integer, spd_factorize, spd_solve
+from .numerics import is_finite_real, is_integer, row_norms, spd_factorize, spd_solve
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
@@ -191,13 +195,24 @@ def centralized_newton(
     raise MaxItersExceeded(f"Newton oracle did not reach tol={tol} in {max_iters} steps")
 
 
-def _diverged(arrays) -> bool:
-    # One reduction per block, the one ndarray.max(initial=0.0) runs; a NaN
-    # maximum fails the comparison, as does inf.
-    for a in arrays:
-        if not np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= DIVERGENCE_LIMIT:
-            return True
-    return False
+# run checks at most MAX_BLOCK iterations per pass, and no more than its
+# states and averaged-cost temporaries fit in BLOCK_FLOATS floats (512 KiB).
+BLOCK_FLOATS = 1 << 16
+MAX_BLOCK = 64
+
+
+def _block_cap(instance: ProblemInstance) -> int:
+    """Most iterations ``run`` checks in one pass: 64 at n = 10, d = 5; 1 for an ``ObjectiveLoop``.
+
+    Each iteration of a block keeps its state, 3nd floats, and the averaged
+    cost makes temporaries the size of its arrays per iteration, so blocks
+    stay small where one iteration's arrays are large.
+    """
+    floats = instance.family.average.floats
+    if floats is None:
+        return 1
+    n, d = instance.family.shape
+    return max(1, min(MAX_BLOCK, BLOCK_FLOATS // (3 * n * d + floats)))
 
 
 def run(
@@ -212,7 +227,19 @@ def run(
     Stops when the gradient norm of the averaged cost at the mean iterate
     drops to ``cfg.grad_tol``, when ``cfg.max_iters`` iterations have run,
     or when any state entry leaves [-1e12, 1e12] or turns non-finite, in
-    which case the log is marked diverged instead of raising.
+    which case the log is marked diverged instead of raising. Iteration 0
+    is logged but not checked for divergence.
+
+    The rule is checked once per block of iterations: the steps of a block
+    run first, then the records, tracking drifts and divergence of all its
+    states come from one batched pass over their stacks. Block lengths
+    double 1, 2, 4, ... up to ``_block_cap(instance)`` (at most 64) and
+    never pass ``cfg.max_iters``. The run stops at the first record of a
+    block that meets the rule and returns that record's state, so the log,
+    the final state and the stop are those of a check after every step;
+    the up to cap - 1 steps computed after the stop are discarded. If a
+    step raises, the states before it are checked first: the run returns
+    normally if one of them stops it, and the error propagates otherwise.
 
     Returns (final_state, MetricsLog): a NetworkState for giant and gt,
     the bare iterate stack for dgd. The log always contains the
@@ -229,34 +256,80 @@ def run(
 
     # Built per call from the module globals, so a rebinding of a step reaches run.
     step = {"giant": giant_step, "gt": gt_step, "dgd": dgd_step}[algorithm]
-    tracked = algorithm != "dgd"
-    state = giant_init(instance, x0) if tracked else instance.check_stack(x0).copy()
+    state = giant_init(instance, x0) if algorithm != "dgd" else instance.check_stack(x0).copy()
+    cap = _block_cap(instance)
 
     log = MetricsLog()
     with np.errstate(all="ignore"):
-        x, w, g = (state.x, state.w, state.g) if tracked else (state, None, None)
-        log.append(metrics_record(instance, x, 0, _drift(w, g), f_star))
-        k = 0
-        while k < cfg.max_iters and log.records[-1].grad_norm > cfg.grad_tol:
-            state = step(state, instance, P, cfg)
-            k += 1
-            x, w, g = (state.x, state.w, state.g) if tracked else (state, None, None)
-            log.append(metrics_record(instance, x, k, _drift(w, g), f_star))
-            if _diverged((x, w, g) if tracked else (x,)):
+        log.append(_check(instance, [state], 0, f_star)[0][0])
+        size = 1
+        while log.final.iteration < cfg.max_iters and log.final.grad_norm > cfg.grad_tol:
+            states, error = [], None
+            try:
+                for _ in range(min(size, cap, cfg.max_iters - log.final.iteration)):
+                    state = step(state, instance, P, cfg)
+                    states.append(state)
+            except Exception as exc:  # raised again below unless a state before it stops the run
+                if not states:
+                    raise
+                error = exc
+            records, diverged = _check(instance, states, log.final.iteration + 1, f_star)
+            stops = [b for b, r in enumerate(records) if diverged[b] or not r.grad_norm > cfg.grad_tol]
+            if error is not None and not stops:
+                raise error
+            end = stops[0] + 1 if stops else len(records)
+            log.records.extend(records[:end])
+            state = states[end - 1]
+            if diverged[end - 1]:
                 log.diverged = True
                 break
+            size *= 2
     return state, log
 
 
-def _drift(w: np.ndarray | None, g: np.ndarray | None) -> float:
-    """Residual of the tracking identity against the gradients the state stores.
+def _check(instance, states, first_iteration, f_star):
+    """The records of consecutive ``states`` from ``first_iteration``, and which of them diverged.
+
+    One batched pass over the stacked (B, n, d) blocks of the states.
+    """
+    # np.array copies a list of equal-shape arrays in one call; np.stack pays per array.
+    if isinstance(states[0], NetworkState):
+        x, w, g = (np.array([getattr(s, name) for s in states]) for name in "xwg")
+        blocks, drifts = (x, w, g), _block_drifts(w, g).tolist()
+    else:
+        x = np.array(states)
+        blocks, drifts = (x,), [0.0] * len(states)
+    return metrics_records(instance, x, first_iteration, drifts, f_star), _block_diverged(blocks)
+
+
+def _block_diverged(blocks) -> np.ndarray:
+    """Row b is True if an entry of row b of any (B, ...) block is NaN or beyond DIVERGENCE_LIMIT in magnitude."""
+    # A NaN maximum propagates and fails the comparison, as does inf.
+    largest = 0.0
+    for a in blocks:
+        largest = np.maximum(largest, np.maximum.reduce(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0))
+    return ~(largest <= DIVERGENCE_LIMIT)
+
+
+def _diverged(arrays) -> bool:
+    """The divergence rule for one state, given as its blocks: the 1-row case of ``_block_diverged``."""
+    return bool(_block_diverged([a[None] for a in arrays])[0])
+
+
+def _block_drifts(w: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Residuals of the tracking identity of B states, from their (B, n, d) trackers and gradient memories.
 
     giant's ``g`` holds the gradients at the previous iterate and gt's
     ``g`` those at the current one, bitwise as a fresh evaluation would
-    return them, so this equals ``diagnostics.tracking_drift`` without
-    evaluating them again. dgd has no tracker and logs 0. The sums and the
-    norm run the ufuncs of ``sum(axis=0)`` and ``np.linalg.norm`` directly.
+    return them, so row b equals ``diagnostics.tracking_drift`` of state b
+    without evaluating them again. The sums and the norms run the ufuncs of
+    ``sum(axis=0)`` and ``np.linalg.norm`` directly, state by state.
     """
+    return row_norms(np.add.reduce(w, 1) - np.add.reduce(g, 1))
+
+
+def _drift(w: np.ndarray | None, g: np.ndarray | None) -> float:
+    """The drift of one state, the 1-row case of ``_block_drifts``; dgd has no tracker and logs 0."""
     if w is None:
         return 0.0
-    return frobenius_norm(np.add.reduce(w, 0) - np.add.reduce(g, 0))
+    return float(_block_drifts(w[None], g[None])[0])

@@ -10,13 +10,14 @@ geometrically. This module measures each of them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidParams, MissingReference
-from .numerics import frobenius_norm, is_real, spd_solve_stack
+from .numerics import is_real, row_norms, spd_solve_stack
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -224,6 +225,35 @@ def estimate_rate(log: MetricsLog, tail_fraction: float = 0.5) -> RateEstimate:
     )
 
 
+def metrics_records(
+    instance: ProblemInstance,
+    xs: np.ndarray,
+    first_iteration: int,
+    drifts: Sequence[float],
+    f_star: float,
+) -> list[MetricsRecord]:
+    """Records of consecutive iterations from ``first_iteration``: row b of the (B, n, d) stack ``xs`` is one iterate.
+
+    ``drifts`` holds the B tracking drifts and ``f_star`` is the optimal
+    averaged cost. All metrics are taken at the mean iterates x_bar, a
+    (B, d) stack, and evaluate the averaged cost f = (1/n) * sum_i f_i once
+    for the whole stack, as the 1-agent family ``instance.family.average``
+    broadcast over its rows: the quadratic with the agent means of A, b and
+    c, or one pass over the n*m pooled logistic samples. ``consensus_err``
+    is ||x - x_bar||_F. x_bar and the norms run the ufuncs of
+    ``x.mean(axis=0)`` and ``np.linalg.norm`` directly, row by row, so every
+    record has the bits of those functions taken one iterate at a time.
+    """
+    x_bar = np.add.reduce(xs, 1) / xs.shape[1]
+    values, grads = instance.family.average.values_and_gradients(x_bar)
+    gaps = (values - f_star).tolist()
+    columns = zip(gaps, row_norms(xs - x_bar[:, None]).tolist(), row_norms(grads).tolist(), drifts)
+    return [
+        MetricsRecord(first_iteration + b, gap, err, norm, float(drift), gap)
+        for b, (gap, err, norm, drift) in enumerate(columns)
+    ]
+
+
 def metrics_record(
     instance: ProblemInstance,
     x: np.ndarray,
@@ -231,20 +261,5 @@ def metrics_record(
     drift: float,
     f_star: float,
 ) -> MetricsRecord:
-    """Assemble the standard per-iteration record; ``f_star`` is the optimal averaged cost.
-
-    All metrics are taken at the mean iterate x_bar and evaluate the averaged
-    cost f = (1/n) * sum_i f_i once, as the 1-agent family
-    ``instance.family.average``: the quadratic with the agent means of A, b
-    and c, or one pass over the n*m pooled logistic samples, with one
-    ``values_and_gradients`` call: the bits of ``average_value`` and
-    ``average_gradient`` without their point check, as x_bar is built here.
-    ``consensus_err`` is ||x - x_bar||_F, bitwise the norm of the
-    disagreement that :func:`decompose` returns. x_bar and the norms run
-    the ufuncs of ``x.mean(axis=0)`` and ``np.linalg.norm`` directly, so
-    they are the same bits without those functions' argument handling.
-    """
-    x_bar = np.add.reduce(x, 0) / x.shape[0]
-    value, grad = instance.family.average.values_and_gradients(x_bar[None])
-    gap = float(value[0]) - f_star
-    return MetricsRecord(iteration, gap, frobenius_norm(x - x_bar), frobenius_norm(grad), float(drift), gap)
+    """The record of one iterate ``x``: :func:`metrics_records` of a 1-row stack."""
+    return metrics_records(instance, x[None], iteration, (drift,), f_star)[0]

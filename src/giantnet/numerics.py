@@ -63,16 +63,17 @@ def is_finite_real(value) -> bool:
         return False
 
 
-def frobenius_norm(v: np.ndarray) -> float:
-    """sqrt of the sum of squares of all entries of a float array, as a Python float.
+def row_norms(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of ``v``, taken over all of the row's entries.
 
-    It runs the ufunc sequence of ``np.linalg.norm(v)`` without its
-    argument dispatch (a dot product over ``ravel(order="K")``, then a
-    correctly rounded square root), so it returns the same bits,
-    NaN and inf included.
+    Each row's squares are summed by one dot product over its entries in
+    memory order, as ``np.linalg.norm`` sums a flattened array (``v`` is
+    C-ordered or holds one row), then a correctly rounded square root is
+    taken. So row i has the bits of ``np.linalg.norm(v[i])``, NaN and inf
+    included, and the rows take one stacked product instead of a call each.
     """
-    v = v.ravel(order="K")
-    return math.sqrt(v.dot(v))
+    flat = v.ravel(order="K").reshape(v.shape[0], -1)
+    return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
 def spd_factorize(h: np.ndarray) -> np.ndarray:

@@ -119,6 +119,15 @@ class AgentFamily(ABC):
     def average(self) -> AgentFamily:
         """The averaged cost (1/n) * sum_i f_i as a family of one agent, of the same class."""
 
+    @property
+    def floats(self) -> int | None:
+        """Floats in the family's arrays; None if its 1-agent form takes one point per call.
+
+        A 1-agent quadratic or logistic family evaluates a (B, d) stack of
+        points at once, with temporaries the size of its arrays per point.
+        """
+        return None
+
 
 @dataclass(frozen=True, eq=False)
 class QuadraticFamily(AgentFamily):
@@ -139,6 +148,10 @@ class QuadraticFamily(AgentFamily):
     @property
     def shape(self):
         return self.a.shape[:2]
+
+    @property
+    def floats(self):
+        return self.a.size + self.b.size + self.c.size
 
     @property
     def objectives(self) -> tuple[QuadraticObjective, ...]:
@@ -210,6 +223,10 @@ class LogisticFamily(AgentFamily):
     @property
     def shape(self):
         return self.features.shape[0], self.features.shape[2]
+
+    @property
+    def floats(self):
+        return self.features.size + self.labels.size
 
     @property
     def objectives(self) -> tuple[LogisticObjective, ...]:
@@ -352,14 +369,20 @@ class ObjectiveLoop(AgentFamily):
     def shape(self):
         return len(self.objectives), self.objectives[0].dimension
 
+    def _pairs(self, x):
+        # One point per objective: a stack of any other length would be cut short or overrun.
+        if len(x) != len(self.objectives):
+            raise DimensionMismatch(f"{len(x)} points for {len(self.objectives)} objectives")
+        return zip(self.objectives, x)
+
     def values(self, x):
-        return np.array([obj.value(x[i]) for i, obj in enumerate(self.objectives)])
+        return np.array([obj.value(xi) for obj, xi in self._pairs(x)])
 
     def gradients(self, x):
-        return np.stack([obj.gradient(x[i]) for i, obj in enumerate(self.objectives)])
+        return np.stack([obj.gradient(xi) for obj, xi in self._pairs(x)])
 
     def hessians(self, x):
-        return np.stack([obj.hessian(x[i]) for i, obj in enumerate(self.objectives)])
+        return np.stack([obj.hessian(xi) for obj, xi in self._pairs(x)])
 
     @cached_property
     def average(self) -> ObjectiveLoop:

@@ -263,6 +263,17 @@ def test_loop_values_on_mixed_and_unequal_agents():
     assert close(family.average.values(x[:1]), [np.mean([obj.value(x[0]) for obj in objs])])
 
 
+@pytest.mark.parametrize("rows", [0, 1, 2, 4])
+@pytest.mark.parametrize("method", ["values", "gradients", "hessians", "values_and_gradients"])
+def test_loop_rejects_a_stack_of_another_length(method, rows):
+    # One point per objective: a longer stack used to be cut to the first len(objectives) rows.
+    family = looped(instance_for("quadratic", 3, 2)).family
+    with pytest.raises(DimensionMismatch, match=f"{rows} points for 3 objectives"):
+        getattr(family, method)(np.zeros((rows, 2)))
+    with pytest.raises(DimensionMismatch, match="3 points for 1 objectives"):
+        getattr(family.average, method)(np.zeros((3, 2)))
+
+
 def test_indefinite_hessian_in_one_row_raises():
     a = np.stack([np.eye(2)] * 4)
     a[2] = np.diag([1.0, -0.5])
