@@ -27,9 +27,11 @@ The baseline ``gt`` is the same tracker with the identity in place of the
 Hessian and carries the same NetworkState from ``giant_init``. Every step
 is ``step(state, instance, P, cfg)``; dgd's state is the bare n x d stack.
 
-``run`` checks its stopping rule once per block of up to 64 steps, in one
-batched pass over the block's stacked (B, n, d) states, with the records,
-stop and final state of a check after every step.
+``run`` checks its stopping rule once per block of up to 64 steps: it
+stacks the block's states into (B, n, d) arrays and hands them to
+``diagnostics.check_block``, which owns the records, the tracking drift
+and the divergence rule. The records, stop and final state are those of
+a check after every step.
 """
 
 from __future__ import annotations
@@ -38,16 +40,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diagnostics import MetricsLog, metrics_records
+# DIVERGENCE_LIMIT is the divergence rule's, kept importable from here.
+from .diagnostics import DIVERGENCE_LIMIT, MetricsLog, check_block
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import is_finite_real, is_integer, row_norms, spd_factorize, spd_solve
+from .numerics import is_finite_real, is_integer, spd_factorize, spd_solve
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
 ALGORITHMS = ("giant", "dgd", "gt")
-
-# Abort threshold on any state entry; divergence is recorded, not raised.
-DIVERGENCE_LIMIT = 1e12
 
 NEWTON_MAX_ITERS = 200
 
@@ -231,8 +231,8 @@ def run(
     is logged but not checked for divergence.
 
     The rule is checked once per block of iterations: the steps of a block
-    run first, then the records, tracking drifts and divergence of all its
-    states come from one batched pass over their stacks. Block lengths
+    run first, then ``diagnostics.check_block`` gives the records and the
+    divergence of all its states in one batched pass. Block lengths
     double 1, 2, 4, ... up to ``_block_cap(instance)`` (at most 64) and
     never pass ``cfg.max_iters``. The run stops at the first record of a
     block that meets the rule and returns that record's state, so the log,
@@ -288,48 +288,10 @@ def run(
 
 
 def _check(instance, states, first_iteration, f_star):
-    """The records of consecutive ``states`` from ``first_iteration``, and which of them diverged.
-
-    One batched pass over the stacked (B, n, d) blocks of the states.
-    """
+    """``check_block`` of consecutive ``states``, stacked into (B, n, d) blocks."""
     # np.array copies a list of equal-shape arrays in one call; np.stack pays per array.
     if isinstance(states[0], NetworkState):
         x, w, g = (np.array([getattr(s, name) for s in states]) for name in "xwg")
-        blocks, drifts = (x, w, g), _block_drifts(w, g).tolist()
     else:
-        x = np.array(states)
-        blocks, drifts = (x,), [0.0] * len(states)
-    return metrics_records(instance, x, first_iteration, drifts, f_star), _block_diverged(blocks)
-
-
-def _block_diverged(blocks) -> np.ndarray:
-    """Row b is True if an entry of row b of any (B, ...) block is NaN or beyond DIVERGENCE_LIMIT in magnitude."""
-    # A NaN maximum propagates and fails the comparison, as does inf.
-    largest = 0.0
-    for a in blocks:
-        largest = np.maximum(largest, np.maximum.reduce(np.abs(a), axis=tuple(range(1, a.ndim)), initial=0.0))
-    return ~(largest <= DIVERGENCE_LIMIT)
-
-
-def _diverged(arrays) -> bool:
-    """The divergence rule for one state, given as its blocks: the 1-row case of ``_block_diverged``."""
-    return bool(_block_diverged([a[None] for a in arrays])[0])
-
-
-def _block_drifts(w: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Residuals of the tracking identity of B states, from their (B, n, d) trackers and gradient memories.
-
-    giant's ``g`` holds the gradients at the previous iterate and gt's
-    ``g`` those at the current one, bitwise as a fresh evaluation would
-    return them, so row b equals ``diagnostics.tracking_drift`` of state b
-    without evaluating them again. The sums and the norms run the ufuncs of
-    ``sum(axis=0)`` and ``np.linalg.norm`` directly, state by state.
-    """
-    return row_norms(np.add.reduce(w, 1) - np.add.reduce(g, 1))
-
-
-def _drift(w: np.ndarray | None, g: np.ndarray | None) -> float:
-    """The drift of one state, the 1-row case of ``_block_drifts``; dgd has no tracker and logs 0."""
-    if w is None:
-        return 0.0
-    return float(_block_drifts(w[None], g[None])[0])
+        x, w, g = np.array(states), None, None
+    return check_block(instance, x, w, g, first_iteration, f_star)

@@ -6,22 +6,29 @@ disagreement; the tracker's agent sum equals the sum of the latest local
 gradients; the averaged dynamics descend a Lyapunov value controlled by
 the mean of the inverse Hessians; and the optimality gap decays
 geometrically. This module measures each of them.
+
+``check_block`` is the run loop's check of every iteration: from B
+consecutive states stacked as (B, n, d) arrays it makes their metrics
+records (cost gap and gradient norm at the mean iterate, consensus error,
+tracking drift) and applies the divergence rule, in one batched pass.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .errors import InsufficientData, InvalidParams, MissingReference
-from .numerics import is_real, row_norms, spd_solve_stack
+from .numerics import is_real, row_norms, spd_factorize_stack, spd_solve_stack
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .algorithms import NetworkState
+
+# Abort threshold on any state entry; divergence is recorded, not raised.
+DIVERGENCE_LIMIT = 1e12
 
 # Additive slack for the descent inequalities.
 DESCENT_TOL = 1e-10
@@ -92,7 +99,7 @@ def harmonic_hessian_mean(instance: ProblemInstance, x: np.ndarray) -> np.ndarra
     [1/L, 1/mu]. Inverses are applied through batched Cholesky solves
     against the identity, never formed from explicit inversion routines.
     """
-    lower = instance.hessian_factors(instance.consensus_stack(x))
+    lower = spd_factorize_stack(instance.stacked_hessian(instance.consensus_stack(x)))
     eye = np.broadcast_to(np.eye(instance.dimension), lower.shape)
     m = spd_solve_stack(lower, eye).mean(axis=0)
     return 0.5 * (m + m.T)
@@ -225,41 +232,53 @@ def estimate_rate(log: MetricsLog, tail_fraction: float = 0.5) -> RateEstimate:
     )
 
 
-def metrics_records(
-    instance: ProblemInstance,
-    xs: np.ndarray,
-    first_iteration: int,
-    drifts: Sequence[float],
-    f_star: float,
-) -> list[MetricsRecord]:
-    """Records of consecutive iterations from ``first_iteration``: row b of the (B, n, d) stack ``xs`` is one iterate.
-
-    ``drifts`` holds the B tracking drifts and ``f_star`` is the optimal
-    averaged cost. All metrics are taken at the mean iterates x_bar, a
-    (B, d) stack, and evaluate the averaged cost f = (1/n) * sum_i f_i once
-    for the whole stack, as the 1-agent family ``instance.family.average``
-    broadcast over its rows: the quadratic with the agent means of A, b and
-    c, or one pass over the n*m pooled logistic samples. ``consensus_err``
-    is ||x - x_bar||_F. x_bar and the norms run the ufuncs of
-    ``x.mean(axis=0)`` and ``np.linalg.norm`` directly, row by row, so every
-    record has the bits of those functions taken one iterate at a time.
-    """
-    x_bar = np.add.reduce(xs, 1) / xs.shape[1]
-    values, grads = instance.family.average.values_and_gradients(x_bar)
-    gaps = (values - f_star).tolist()
-    columns = zip(gaps, row_norms(xs - x_bar[:, None]).tolist(), row_norms(grads).tolist(), drifts)
-    return [
-        MetricsRecord(first_iteration + b, gap, err, norm, float(drift), gap)
-        for b, (gap, err, norm, drift) in enumerate(columns)
-    ]
-
-
-def metrics_record(
+def check_block(
     instance: ProblemInstance,
     x: np.ndarray,
-    iteration: int,
-    drift: float,
+    w: np.ndarray | None,
+    g: np.ndarray | None,
+    first_iteration: int,
     f_star: float,
-) -> MetricsRecord:
-    """The record of one iterate ``x``: :func:`metrics_records` of a 1-row stack."""
-    return metrics_records(instance, x[None], iteration, (drift,), f_star)[0]
+) -> tuple[list[MetricsRecord], np.ndarray]:
+    """Records of B consecutive states from ``first_iteration``, and which of them diverged.
+
+    Row b of the (B, n, d) stacks ``x``, ``w`` and ``g`` is one state's
+    iterate, tracker and gradient memory; dgd has no tracker, passes
+    ``w = g = None`` and logs drift 0. ``f_star`` is the optimal averaged
+    cost. All metrics are taken at the mean iterates x_bar, a (B, d) stack,
+    and evaluate the averaged cost f = (1/n) * sum_i f_i once for the whole
+    stack, as the 1-agent family ``instance.family.average`` broadcast over
+    its rows. ``consensus_err`` is ||x - x_bar||_F. The drift is
+    ||sum_i w_i - sum_i g_i||: giant's ``g`` holds the gradients at the
+    previous iterate and gt's those at the current one, bitwise as a fresh
+    evaluation would return them, so it equals :func:`tracking_drift`
+    without evaluating them again. x_bar, the agent sums and the norms run
+    the ufuncs of ``x.mean(axis=0)``, ``sum(axis=0)`` and ``np.linalg.norm``
+    directly, row by row, so every record has the bits of those functions
+    taken one state at a time.
+
+    State b diverged if an entry of its x, w or g is NaN or beyond
+    ``DIVERGENCE_LIMIT`` in magnitude.
+    """
+    x_bar = np.add.reduce(x, 1) / x.shape[1]
+    values, grads = instance.family.average.values_and_gradients(x_bar)
+    gaps = (values - f_star).tolist()
+    if w is None:
+        blocks, drifts = (x,), [0.0] * len(x)
+    else:
+        blocks, drifts = (x, w, g), row_norms(np.add.reduce(w, 1) - np.add.reduce(g, 1)).tolist()
+    columns = zip(gaps, row_norms(x - x_bar[:, None]).tolist(), row_norms(grads).tolist(), drifts)
+    records = [
+        MetricsRecord(first_iteration + b, gap, err, norm, drift, gap)
+        for b, (gap, err, norm, drift) in enumerate(columns)
+    ]
+    # A NaN maximum propagates and fails the comparison, as does inf.
+    largest = 0.0
+    for a in blocks:
+        largest = np.maximum(largest, np.maximum.reduce(np.abs(a), axis=(1, 2), initial=0.0))
+    return records, ~(largest <= DIVERGENCE_LIMIT)
+
+
+def metrics_record(instance: ProblemInstance, x: np.ndarray, iteration: int, f_star: float) -> MetricsRecord:
+    """The record of one bare iterate ``x``, drift 0: the 1-row case of :func:`check_block`."""
+    return check_block(instance, x[None], None, None, iteration, f_star)[0][0]

@@ -10,6 +10,7 @@ including its CSV output, byte-reproducible.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -89,9 +90,9 @@ def _as_seed(value, where: str) -> int:
 
 def _epsilon_grid(values) -> tuple[float, ...]:
     """The step sizes of a tuning grid as floats; InvalidParams unless each is a finite real > 0."""
-    grid = tuple(values)
+    grid = tuple(values) if isinstance(values, Iterable) else ()
     if not grid or not all(is_finite_real(eps) and eps > 0 for eps in grid):
-        raise InvalidParams(f"epsilon_grid must be a nonempty list of finite reals > 0, got {list(grid)}")
+        raise InvalidParams(f"epsilon_grid must be a nonempty list of finite reals > 0, got {values!r}")
     return tuple(float(eps) for eps in grid)
 
 
@@ -106,10 +107,12 @@ def _construct(block: str, spec, **fields):
 def load_config(path: str) -> ExperimentConfig:
     """Parse and validate an experiment configuration file.
 
-    Defaults: algorithm.name giant, epsilon 1.0, K 1, max_iters 5000,
-    grad_tol 1e-10, samples_per_agent 20, lambda 0.1, heterogeneity 0,
-    seeds 0, topology.n = problem.n, topology.p 0.5, output metrics.csv.
-    The spec constructors type the fields and check their ranges. Raises
+    The fields of the problem, topology and algorithm blocks that are
+    present are passed to ``ProblemSpec`` (``lambda`` as ``ridge``),
+    ``TopologySpec`` and ``AlgorithmConfig``, so absent ones take those
+    constructors' defaults, and the constructors type the fields and check
+    their ranges. Other defaults: algorithm.name giant, seeds 0,
+    topology.n = problem.n, output metrics.csv. Raises
     ParseError for malformed JSON (with line/column context) and
     ValidationError naming the offending field(s) otherwise.
     """
@@ -125,28 +128,16 @@ def load_config(path: str) -> ExperimentConfig:
 
     prob = _require(raw, "problem", "config")
     _reject_unknown(prob, _PROBLEM_FIELDS, "problem")
-    problem = _construct(
-        "problem",
-        ProblemSpec,
-        kind=_require(prob, "kind", "problem"),
-        n=_require(prob, "n", "problem"),
-        d=_require(prob, "d", "problem"),
-        samples_per_agent=prob.get("samples_per_agent", 20),
-        ridge=prob.get("lambda", 0.1),
-        heterogeneity=prob.get("heterogeneity", 0.0),
-    )
+    for key in ("kind", "n", "d"):
+        _require(prob, key, "problem")
+    fields = {"ridge" if key == "lambda" else key: value for key, value in prob.items() if key != "seed"}
+    problem = _construct("problem", ProblemSpec, **fields)
     problem_seed = _as_seed(prob.get("seed", 0), "problem.seed")
 
     topo = _require(raw, "topology", "config")
     _reject_unknown(topo, _TOPOLOGY_FIELDS, "topology")
-    topology = _construct(
-        "topology",
-        TopologySpec,
-        kind=_require(topo, "kind", "topology"),
-        n=topo.get("n", problem.n),
-        p=topo.get("p", 0.5),
-        seed=topo.get("seed", 0),
-    )
+    _require(topo, "kind", "topology")
+    topology = _construct("topology", TopologySpec, **{"n": problem.n, **topo})
     if topology.n != problem.n:
         raise ValidationError(f"topology.n ({topology.n}) must equal problem.n ({problem.n})")
 
@@ -155,14 +146,7 @@ def load_config(path: str) -> ExperimentConfig:
     name = algo.get("name", "giant")
     if name not in ALGORITHMS:
         raise ValidationError(f"algorithm.name must be one of {ALGORITHMS}, got {name!r}")
-    algorithm = _construct(
-        "algorithm",
-        AlgorithmConfig,
-        epsilon=algo.get("epsilon", 1.0),
-        K=algo.get("K", 1),
-        max_iters=algo.get("max_iters", 5000),
-        grad_tol=algo.get("grad_tol", 1e-10),
-    )
+    algorithm = _construct("algorithm", AlgorithmConfig, **{k: v for k, v in algo.items() if k != "name"})
     if not algorithm.epsilon > 0:
         raise ValidationError(f"algorithm.epsilon must be positive, got {algorithm.epsilon}")
 

@@ -106,13 +106,12 @@ class AgentFamily(ABC):
         """``(values(x), gradients(x))``, with the work they share done once where a family can."""
         return self.values(x), self.gradients(x)
 
-    def hessian_factors(self, x: np.ndarray) -> np.ndarray:
-        """Stacked lower Cholesky factors of the local Hessians."""
-        return spd_factorize_stack(self.hessians(x))
-
     def newton_directions(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row i is hess f_i(x_i)^{-1} v_i, by Cholesky solves against the factors."""
-        return spd_solve_stack(self.hessian_factors(x), v)
+        """Row i is hess f_i(x_i)^{-1} v_i, by Cholesky solves against the stacked factors.
+
+        Raises NotPositiveDefinite if any local Hessian is not positive definite.
+        """
+        return spd_solve_stack(spd_factorize_stack(self.hessians(x)), v)
 
     @property
     @abstractmethod
@@ -174,21 +173,15 @@ class QuadraticFamily(AgentFamily):
         out.flags.writeable = False
         return out
 
-    def hessian_factors(self, x):
-        return self._factors
-
     def newton_directions(self, x, v):
         return (self._inverse @ v[..., None])[..., 0]
 
     @cached_property
-    def _factors(self) -> np.ndarray:
-        # Constant Hessians: factored once per instance, on first use.
-        return spd_factorize_stack(self.a)
-
-    @cached_property
     def _inverse(self) -> np.ndarray:
-        # Constant Hessians: inverted once, by a solve against the identity, so a round is one matmul.
-        return spd_solve_stack(self._factors, np.broadcast_to(np.eye(self.a.shape[1]), self.a.shape))
+        # Constant Hessians: inverted once per instance, on first use, by the factor
+        # solve of AgentFamily.newton_directions against the identity, so a round is one matmul.
+        eye = np.broadcast_to(np.eye(self.a.shape[1]), self.a.shape)
+        return spd_solve_stack(spd_factorize_stack(self.a), eye)
 
     @cached_property
     def average(self) -> QuadraticFamily:
@@ -464,13 +457,6 @@ class ProblemInstance:
         """Entry i of the (n, d, d) result is hess f_i at row i of ``x``; treat it as read-only."""
         return self.family.hessians(self.check_stack(x))
 
-    def hessian_factors(self, x: np.ndarray) -> np.ndarray:
-        """Stacked lower Cholesky factors of the local Hessians at the rows of ``x``.
-
-        Raises NotPositiveDefinite if any local Hessian is not positive definite.
-        """
-        return self.family.hessian_factors(self.check_stack(x))
-
     def with_reference(self, x_star: np.ndarray) -> "ProblemInstance":
         return replace(self, reference_solution=np.asarray(x_star, dtype=float))
 
@@ -523,8 +509,11 @@ def generate_problem(seed: int, spec: ProblemSpec) -> ProblemInstance:
 
     Quadratic instances carry an exact reference solution obtained from
     the averaged normal equations. Logistic instances leave it unset; the
-    harness computes one with the centralized Newton oracle.
+    harness computes one with the centralized Newton oracle. Raises
+    InvalidSpec unless ``seed`` is a nonnegative integer (never a bool).
     """
+    if not (is_integer(seed) and seed >= 0):
+        raise InvalidSpec(f"seed must be a nonnegative integer, got {seed!r}")
     rng = Generator(Philox(seed))
     if spec.kind == "quadratic":
         return _generate_quadratic(rng, spec)

@@ -1,9 +1,12 @@
-"""The built-in costs written out one agent at a time: an oracle independent of the package.
+"""The built-in costs and the three methods written out one agent at a time: an oracle independent of the package.
 
 The package evaluates every cost, per-point objectives included, through
 the batched formulas of its agent families. These are the plain 2-D
 formulas for one agent, with scipy's expit as the sigmoid, so the
 families can be checked against code that does not share theirs.
+``trajectory`` runs giant, gt and dgd the same way: dense ``p @ x`` per
+consensus round, one ``np.linalg.solve`` per agent, and the six metrics
+of every iteration from the per-agent formulas.
 """
 
 import numpy as np
@@ -46,3 +49,47 @@ def averaged(family, x):
     """Value, gradient and Hessian of (1/n) * sum_i f_i at the single point ``x``."""
     rows = [agent(x) for agent in agents(family)]
     return tuple(np.mean([row[k] for row in rows], axis=0) for k in range(3))
+
+
+def metrics(family, x, w, g, f_star):
+    """opt_gap, consensus_err, grad_norm, tracking_drift and lyapunov of one state; dgd has w = g = None."""
+    x_bar = x.mean(axis=0)
+    value, gradient, _ = averaged(family, x_bar)
+    gap = value - f_star
+    drift = 0.0 if w is None else np.linalg.norm(w.sum(axis=0) - g.sum(axis=0))
+    return [gap, np.linalg.norm(x - x_bar), np.linalg.norm(gradient), drift, gap]
+
+
+def trajectory(algorithm, family, p, epsilon, k, x0, x_star, iterations):
+    """The (iterations + 1, 6) metric rows of giant, gt or dgd from ``x0``, and the final iterate.
+
+    giant mixes k rounds per iteration, gt and dgd one.
+    """
+    funcs = agents(family)
+    f_star = averaged(family, x_star)[0]
+
+    def grads(x):
+        return np.array([f(xi)[1] for f, xi in zip(funcs, x)])
+
+    def mix(v, rounds):
+        for _ in range(rounds):
+            v = p @ v
+        return v
+
+    x = np.array(x0, dtype=float)
+    w = g = None if algorithm == "dgd" else grads(x)
+    rows = [[0, *metrics(family, x, w, g, f_star)]]
+    for t in range(1, iterations + 1):
+        if algorithm == "giant":
+            fresh = grads(x)
+            w = mix(w + fresh - g, k)
+            directions = np.array([np.linalg.solve(f(xi)[2], wi) for f, xi, wi in zip(funcs, x, w)])
+            x, g = mix(x - epsilon * directions, k), fresh
+        elif algorithm == "gt":
+            x = p @ x - epsilon * w
+            fresh = grads(x)
+            w, g = p @ w + fresh - g, fresh
+        else:
+            x = p @ x - epsilon * grads(x)
+        rows.append([t, *metrics(family, x, w, g, f_star)])
+    return np.array(rows), x

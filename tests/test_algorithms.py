@@ -28,7 +28,8 @@ from giantnet import (
     tracking_drift,
 )
 from giantnet import topology
-from giantnet.algorithms import DIVERGENCE_LIMIT, _diverged
+from giantnet.algorithms import DIVERGENCE_LIMIT
+from giantnet.diagnostics import check_block
 from giantnet.objectives import LocalObjective
 
 from conftest import identical_quadratic_instance, ring_mixing, rng_for
@@ -496,10 +497,15 @@ class TestRun:
     ],
 )
 def test_divergence_rule(entry, diverged):
-    block = np.ones((4, 3))
+    # diagnostics.check_block's rule, state by state, on any of x, w and g; dgd's state is x alone.
+    instance = generate_problem(1, ProblemSpec(kind="quadratic", n=4, d=3))
+    zeros, block = np.zeros((4, 3)), np.ones((4, 3))
     block[2, 1] = entry
-    assert _diverged([np.zeros((4, 3)), block]) is diverged
-    assert _diverged([block, np.zeros((0, 3))]) is diverged
+    with np.errstate(all="ignore"):
+        for state in ((block, zeros, zeros), (zeros, block, zeros), (zeros, zeros, block)):
+            x, w, g = (np.array([zeros, a]) for a in state)
+            assert check_block(instance, x, w, g, 0, 0.0)[1].tolist() == [False, diverged]
+        assert check_block(instance, block[None], None, None, 0, 0.0)[1].tolist() == [diverged]
 
 
 def test_config_validation():

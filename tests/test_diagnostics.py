@@ -23,8 +23,7 @@ from giantnet import (
     tracking_drift,
 )
 
-from giantnet.algorithms import _drift
-from giantnet.diagnostics import metrics_record
+from giantnet.diagnostics import check_block, metrics_record
 from giantnet.harness import CSV_COLUMNS, write_metrics_csv
 
 from conftest import rng_for
@@ -216,7 +215,7 @@ def _bits(*values):
 
 
 class TestMetricsBitwise:
-    """metrics_record and run's drift give the bits of x.mean(axis=0) and np.linalg.norm."""
+    """check_block's records give the bits of x.mean(axis=0), sum(axis=0) and np.linalg.norm."""
 
     ENTRIES = [(), (np.nan,), (np.inf,), (-np.inf,), (np.nan, np.inf)]
 
@@ -246,7 +245,7 @@ class TestMetricsBitwise:
 
         monkeypatch.setattr(family_class, "values_and_gradients", spy)
         with np.errstate(all="ignore"):
-            rec = metrics_record(instance, x, 7, 0.25, 0.125)
+            rec = metrics_record(instance, x, 7, 0.125)
             monkeypatch.undo()
             x_bar = x.mean(axis=0)
             assert len(seen) == 1  # the averaged cost is evaluated once per record
@@ -256,7 +255,7 @@ class TestMetricsBitwise:
                 gap,
                 float(np.linalg.norm(x - x_bar)),
                 float(np.linalg.norm(instance.average_gradient(x_bar))),
-                0.25,
+                0.0,
                 gap,
             )
         got = (rec.opt_gap, rec.consensus_err, rec.grad_norm, rec.tracking_drift, rec.lyapunov)
@@ -287,15 +286,17 @@ class TestMetricsBitwise:
     @pytest.mark.parametrize("entries", ENTRIES)
     @pytest.mark.parametrize("order", ["C", "F", "T"])
     def test_drift(self, order, entries, offset):
+        instance = generate_problem(5, ProblemSpec(kind="quadratic", n=6, d=4))
+        x = self._stack(33, ())
         w = _layout(self._stack(31, entries, offset), order)
         g = _layout(self._stack(32, (), offset), order)
         with np.errstate(all="ignore"):
             expected = float(np.linalg.norm(w.sum(axis=0) - g.sum(axis=0)))
-            got = _drift(w, g)
+            got = check_block(instance, x[None], w[None], g[None], 0, 0.0)[0][0].tracking_drift
         assert type(got) is float and _bits(got) == _bits(expected)
         if entries:
             assert not np.isfinite(got)
-        assert _drift(None, None) == 0.0
+        assert check_block(instance, x[None], None, None, 0, 0.0)[0][0].tracking_drift == 0.0
 
 
 class TestMetricsRecord:

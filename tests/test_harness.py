@@ -304,6 +304,10 @@ class TestTuneEpsilon:
         with pytest.raises(InvalidParams):
             tune_epsilon(cfg, [])
 
+    @pytest.mark.parametrize("grid", [0.25, None, 3])
+    def test_grid_that_is_not_iterable_rejected(self, grid):
+        with pytest.raises(InvalidParams, match="^epsilon_grid must be"):
+            tune_on_shipped_config(grid)
 
     @pytest.mark.parametrize("target", [np.nan, np.inf, -1e-6, "1e-6", pytest.param(10**400, id="1e400")])
     def test_target_must_be_finite_and_nonnegative(self, tmp_path, target):

@@ -355,6 +355,16 @@ class TestGenerateProblem:
             ProblemInstance((quad,), **{"mu": 0.5, "lipschitz": 2.0, **bounds})
         assert ProblemInstance((quad,), mu=np.float32(0.5), lipschitz=2).lipschitz == 2
 
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, False, "1", None, np.int64(-2), pytest.param(-(2**200), id="-2^200")])
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_seed_is_typed(self, kind, seed):
+        spec = ProblemSpec(kind=kind, n=2, d=2)
+        with pytest.raises(InvalidSpec, match="^seed must be a nonnegative integer"):
+            generate_problem(seed, spec)
+        x = np.ones((2, 2))
+        reference = generate_problem(3, spec).stacked_gradient(x)
+        assert generate_problem(np.uint8(3), spec).stacked_gradient(x).tobytes() == reference.tobytes()
+
     def test_largest_heterogeneity_generates(self):
         spec = ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=MAX_HETEROGENEITY)
         assert np.isfinite(generate_problem(1, spec).lipschitz)

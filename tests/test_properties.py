@@ -1,5 +1,7 @@
 """Property tests: invariants that must hold for every drawn instance, not just fixtures."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,15 +12,23 @@ from hypothesis import strategies as st  # noqa: E402
 from hypothesis.extra import numpy as hnp  # noqa: E402
 
 from giantnet import (  # noqa: E402
+    ALGORITHMS,
     AlgorithmConfig,
     MixingMatrix,
     ProblemSpec,
+    centralized_newton,
     decompose,
     generate_problem,
     giant_init,
     giant_step,
+    make_graph,
+    metropolis_weights,
+    run,
     tracking_drift,
 )
+from giantnet.topology import GRAPH_KINDS  # noqa: E402
+
+import reference  # noqa: E402
 from conftest import rng_for  # noqa: E402
 
 # No example database, so failures are not replayed across runs; few examples keep tier-1 fast.
@@ -87,3 +97,46 @@ def test_decompose_parts_add_back_and_disagreement_sums_to_zero(x):
     assert np.all(mean == mean[0])
     np.testing.assert_allclose(mean + disagreement, x, rtol=0, atol=tol)
     np.testing.assert_allclose(disagreement.sum(axis=0), 0.0, rtol=0, atol=tol)
+
+
+ORACLE_ITERATIONS = 20
+ORACLE_EPSILON = {"giant": 0.2, "gt": 0.02, "dgd": 0.02}
+
+
+@st.composite
+def network_runs(draw):
+    """An instance with its reference solution, Metropolis weights on any graph kind, K and a start stack."""
+    graph = draw(st.sampled_from(GRAPH_KINDS))
+    # A grid needs n to be a multiple of ceil(sqrt(n)).
+    n = draw(st.integers(1, 8).filter(lambda n: graph != "grid" or n % math.ceil(math.sqrt(n)) == 0))
+    d = draw(st.integers(1, 4))
+    spec = ProblemSpec(kind=draw(st.sampled_from(["quadratic", "logistic"])), n=n, d=d, heterogeneity=1.0)
+    instance = generate_problem(draw(st.integers(0, 2**16)), spec)
+    if instance.reference_solution is None:
+        instance = instance.with_reference(centralized_newton(instance, np.zeros(d)))
+    mix = metropolis_weights(make_graph(graph, n, 0.5, draw(st.integers(0, 2**16))))
+    x0 = rng_for(draw(st.integers(0, 2**16))).standard_normal((n, d))
+    return instance, mix, draw(st.integers(1, 3)), x0
+
+
+@PROPERTY
+@given(network_runs())
+def test_whole_runs_match_the_per_agent_reference(setup):
+    # oracle: reference.trajectory, per-agent loops that share no code with the package
+    instance, mix, k, x0 = setup
+    scale = max(1.0, np.linalg.norm(instance.stacked_gradient(x0)))
+    for algorithm in ALGORITHMS:
+        cfg = AlgorithmConfig(epsilon=ORACLE_EPSILON[algorithm], K=k, max_iters=ORACLE_ITERATIONS, grad_tol=0.0)
+        state, log = run(algorithm, instance, mix, cfg, x0)
+        want, want_x = reference.trajectory(
+            algorithm, instance.family, mix.p, cfg.epsilon, k, x0, instance.reference_solution, ORACLE_ITERATIONS
+        )
+        got = np.array(log.records, dtype=float)
+        assert not log.diverged and got.shape == want.shape
+        assert np.array_equal(got[:, 0], want[:, 0])
+        for col in (1, 2, 3, 5):  # opt_gap, consensus_err, grad_norm, lyapunov
+            assert np.abs(got[:, col] - want[:, col]).max() <= 1e-10 * np.abs(want[:, col]).max()
+        # The drift is roundoff in both; it is measured against the gradients it sums.
+        assert np.abs(got[:, 4] - want[:, 4]).max() <= 1e-10 * scale
+        x = state if algorithm == "dgd" else state.x
+        assert np.linalg.norm(x - want_x) <= 1e-10 * max(1.0, np.linalg.norm(want_x))

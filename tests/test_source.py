@@ -1,5 +1,6 @@
 """Static checks on the package source."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -33,3 +34,38 @@ def test_the_floor_is_still_declared():
     # The check above is meaningful only while the package promises NumPy 1.x.
     pyproject = (SRC.parents[1] / "pyproject.toml").read_text()
     assert '"numpy>=1.24"' in pyproject
+
+
+def _private_module_names(tree):
+    """Names of the module-level functions, classes and assignments that start with one underscore."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def _uses(tree):
+    """Every name the module reads: bare names, attributes and imported names."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.add(node.name)
+    return used
+
+
+def test_every_private_module_name_is_used_in_the_package():
+    # A private helper that only its definition names is reachable from tests alone.
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    used = set().union(*map(_uses, trees.values()))
+    unused = [
+        f"{module[:-3]}.{name}" for module, tree in trees.items() for name in sorted(_private_module_names(tree) - used)
+    ]
+    assert not unused, "private names referenced only at their definition: " + ", ".join(unused)
