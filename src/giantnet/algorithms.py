@@ -29,9 +29,10 @@ is ``step(state, instance, P, cfg)``; dgd's state is the bare n x d stack.
 
 ``run`` checks its stopping rule once per block of up to 64 steps: it
 stacks the block's states into (B, n, d) arrays and hands them to
-``diagnostics.check_block``, which owns the records, the tracking drift
-and the divergence rule. The records, stop and final state are those of
-a check after every step.
+``diagnostics.check_block``, which owns the metrics rows, the tracking
+drift and the divergence rule. The run's log is those rows, one table in
+CSV column order; its rows, stop and final state are those of a check
+after every step.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from dataclasses import dataclass
 import numpy as np
 
 # DIVERGENCE_LIMIT is the divergence rule's, kept importable from here.
-from .diagnostics import DIVERGENCE_LIMIT, MetricsLog, check_block
+from .diagnostics import DIVERGENCE_LIMIT, MetricsLog, MetricsRecord, check_block
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
-from .numerics import is_finite_real, is_integer, spd_factorize, spd_solve
+from .numerics import is_finite_real, is_integer
 from .objectives import ProblemInstance
 from .topology import MixingMatrix
 
@@ -175,8 +176,9 @@ def centralized_newton(
 ) -> np.ndarray:
     """Full-Newton reference oracle on the averaged cost.
 
-    Iterates x <- x - hess_avg(x)^{-1} grad_avg(x) until the averaged
-    gradient norm drops to ``tol``. Exact in one step on quadratics.
+    Steps x <- x - hess_avg(x)^{-1} grad_avg(x) by the averaged cost's
+    ``newton_directions`` until the averaged gradient norm drops to ``tol``.
+    Exact in one step on quadratics.
     ``tol`` is a finite nonnegative real number and ``max_iters`` a nonnegative integer.
     """
     if not (is_finite_real(tol) and tol >= 0):
@@ -188,12 +190,14 @@ def centralized_newton(
         g = instance.average_gradient(x)
         if np.linalg.norm(g) <= tol:
             return x
-        h = instance.average_hessian(x)
-        x = x - spd_solve(spd_factorize(h), g)
+        x = x - instance.family.average.newton_directions(x[None], g[None])[0]
     if np.linalg.norm(instance.average_gradient(x)) <= tol:
         return x
     raise MaxItersExceeded(f"Newton oracle did not reach tol={tol} in {max_iters} steps")
 
+
+# The column of the run log that the stopping rule reads.
+_GRAD_NORM = MetricsRecord._fields.index("grad_norm")
 
 # run checks at most MAX_BLOCK iterations per pass, and no more than its
 # states and averaged-cost temporaries fit in BLOCK_FLOATS floats (512 KiB).
@@ -222,7 +226,7 @@ def run(
     cfg: AlgorithmConfig,
     x0: np.ndarray,
 ) -> tuple[NetworkState | np.ndarray, MetricsLog]:
-    """Drive an algorithm to its stopping rule, logging one record per iteration.
+    """Drive an algorithm to its stopping rule, logging one metrics row per iteration.
 
     Stops when the gradient norm of the averaged cost at the mean iterate
     drops to ``cfg.grad_tol``, when ``cfg.max_iters`` iterations have run,
@@ -231,19 +235,20 @@ def run(
     is logged but not checked for divergence.
 
     The rule is checked once per block of iterations: the steps of a block
-    run first, then ``diagnostics.check_block`` gives the records and the
-    divergence of all its states in one batched pass. Block lengths
-    double 1, 2, 4, ... up to ``_block_cap(instance)`` (at most 64) and
-    never pass ``cfg.max_iters``. The run stops at the first record of a
-    block that meets the rule and returns that record's state, so the log,
+    run first, then ``diagnostics.check_block`` gives the metrics rows and
+    the divergence mask of all its states in one batched pass. Block
+    lengths double 1, 2, 4, ... up to ``_block_cap(instance)`` (at most 64)
+    and never pass ``cfg.max_iters``. The run stops at the first row of a
+    block that meets the rule and returns that row's state, so the log,
     the final state and the stop are those of a check after every step;
     the up to cap - 1 steps computed after the stop are discarded. If a
     step raises, the states before it are checked first: the run returns
     normally if one of them stops it, and the error propagates otherwise.
+    The kept rows of all blocks become the log's table in one concatenate.
 
     Returns (final_state, MetricsLog): a NetworkState for giant and gt,
     the bare iterate stack for dgd. The log always contains the
-    iteration-0 record, so ``max_iters = 0`` yields exactly one record.
+    iteration-0 row, so ``max_iters = 0`` yields exactly one row.
     Requires ``instance.reference_solution`` and one row of P per agent.
     """
     if instance.reference_solution is None:
@@ -259,32 +264,28 @@ def run(
     state = giant_init(instance, x0) if algorithm != "dgd" else instance.check_stack(x0).copy()
     cap = _block_cap(instance)
 
-    log = MetricsLog()
     with np.errstate(all="ignore"):
-        log.append(_check(instance, [state], 0, f_star)[0][0])
-        size = 1
-        while log.final.iteration < cfg.max_iters and log.final.grad_norm > cfg.grad_tol:
+        tables = [_check(instance, [state], 0, f_star)[0]]
+        k, size, diverged = 0, 1, False
+        while not diverged and k < cfg.max_iters and tables[-1][-1, _GRAD_NORM] > cfg.grad_tol:
             states, error = [], None
             try:
-                for _ in range(min(size, cap, cfg.max_iters - log.final.iteration)):
+                for _ in range(min(size, cap, cfg.max_iters - k)):
                     state = step(state, instance, P, cfg)
                     states.append(state)
             except Exception as exc:  # raised again below unless a state before it stops the run
                 if not states:
                     raise
                 error = exc
-            records, diverged = _check(instance, states, log.final.iteration + 1, f_star)
-            stops = [b for b, r in enumerate(records) if diverged[b] or not r.grad_norm > cfg.grad_tol]
-            if error is not None and not stops:
+            table, block_diverged = _check(instance, states, k + 1, f_star)
+            stops = np.flatnonzero(block_diverged | ~(table[:, _GRAD_NORM] > cfg.grad_tol))
+            if error is not None and not stops.size:
                 raise error
-            end = stops[0] + 1 if stops else len(records)
-            log.records.extend(records[:end])
-            state = states[end - 1]
-            if diverged[end - 1]:
-                log.diverged = True
-                break
+            end = stops[0] + 1 if stops.size else len(table)
+            tables.append(table[:end])
+            state, k, diverged = states[end - 1], k + end, bool(block_diverged[end - 1])
             size *= 2
-    return state, log
+    return state, MetricsLog(np.concatenate(tables), diverged)
 
 
 def _check(instance, states, first_iteration, f_star):

@@ -8,9 +8,10 @@ the mean of the inverse Hessians; and the optimality gap decays
 geometrically. This module measures each of them.
 
 ``check_block`` is the run loop's check of every iteration: from B
-consecutive states stacked as (B, n, d) arrays it makes their metrics
-records (cost gap and gradient norm at the mean iterate, consensus error,
-tracking drift) and applies the divergence rule, in one batched pass.
+consecutive states stacked as (B, n, d) arrays it makes their metrics rows
+(cost gap and gradient norm at the mean iterate, consensus error, tracking
+drift) and applies the divergence rule, in one batched pass. A run's
+``MetricsLog`` is those rows, one table whose readers read its columns.
 """
 
 from __future__ import annotations
@@ -51,32 +52,40 @@ class MetricsRecord(NamedTuple):
     lyapunov: float
 
 
-@dataclass
+@dataclass(eq=False)
 class MetricsLog:
-    """Ordered per-iteration records of a single run."""
+    """A run's metrics: ``table`` is a C-ordered (N, 6) float64 array, one row per iteration.
 
-    records: list[MetricsRecord] = field(default_factory=list)
+    Its columns are ``MetricsRecord._fields``, the CSV's. ``records`` and
+    ``final`` give rows as records of Python numbers, the iteration an int;
+    ``append`` adds one record, for logs built by hand.
+    """
+
+    table: np.ndarray = field(default_factory=lambda: np.empty((0, len(MetricsRecord._fields))))
     diverged: bool = False
 
     def append(self, record: MetricsRecord) -> None:
-        self.records.append(record)
+        self.table = np.vstack((self.table, record))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.table)
+
+    @property
+    def records(self) -> list[MetricsRecord]:
+        return [MetricsRecord(int(k), *rest) for k, *rest in self.table.tolist()]
 
     @property
     def final(self) -> MetricsRecord:
-        return self.records[-1]
+        k, *rest = self.table[-1].tolist()
+        return MetricsRecord(int(k), *rest)
 
     def gaps(self) -> np.ndarray:
-        return np.array([r.opt_gap for r in self.records])
+        return self.table[:, 1].copy()
 
     def first_iteration_below(self, target: float) -> int | None:
         """Earliest iteration whose optimality gap is at or below ``target``."""
-        for r in self.records:
-            if r.opt_gap <= target:
-                return r.iteration
-        return None
+        hits = np.flatnonzero(self.table[:, 1] <= target)
+        return int(self.table[hits[0], 0]) if hits.size else None
 
 
 def decompose(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -206,20 +215,17 @@ def estimate_rate(log: MetricsLog, tail_fraction: float = 0.5) -> RateEstimate:
     """
     if not (is_real(tail_fraction) and 0 < tail_fraction <= 1):
         raise InvalidParams(f"tail_fraction must be a real number in (0, 1], got {tail_fraction!r}")
-    records = log.records
-    if records:
-        k_cut = TRANSIENT_FRACTION * records[-1].iteration
-        usable = [r for r in records if r.opt_gap > GAP_FLOOR and r.iteration >= k_cut]
-    else:
-        usable = []
+    iterations, gaps = log.table[:, 0], log.table[:, 1]
+    k_cut = TRANSIENT_FRACTION * iterations[-1] if len(log) else 0.0
+    usable = np.flatnonzero((gaps > GAP_FLOOR) & (iterations >= k_cut))
     take = int(np.ceil(tail_fraction * len(usable)))
     window = usable[len(usable) - take:]
     if len(window) < 10:
         raise InsufficientData(
             f"rate fit needs >= 10 usable records in the tail, found {len(window)}"
         )
-    ks = np.array([r.iteration for r in window], dtype=float)
-    ys = np.log10([r.opt_gap for r in window])
+    ks = iterations[window]
+    ys = np.log10(gaps[window])
     slope, intercept = np.polyfit(ks, ys, 1)
     fit = slope * ks + intercept
     ss_res = float(np.sum((ys - fit) ** 2))
@@ -239,22 +245,23 @@ def check_block(
     g: np.ndarray | None,
     first_iteration: int,
     f_star: float,
-) -> tuple[list[MetricsRecord], np.ndarray]:
-    """Records of B consecutive states from ``first_iteration``, and which of them diverged.
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(table, diverged)`` of B consecutive states from ``first_iteration``.
 
-    Row b of the (B, n, d) stacks ``x``, ``w`` and ``g`` is one state's
-    iterate, tracker and gradient memory; dgd has no tracker, passes
-    ``w = g = None`` and logs drift 0. ``f_star`` is the optimal averaged
-    cost. All metrics are taken at the mean iterates x_bar, a (B, d) stack,
-    and evaluate the averaged cost f = (1/n) * sum_i f_i once for the whole
-    stack, as the 1-agent family ``instance.family.average`` broadcast over
-    its rows. ``consensus_err`` is ||x - x_bar||_F. The drift is
+    ``table`` holds their (B, 6) rows of a :class:`MetricsLog` table and
+    ``diverged`` is a (B,) mask. Row b of the (B, n, d) stacks ``x``, ``w``
+    and ``g`` is one state's iterate, tracker and gradient memory; dgd has
+    no tracker, passes ``w = g = None`` and logs drift 0. ``f_star`` is the
+    optimal averaged cost. All metrics are taken at the mean iterates x_bar,
+    a (B, d) stack, and evaluate the averaged cost f = (1/n) * sum_i f_i
+    once for the whole stack, as the 1-agent family ``instance.family.average``
+    broadcast over its rows. ``consensus_err`` is ||x - x_bar||_F. The drift is
     ||sum_i w_i - sum_i g_i||: giant's ``g`` holds the gradients at the
     previous iterate and gt's those at the current one, bitwise as a fresh
     evaluation would return them, so it equals :func:`tracking_drift`
     without evaluating them again. x_bar, the agent sums and the norms run
     the ufuncs of ``x.mean(axis=0)``, ``sum(axis=0)`` and ``np.linalg.norm``
-    directly, row by row, so every record has the bits of those functions
+    directly, row by row, so every row has the bits of those functions
     taken one state at a time.
 
     State b diverged if an entry of its x, w or g is NaN or beyond
@@ -262,23 +269,20 @@ def check_block(
     """
     x_bar = np.add.reduce(x, 1) / x.shape[1]
     values, grads = instance.family.average.values_and_gradients(x_bar)
-    gaps = (values - f_star).tolist()
+    gaps = values - f_star
     if w is None:
-        blocks, drifts = (x,), [0.0] * len(x)
+        blocks, drifts = (x,), np.zeros(len(x))
     else:
-        blocks, drifts = (x, w, g), row_norms(np.add.reduce(w, 1) - np.add.reduce(g, 1)).tolist()
-    columns = zip(gaps, row_norms(x - x_bar[:, None]).tolist(), row_norms(grads).tolist(), drifts)
-    records = [
-        MetricsRecord(first_iteration + b, gap, err, norm, drift, gap)
-        for b, (gap, err, norm, drift) in enumerate(columns)
-    ]
+        blocks, drifts = (x, w, g), row_norms(np.add.reduce(w, 1) - np.add.reduce(g, 1))
+    iterations = np.arange(first_iteration, first_iteration + len(x))
+    table = np.column_stack((iterations, gaps, row_norms(x - x_bar[:, None]), row_norms(grads), drifts, gaps))
     # A NaN maximum propagates and fails the comparison, as does inf.
     largest = 0.0
     for a in blocks:
         largest = np.maximum(largest, np.maximum.reduce(np.abs(a), axis=(1, 2), initial=0.0))
-    return records, ~(largest <= DIVERGENCE_LIMIT)
+    return table, ~(largest <= DIVERGENCE_LIMIT)
 
 
 def metrics_record(instance: ProblemInstance, x: np.ndarray, iteration: int, f_star: float) -> MetricsRecord:
     """The record of one bare iterate ``x``, drift 0: the 1-row case of :func:`check_block`."""
-    return check_block(instance, x[None], None, None, iteration, f_star)[0][0]
+    return MetricsLog(check_block(instance, x[None], None, None, iteration, f_star)[0]).final

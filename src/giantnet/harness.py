@@ -228,15 +228,8 @@ def _write_csv(path: str, columns, rows) -> None:
 
 def write_metrics_csv(log: MetricsLog, path: str) -> None:
     """Serialize a run log; floats carry 17 significant digits for round-trips."""
-    _write_csv(
-        path,
-        CSV_COLUMNS,
-        (
-            (str(r.iteration), _fmt(r.opt_gap), _fmt(r.consensus_err), _fmt(r.grad_norm),
-             _fmt(r.tracking_drift), _fmt(r.lyapunov))
-            for r in log.records
-        ),
-    )
+    rows = ((str(int(k)), *map(_fmt, rest)) for k, *rest in log.table.tolist())
+    _write_csv(path, CSV_COLUMNS, rows)
 
 
 @dataclass(frozen=True)

@@ -438,16 +438,14 @@ class ProblemInstance:
     def average_value(self, x: np.ndarray) -> float:
         """(1/n) * sum_i f_i(x), the global cost at a single point of shape (d,).
 
-        The three averages evaluate the 1-agent family ``family.average`` at
-        ``x``; they raise DimensionMismatch unless ``x`` has shape (d,).
+        It and ``average_gradient`` evaluate the 1-agent family
+        ``family.average`` at ``x``; both raise DimensionMismatch unless
+        ``x`` has shape (d,).
         """
         return self._average.value(x)
 
     def average_gradient(self, x: np.ndarray) -> np.ndarray:
         return self._average.gradient(x)
-
-    def average_hessian(self, x: np.ndarray) -> np.ndarray:
-        return self._average.hessian(x)
 
     def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
         """Row i of the result is grad f_i evaluated at row i of ``x``."""

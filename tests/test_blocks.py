@@ -61,7 +61,7 @@ def _reference_run(algorithm, instance, P, cfg, x0, step):
     with np.errstate(all="ignore"):
         log.append(record(state, 0))
         k = 0
-        while k < cfg.max_iters and log.records[-1].grad_norm > cfg.grad_tol:
+        while k < cfg.max_iters and log.final.grad_norm > cfg.grad_tol:
             state = step(state, instance, P, cfg)
             k += 1
             log.append(record(state, k))

@@ -23,7 +23,7 @@ from giantnet import (
     tracking_drift,
 )
 
-from giantnet.diagnostics import check_block, metrics_record
+from giantnet.diagnostics import GAP_FLOOR, check_block, metrics_record
 from giantnet.harness import CSV_COLUMNS, write_metrics_csv
 
 from conftest import rng_for
@@ -292,11 +292,12 @@ class TestMetricsBitwise:
         g = _layout(self._stack(32, (), offset), order)
         with np.errstate(all="ignore"):
             expected = float(np.linalg.norm(w.sum(axis=0) - g.sum(axis=0)))
-            got = check_block(instance, x[None], w[None], g[None], 0, 0.0)[0][0].tracking_drift
+            table, _ = check_block(instance, x[None], w[None], g[None], 0, 0.0)
+        got = MetricsLog(table).records[0].tracking_drift
         assert type(got) is float and _bits(got) == _bits(expected)
         if entries:
             assert not np.isfinite(got)
-        assert check_block(instance, x[None], None, None, 0, 0.0)[0][0].tracking_drift == 0.0
+        assert MetricsLog(check_block(instance, x[None], None, None, 0, 0.0)[0]).records[0].tracking_drift == 0.0
 
 
 class TestMetricsRecord:
@@ -329,6 +330,44 @@ class TestMetricsRecord:
             b"2,nan,inf,-inf,0,nan\n"
             b"1000000,123456789,9.5367431640625e-07,7,3,123456789\n"
         )
+
+
+class TestMetricsTable:
+    @pytest.mark.parametrize("algorithm, epsilon", [("giant", 0.25), ("gt", 0.02), ("dgd", 2.0)])
+    def test_a_run_log_is_one_c_ordered_table(self, hetero_ring, algorithm, epsilon):
+        # dgd at epsilon 2 diverges, so its last rows hold inf or NaN.
+        instance, mix, x0 = hetero_ring
+        _, log = run(algorithm, instance, mix, AlgorithmConfig(epsilon=epsilon, max_iters=300), x0)
+        table = log.table
+        assert table.dtype == np.float64 and table.shape == (len(log), len(MetricsRecord._fields))
+        assert table.flags.c_contiguous
+        assert np.array(log.records).tobytes() == table.tobytes()
+        assert log.final == log.records[-1] and type(log.final.iteration) is int
+        assert log.diverged == (algorithm == "dgd")
+
+    def test_readers_of_a_hand_built_log(self):
+        # Iterations 0, 2, 4, ...; the NaN at iteration 8 misses 0.5 and iteration 10 hits it.
+        gaps = [0.8**k for k in range(24)]
+        gaps[4], gaps[9], gaps[15] = np.nan, GAP_FLOOR, 2e-3
+        log = MetricsLog()
+        for k, gap in enumerate(gaps):
+            log.append(MetricsRecord(2 * k, gap, 0.0, 0.0, 0.0, gap))
+        assert log.gaps().tobytes() == np.array(gaps).tobytes()
+        hits = [log.first_iteration_below(t) for t in (0.5, 0.1, 2e-3, GAP_FLOOR, 1e-20)]
+        assert hits == [10, 18, 18, 18, None]
+        # The fits leave out iterations 0-4 (transient), 8 (NaN) and 18 (at the floor).
+        full, tail = estimate_rate(log, tail_fraction=1.0), estimate_rate(log)
+        assert full.window == (6, 46) and tail.window == (28, 46)
+        assert full.rate == pytest.approx(0.8918900513196191, rel=1e-12)
+        assert full.r_squared == pytest.approx(0.8173979456208713, rel=1e-12)
+        assert tail.rate == pytest.approx(0.9505191440169204, rel=1e-12)
+        assert tail.r_squared == pytest.approx(0.12090375610516946, rel=1e-12)
+
+    def test_empty_log(self):
+        log = MetricsLog()
+        assert len(log) == 0 and log.records == [] and log.first_iteration_below(1.0) is None
+        with pytest.raises(InsufficientData):
+            estimate_rate(log)
 
 
 def _log_from_gaps(gaps):

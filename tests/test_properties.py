@@ -26,7 +26,8 @@ from giantnet import (  # noqa: E402
     run,
     tracking_drift,
 )
-from giantnet.topology import GRAPH_KINDS  # noqa: E402
+from giantnet import topology  # noqa: E402
+from giantnet.topology import GRAPH_KINDS, _RowSparse  # noqa: E402
 
 import reference  # noqa: E402
 from conftest import rng_for  # noqa: E402
@@ -124,13 +125,27 @@ def network_runs(draw):
 def test_whole_runs_match_the_per_agent_reference(setup):
     # oracle: reference.trajectory, per-agent loops that share no code with the package
     instance, mix, k, x0 = setup
+    wants = {
+        algorithm: reference.trajectory(
+            algorithm, instance.family, mix.p, ORACLE_EPSILON[algorithm], k, x0,
+            instance.reference_solution, ORACLE_ITERATIONS,
+        )
+        for algorithm in ALGORITHMS
+    }
+    _assert_runs_match(instance, mix, k, x0, wants)
+    # Again with every P^k applied as CSR: at these sizes mix picks the dense product.
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(topology, "SPARSE_RATIO", 0)
+        csr = MixingMatrix(mix.p)
+        _assert_runs_match(instance, csr, k, x0, wants)
+    assert csr._products and all(isinstance(op, _RowSparse) for op in csr._products.values())
+
+
+def _assert_runs_match(instance, mix, k, x0, wants):
     scale = max(1.0, np.linalg.norm(instance.stacked_gradient(x0)))
-    for algorithm in ALGORITHMS:
+    for algorithm, (want, want_x) in wants.items():
         cfg = AlgorithmConfig(epsilon=ORACLE_EPSILON[algorithm], K=k, max_iters=ORACLE_ITERATIONS, grad_tol=0.0)
         state, log = run(algorithm, instance, mix, cfg, x0)
-        want, want_x = reference.trajectory(
-            algorithm, instance.family, mix.p, cfg.epsilon, k, x0, instance.reference_solution, ORACLE_ITERATIONS
-        )
         got = np.array(log.records, dtype=float)
         assert not log.diverged and got.shape == want.shape
         assert np.array_equal(got[:, 0], want[:, 0])
