@@ -33,11 +33,17 @@ stacks the block's states into (B, n, d) arrays and hands them to
 drift and the divergence rule. The run's log is those rows, one table in
 CSV column order; its rows, stop and final state are those of a check
 after every step.
+
+Steps are pure functions of the state's arrays (x, w, g), and so must be
+the objectives they evaluate. So once a state equals an earlier one bit
+for bit, the run repeats that cycle up to ``max_iters``, and ``run``
+writes those rows from the cycle's instead of stepping: a run can take
+fewer step calls than its log has iterations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -246,6 +252,16 @@ def run(
     normally if one of them stops it, and the error propagates otherwise.
     The kept rows of all blocks become the log's table in one concatenate.
 
+    After a block that neither stops nor reaches ``cfg.max_iters``, its
+    last state is compared with the block's other states and the previous
+    block's last one, first by metrics row, then bit for bit. If it equals
+    the state p iterations back, every step assumed pure, the run has
+    period p from there and none of its later rows stops it: the log gets
+    the rest of its rows up to ``cfg.max_iters`` as the last p rows over
+    again, renumbered, and the run returns the cycle's state at
+    ``cfg.max_iters``, not diverged. So the step count can be below
+    ``cfg.max_iters`` on a run that reaches it.
+
     Returns (final_state, MetricsLog): a NetworkState for giant and gt,
     the bare iterate stack for dgd. The log always contains the
     iteration-0 row, so ``max_iters = 0`` yields exactly one row.
@@ -268,7 +284,7 @@ def run(
         tables = [_check(instance, [state], 0, f_star)[0]]
         k, size, diverged = 0, 1, False
         while not diverged and k < cfg.max_iters and tables[-1][-1, _GRAD_NORM] > cfg.grad_tol:
-            states, error = [], None
+            previous, states, error = state, [], None
             try:
                 for _ in range(min(size, cap, cfg.max_iters - k)):
                     state = step(state, instance, P, cfg)
@@ -285,7 +301,39 @@ def run(
             tables.append(table[:end])
             state, k, diverged = states[end - 1], k + end, bool(block_diverged[end - 1])
             size *= 2
+            period = 0 if stops.size or k == cfg.max_iters else _period(tables[-2][-1], table, [previous, *states])
+            if period:
+                # From here the rows repeat the last period's, renumbered, and none of them stops the run.
+                rest = np.arange(cfg.max_iters - k)
+                tail = table[-period:].take(rest, axis=0, mode="wrap")
+                tail[:, 0] = rest
+                tail[:, 0] += k + 1
+                tables.append(tail)
+                state = states[-1 - (k - cfg.max_iters) % period]
+                if isinstance(state, NetworkState):
+                    state = replace(state, iteration=int(cfg.max_iters))
+                k = cfg.max_iters
     return state, MetricsLog(np.concatenate(tables), diverged)
+
+
+def _period(previous_row, table, states):
+    """Smallest p with ``states[-1 - p]`` bitwise equal to ``states[-1]``, or 0 if there is none.
+
+    ``states`` is the previous block's last state followed by a block's
+    states, and ``previous_row`` and ``table`` are their metrics rows. Equal
+    states have equal rows, so only states whose row equals the last one in
+    every metric column are compared, bit by bit (-0.0 and 0.0 differ).
+    """
+    rows = np.vstack((previous_row, table[:-1]))[:, 1:]
+    for i in np.flatnonzero((rows == table[-1, 1:]).all(axis=1))[::-1]:
+        if _same_bits(states[i], states[-1]):
+            return len(states) - 1 - i
+    return 0
+
+
+def _same_bits(a, b) -> bool:
+    pairs = zip((a.x, a.w, a.g), (b.x, b.w, b.g)) if isinstance(a, NetworkState) else ((a, b),)
+    return all(u.tobytes() == v.tobytes() for u, v in pairs)
 
 
 def _check(instance, states, first_iteration, f_star):

@@ -18,7 +18,7 @@ from numpy.random import Generator, Philox
 
 from .algorithms import ALGORITHMS, DIVERGENCE_LIMIT, AlgorithmConfig, centralized_newton, run
 from .diagnostics import MetricsLog, estimate_rate
-from .errors import InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
+from .errors import GiantNetError, InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
 from .numerics import is_finite_real, is_integer
 from .objectives import ProblemInstance, ProblemSpec, generate_problem
 from .topology import (
@@ -238,7 +238,7 @@ class TuneResult:
 
     algorithm: str
     epsilon: float
-    status: str  # reached | not_reached | diverged
+    status: str  # reached | not_reached | diverged | failed
     iterations: int | None
     final_gap: float
     rate: float | None = None
@@ -255,16 +255,22 @@ def _tune(instance, mix, x0, name, algo_cfg, grid, target):
 
     Only the winner's log is kept. A later point replaces it only when
     strictly better under ``_tune_key``, so among ties the earliest wins.
+    A point whose run raises a ``GiantNetError`` is marked ``failed``, with
+    a NaN gap, and has no log; the other points still run.
     """
     results, best, best_log = [], None, None
     for eps in grid:
-        _, log = run(name, instance, mix, replace(algo_cfg, epsilon=eps), x0)
-        gap = float(log.final.opt_gap)
-        if log.diverged or not np.isfinite(gap) or gap > DIVERGENCE_LIMIT:
-            result = TuneResult(name, eps, "diverged", None, gap)
+        try:
+            _, log = run(name, instance, mix, replace(algo_cfg, epsilon=eps), x0)
+        except GiantNetError:
+            result, log = TuneResult(name, eps, "failed", None, np.nan), None
         else:
-            hit = log.first_iteration_below(target)
-            result = TuneResult(name, eps, "not_reached" if hit is None else "reached", hit, gap)
+            gap = float(log.final.opt_gap)
+            if log.diverged or not np.isfinite(gap) or gap > DIVERGENCE_LIMIT:
+                result = TuneResult(name, eps, "diverged", None, gap)
+            else:
+                hit = log.first_iteration_below(target)
+                result = TuneResult(name, eps, "not_reached" if hit is None else "reached", hit, gap)
         results.append(result)
         if best is None or _tune_key(result) < _tune_key(best):
             best, best_log = result, log
@@ -273,7 +279,7 @@ def _tune(instance, mix, x0, name, algo_cfg, grid, target):
 
 
 def _tune_key(r: TuneResult):
-    rank = {"reached": 0, "not_reached": 1, "diverged": 2}[r.status]
+    rank = {"reached": 0, "not_reached": 1, "diverged": 2, "failed": 3}[r.status]
     iters = r.iterations if r.iterations is not None else np.inf
     gap = r.final_gap if np.isfinite(r.final_gap) else np.inf
     return (rank, iters, gap)
@@ -291,9 +297,10 @@ def tune_epsilon(
     """Grid-search the step size, preferring fewest iterations to the gap target.
 
     ``target`` defaults to the configured grad_tol, reused as an
-    optimality-gap threshold. Diverged runs are marked, never raised;
-    among runs that never reach the target the smallest final gap wins,
-    with grid order breaking ties. Raises InvalidParams for a grid that is
+    optimality-gap threshold. Diverged runs, and runs that raise a
+    ``GiantNetError`` (``failed``), are marked, never raised; among runs
+    that never reach the target the smallest final gap wins, with grid
+    order breaking ties. Raises InvalidParams for a grid that is
     empty or holds anything but finite reals > 0, and for a target that is
     not a finite number >= 0.
     """
@@ -314,7 +321,8 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = 1e-6) 
     The problem, graph and initial stack are built once from the config
     seeds and shared, never regenerated per algorithm. Each algorithm is
     tuned over the config's epsilon grid (or its single configured
-    epsilon) and reported at its best step size. Raises InvalidParams for
+    epsilon) and reported at its best step size; a point whose run raises
+    a ``GiantNetError`` is ``failed`` and ranks last. Raises InvalidParams for
     an empty algorithm list, an unknown name and a target that is not a
     finite number >= 0.
     """
@@ -332,10 +340,11 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = 1e-6) 
     rows = []
     for name in algorithms:
         _, best, log = _tune(instance, mix, x0, name, cfg.algorithm, grid, target)
-        try:
-            best = replace(best, rate=estimate_rate(log).rate)
-        except InsufficientData:
-            pass
+        if log is not None:  # None when every point failed
+            try:
+                best = replace(best, rate=estimate_rate(log).rate)
+            except InsufficientData:
+                pass
         rows.append(best)
     return ComparisonSummary(target=target, rows=tuple(rows))
 

@@ -71,7 +71,12 @@ def _as_point(x: np.ndarray, dimension: int) -> np.ndarray:
 
 
 class LocalObjective(ABC):
-    """A twice-differentiable strongly convex cost over R^d."""
+    """A twice-differentiable strongly convex cost over R^d.
+
+    Subclasses must evaluate purely: the same point gives the same bits,
+    whatever was evaluated before. ``run`` relies on it to end a run that
+    repeats a state by writing the rest of its log from that cycle.
+    """
 
     @property
     @abstractmethod
@@ -347,7 +352,7 @@ class _AgentMean(LocalObjective):
 
 @dataclass(frozen=True)
 class ObjectiveLoop(AgentFamily):
-    """Any tuple of objectives, evaluated one agent at a time."""
+    """Any tuple of objectives, evaluated one agent at a time; each must evaluate purely (``LocalObjective``)."""
 
     objectives: tuple[LocalObjective, ...]
 

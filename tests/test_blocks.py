@@ -5,7 +5,11 @@ and divergence of the whole block in one batched pass. ``_reference_run``
 below is the loop it replaced, written out with its own per-iteration
 metric formulas (``np.add.reduce`` per state, norms as one ``dot`` over
 the flattened array), so every comparison here is bitwise: records,
-divergence flag, final state, and the number of steps taken.
+divergence flag, final state, and the number of steps taken. Once a
+state repeats an earlier one bit for bit, ``run`` writes the rest of its
+log from the rows of that cycle without stepping; the reference never
+does, so the fast-forwarded rows and the final state are checked against
+steps that were really taken.
 """
 
 import math
@@ -26,7 +30,7 @@ from giantnet import (
     run,
 )
 from giantnet import algorithms
-from giantnet.algorithms import DIVERGENCE_LIMIT, MAX_BLOCK, _block_cap
+from giantnet.algorithms import DIVERGENCE_LIMIT, MAX_BLOCK, _block_cap, _same_bits
 from giantnet.diagnostics import MetricsLog, MetricsRecord
 
 from conftest import ring_mixing, rng_for
@@ -57,18 +61,18 @@ def _reference_run(algorithm, instance, P, cfg, x0, step):
         blocks = (state.x, state.w, state.g) if tracked else (state,)
         return any(not np.maximum.reduce(np.abs(a), axis=None, initial=0.0) <= DIVERGENCE_LIMIT for a in blocks)
 
-    log = MetricsLog()
+    rows, stopped = [], False
     with np.errstate(all="ignore"):
-        log.append(record(state, 0))
+        rows.append(record(state, 0))
         k = 0
-        while k < cfg.max_iters and log.final.grad_norm > cfg.grad_tol:
+        while k < cfg.max_iters and rows[-1].grad_norm > cfg.grad_tol:
             state = step(state, instance, P, cfg)
             k += 1
-            log.append(record(state, k))
+            rows.append(record(state, k))
             if diverged(state):
-                log.diverged = True
+                stopped = True
                 break
-    return state, log
+    return state, MetricsLog(np.array(rows, dtype=float), stopped)
 
 
 def _counted(monkeypatch, algorithm, nan_at=None, raise_at=None, replace_at=None):
@@ -130,11 +134,11 @@ def _assert_same_run(got, want):
         assert state.iteration == log.final.iteration
 
 
-def _compare(monkeypatch, algorithm, instance_name, cfg, **inject):
+def _compare(monkeypatch, algorithm, instance_name, cfg, x0=None, **inject):
     instance = _instance(instance_name)
     n, d = instance.family.shape
     P = ring_mixing(n)
-    x0 = rng_for(3).standard_normal((n, d))
+    x0 = rng_for(3).standard_normal((n, d)) if x0 is None else x0
     step, calls = _counted(monkeypatch, algorithm, **inject)
     got = run(algorithm, instance, P, cfg, x0)
     steps_taken = len(calls)
@@ -257,3 +261,72 @@ class TestMidBlockErrors:
         with pytest.raises(NotPositiveDefinite, match=f"injected at step {raise_at}"):
             run(algorithm, instance, ring_mixing(10), cfg, rng_for(3).standard_normal((10, 5)))
         assert len(calls) == raise_at
+
+
+def _period3(start):
+    """A pure step: x[0, 0] + 1 below start + 2, else start. From x[0, 0] = 0 it has period 3 from iteration start."""
+
+    def step(state, instance, P, cfg):
+        tracked = isinstance(state, NetworkState)
+        x = (state.x if tracked else state).copy()
+        x[0, 0] = x[0, 0] + 1 if x[0, 0] < start + 2 else start
+        return NetworkState(x, state.g, state.w, state.iteration + 1) if tracked else x
+
+    return step
+
+
+def _held_x(drift):
+    """A pure step: x kept, g zeroed, w[0, 0] = -w[1, 0] = w[0, 0] + drift. Every row after the first is equal."""
+
+    def step(state, instance, P, cfg):
+        w = np.zeros_like(state.w)
+        w[0, 0] = state.w[0, 0] + drift
+        w[1, 0] = -w[0, 0]  # the agent sums stay exactly 0, so the drift column stays 0
+        return NetworkState(state.x, np.zeros_like(state.g), w, state.iteration + 1)
+
+    return step
+
+
+class TestFastForward:
+    @pytest.mark.parametrize(
+        "algorithm, epsilon, most_steps",
+        [("dgd", 0.02, 700), ("dgd", 0.05, 400), ("giant", 0.25, 1400), ("gt", 0.02, 900)],
+    )
+    def test_runs_that_settle_into_a_cycle(self, monkeypatch, algorithm, epsilon, most_steps):
+        # dgd stalls at its biased fixed point; giant and gt at grad_tol 0 at x* up to roundoff.
+        cfg = AlgorithmConfig(epsilon=epsilon, max_iters=5000, grad_tol=0.0)
+        log, steps = _compare(monkeypatch, algorithm, "ring10", cfg)
+        assert not log.diverged and log.final.iteration == cfg.max_iters
+        assert steps <= most_steps
+
+    # The cycle starts at iteration 100 and is first seen at the end of the block 64-127.
+    @pytest.mark.parametrize("left", [1, 2, 3, 4])
+    @pytest.mark.parametrize("algorithm", ["dgd", "giant"])
+    def test_period_three_up_to_max_iters(self, monkeypatch, algorithm, left):
+        monkeypatch.setattr(algorithms, STEPS[algorithm], _period3(100))
+        x0 = rng_for(3).standard_normal((10, 5))
+        x0[0, 0] = 0.0
+        cfg = AlgorithmConfig(max_iters=127 + left, grad_tol=0.0)
+        log, steps = _compare(monkeypatch, algorithm, "ring10", cfg, x0=x0)
+        assert steps == 127 and log.final.iteration == cfg.max_iters
+        assert log.table[-1, 1] == log.table[127 + left - 3, 1] != log.table[127 + left - 1, 1]
+
+    def test_equal_rows_of_unequal_states_are_not_a_cycle(self, monkeypatch):
+        monkeypatch.setattr(algorithms, "giant_step", _held_x(1.0))
+        cfg = AlgorithmConfig(max_iters=300, grad_tol=0.0)
+        log, steps = _compare(monkeypatch, "giant", "ring10", cfg)
+        assert steps == cfg.max_iters
+        assert (log.table[1:, 1:] == log.table[-1, 1:]).all()
+
+    def test_a_held_state_is_a_cycle_of_one(self, monkeypatch):
+        # The same step with w held: the states of iterations 2 and 3 are equal.
+        monkeypatch.setattr(algorithms, "giant_step", _held_x(0.0))
+        cfg = AlgorithmConfig(max_iters=300, grad_tol=0.0)
+        log, steps = _compare(monkeypatch, "giant", "ring10", cfg)
+        assert steps == 3 and log.final.iteration == cfg.max_iters
+
+    def test_states_compare_by_bits(self):
+        zeros = np.zeros((2, 3))
+        assert not _same_bits(zeros, -zeros)
+        nan = np.full((2, 3), np.nan)
+        assert _same_bits(nan, nan.copy())

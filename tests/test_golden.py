@@ -1,0 +1,58 @@
+"""The shipped configs' ``run`` and ``compare --out`` CSVs against tests/golden/.
+
+Iterations, statuses and winning step sizes must match exactly. Every
+other column must agree within ``BOUND`` times the largest magnitude in
+that column of the golden file, since BLAS builds can move the last bits.
+``tools/golden.py`` rewrites the files and ``tools/drift.py`` reports the
+drift per column; this test prints the same report (``pytest -s``).
+"""
+
+import math
+import sys
+from pathlib import Path
+
+import pytest
+
+from giantnet.harness import compare, load_config, run_experiment, write_comparison_csv
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "tools"))
+
+from drift import column_drift, read_csv  # noqa: E402
+
+BOUND = 1e-9
+EXACT = ("iter", "algorithm", "epsilon", "iterations_to_target", "status")
+
+
+def _scale(rows, column):
+    values = (abs(float(row[column])) for row in rows if row[column])
+    return max((v for v in values if math.isfinite(v)), default=0.0)
+
+
+@pytest.mark.parametrize("output", ["run", "compare"])
+@pytest.mark.parametrize("name", ["quadratic_ring", "logistic_er"])
+def test_shipped_outputs_match_the_golden_files(tmp_path, name, output):
+    cfg = load_config(str(ROOT / "configs" / f"{name}.json"))
+    path = str(tmp_path / "out.csv")
+    if output == "run":
+        run_experiment(cfg, path)
+    else:
+        write_comparison_csv(compare(cfg), path)
+    header, rows = read_csv(path)
+    golden_header, golden = read_csv(str(ROOT / "tests" / "golden" / f"{name}_{output}.csv"))
+    assert header == golden_header and len(rows) == len(golden)
+    for column, field in enumerate(header):
+        kind, drift = column_drift(golden, rows, column)
+        print(f"{name} {output} {field}: {kind} {drift:g}")
+        limit = 0.0 if field in EXACT or kind == "rows_differ" else BOUND * _scale(golden, column)
+        assert drift <= limit, f"{field} drifts by {drift:g}, above {limit:g}"
+
+
+def test_column_drift():
+    a = [["x", "1.5", "", "nan"], ["y", "2", "3", "nan"]]
+    b = [["x", "1.25", "", "nan"], ["z", "2", "", "1"]]
+    assert column_drift(a, b, 0) == ("rows_differ", 1)
+    assert column_drift(a, b, 1) == ("max_abs", 0.25)
+    assert column_drift(a, b, 2) == ("max_abs", math.inf)  # a blank against a number
+    assert column_drift(a, b, 3) == ("max_abs", math.inf)  # NaN equals NaN, not a number
+    assert column_drift(a, a, 3) == ("max_abs", 0.0)

@@ -10,8 +10,10 @@ from giantnet import (
     AlgorithmConfig,
     InvalidParams,
     InvalidSpec,
+    LocalObjective,
     LogisticObjective,
     ParseError,
+    ProblemInstance,
     ProblemSpec,
     QuadraticObjective,
     TopologySpec,
@@ -22,8 +24,11 @@ from giantnet import (
     run,
     tune_epsilon,
 )
+from giantnet import harness
 from giantnet.harness import (
     CSV_COLUMNS,
+    TuneResult,
+    _tune_key,
     build_instance,
     build_network,
     compare,
@@ -380,6 +385,65 @@ class TestCompare:
             (winner,) = [r for r in results if r.epsilon == best]
             _, log = run(row.algorithm, instance, mix, replace(cfg.algorithm, epsilon=best), x0)
             assert row == replace(winner, rate=estimate_rate(log).rate)
+
+
+class IndefiniteFarOut(LocalObjective):
+    """0.5 * ||x - center||^2 whose Hessian reads diag(1, -1) where x[0] > 10; pure."""
+
+    def __init__(self, center):
+        self.center = np.asarray(center, dtype=float)
+
+    @property
+    def dimension(self):
+        return 2
+
+    def value(self, x):
+        return float(0.5 * np.sum((x - self.center) ** 2))
+
+    def gradient(self, x):
+        return x - self.center
+
+    def hessian(self, x):
+        return np.eye(2) if x[0] <= 10 else np.diag([1.0, -1.0])
+
+
+class TestFailedGridPoints:
+    """A grid point whose run raises a typed error is ``failed``; the other points still run."""
+
+    @pytest.fixture
+    def cfg(self, tmp_path, monkeypatch):
+        # Three agents on a ring of three: giant at eps 3 overshoots x* by a factor -2 per
+        # step, so its iterate passes x[0] = 10 and a local Hessian turns indefinite.
+        centers = ([1.0, 0.0], [2.0, -1.0], [0.0, 3.0])
+        objectives = tuple(IndefiniteFarOut(c) for c in centers)
+        instance = ProblemInstance(objectives, mu=1.0, lipschitz=1.0, reference_solution=np.mean(centers, axis=0))
+        monkeypatch.setattr(harness, "build_instance", lambda cfg: instance)
+        payload = base_cfg(problem={"n": 3, "d": 2}, topology={"n": 3}, algorithm={"max_iters": 200})
+        return load_config(write_cfg(tmp_path, payload))
+
+    def test_one_failed_point_among_others(self, cfg):
+        best, results = tune_epsilon(cfg, [0.25, 3.0, 1.0], target=1e-8)
+        assert [r.status for r in results] == ["reached", "failed", "reached"]
+        failed = results[1]
+        assert (failed.algorithm, failed.epsilon, failed.iterations, failed.rate) == ("giant", 3.0, None, None)
+        assert np.isnan(failed.final_gap)
+        assert best == 1.0
+
+    def test_compare_reports_the_winner_and_a_lone_failure(self, cfg, tmp_path):
+        summary = compare(replace(cfg, epsilon_grid=(3.0, 1.0)), ("giant", "gt"), target=1e-8)
+        assert [(r.epsilon, r.status) for r in summary.rows] == [(1.0, "reached"), (1.0, "reached")]
+        summary = compare(replace(cfg, epsilon_grid=(3.0,)), ("giant", "gt"), target=1e-8)
+        giant, gt = summary.rows
+        assert (giant.status, giant.iterations, giant.rate) == ("failed", None, None)
+        assert gt.status == "diverged"  # gt applies no Hessian, so eps 3 diverges instead
+        out = tmp_path / "cmp.csv"
+        write_comparison_csv(summary, str(out))
+        assert out.read_text(encoding="utf-8").splitlines()[1] == "giant,3,,failed,nan,"
+
+    def test_failed_ranks_after_diverged(self):
+        diverged = TuneResult("giant", 1.0, "diverged", None, np.inf)
+        failed = TuneResult("giant", 0.5, "failed", None, np.nan)
+        assert _tune_key(diverged) < _tune_key(failed)
 
 
 class TestShippedConfigs:

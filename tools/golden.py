@@ -1,0 +1,37 @@
+"""Rewrite the golden outputs in tests/golden/ from the shipped configs.
+
+    python tools/golden.py
+
+For each config in configs/ it writes ``<name>_run.csv`` (``giantnet run``)
+and ``<name>_compare.csv`` (``giantnet compare`` with its default
+algorithms and target). Run it only when a change is meant to move a
+trajectory, and state the drift that ``tools/drift.py`` reports against
+the old files.
+"""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+
+from giantnet.harness import compare, load_config, run_experiment, write_comparison_csv  # noqa: E402
+
+GOLDEN = ROOT / "tests" / "golden"
+CONFIGS = ("quadratic_ring", "logistic_er")
+
+
+def main() -> int:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CONFIGS:
+        cfg = load_config(str(ROOT / "configs" / f"{name}.json"))
+        run_experiment(cfg, str(GOLDEN / f"{name}_run.csv"))
+        write_comparison_csv(compare(cfg), str(GOLDEN / f"{name}_compare.csv"))
+        print(f"wrote {name}_run.csv and {name}_compare.csv")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
