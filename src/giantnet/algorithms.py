@@ -47,8 +47,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# DIVERGENCE_LIMIT is the divergence rule's, kept importable from here.
-from .diagnostics import DIVERGENCE_LIMIT, MetricsLog, MetricsRecord, check_block
+from .diagnostics import MetricsLog, MetricsRecord, check_block
 from .errors import DimensionMismatch, InvalidParams, MaxItersExceeded, MissingReference
 from .numerics import is_finite_real, is_integer
 from .objectives import ProblemInstance
@@ -260,7 +259,9 @@ def run(
     the rest of its rows up to ``cfg.max_iters`` as the last p rows over
     again, renumbered, and the run returns the cycle's state at
     ``cfg.max_iters``, not diverged. So the step count can be below
-    ``cfg.max_iters`` on a run that reaches it.
+    ``cfg.max_iters`` on a run that reaches it. Only periods up to the
+    block cap are found: at a cap of 1 (any ``ObjectiveLoop``) only fixed
+    points, at a cap of 4 periods up to 4.
 
     Returns (final_state, MetricsLog): a NetworkState for giant and gt,
     the bare iterate stack for dgd. The log always contains the

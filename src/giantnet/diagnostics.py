@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InsufficientData, InvalidParams, MissingReference
-from .numerics import is_real, row_norms, spd_factorize_stack, spd_solve_stack
+from .numerics import is_real, row_norms
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,16 +56,13 @@ class MetricsRecord(NamedTuple):
 class MetricsLog:
     """A run's metrics: ``table`` is a C-ordered (N, 6) float64 array, one row per iteration.
 
-    Its columns are ``MetricsRecord._fields``, the CSV's. ``records`` and
-    ``final`` give rows as records of Python numbers, the iteration an int;
-    ``append`` adds one record, for logs built by hand.
+    Its columns are ``MetricsRecord._fields``, the CSV's, so ``table[:, 1]``
+    is the optimality gap. ``records`` and ``final`` give rows as records of
+    Python numbers, the iteration an int.
     """
 
     table: np.ndarray = field(default_factory=lambda: np.empty((0, len(MetricsRecord._fields))))
     diverged: bool = False
-
-    def append(self, record: MetricsRecord) -> None:
-        self.table = np.vstack((self.table, record))
 
     def __len__(self) -> int:
         return len(self.table)
@@ -78,9 +75,6 @@ class MetricsLog:
     def final(self) -> MetricsRecord:
         k, *rest = self.table[-1].tolist()
         return MetricsRecord(int(k), *rest)
-
-    def gaps(self) -> np.ndarray:
-        return self.table[:, 1].copy()
 
     def first_iteration_below(self, target: float) -> int | None:
         """Earliest iteration whose optimality gap is at or below ``target``."""
@@ -105,12 +99,12 @@ def harmonic_hessian_mean(instance: ProblemInstance, x: np.ndarray) -> np.ndarra
 
     M is the arithmetic mean of the inverse Hessians, i.e. the inverse of
     the scaled harmonic mean of the Hessians; its eigenvalues lie in
-    [1/L, 1/mu]. Inverses are applied through batched Cholesky solves
-    against the identity, never formed from explicit inversion routines.
+    [1/L, 1/mu]. The inverses are the family's ``newton_directions``
+    applied to the identity, the path every Newton step takes.
     """
-    lower = spd_factorize_stack(instance.stacked_hessian(instance.consensus_stack(x)))
-    eye = np.broadcast_to(np.eye(instance.dimension), lower.shape)
-    m = spd_solve_stack(lower, eye).mean(axis=0)
+    n, d = instance.family.shape
+    eye = np.broadcast_to(np.eye(d), (n, d, d))
+    m = instance.family.newton_directions(instance.consensus_stack(x), eye).mean(axis=0)
     return 0.5 * (m + m.T)
 
 

@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .algorithms import ALGORITHMS, DIVERGENCE_LIMIT, AlgorithmConfig, centralized_newton, run
-from .diagnostics import MetricsLog, estimate_rate
+from .algorithms import ALGORITHMS, AlgorithmConfig, centralized_newton, run
+from .diagnostics import DIVERGENCE_LIMIT, MetricsLog, estimate_rate
 from .errors import GiantNetError, InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
 from .numerics import is_finite_real, is_integer
 from .objectives import ProblemInstance, ProblemSpec, generate_problem

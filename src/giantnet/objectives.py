@@ -99,7 +99,11 @@ class AgentFamily(ABC):
     """The n agents: ``shape`` (n, d), ``objectives``, and values, gradients and Hessians, row i at row i of X."""
 
     @abstractmethod
-    def values(self, x: np.ndarray) -> np.ndarray: ...
+    def values_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(values, gradients)`` at the stack ``x``, with the work they share done once where a family can."""
+
+    def values(self, x: np.ndarray) -> np.ndarray:
+        return self.values_and_gradients(x)[0]
 
     @abstractmethod
     def gradients(self, x: np.ndarray) -> np.ndarray: ...
@@ -107,12 +111,8 @@ class AgentFamily(ABC):
     @abstractmethod
     def hessians(self, x: np.ndarray) -> np.ndarray: ...
 
-    def values_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(values(x), gradients(x))``, with the work they share done once where a family can."""
-        return self.values(x), self.gradients(x)
-
     def newton_directions(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Row i is hess f_i(x_i)^{-1} v_i, by Cholesky solves against the stacked factors.
+        """Row i is hess f_i(x_i)^{-1} v_i, v (n, d) or (n, d, k), by Cholesky solves against the stacked factors.
 
         Raises NotPositiveDefinite if any local Hessian is not positive definite.
         """
@@ -163,9 +163,6 @@ class QuadraticFamily(AgentFamily):
 
     # Batched matmul, not einsum: less dispatch on the 1-agent average, which
     # the metrics evaluate every iteration.
-    def values(self, x):
-        return self.values_and_gradients(x)[0]
-
     def gradients(self, x):
         return (self.a @ x[..., None])[..., 0] + self.b
 
@@ -179,7 +176,7 @@ class QuadraticFamily(AgentFamily):
         return out
 
     def newton_directions(self, x, v):
-        return (self._inverse @ v[..., None])[..., 0]
+        return (self._inverse @ v.reshape(*self.shape, -1)).reshape(v.shape)
 
     @cached_property
     def _inverse(self) -> np.ndarray:
@@ -234,19 +231,13 @@ class LogisticFamily(AgentFamily):
         # Batched matmul: about half of einsum's time, on the stacks and the pooled average alike.
         return self.labels * (self.features @ x[..., None])[..., 0]
 
-    def values(self, x):
-        return self._values(x, self._margins(x))
-
     def gradients(self, x):
         return self._gradients(x, self._margins(x))
 
     def values_and_gradients(self, x):
         margins = self._margins(x)
-        return self._values(x, margins), self._gradients(x, margins)
-
-    def _values(self, x, margins):
         losses = np.logaddexp(0.0, -margins)
-        return losses.mean(axis=1) + 0.5 * self.ridge * (x * x).sum(axis=1)
+        return losses.mean(axis=1) + 0.5 * self.ridge * (x * x).sum(axis=1), self._gradients(x, margins)
 
     def _gradients(self, x, margins):
         # d/dt log(1 + exp(-t)) = -sigmoid(-t)
@@ -373,8 +364,9 @@ class ObjectiveLoop(AgentFamily):
             raise DimensionMismatch(f"{len(x)} points for {len(self.objectives)} objectives")
         return zip(self.objectives, x)
 
-    def values(self, x):
-        return np.array([obj.value(xi) for obj, xi in self._pairs(x)])
+    def values_and_gradients(self, x):
+        pairs = list(self._pairs(x))
+        return np.array([obj.value(xi) for obj, xi in pairs]), np.stack([obj.gradient(xi) for obj, xi in pairs])
 
     def gradients(self, x):
         return np.stack([obj.gradient(xi) for obj, xi in self._pairs(x)])
@@ -455,10 +447,6 @@ class ProblemInstance:
     def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
         """Row i of the result is grad f_i evaluated at row i of ``x``."""
         return self.family.gradients(self.check_stack(x))
-
-    def stacked_hessian(self, x: np.ndarray) -> np.ndarray:
-        """Entry i of the (n, d, d) result is hess f_i at row i of ``x``; treat it as read-only."""
-        return self.family.hessians(self.check_stack(x))
 
     def with_reference(self, x_star: np.ndarray) -> "ProblemInstance":
         return replace(self, reference_solution=np.asarray(x_star, dtype=float))
@@ -563,26 +551,3 @@ def _generate_logistic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
     family = LogisticFamily(features, labels, spec.ridge)
     return ProblemInstance(family, mu=spec.ridge, lipschitz=float(spec.ridge + gram_top / (4.0 * m)))
 
-
-def finite_difference_gradient(func, x: np.ndarray) -> np.ndarray:
-    """Central-difference gradient of a scalar function, step 1e-6 * (1 + ||x||_inf)."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * (1.0 + np.abs(x).max(initial=0.0))
-    grad = np.zeros_like(x)
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        grad[i] = (func(x + e) - func(x - e)) / (2.0 * h)
-    return grad
-
-
-def finite_difference_hessian(grad_func, x: np.ndarray) -> np.ndarray:
-    """Central-difference Jacobian of a gradient function; columns are perturbed coordinates."""
-    x = np.asarray(x, dtype=float)
-    h = 1e-6 * (1.0 + np.abs(x).max(initial=0.0))
-    cols = []
-    for i in range(x.size):
-        e = np.zeros_like(x)
-        e[i] = h
-        cols.append((grad_func(x + e) - grad_func(x - e)) / (2.0 * h))
-    return np.stack(cols, axis=1)

@@ -3,7 +3,8 @@
 The package evaluates every cost, per-point objectives included, through
 the batched formulas of its agent families. These are the plain 2-D
 formulas for one agent, with scipy's expit as the sigmoid, so the
-families can be checked against code that does not share theirs.
+families can be checked against code that does not share theirs; the
+central differences check any cost's derivatives against its values.
 ``trajectory`` runs giant, gt and dgd the same way: dense ``p @ x`` per
 consensus round, one ``np.linalg.solve`` per agent, and the six metrics
 of every iteration from the per-agent formulas.
@@ -93,3 +94,27 @@ def trajectory(algorithm, family, p, epsilon, k, x0, x_star, iterations):
             x = p @ x - epsilon * grads(x)
         rows.append([t, *metrics(family, x, w, g, f_star)])
     return np.array(rows), x
+
+
+def finite_difference_gradient(func, x: np.ndarray) -> np.ndarray:
+    """Central-difference gradient of a scalar function, step 1e-6 * (1 + ||x||_inf)."""
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * (1.0 + np.abs(x).max(initial=0.0))
+    grad = np.zeros_like(x)
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        grad[i] = (func(x + e) - func(x - e)) / (2.0 * h)
+    return grad
+
+
+def finite_difference_hessian(grad_func, x: np.ndarray) -> np.ndarray:
+    """Central-difference Jacobian of a gradient function; columns are perturbed coordinates."""
+    x = np.asarray(x, dtype=float)
+    h = 1e-6 * (1.0 + np.abs(x).max(initial=0.0))
+    cols = []
+    for i in range(x.size):
+        e = np.zeros_like(x)
+        e[i] = h
+        cols.append((grad_func(x + e) - grad_func(x - e)) / (2.0 * h))
+    return np.stack(cols, axis=1)

@@ -229,7 +229,7 @@ def test_criterion_7_comparative_performance(tuned_setup):
 
 
 def test_criterion_8_derivative_correctness():
-    from giantnet.objectives import finite_difference_gradient, finite_difference_hessian
+    from reference import finite_difference_gradient, finite_difference_hessian
 
     quad = generate_problem(7, ProblemSpec(kind="quadratic", n=3, d=4, heterogeneity=1.0)).objectives[0]
     logi = generate_problem(8, ProblemSpec(kind="logistic", n=3, d=4, samples_per_agent=20)).objectives[0]

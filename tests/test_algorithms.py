@@ -12,6 +12,7 @@ from giantnet import (
     MaxItersExceeded,
     MissingReference,
     MixingMatrix,
+    NetworkState,
     NotPositiveDefinite,
     ProblemInstance,
     ProblemSpec,
@@ -28,8 +29,7 @@ from giantnet import (
     tracking_drift,
 )
 from giantnet import topology
-from giantnet.algorithms import DIVERGENCE_LIMIT
-from giantnet.diagnostics import check_block
+from giantnet.diagnostics import DIVERGENCE_LIMIT, check_block
 from giantnet.objectives import LocalObjective
 
 from conftest import identical_quadratic_instance, ring_mixing, rng_for
@@ -161,7 +161,7 @@ class TestGiantStep:
             _, log = run(
                 "giant", instance, mix, AlgorithmConfig(epsilon=eps, max_iters=400, grad_tol=0.0), x0
             )
-            gaps = log.gaps()
+            gaps = log.table[:, 1]
             start = len(gaps) // 10
             return all(
                 gaps[k + 1] <= gaps[k] + 1e-12
@@ -549,3 +549,13 @@ def test_real_fields_are_typed(field, value, accepted):
     else:
         with pytest.raises(InvalidParams, match=f"^{field} must be a nonnegative real number"):
             AlgorithmConfig(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "shapes, named",
+    [(((3, 2), (3, 2), (2, 2)), r"w \(2, 2\)"), (((3, 2), (3, 1), (3, 2)), r"g \(3, 1\)"), (((3,),) * 3, r"x \(3,\)")],
+)
+def test_network_state_rejects_blocks_that_disagree(shapes, named):
+    x, g, w = (np.zeros(shape) for shape in shapes)
+    with pytest.raises(DimensionMismatch, match=f"^state blocks disagree: .*{named}"):
+        NetworkState(x=x, g=g, w=w, iteration=0)

@@ -30,8 +30,8 @@ from giantnet import (
     run,
 )
 from giantnet import algorithms
-from giantnet.algorithms import DIVERGENCE_LIMIT, MAX_BLOCK, _block_cap, _same_bits
-from giantnet.diagnostics import MetricsLog, MetricsRecord
+from giantnet.algorithms import MAX_BLOCK, _block_cap, _same_bits
+from giantnet.diagnostics import DIVERGENCE_LIMIT, MetricsLog, MetricsRecord
 
 from conftest import ring_mixing, rng_for
 

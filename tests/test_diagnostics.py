@@ -319,9 +319,7 @@ class TestMetricsRecord:
             rec.opt_gap = 1.0
 
     def test_csv_bytes_of_a_fixed_log(self, tmp_path):
-        log = MetricsLog()
-        for row in self.ROWS:
-            log.append(MetricsRecord(*row))
+        log = MetricsLog(np.array(self.ROWS, dtype=float))
         write_metrics_csv(log, tmp_path / "m.csv")
         assert (tmp_path / "m.csv").read_bytes() == (
             b"iter,opt_gap,consensus_err,grad_norm,tracking_drift,lyapunov\n"
@@ -349,10 +347,8 @@ class TestMetricsTable:
         # Iterations 0, 2, 4, ...; the NaN at iteration 8 misses 0.5 and iteration 10 hits it.
         gaps = [0.8**k for k in range(24)]
         gaps[4], gaps[9], gaps[15] = np.nan, GAP_FLOOR, 2e-3
-        log = MetricsLog()
-        for k, gap in enumerate(gaps):
-            log.append(MetricsRecord(2 * k, gap, 0.0, 0.0, 0.0, gap))
-        assert log.gaps().tobytes() == np.array(gaps).tobytes()
+        log = MetricsLog(np.array([(2 * k, gap, 0.0, 0.0, 0.0, gap) for k, gap in enumerate(gaps)]))
+        assert log.table[:, 1].tobytes() == np.array(gaps).tobytes()
         hits = [log.first_iteration_below(t) for t in (0.5, 0.1, 2e-3, GAP_FLOOR, 1e-20)]
         assert hits == [10, 18, 18, 18, None]
         # The fits leave out iterations 0-4 (transient), 8 (NaN) and 18 (at the floor).
@@ -371,19 +367,7 @@ class TestMetricsTable:
 
 
 def _log_from_gaps(gaps):
-    log = MetricsLog()
-    for k, gap in enumerate(gaps):
-        log.append(
-            MetricsRecord(
-                iteration=k,
-                opt_gap=gap,
-                consensus_err=0.0,
-                grad_norm=0.0,
-                tracking_drift=0.0,
-                lyapunov=gap,
-            )
-        )
-    return log
+    return MetricsLog(np.array([(k, gap, 0.0, 0.0, 0.0, gap) for k, gap in enumerate(gaps)]))
 
 
 class TestEstimateRate:

@@ -78,7 +78,8 @@ OWNERS = {
 }
 
 # (config overrides, config path, owner, the owner's arguments holding the same bad value);
-# owner None: the loader makes the check itself (seeds outside the topology block).
+# owner None: the loader makes the check itself (the JSON structure, the seeds outside the
+# topology block, the algorithm name, a positive epsilon and the output path).
 CONFIG_CASES = [
     ({"problem": {"kind": "cubic"}}, "problem.kind", "problem", {"kind": "cubic"}),
     ({"problem": {"n": 0}}, "problem.n", "problem", {"n": 0}),
@@ -117,6 +118,13 @@ CONFIG_CASES = [
     ({"topology": {"p": float("nan")}}, "topology.p", "topology", {"p": float("nan")}),
     # beyond int64: the graph's edge keys lo * n + hi would overflow
     ({"problem": {"n": 10**23}, "topology": {"n": 10**23}}, "problem.n", "problem", {"n": 10**23}),
+    ({"problem": 3}, "problem", None, None),
+    ({"tuner": [0.1]}, "tuner", None, None),
+    ({"algorithm": {"name": "newton"}}, "algorithm.name", None, None),
+    # AlgorithmConfig accepts epsilon 0 for pure-consensus studies; a config may not ask for it.
+    ({"algorithm": {"epsilon": 0}}, "algorithm.epsilon", None, None),
+    ({"tuner": {"epsilon_grid": 0.5}}, "tuner.epsilon_grid", None, None),
+    ({"output": 3}, "output", None, None),
 ]
 CONSTRUCTOR_OWNED = [case for case in CONFIG_CASES if case[2] is not None]
 
@@ -158,6 +166,19 @@ class TestLoadConfig:
         payload = base_cfg(algorithm={"epsilon": -0.1})
         with pytest.raises(ValidationError, match="epsilon"):
             load_config(write_cfg(tmp_path, payload))
+
+    @pytest.mark.parametrize(
+        "block, key", [("problem", "kind"), ("problem", "d"), ("topology", "kind"), ("config", "problem")]
+    )
+    def test_missing_required_field_is_named(self, tmp_path, block, key):
+        payload = base_cfg()
+        del (payload if block == "config" else payload[block])[key]
+        with pytest.raises(ValidationError, match=rf"^missing required field {block}\.{key}$"):
+            load_config(write_cfg(tmp_path, payload))
+
+    def test_top_level_must_be_an_object(self, tmp_path):
+        with pytest.raises(ParseError, match="top level must be a JSON object$"):
+            load_config(write_cfg(tmp_path, [BASE]))
 
     def test_malformed_json_reports_position(self, tmp_path):
         path = tmp_path / "broken.json"

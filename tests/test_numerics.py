@@ -227,6 +227,11 @@ class TestSecondSingularValue:
                 second_singular_value(p.T), abs=1e-12
             )
 
+    @pytest.mark.parametrize("check", [True, False])
+    def test_rejects_a_matrix_that_is_not_square(self, check):
+        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
+            second_singular_value(np.full((2, 3), 0.5), check=check)
+
     def test_rejects_nonstochastic(self):
         p = np.eye(3)
         p[0, 0] = 0.9

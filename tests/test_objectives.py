@@ -14,15 +14,10 @@ from giantnet import (
     centralized_newton,
     generate_problem,
 )
-from giantnet.objectives import (
-    HETEROGENEITY_SPREAD,
-    MAX_HETEROGENEITY,
-    _sigmoid,
-    finite_difference_gradient,
-    finite_difference_hessian,
-)
+from giantnet.objectives import HETEROGENEITY_SPREAD, MAX_HETEROGENEITY, _sigmoid
 
 from conftest import rng_for
+from reference import finite_difference_gradient, finite_difference_hessian
 
 
 def random_objectives(seed=0):

@@ -69,3 +69,19 @@ def test_every_private_module_name_is_used_in_the_package():
         f"{module[:-3]}.{name}" for module, tree in trees.items() for name in sorted(_private_module_names(tree) - used)
     ]
     assert not unused, "private names referenced only at their definition: " + ", ".join(unused)
+
+
+# The batched Cholesky kernels. Every other module reaches the local inverse
+# Hessians through AgentFamily.newton_directions; __init__ only re-exports them.
+CHOLESKY_KERNELS = {"spd_factorize_stack", "spd_solve_stack"}
+KERNEL_MODULES = {"numerics.py", "objectives.py", "__init__.py"}
+
+
+def test_only_numerics_and_objectives_name_the_cholesky_kernels():
+    hits = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in KERNEL_MODULES
+        for name in sorted(_uses(ast.parse(path.read_text())) & CHOLESKY_KERNELS)
+    ]
+    assert not hits, "Cholesky kernels named outside numerics and objectives: " + ", ".join(hits)

@@ -69,7 +69,7 @@ class TestAgainstPerAgent:
         x = rng_for(20).standard_normal((n, d))
         objs = instance.objectives
         assert close(instance.stacked_gradient(x), [o.gradient(x[i]) for i, o in enumerate(objs)])
-        assert close(instance.stacked_hessian(x), [o.hessian(x[i]) for i, o in enumerate(objs)])
+        assert close(instance.family.hessians(x), [o.hessian(x[i]) for i, o in enumerate(objs)])
 
     def test_averages(self, kind, n, d):
         instance = instance_for(kind, n, d)
@@ -132,7 +132,7 @@ class TestAgainstReference:
         values, gradients, hessians = reference.stacked(instance.family, x)
         assert close(instance.family.values(x), values)
         assert close(instance.stacked_gradient(x), gradients)
-        assert close(instance.stacked_hessian(x), hessians)
+        assert close(instance.family.hessians(x), hessians)
 
     def test_averages(self, kind, n, d):
         instance = instance_for(kind, n, d)
@@ -294,6 +294,17 @@ def test_cached_inverse_matches_the_factor_solve(h):
     assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+@pytest.mark.parametrize("k", [1, 3])
+def test_cached_inverse_takes_k_right_hand_sides_per_agent(k):
+    family = generate_problem(7, ProblemSpec(kind="quadratic", n=10, d=5, heterogeneity=1.0)).family
+    x, v = rng_for(40).standard_normal((10, 5)), rng_for(41).standard_normal((10, 5, k))
+    got = family.newton_directions(x, v)
+    want = AgentFamily.newton_directions(family, x, v)
+    assert got.shape == v.shape and np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+    if k == 1:  # the same product as one right-hand side
+        assert got[..., 0].tobytes() == family.newton_directions(x, v[..., 0]).tobytes()
+
+
 def _record_calls(monkeypatch, name):
     """Arguments of every call to numerics' ``name``, from whichever giantnet module makes it."""
     calls = []
@@ -326,6 +337,17 @@ def test_quadratic_run_factors_and_inverts_once(monkeypatch):
     assert len(solves) == 1 and np.array_equal(solves[0][1], np.broadcast_to(np.eye(4), (6, 4, 4)))
 
 
+def test_harmonic_mean_takes_the_cached_inverse(monkeypatch):
+    # The inverse local Hessians have one path, newton_directions: on a quadratic
+    # the harmonic mean factors and solves nothing once a run has cached them.
+    instance = instance_for("quadratic", 6, 4)
+    factorizations, solves = _giant_linear_algebra(instance, 3, monkeypatch)
+    m = harmonic_hessian_mean(instance, instance.reference_solution)
+    assert len(factorizations) == len(solves) == 1
+    inverse_mean = instance.family._inverse.mean(axis=0)
+    assert m.tobytes() == (0.5 * (inverse_mean + inverse_mean.T)).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["logistic", "loop"])
 def test_other_families_factor_and_solve_every_round(kind, monkeypatch):
     # Logistic Hessians change with x; a loop's objects may be any costs, so
@@ -342,9 +364,15 @@ def test_other_families_factor_and_solve_every_round(kind, monkeypatch):
 
 def test_constant_hessian_stack_is_read_only():
     instance = instance_for("quadratic", 3, 2)
-    h = instance.stacked_hessian(np.zeros((3, 2)))
+    h = instance.family.hessians(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         h[0, 0, 0] = 5.0
+
+
+def test_loop_rejects_objectives_of_different_dimensions():
+    objs = (QuadraticObjective(np.eye(2), np.zeros(2)), QuadraticObjective(np.eye(3), np.zeros(3)))
+    with pytest.raises(DimensionMismatch, match=r"^objectives disagree on dimension: \[2, 3\]$"):
+        ObjectiveLoop(objs)
 
 
 def test_families_reject_stacks_that_disagree_on_n():

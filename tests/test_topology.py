@@ -13,7 +13,7 @@ from giantnet import (
     second_singular_value,
     validate_mixing,
 )
-from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, check_graph
+from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, MixingCheck, check_graph
 
 from conftest import rng_for
 
@@ -225,6 +225,10 @@ def on_sparse_path(mix: MixingMatrix, k: int = 1) -> bool:
 
 
 class TestValidateMixing:
+    def test_wrong_shape_is_the_one_failed_check(self):
+        report = validate_mixing(np.eye(3), make_graph("ring", 4))
+        assert report.checks == (MixingCheck("shape", False, 1.0),)
+
     def test_identity_fails_sigma2(self):
         g = make_graph("ring", 4)
         report = validate_mixing(np.eye(4), g)
