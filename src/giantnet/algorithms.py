@@ -43,7 +43,7 @@ fewer step calls than its log has iterations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -90,12 +90,11 @@ class AlgorithmConfig:
 
 @dataclass(frozen=True)
 class NetworkState:
-    """Stacked per-agent triples (x_i, g_i, w_i) at one iteration."""
+    """Stacked per-agent triples (x_i, g_i, w_i); the run log numbers the iterations."""
 
     x: np.ndarray
     g: np.ndarray
     w: np.ndarray
-    iteration: int
 
     def __post_init__(self):
         if not (self.x.shape == self.g.shape == self.w.shape) or self.x.ndim != 2:
@@ -112,7 +111,7 @@ def giant_init(instance: ProblemInstance, x0: np.ndarray) -> NetworkState:
     """
     x0 = instance.check_stack(x0).copy()
     grads = instance.stacked_gradient(x0)
-    return NetworkState(x=x0, g=grads, w=grads.copy(), iteration=0)
+    return NetworkState(x=x0, g=grads, w=grads.copy())
 
 
 def giant_step(
@@ -140,7 +139,7 @@ def giant_step(
     w_next = P.mix(state.w + grads - state.g, cfg.K)
     directions = instance.family.newton_directions(x, w_next)
     x_next = P.mix(x - cfg.epsilon * directions, cfg.K)
-    return NetworkState(x=x_next, g=grads, w=w_next, iteration=state.iteration + 1)
+    return NetworkState(x=x_next, g=grads, w=w_next)
 
 
 def dgd_step(
@@ -170,7 +169,7 @@ def gt_step(
     x_next = P.mix(x) - cfg.epsilon * state.w
     grads_next = instance.stacked_gradient(x_next)
     w_next = P.mix(state.w) + grads_next - state.g
-    return NetworkState(x=x_next, g=grads_next, w=w_next, iteration=state.iteration + 1)
+    return NetworkState(x=x_next, g=grads_next, w=w_next)
 
 
 def centralized_newton(
@@ -263,9 +262,9 @@ def run(
     block cap are found: at a cap of 1 (any ``ObjectiveLoop``) only fixed
     points, at a cap of 4 periods up to 4.
 
-    Returns (final_state, MetricsLog): a NetworkState for giant and gt,
-    the bare iterate stack for dgd. The log always contains the
-    iteration-0 row, so ``max_iters = 0`` yields exactly one row.
+    Returns (final_state, MetricsLog): x, g and w as a NetworkState for
+    giant and gt, the bare stack for dgd. The log numbers the iterations and
+    always holds the iteration-0 row, so ``max_iters = 0`` yields one row.
     Requires ``instance.reference_solution`` and one row of P per agent.
     """
     if instance.reference_solution is None:
@@ -310,10 +309,7 @@ def run(
                 tail[:, 0] = rest
                 tail[:, 0] += k + 1
                 tables.append(tail)
-                state = states[-1 - (k - cfg.max_iters) % period]
-                if isinstance(state, NetworkState):
-                    state = replace(state, iteration=int(cfg.max_iters))
-                k = cfg.max_iters
+                state, k = states[-1 - (k - cfg.max_iters) % period], cfg.max_iters
     return state, MetricsLog(np.concatenate(tables), diverged)
 
 

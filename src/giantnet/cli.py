@@ -12,8 +12,10 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .algorithms import ALGORITHMS
 from .errors import GiantNetError, ParseError, ValidationError
 from .harness import (
+    COMPARE_TARGET,
     build_network,
     compare,
     format_comparison,
@@ -48,10 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="tune and compare algorithms on one instance")
     p_cmp.add_argument("--config", required=True)
-    p_cmp.add_argument(
-        "--algos", default="giant,dgd,gt", help="comma-separated algorithm names"
-    )
-    p_cmp.add_argument("--target", type=float, default=1e-6, help="optimality-gap target")
+    p_cmp.add_argument("--algos", default=",".join(ALGORITHMS), help="comma-separated algorithm names")
+    p_cmp.add_argument("--target", type=float, default=COMPARE_TARGET, help="optimality-gap target")
     p_cmp.add_argument("--out", default=None, help="summary CSV output path")
     p_cmp.set_defaults(handler=_cmd_compare)
 

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .algorithms import ALGORITHMS, AlgorithmConfig, centralized_newton, run
-from .diagnostics import DIVERGENCE_LIMIT, MetricsLog, estimate_rate
+from .diagnostics import MetricsLog, MetricsRecord, estimate_rate
 from .errors import GiantNetError, InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
 from .numerics import is_finite_real, is_integer
 from .objectives import ProblemInstance, ProblemSpec, generate_problem
@@ -31,9 +31,10 @@ from .topology import (
     validate_mixing,
 )
 
-REFERENCE_TOL = 1e-12
+CSV_COLUMNS = ("iter", *MetricsRecord._fields[1:])
 
-CSV_COLUMNS = ("iter", "opt_gap", "consensus_err", "grad_norm", "tracking_drift", "lyapunov")
+# compare's default optimality-gap target, shared with the CLI's --target.
+COMPARE_TARGET = 1e-6
 
 COMPARISON_COLUMNS = ("algorithm", "epsilon", "iterations_to_target", "status", "final_gap", "rate")
 
@@ -113,15 +114,20 @@ def load_config(path: str) -> ExperimentConfig:
     constructors' defaults, and the constructors type the fields and check
     their ranges. Other defaults: algorithm.name giant, seeds 0,
     topology.n = problem.n, output metrics.csv. Raises
-    ParseError for malformed JSON (with line/column context) and
-    ValidationError naming the offending field(s) otherwise.
+    ParseError for malformed JSON (with line/column context), a file that
+    is not UTF-8, JSON nested too deep to parse and an integer literal too
+    long to convert, and ValidationError naming the offending field(s)
+    otherwise.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
     try:
-        raw = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.loads(fh.read())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise ParseError(f"{path}: JSON nested too deep to parse") from exc
+    except ValueError as exc:  # UnicodeDecodeError, or an integer past the int-string digit limit
+        raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"{path}: top level must be a JSON object")
     _reject_unknown(raw, _TOP_FIELDS, "config")
@@ -179,11 +185,11 @@ def build_instance(cfg: ExperimentConfig) -> ProblemInstance:
     """Generate the problem and guarantee it carries a reference solution.
 
     Families without a closed-form minimizer get one from the centralized
-    Newton oracle at tolerance 1e-12 before any distributed run.
+    Newton oracle, at its default tolerance, before any distributed run.
     """
     instance = generate_problem(cfg.problem_seed, cfg.problem)
     if instance.reference_solution is None:
-        x_star = centralized_newton(instance, np.zeros(instance.dimension), tol=REFERENCE_TOL)
+        x_star = centralized_newton(instance, np.zeros(instance.dimension))
         instance = instance.with_reference(x_star)
     return instance
 
@@ -265,12 +271,9 @@ def _tune(instance, mix, x0, name, algo_cfg, grid, target):
         except GiantNetError:
             result, log = TuneResult(name, eps, "failed", None, np.nan), None
         else:
-            gap = float(log.final.opt_gap)
-            if log.diverged or not np.isfinite(gap) or gap > DIVERGENCE_LIMIT:
-                result = TuneResult(name, eps, "diverged", None, gap)
-            else:
-                hit = log.first_iteration_below(target)
-                result = TuneResult(name, eps, "not_reached" if hit is None else "reached", hit, gap)
+            hit = None if log.diverged else log.first_iteration_below(target)
+            status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"
+            result = TuneResult(name, eps, status, hit, float(log.final.opt_gap))
         results.append(result)
         if best is None or _tune_key(result) < _tune_key(best):
             best, best_log = result, log
@@ -315,7 +318,7 @@ def tune_epsilon(
     return best.epsilon, results
 
 
-def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = 1e-6) -> ComparisonSummary:
+def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPARE_TARGET) -> ComparisonSummary:
     """Tune and run each algorithm on the identical instance, weights and start.
 
     The problem, graph and initial stack are built once from the config

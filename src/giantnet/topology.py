@@ -130,9 +130,14 @@ class MixingMatrix:
         return out
 
     def mix(self, x: np.ndarray, k: int = 1) -> np.ndarray:
-        """k consensus rounds on an (n, d) stack or an (n,) vector: P^k @ x."""
+        """k consensus rounds on an (n, d) stack or an (n,) vector: P^k @ x.
+
+        Raises DimensionMismatch for any other shape of ``x``.
+        """
         if not is_integer(k):  # 2.0 or True would hit the memo of 2 or 1
             raise InvalidParams(f"k must be a positive integer, got {k}")
+        if x.ndim not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis
+            raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got shape {x.shape}")
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
         op = self._products.get(k)  # a hit skips power, so power runs once per k and instance

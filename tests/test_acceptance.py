@@ -265,7 +265,6 @@ def test_criterion_9_k_semantics():
             x=rng.standard_normal((10, 5)),
             g=rng.standard_normal((10, 5)),
             w=rng.standard_normal((10, 5)),
-            iteration=0,
         )
         a = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.3, K=2))
         b = giant_step(state, instance, squared, AlgorithmConfig(epsilon=0.3, K=1))

@@ -1,4 +1,5 @@
 import importlib.util
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -41,7 +42,7 @@ class TestInit:
         state = giant_init(inst, np.zeros((3, 2)))
         assert np.array_equal(state.g, np.zeros((3, 2)))
         assert np.array_equal(state.w, np.zeros((3, 2)))
-        assert state.iteration == 0
+        assert [f.name for f in fields(state)] == ["x", "g", "w"]
 
     def test_single_agent_scalar(self):
         inst = identical_quadratic_instance(1, np.zeros(1))
@@ -130,7 +131,7 @@ class TestGiantStep:
             w = rng.standard_normal((10, 5))
             from giantnet.algorithms import NetworkState
 
-            state = NetworkState(x=x, g=g, w=w, iteration=0)
+            state = NetworkState(x=x, g=g, w=w)
             a = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.3, K=2))
             b = giant_step(state, instance, squared, AlgorithmConfig(epsilon=0.3, K=1))
             assert np.array_equal(a.x, b.x)
@@ -147,7 +148,7 @@ class TestGiantStep:
         x = np.tile(x_star, (instance.n_agents, 1))
         g = instance.stacked_gradient(x)
         w = np.tile(instance.average_gradient(x_star), (instance.n_agents, 1))
-        state = NetworkState(x=x, g=g, w=w, iteration=0)
+        state = NetworkState(x=x, g=g, w=w)
         nxt = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.5))
         assert np.abs(nxt.x - x).max() <= 1e-12
         assert np.abs(nxt.w - w).max() <= 1e-12
@@ -558,4 +559,4 @@ def test_real_fields_are_typed(field, value, accepted):
 def test_network_state_rejects_blocks_that_disagree(shapes, named):
     x, g, w = (np.zeros(shape) for shape in shapes)
     with pytest.raises(DimensionMismatch, match=f"^state blocks disagree: .*{named}"):
-        NetworkState(x=x, g=g, w=w, iteration=0)
+        NetworkState(x=x, g=g, w=w)

@@ -77,6 +77,30 @@ def test_range_errors_found_at_load_exit_one(tmp_path, capsys):
             assert f"config error: {path} " in err
 
 
+@pytest.mark.parametrize(
+    "content, reason",
+    [
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 100_000, "JSON nested too deep to parse"),
+        pytest.param(
+            b'{"run_seed": ' + b"1" * 5000 + b"}",
+            "Exceeds the limit",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"), reason="no int-string digit limit before Python 3.10.7"
+            ),
+        ),
+    ],
+    ids=["not-utf8", "too-deep", "long-integer"],
+)
+def test_unparsable_file_is_a_config_error(tmp_path, capsys, content, reason):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(content)
+    for command in ("validate", "run"):
+        assert main([command, "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {path}: ") and reason in err
+
+
 def test_missing_config_file(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "config error" in capsys.readouterr().err

@@ -179,7 +179,7 @@ class TestTrackingDrift:
         corrupted[3, 1] += 1.0
         from giantnet.algorithms import NetworkState
 
-        bad = NetworkState(x=state.x, g=state.g, w=corrupted, iteration=0)
+        bad = NetworkState(x=state.x, g=state.g, w=corrupted)
         assert tracking_drift(bad, instance, x0) == pytest.approx(1.0, abs=1e-12)
 
 

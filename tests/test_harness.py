@@ -25,6 +25,7 @@ from giantnet import (
     tune_epsilon,
 )
 from giantnet import harness
+from giantnet.cli import main as cli_main
 from giantnet.harness import (
     CSV_COLUMNS,
     TuneResult,
@@ -37,6 +38,8 @@ from giantnet.harness import (
     validate_experiment,
     write_comparison_csv,
 )
+
+from conftest import identical_quadratic_instance
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -465,6 +468,28 @@ class TestFailedGridPoints:
         diverged = TuneResult("giant", 1.0, "diverged", None, np.inf)
         failed = TuneResult("giant", 0.5, "failed", None, np.nan)
         assert _tune_key(diverged) < _tune_key(failed)
+
+
+class TestSingleVerdict:
+    """A point is ``diverged`` exactly when its run's log is, however large its final gap."""
+
+    @pytest.fixture
+    def cfg_path(self, tmp_path, monkeypatch):
+        # Identical quadratics with minimizer 1e6 * 1 and a standard-normal start: every state
+        # entry stays near 1e6 in magnitude, far inside [-1e12, 1e12], and the gap is about 2.5e12.
+        instance = identical_quadratic_instance(6, np.full(5, 1e6))
+        monkeypatch.setattr(harness, "build_instance", lambda cfg: instance)
+        return write_cfg(tmp_path, base_cfg(problem={"d": 5}, algorithm={"max_iters": 0}))
+
+    def test_compare_reads_not_reached(self, cfg_path):
+        summary = compare(load_config(cfg_path), target=1e-6)
+        for row in summary.rows:
+            assert (row.status, row.iterations) == ("not_reached", None)
+            assert 1e12 < row.final_gap < np.inf
+
+    def test_run_exits_zero(self, cfg_path, tmp_path, capsys):
+        assert cli_main(["run", "--config", cfg_path, "--out", str(tmp_path / "run.csv")]) == 0
+        assert "diverged" not in capsys.readouterr().err
 
 
 class TestShippedConfigs:

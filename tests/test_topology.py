@@ -13,6 +13,7 @@ from giantnet import (
     second_singular_value,
     validate_mixing,
 )
+from giantnet import topology
 from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, MixingCheck, check_graph
 
 from conftest import rng_for
@@ -158,6 +159,23 @@ class TestMix:
     def test_rejects_non_square_weights(self, p):
         with pytest.raises(DimensionMismatch, match="must be square"):
             MixingMatrix(p)
+
+    @pytest.mark.parametrize("n, sparse", [(4, False), (12, True)])
+    @pytest.mark.parametrize("shape", [(), (4, 2), (3, 2), (1, 1, 1)], ids=["scalar", "3d", "3d-other", "4d"])
+    def test_rejects_anything_but_a_vector_or_a_stack(self, monkeypatch, n, sparse, shape):
+        if sparse:
+            monkeypatch.setattr(topology, "SPARSE_RATIO", 0)
+        mix = metropolis_weights(make_graph("ring", n))
+        mix.mix(np.ones((n, 2)))
+        assert on_sparse_path(mix) == sparse
+        x = np.float64(1.0) if shape == () else np.ones((n, *shape))
+        with pytest.raises(DimensionMismatch, match=r"^mix takes an \(n,\) vector or an \(n, d\) stack, got shape"):
+            mix.mix(x)
+
+    @pytest.mark.parametrize("shape", [(5,), (5, 2)])
+    def test_wrong_agent_count_names_it(self, shape):
+        with pytest.raises(DimensionMismatch, match="^mixing matrix is 4x4 for 5 agents$"):
+            metropolis_weights(make_graph("ring", 4)).mix(np.ones(shape))
 
     def test_weights_become_a_float_array(self):
         mix = MixingMatrix([[0.5, 0.5], [0.5, 0.5]])

@@ -60,6 +60,29 @@ MUTANTS = {
         "    m = instance.family.newton_directions(instance.consensus_stack(x), eye).mean(axis=0)\n",
         "    m = instance.family.hessians(instance.consensus_stack(x)).mean(axis=0)\n",
     ),
+    "tune-judges-the-final-gap": (
+        "harness.py",
+        "            hit = None if log.diverged else log.first_iteration_below(target)\n"
+        '            status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"\n',
+        "            gap = float(log.final.opt_gap)\n"
+        "            diverged = log.diverged or not np.isfinite(gap) or gap > 1e12\n"
+        "            hit = None if diverged else log.first_iteration_below(target)\n"
+        '            status = "diverged" if diverged else "not_reached" if hit is None else "reached"\n',
+    ),
+    "mix-takes-any-ndim": (
+        "topology.py",
+        "        if x.ndim not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis\n"
+        '            raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got shape {x.shape}")\n',
+        "",
+    ),
+    "config-decode-errors-unmapped": (
+        "harness.py",
+        "    except RecursionError as exc:\n"
+        '        raise ParseError(f"{path}: JSON nested too deep to parse") from exc\n'
+        "    except ValueError as exc:  # UnicodeDecodeError, or an integer past the int-string digit limit\n"
+        '        raise ParseError(f"{path}: {exc}") from exc\n',
+        "",
+    ),
 }
 
 
