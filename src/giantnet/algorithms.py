@@ -213,8 +213,9 @@ def _block_cap(instance: ProblemInstance) -> int:
     """Most iterations ``run`` checks in one pass: 64 at n = 10, d = 5; 1 for an ``ObjectiveLoop``.
 
     Each iteration of a block keeps its state, 3nd floats, and the averaged
-    cost makes temporaries the size of its arrays per iteration, so blocks
-    stay small where one iteration's arrays are large.
+    cost makes ``family.average.floats`` floats of temporaries at its mean
+    point, so blocks stay small where one iteration's arrays are large: 4
+    at n = 1000, d = 5, and 2 for logistic n = 100, d = 20, m = 50.
     """
     floats = instance.family.average.floats
     if floats is None:

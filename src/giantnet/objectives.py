@@ -28,6 +28,9 @@ identity once and then applies them as one batched matrix product.
 
 The logistic sigmoid is scipy.special.expit's formula, 1 / (1 + exp(-t)),
 evaluated with numpy's exp, so the package needs numpy alone at run time.
+The logistic loss log(1 + exp(-t)) is the softplus max(-t, 0) +
+log1p(exp(-|t|)), the two branches of np.logaddexp(0, -t) as array
+passes; exp's argument is never positive, so it cannot overflow.
 """
 
 from __future__ import annotations
@@ -125,10 +128,12 @@ class AgentFamily(ABC):
 
     @property
     def floats(self) -> int | None:
-        """Floats in the family's arrays; None if its 1-agent form takes one point per call.
+        """Floats of the temporaries ``values_and_gradients`` makes per point; None if it takes one point per call.
 
         A 1-agent quadratic or logistic family evaluates a (B, d) stack of
-        points at once, with temporaries the size of its arrays per point.
+        points at once, with about four temporaries per point the size of
+        its b (quadratic) or its labels (logistic). Its other arrays are
+        shared by all the points, so they are not counted.
         """
         return None
 
@@ -155,7 +160,7 @@ class QuadraticFamily(AgentFamily):
 
     @property
     def floats(self):
-        return self.a.size + self.b.size + self.c.size
+        return 4 * self.b.size
 
     @property
     def objectives(self) -> tuple[QuadraticObjective, ...]:
@@ -221,7 +226,7 @@ class LogisticFamily(AgentFamily):
 
     @property
     def floats(self):
-        return self.features.size + self.labels.size
+        return 4 * self.labels.size
 
     @property
     def objectives(self) -> tuple[LogisticObjective, ...]:
@@ -236,7 +241,7 @@ class LogisticFamily(AgentFamily):
 
     def values_and_gradients(self, x):
         margins = self._margins(x)
-        losses = np.logaddexp(0.0, -margins)
+        losses = np.maximum(-margins, 0.0) + np.log1p(np.exp(-np.abs(margins)))
         return losses.mean(axis=1) + 0.5 * self.ridge * (x * x).sum(axis=1), self._gradients(x, margins)
 
     def _gradients(self, x, margins):
@@ -252,7 +257,7 @@ class LogisticFamily(AgentFamily):
         # The weighted transpose is the one (n, d, m) temporary per call.
         h = np.matmul(self.features.transpose(0, 2, 1) * weights[:, None, :], self.features)
         h /= m
-        h += self.ridge * np.eye(d)
+        h.reshape(len(h), -1)[:, :: d + 1] += self.ridge  # the diagonals, as one strided view
         return h
 
     @cached_property

@@ -151,17 +151,32 @@ EPSILON = {"giant": 0.25, "gt": 0.02, "dgd": 0.02}
 
 class TestBlockSchedule:
     @pytest.mark.parametrize(
-        "name, cap", [("ring10", MAX_BLOCK), ("scalar", MAX_BLOCK), ("logistic", 35)]
+        "name, cap", [("ring10", MAX_BLOCK), ("scalar", MAX_BLOCK), ("logistic", 59)]
     )
     def test_caps(self, name, cap):
         assert _block_cap(_instance(name)) == cap
 
     def test_benchmark_shapes(self):
-        # ring1000 holds 3nd = 15000 state floats per iteration, er100's pooled average 105000.
+        # ring1000 holds 3nd = 15000 state floats per iteration; er100 6000, and its pooled
+        # average makes four temporaries of its 5000 samples at the checked point.
         ring = generate_problem(1, ProblemSpec(kind="quadratic", n=1000, d=5, heterogeneity=1.0))
         assert _block_cap(ring) == 4
         er = generate_problem(1, ProblemSpec(kind="logistic", n=100, d=20, samples_per_agent=50))
-        assert _block_cap(er) == 1
+        assert _block_cap(er) == 2
+
+    def test_benchmark_logistic_run_at_its_cap_and_at_cap_one(self, monkeypatch):
+        spec = ProblemSpec(kind="logistic", n=100, d=20, samples_per_agent=50)
+        instance = generate_problem(1, spec)
+        instance = instance.with_reference(centralized_newton(instance, np.zeros(20)))
+        P = ring_mixing(100)
+        x0 = rng_for(3).standard_normal((100, 20))
+        cfg = AlgorithmConfig(epsilon=0.2, max_iters=30, grad_tol=0.0)
+        assert _block_cap(instance) == 2
+        got = run("giant", instance, P, cfg, x0)
+        monkeypatch.setattr(algorithms, "MAX_BLOCK", 1)
+        assert _block_cap(instance) == 1
+        _assert_same_run(got, run("giant", instance, P, cfg, x0))
+        assert got[1].final.iteration == cfg.max_iters
 
     def test_objective_loop_checks_every_step(self):
         instance = _instance("ring10")

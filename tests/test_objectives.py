@@ -14,7 +14,7 @@ from giantnet import (
     centralized_newton,
     generate_problem,
 )
-from giantnet.objectives import HETEROGENEITY_SPREAD, MAX_HETEROGENEITY, _sigmoid
+from giantnet.objectives import HETEROGENEITY_SPREAD, MAX_HETEROGENEITY, LogisticFamily, _sigmoid
 
 from conftest import rng_for
 from reference import finite_difference_gradient, finite_difference_hessian
@@ -112,6 +112,32 @@ class TestSigmoid:
         # exp(1000) overflows; the suite turns any RuntimeWarning into an error
         assert _sigmoid(np.array([-1000.0]))[0] == 0.0
         assert _sigmoid(-1000.0) == 0.0
+
+
+def _losses(margins):
+    """``LogisticFamily.values`` with agent i's one margin at ``margins[i]``.
+
+    Feature t, label +1 and x = 1 give margin t exactly; ridge/2 rounds to
+    0 at the smallest subnormal ridge, so each value is the loss alone.
+    """
+    margins = np.asarray(margins, dtype=float)
+    family = LogisticFamily(margins[:, None, None], np.ones((margins.size, 1)), 5e-324)
+    return family.values(np.ones((margins.size, 1)))
+
+
+class TestSoftplus:
+    # np.logaddexp(0, -t) is the oracle; the package computes its two branches as array passes.
+    def test_matches_logaddexp_within_two_ulp(self):
+        t = np.concatenate([np.linspace(-1e3, 1e3, 200_001), [800.0, -800.0, 0.0, -0.0]])
+        want = np.logaddexp(0.0, -t)
+        assert (np.abs(_losses(t) - want) <= 2 * np.spacing(np.abs(want))).all()
+
+    def test_infinite_and_nan_margins(self):
+        # logaddexp's values: 0 at +inf, inf at -inf, NaN at NaN (where logaddexp itself
+        # warns). The gradient's 0 * inf at margin +inf is invalid; only the values are checked.
+        with np.errstate(invalid="ignore"):
+            out = _losses([np.inf, -np.inf, np.nan])
+        assert out[0] == 0.0 and out[1] == np.inf and np.isnan(out[2])
 
 
 class TestDerivativeConsistency:

@@ -83,6 +83,21 @@ MUTANTS = {
         '        raise ParseError(f"{path}: {exc}") from exc\n',
         "",
     ),
+    "softplus-wrong-branch": (
+        "objectives.py",
+        "np.maximum(-margins, 0.0)",
+        "np.maximum(margins, 0.0)",
+    ),
+    "ridge-on-every-entry": (
+        "objectives.py",
+        "        h.reshape(len(h), -1)[:, :: d + 1] += self.ridge",
+        "        h += self.ridge",
+    ),
+    "block-cap-ignores-states": (
+        "algorithms.py",
+        "BLOCK_FLOATS // (3 * n * d + floats)",
+        "BLOCK_FLOATS // floats",
+    ),
 }
 
 
