@@ -60,7 +60,7 @@ from .numerics import (
     spd_solve_stack,
 )
 from .objectives import (
-    LocalObjective,
+    AgentFamily,
     LogisticObjective,
     ProblemInstance,
     ProblemSpec,

@@ -35,7 +35,7 @@ CSV column order; its rows, stop and final state are those of a check
 after every step.
 
 Steps are pure functions of the state's arrays (x, w, g), and so must be
-the objectives they evaluate. So once a state equals an earlier one bit
+the agent families they evaluate. So once a state equals an earlier one bit
 for bit, the run repeats that cycle up to ``max_iters``, and ``run``
 writes those rows from the cycle's instead of stepping: a run can take
 fewer step calls than its log has iterations.
@@ -210,7 +210,7 @@ MAX_BLOCK = 64
 
 
 def _block_cap(instance: ProblemInstance) -> int:
-    """Most iterations ``run`` checks in one pass: 64 at n = 10, d = 5; 1 for an ``ObjectiveLoop``.
+    """Most iterations ``run`` checks in one pass: 64 at n = 10, d = 5.
 
     Each iteration of a block keeps its state, 3nd floats, and the averaged
     cost makes ``family.average.floats`` floats of temporaries at its mean
@@ -218,8 +218,6 @@ def _block_cap(instance: ProblemInstance) -> int:
     at n = 1000, d = 5, and 2 for logistic n = 100, d = 20, m = 50.
     """
     floats = instance.family.average.floats
-    if floats is None:
-        return 1
     n, d = instance.family.shape
     return max(1, min(MAX_BLOCK, BLOCK_FLOATS // (3 * n * d + floats)))
 
@@ -260,8 +258,7 @@ def run(
     again, renumbered, and the run returns the cycle's state at
     ``cfg.max_iters``, not diverged. So the step count can be below
     ``cfg.max_iters`` on a run that reaches it. Only periods up to the
-    block cap are found: at a cap of 1 (any ``ObjectiveLoop``) only fixed
-    points, at a cap of 4 periods up to 4.
+    block cap are found: at a cap of 4 periods up to 4.
 
     Returns (final_state, MetricsLog): x, g and w as a NetworkState for
     giant and gt, the bare stack for dgd. The log numbers the iterations and

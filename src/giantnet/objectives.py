@@ -12,14 +12,13 @@ quantity is one batched numpy expression over those stacks: the only place
 each cost's formulas are written. ``QuadraticObjective`` and
 ``LogisticObjective`` hold a family of one agent and evaluate it at single
 points. An instance holds its family only; per-agent objectives are built
-on demand, as views into the stacks. An instance built from a tuple of
-objectives (mixed families, user subclasses, logistic agents with unequal
-sample counts) wraps them in ``ObjectiveLoop``, which loops over the objects.
+on demand, as views into the stacks. Any other cost is a subclass of
+``AgentFamily``; one family holds one kind of agent, and every logistic
+agent has the same number of samples.
 
 The averaged cost (1/n) * sum_i f_i is ``family.average``, a family of one
-agent of the same class: the quadratic with the mean A, b and c, the
-logistic loss over all n*m samples pooled (every agent has m of them), or
-for ``ObjectiveLoop`` the mean of its objects. So the cost, gradient and
+agent of the same class: the quadratic with the mean A, b and c, or the
+logistic loss over all n*m samples pooled. So the cost, gradient and
 Hessian at a single point take one evaluation of one agent, not n, and
 ``values_and_gradients`` shares the quadratic A x or the logistic margins.
 ``newton_directions`` applies the inverse local Hessians by Cholesky
@@ -73,33 +72,22 @@ def _as_point(x: np.ndarray, dimension: int) -> np.ndarray:
     return x
 
 
-class LocalObjective(ABC):
-    """A twice-differentiable strongly convex cost over R^d.
+class AgentFamily(ABC):
+    """The n agents' costs, evaluated at once: row i of each result is f_i at row i of an (n, d) stack.
 
-    Subclasses must evaluate purely: the same point gives the same bits,
+    A user cost subclasses it and defines the abstract members; ``values``
+    and ``newton_directions`` have defaults. ``average`` is evaluated at a
+    (B, d) stack of points at once, so a family of one agent must take any
+    number of rows. A
+    family must evaluate purely: the same stack gives the same bits,
     whatever was evaluated before. ``run`` relies on it to end a run that
     repeats a state by writing the rest of its log from that cycle.
     """
 
     @property
     @abstractmethod
-    def dimension(self) -> int: ...
-
-    @abstractmethod
-    def value(self, x: np.ndarray) -> float: ...
-
-    @abstractmethod
-    def gradient(self, x: np.ndarray) -> np.ndarray: ...
-
-    @abstractmethod
-    def hessian(self, x: np.ndarray) -> np.ndarray: ...
-
-    def _check_point(self, x: np.ndarray) -> np.ndarray:
-        return _as_point(x, self.dimension)
-
-
-class AgentFamily(ABC):
-    """The n agents: ``shape`` (n, d), ``objectives``, and values, gradients and Hessians, row i at row i of X."""
+    def shape(self) -> tuple[int, int]:
+        """(n, d): the number of agents and the dimension."""
 
     @abstractmethod
     def values_and_gradients(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -124,18 +112,17 @@ class AgentFamily(ABC):
     @property
     @abstractmethod
     def average(self) -> AgentFamily:
-        """The averaged cost (1/n) * sum_i f_i as a family of one agent, of the same class."""
+        """The averaged cost (1/n) * sum_i f_i as a family of one agent; the built-in families give their own class."""
 
     @property
-    def floats(self) -> int | None:
-        """Floats of the temporaries ``values_and_gradients`` makes per point; None if it takes one point per call.
+    @abstractmethod
+    def floats(self) -> int:
+        """Floats of the temporaries ``values_and_gradients`` makes per point; ``run`` sizes blocks by the average's.
 
-        A 1-agent quadratic or logistic family evaluates a (B, d) stack of
-        points at once, with about four temporaries per point the size of
-        its b (quadratic) or its labels (logistic). Its other arrays are
-        shared by all the points, so they are not counted.
+        A 1-agent quadratic or logistic family makes about four temporaries
+        per point the size of its b (quadratic) or its labels (logistic).
+        Its other arrays are shared by all the points, so they are not counted.
         """
-        return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,7 +256,7 @@ class LogisticFamily(AgentFamily):
         return LogisticFamily(self.features.reshape(1, -1, d), self.labels.reshape(1, -1), self.ridge)
 
 
-class _OneAgent(LocalObjective):
+class _OneAgent:
     """A family of one agent, evaluated at single points of R^d.
 
     ``hessian`` returns the family's Hessian row; treat it as read-only.
@@ -283,13 +270,13 @@ class _OneAgent(LocalObjective):
         return self.family.shape[1]
 
     def value(self, x):
-        return float(self.family.values(self._check_point(x)[None])[0])
+        return float(self.family.values(_as_point(x, self.dimension)[None])[0])
 
     def gradient(self, x):
-        return self.family.gradients(self._check_point(x)[None])[0]
+        return self.family.gradients(_as_point(x, self.dimension)[None])[0]
 
     def hessian(self, x):
-        return self.family.hessians(self._check_point(x)[None])[0]
+        return self.family.hessians(_as_point(x, self.dimension)[None])[0]
 
 
 class QuadraticObjective(_OneAgent):
@@ -323,76 +310,15 @@ class LogisticObjective(_OneAgent):
     hessian = _OneAgent.hessian
 
 
-class _AgentMean(LocalObjective):
-    """The mean of a tuple of objectives, each evaluated at the same point."""
-
-    def __init__(self, objectives: tuple[LocalObjective, ...]):
-        self.objectives = objectives
-
-    @property
-    def dimension(self) -> int:
-        return self.objectives[0].dimension
-
-    def value(self, x):
-        x = self._check_point(x)
-        return float(np.mean([obj.value(x) for obj in self.objectives]))
-
-    def gradient(self, x):
-        x = self._check_point(x)
-        return np.mean([obj.gradient(x) for obj in self.objectives], axis=0)
-
-    def hessian(self, x):
-        x = self._check_point(x)
-        return np.mean([obj.hessian(x) for obj in self.objectives], axis=0)
-
-
-@dataclass(frozen=True)
-class ObjectiveLoop(AgentFamily):
-    """Any tuple of objectives, evaluated one agent at a time; each must evaluate purely (``LocalObjective``)."""
-
-    objectives: tuple[LocalObjective, ...]
-
-    def __post_init__(self):
-        if not self.objectives:
-            raise InvalidSpec("instance needs at least one objective")
-        dims = {obj.dimension for obj in self.objectives}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"objectives disagree on dimension: {sorted(dims)}")
-
-    @property
-    def shape(self):
-        return len(self.objectives), self.objectives[0].dimension
-
-    def _pairs(self, x):
-        # One point per objective: a stack of any other length would be cut short or overrun.
-        if len(x) != len(self.objectives):
-            raise DimensionMismatch(f"{len(x)} points for {len(self.objectives)} objectives")
-        return zip(self.objectives, x)
-
-    def values_and_gradients(self, x):
-        pairs = list(self._pairs(x))
-        return np.array([obj.value(xi) for obj, xi in pairs]), np.stack([obj.gradient(xi) for obj, xi in pairs])
-
-    def gradients(self, x):
-        return np.stack([obj.gradient(xi) for obj, xi in self._pairs(x)])
-
-    def hessians(self, x):
-        return np.stack([obj.hessian(xi) for obj, xi in self._pairs(x)])
-
-    @cached_property
-    def average(self) -> ObjectiveLoop:
-        return ObjectiveLoop((_AgentMean(self.objectives),))
-
-
 @dataclass(frozen=True, eq=False)
 class ProblemInstance:
     """n local objectives over a shared decision variable, with global bounds.
 
-    ``family`` is the agents' one description, from which ``objectives``,
-    ``n_agents`` and ``dimension`` derive; a tuple of objectives passed in its
-    place is wrapped in ``ObjectiveLoop``. ``mu`` and ``lipschitz``, finite
-    real numbers (never bools) with 0 < mu <= L, bound every local Hessian from
-    below and above. ``reference_solution`` is the minimizer of the averaged
+    ``family`` is the agents' one description, an ``AgentFamily`` (anything
+    else raises InvalidSpec), from which ``n_agents``, ``dimension`` and,
+    for the built-in families, ``objectives`` derive. ``mu`` and
+    ``lipschitz``, finite real numbers (never bools) with 0 < mu <= L, bound
+    every local Hessian from below and above. ``reference_solution`` is the minimizer of the averaged
     cost when known; the harness fills it in for families without a closed
     form. Instances compare by identity.
     """
@@ -404,14 +330,14 @@ class ProblemInstance:
 
     def __post_init__(self):
         if not isinstance(self.family, AgentFamily):
-            object.__setattr__(self, "family", ObjectiveLoop(tuple(self.family)))
+            raise InvalidSpec(f"family must be an AgentFamily, got {type(self.family).__name__}")
         if not self.n_agents >= 1:
             raise InvalidSpec("instance needs at least one agent")
         if not (is_finite_real(self.mu) and is_finite_real(self.lipschitz) and 0 < self.mu <= self.lipschitz):
             raise InvalidSpec(f"bounds must be finite with 0 < mu <= L, got ({self.mu!r}, {self.lipschitz!r})")
 
     @property
-    def objectives(self) -> tuple[LocalObjective, ...]:
+    def objectives(self) -> tuple[_OneAgent, ...]:
         return self.family.objectives
 
     @property

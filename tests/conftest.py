@@ -5,11 +5,11 @@ from giantnet import (
     MixingMatrix,
     ProblemInstance,
     ProblemSpec,
-    QuadraticObjective,
     generate_problem,
     make_graph,
     metropolis_weights,
 )
+from giantnet.objectives import QuadraticFamily
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -19,10 +19,9 @@ def rng_for(seed: int) -> np.random.Generator:
 def identical_quadratic_instance(n: int, center: np.ndarray) -> ProblemInstance:
     """n copies of f(x) = 0.5 * ||x - center||^2; minimizer is the center."""
     d = center.size
-    objs = tuple(
-        QuadraticObjective(np.eye(d), -center, 0.5 * float(center @ center)) for _ in range(n)
-    )
-    return ProblemInstance(objs, mu=1.0, lipschitz=1.0, reference_solution=center.copy())
+    c = np.full(n, 0.5 * float(center @ center))
+    family = QuadraticFamily(np.tile(np.eye(d), (n, 1, 1)), np.tile(-center, (n, 1)), c)
+    return ProblemInstance(family, mu=1.0, lipschitz=1.0, reference_solution=center.copy())
 
 
 def ring_mixing(n: int) -> MixingMatrix:

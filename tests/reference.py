@@ -7,13 +7,17 @@ families can be checked against code that does not share theirs; the
 central differences check any cost's derivatives against its values.
 ``trajectory`` runs giant, gt and dgd the same way: dense ``p @ x`` per
 consensus round, one ``np.linalg.solve`` per agent, and the six metrics
-of every iteration from the per-agent formulas.
+of every iteration from the per-agent formulas. ``Loop`` is a user
+family over such per-agent functions, evaluated one agent at a time, so
+the package's own paths can run on agents written outside it.
 """
+
+from functools import cached_property
 
 import numpy as np
 from scipy.special import expit
 
-from giantnet.objectives import LogisticFamily, QuadraticFamily
+from giantnet.objectives import AgentFamily, LogisticFamily, QuadraticFamily
 
 
 def quadratic(a, b, c, x):
@@ -38,6 +42,52 @@ def agents(family):
         return [lambda x, a=a, b=b, c=c: quadratic(a, b, c, x) for a, b, c in zip(family.a, family.b, family.c)]
     assert isinstance(family, LogisticFamily)
     return [lambda x, f=f, y=y: logistic(f, y, family.ridge, x) for f, y in zip(family.features, family.labels)]
+
+
+class Loop(AgentFamily):
+    """A family over per-agent functions ``x -> (value, gradient, Hessian)`` of one dimension d.
+
+    The agents may be of mixed kinds, logistic agents of unequal sample
+    counts. Row i of a stack goes to agent i; a family of one agent takes
+    every row, as the averaged cost must.
+    """
+
+    def __init__(self, funcs, d):
+        self.funcs, self.d = tuple(funcs), d
+
+    @classmethod
+    def of(cls, family):
+        """The agents of a stacked family, as the plain formulas above."""
+        return cls(agents(family), family.shape[1])
+
+    @property
+    def shape(self):
+        return len(self.funcs), self.d
+
+    @property
+    def floats(self):
+        return self.d * (self.d + 1) + 1  # one agent's value, gradient and Hessian at a time
+
+    def _rows(self, x, k):
+        funcs = self.funcs * len(x) if len(self.funcs) == 1 else self.funcs
+        return np.array([f(xi)[k] for f, xi in zip(funcs, x, strict=True)])
+
+    def values_and_gradients(self, x):
+        return self._rows(x, 0), self._rows(x, 1)
+
+    def gradients(self, x):
+        return self._rows(x, 1)
+
+    def hessians(self, x):
+        return self._rows(x, 2)
+
+    @cached_property
+    def average(self):
+        def mean(x):
+            rows = [f(x) for f in self.funcs]
+            return tuple(np.mean([row[k] for row in rows], axis=0) for k in range(3))
+
+        return Loop([mean], self.d)
 
 
 def stacked(family, x):

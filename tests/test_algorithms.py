@@ -17,7 +17,6 @@ from giantnet import (
     NotPositiveDefinite,
     ProblemInstance,
     ProblemSpec,
-    QuadraticObjective,
     centralized_newton,
     dgd_step,
     generate_problem,
@@ -31,7 +30,7 @@ from giantnet import (
 )
 from giantnet import topology
 from giantnet.diagnostics import DIVERGENCE_LIMIT, check_block
-from giantnet.objectives import LocalObjective
+from giantnet.objectives import AgentFamily, QuadraticFamily
 
 from conftest import identical_quadratic_instance, ring_mixing, rng_for
 
@@ -173,21 +172,8 @@ class TestGiantStep:
         assert any(monotone(eps) for eps in (0.05, 0.02, 0.01))
 
     def test_not_positive_definite_propagates(self):
-        class Saddle(LocalObjective):
-            @property
-            def dimension(self):
-                return 2
-
-            def value(self, x):
-                return float(0.5 * (x[0] ** 2 - x[1] ** 2))
-
-            def gradient(self, x):
-                return np.array([x[0], -x[1]])
-
-            def hessian(self, x):
-                return np.diag([1.0, -1.0])
-
-        inst = ProblemInstance((Saddle(),), mu=1.0, lipschitz=1.0)
+        saddle = QuadraticFamily(np.diag([1.0, -1.0])[None], np.zeros((1, 2)), np.zeros(1))
+        inst = ProblemInstance(saddle, mu=1.0, lipschitz=1.0)
         mix = metropolis_weights(make_graph("ring", 1))
         state = giant_init(inst, np.ones((1, 2)))
         with pytest.raises(NotPositiveDefinite):
@@ -413,38 +399,42 @@ class TestRun:
         assert max(r.tracking_drift for r in log.records) <= 1e-9
 
     def test_hessian_turning_indefinite_mid_run_is_typed(self):
-        class TurnsIndefinite(LocalObjective):
-            """0.5 * ||x - center||^2 whose Hessian reads diag(1, -1) from its third evaluation on."""
+        class TurnsIndefinite(AgentFamily):
+            """0.5 * ||x - c_i||^2 over three centers; agent 1's Hessian is diag(1, -1) from its third evaluation."""
 
-            def __init__(self, center):
-                self.center = center
+            centers = np.array([[-1.0, 0.0], [2.0, -1.0], [0.0, -3.0]])
+            shape = centers.shape
+            floats = 2 * centers.size
+
+            def __init__(self):
                 self.hessian_calls = 0
 
-            @property
-            def dimension(self):
-                return 2
+            def values_and_gradients(self, x):
+                r = x - self.centers
+                return 0.5 * (r * r).sum(axis=1), r
 
-            def value(self, x):
-                return float(0.5 * np.sum((x - self.center) ** 2))
+            def gradients(self, x):
+                return x - self.centers
 
-            def gradient(self, x):
-                return x - self.center
-
-            def hessian(self, x):
+            def hessians(self, x):
                 self.hessian_calls += 1
-                return np.eye(2) if self.hessian_calls < 3 else np.diag([1.0, -1.0])
+                h = np.stack([np.eye(2)] * 3)
+                if self.hessian_calls >= 3:
+                    h[1] = np.diag([1.0, -1.0])
+                return h
 
-        objs = (
-            QuadraticObjective(np.eye(2), np.array([1.0, 0.0])),
-            TurnsIndefinite(np.array([2.0, -1.0])),
-            QuadraticObjective(np.eye(2), np.array([0.0, 3.0])),
-        )
-        instance = ProblemInstance(objs, mu=1.0, lipschitz=1.0, reference_solution=np.zeros(2))
+            @property
+            def average(self):
+                c = self.centers
+                return QuadraticFamily(np.eye(2)[None], -c.mean(axis=0)[None], [0.5 * (c * c).sum(axis=1).mean()])
+
+        family = TurnsIndefinite()
+        instance = ProblemInstance(family, mu=1.0, lipschitz=1.0, reference_solution=np.zeros(2))
         cfg = AlgorithmConfig(epsilon=0.1, max_iters=50, grad_tol=0.0)
         with pytest.raises(NotPositiveDefinite) as info:
             run("giant", instance, ring_mixing(3), cfg, np.zeros((3, 2)))
         assert not isinstance(info.value, np.linalg.LinAlgError)
-        assert objs[1].hessian_calls == 3  # one evaluation per step: the third step raised
+        assert family.hessian_calls == 3  # one evaluation per step: the third step raised
 
     @pytest.mark.parametrize("epsilon", [0.5, 50.0])
     def test_sparse_mixing_run_matches_the_dense_run(self, monkeypatch, epsilon):

@@ -13,6 +13,7 @@ steps that were really taken.
 """
 
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -32,6 +33,7 @@ from giantnet import (
 from giantnet import algorithms
 from giantnet.algorithms import MAX_BLOCK, _block_cap, _same_bits
 from giantnet.diagnostics import DIVERGENCE_LIMIT, MetricsLog, MetricsRecord
+from giantnet.objectives import AgentFamily
 
 from conftest import ring_mixing, rng_for
 
@@ -102,7 +104,47 @@ def _at_minimizer(out, instance):
     return NetworkState(np.tile(instance.reference_solution, (instance.n_agents, 1)), out.g, out.w)
 
 
+class DiagonalQuadratic(AgentFamily):
+    """f_i(x) = 0.5 * sum_j h_ij (x_j - c_ij)^2 + e_i over stacks h > 0 and c (n, d), e (n,): a pure user family."""
+
+    def __init__(self, h, c, e):
+        self.h, self.c, self.e = h, c, e
+
+    @property
+    def shape(self):
+        return self.h.shape
+
+    @property
+    def floats(self):
+        return 3 * self.h.size  # x - c, its product with h and their product, per point
+
+    def values_and_gradients(self, x):
+        r = x - self.c
+        g = self.h * r
+        return 0.5 * (g * r).sum(axis=1) + self.e, g
+
+    def gradients(self, x):
+        return self.h * (x - self.c)
+
+    def hessians(self, x):
+        return np.broadcast_to(self.h, x.shape)[:, :, None] * np.eye(x.shape[1])
+
+    @cached_property
+    def average(self):
+        # The mean of the agents is one diagonal quadratic: curvature h_bar, center
+        # mean(h * c) / h_bar, and what the centers' spread leaves in the offset.
+        h = self.h.mean(axis=0)
+        c = (self.h * self.c).mean(axis=0) / h
+        e = 0.5 * ((self.h * self.c * self.c).mean(axis=0) - h * c * c).sum() + self.e.mean()
+        return DiagonalQuadratic(h[None], c[None], np.array([e]))
+
+
 def _instance(name):
+    if name == "user":  # a family written outside the package, at n = 10, d = 5
+        rng = rng_for(50)
+        h = rng.uniform(1.0, 4.0, (10, 5))
+        family = DiagonalQuadratic(h, rng.standard_normal((10, 5)), rng.standard_normal(10))
+        return ProblemInstance(family, mu=h.min(), lipschitz=h.max(), reference_solution=family.average.c[0])
     if name == "ring10":
         return generate_problem(42, ProblemSpec(kind="quadratic", n=10, d=5, heterogeneity=1.0))
     if name == "scalar":  # d = 1 with n >= 8 agents: the sums over agents are pairwise on one column
@@ -177,11 +219,6 @@ class TestBlockSchedule:
         assert _block_cap(instance) == 1
         _assert_same_run(got, run("giant", instance, P, cfg, x0))
         assert got[1].final.iteration == cfg.max_iters
-
-    def test_objective_loop_checks_every_step(self):
-        instance = _instance("ring10")
-        looped = ProblemInstance(instance.objectives, mu=instance.mu, lipschitz=instance.lipschitz)
-        assert _block_cap(looped) == 1
 
     @pytest.mark.parametrize("cap", [1, 3, MAX_BLOCK])
     def test_steps_taken_on_a_converging_run(self, monkeypatch, cap):
@@ -343,3 +380,26 @@ class TestFastForward:
         assert not _same_bits(zeros, -zeros)
         nan = np.full((2, 3), np.nan)
         assert _same_bits(nan, nan.copy())
+
+
+class TestUserFamily:
+    """A family written outside the package runs at its own cap, as the built-in ones do."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_run_at_its_cap_and_at_cap_one(self, monkeypatch, algorithm):
+        instance = _instance("user")
+        P = ring_mixing(10)
+        x0 = rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=EPSILON[algorithm], max_iters=3000, grad_tol=1e-12)
+        assert _block_cap(instance) == MAX_BLOCK  # 3nd = 150 state floats and 15 of the average's per iteration
+        got = run(algorithm, instance, P, cfg, x0)
+        monkeypatch.setattr(algorithms, "MAX_BLOCK", 1)
+        assert _block_cap(instance) == 1
+        _assert_same_run(got, run(algorithm, instance, P, cfg, x0))
+
+    def test_stalled_dgd_is_fast_forwarded(self, monkeypatch):
+        # dgd stalls at its biased fixed point: the rows after the cycle is found are written, not stepped.
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=5000, grad_tol=0.0)
+        log, steps = _compare(monkeypatch, "dgd", "user", cfg)
+        assert not log.diverged and log.final.iteration == cfg.max_iters
+        assert steps < 1000

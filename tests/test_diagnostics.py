@@ -10,7 +10,6 @@ from giantnet import (
     MissingReference,
     ProblemInstance,
     ProblemSpec,
-    QuadraticObjective,
     decompose,
     descent_check,
     estimate_rate,
@@ -25,7 +24,9 @@ from giantnet import (
 
 from giantnet.diagnostics import GAP_FLOOR, check_block, metrics_record
 from giantnet.harness import CSV_COLUMNS, write_metrics_csv
+from giantnet.objectives import QuadraticFamily
 
+import reference
 from conftest import rng_for
 
 
@@ -63,16 +64,13 @@ class TestDecompose:
 
 class TestHarmonicHessianMean:
     def test_identity_hessians(self):
-        objs = tuple(QuadraticObjective(np.eye(3), np.zeros(3)) for _ in range(4))
-        inst = ProblemInstance(objs, mu=1.0, lipschitz=1.0)
+        family = QuadraticFamily(np.tile(np.eye(3), (4, 1, 1)), np.zeros((4, 3)), np.zeros(4))
+        inst = ProblemInstance(family, mu=1.0, lipschitz=1.0)
         assert np.allclose(harmonic_hessian_mean(inst, np.zeros(3)), np.eye(3), atol=1e-14)
 
     def test_scalar_pair(self):
-        objs = (
-            QuadraticObjective(np.array([[2.0]]), np.zeros(1)),
-            QuadraticObjective(np.array([[4.0]]), np.zeros(1)),
-        )
-        inst = ProblemInstance(objs, mu=2.0, lipschitz=4.0)
+        family = QuadraticFamily([[[2.0]], [[4.0]]], np.zeros((2, 1)), np.zeros(2))
+        inst = ProblemInstance(family, mu=2.0, lipschitz=4.0)
         m = harmonic_hessian_mean(inst, np.zeros(1))
         assert m[0, 0] == pytest.approx(0.375, abs=1e-14)
 
@@ -80,9 +78,7 @@ class TestHarmonicHessianMean:
         rng = rng_for(32)
         a = rng.standard_normal((4, 4))
         h = a.T @ a + 0.5 * np.eye(4)
-        inst = ProblemInstance(
-            (QuadraticObjective(h, np.zeros(4)),), mu=0.1, lipschitz=100.0
-        )
+        inst = ProblemInstance(QuadraticFamily(h[None], np.zeros((1, 4)), np.zeros(1)), mu=0.1, lipschitz=100.0)
         m = harmonic_hessian_mean(inst, np.zeros(4))
         assert np.abs(m @ h - np.eye(4)).max() <= 1e-10
 
@@ -114,7 +110,7 @@ class TestDescentCheck:
         a = (q * eigs) @ q.T
         a = 0.5 * (a + a.T)
         inst = ProblemInstance(
-            (QuadraticObjective(a, np.zeros(3)),),
+            QuadraticFamily(a[None], np.zeros((1, 3)), np.zeros(1)),
             mu=0.5,
             lipschitz=2.0,
             reference_solution=np.zeros(3),
@@ -270,9 +266,8 @@ class TestMetricsBitwise:
     @pytest.mark.parametrize("kind", ["quadratic", "logistic", "loop"])
     def test_values_and_gradients(self, kind, order, entries, offset):
         instance = generate_problem(5, ProblemSpec(kind=kind.replace("loop", "logistic"), n=6, d=4, heterogeneity=1.0))
-        family = instance.family
-        if kind == "loop":
-            family = ProblemInstance(instance.objectives, mu=instance.mu, lipschitz=instance.lipschitz).family
+        # loop: the per-agent oracle family of tests/reference.py, whose values are AgentFamily's default
+        family = reference.Loop.of(instance.family) if kind == "loop" else instance.family
         x = _layout(self._stack(30, entries, offset), order)
         with np.errstate(all="ignore"):
             for fam, point in ((family, x), (family.average, x.mean(axis=0)[None])):

@@ -10,7 +10,6 @@ from giantnet import (
     AlgorithmConfig,
     InvalidParams,
     InvalidSpec,
-    LocalObjective,
     LogisticObjective,
     ParseError,
     ProblemInstance,
@@ -39,6 +38,7 @@ from giantnet.harness import (
     write_comparison_csv,
 )
 
+import reference
 from conftest import identical_quadratic_instance
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
@@ -411,24 +411,10 @@ class TestCompare:
             assert row == replace(winner, rate=estimate_rate(log).rate)
 
 
-class IndefiniteFarOut(LocalObjective):
-    """0.5 * ||x - center||^2 whose Hessian reads diag(1, -1) where x[0] > 10; pure."""
-
-    def __init__(self, center):
-        self.center = np.asarray(center, dtype=float)
-
-    @property
-    def dimension(self):
-        return 2
-
-    def value(self, x):
-        return float(0.5 * np.sum((x - self.center) ** 2))
-
-    def gradient(self, x):
-        return x - self.center
-
-    def hessian(self, x):
-        return np.eye(2) if x[0] <= 10 else np.diag([1.0, -1.0])
+def indefinite_far_out(center):
+    """0.5 * ||x - center||^2 as ``x -> (value, gradient, Hessian)``, the Hessian diag(1, -1) where x[0] > 10; pure."""
+    center = np.asarray(center, dtype=float)
+    return lambda x: (0.5 * np.sum((x - center) ** 2), x - center, np.eye(2) if x[0] <= 10 else np.diag([1.0, -1.0]))
 
 
 class TestFailedGridPoints:
@@ -439,8 +425,8 @@ class TestFailedGridPoints:
         # Three agents on a ring of three: giant at eps 3 overshoots x* by a factor -2 per
         # step, so its iterate passes x[0] = 10 and a local Hessian turns indefinite.
         centers = ([1.0, 0.0], [2.0, -1.0], [0.0, 3.0])
-        objectives = tuple(IndefiniteFarOut(c) for c in centers)
-        instance = ProblemInstance(objectives, mu=1.0, lipschitz=1.0, reference_solution=np.mean(centers, axis=0))
+        family = reference.Loop([indefinite_far_out(c) for c in centers], 2)
+        instance = ProblemInstance(family, mu=1.0, lipschitz=1.0, reference_solution=np.mean(centers, axis=0))
         monkeypatch.setattr(harness, "build_instance", lambda cfg: instance)
         payload = base_cfg(problem={"n": 3, "d": 2}, topology={"n": 3}, algorithm={"max_iters": 200})
         return load_config(write_cfg(tmp_path, payload))

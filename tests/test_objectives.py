@@ -167,7 +167,7 @@ class TestDerivativeConsistency:
         quad, logi = random_objectives()
         x_quad = np.linalg.solve(quad.a, -quad.b)
         assert np.linalg.norm(quad.gradient(x_quad)) <= 1e-8
-        single = ProblemInstance((logi,), mu=0.1, lipschitz=10.0)
+        single = ProblemInstance(logi.family, mu=0.1, lipschitz=10.0)
         x_logi = centralized_newton(single, np.zeros(3), tol=1e-12)
         assert np.linalg.norm(logi.gradient(x_logi)) <= 1e-8
 
@@ -373,8 +373,8 @@ class TestGenerateProblem:
     def test_instance_bounds_are_typed(self, bounds):
         quad = QuadraticObjective(np.eye(2), np.zeros(2))
         with pytest.raises(InvalidSpec, match="^bounds must be finite"):
-            ProblemInstance((quad,), **{"mu": 0.5, "lipschitz": 2.0, **bounds})
-        assert ProblemInstance((quad,), mu=np.float32(0.5), lipschitz=2).lipschitz == 2
+            ProblemInstance(quad.family, **{"mu": 0.5, "lipschitz": 2.0, **bounds})
+        assert ProblemInstance(quad.family, mu=np.float32(0.5), lipschitz=2).lipschitz == 2
 
     @pytest.mark.parametrize("seed", [-1, 1.5, True, False, "1", None, np.int64(-2), pytest.param(-(2**200), id="-2^200")])
     @pytest.mark.parametrize("kind", ["quadratic", "logistic"])

@@ -3,9 +3,9 @@
 The per-point objectives are 1-agent families, so they share the
 families' formulas. The independent oracle is ``reference.py``: plain
 per-agent formulas that every batched quantity, average and value must
-agree with to 1e-12 relative. The ``ObjectiveLoop`` family checks the
-stacked paths against the loop over objects, and generated instances
-must stay bitwise identical to the per-agent generator.
+agree with to 1e-12 relative. Its ``Loop`` family runs the same formulas
+one agent at a time through the package's generic paths, and generated
+instances must stay bitwise identical to the per-agent generator.
 """
 
 import numpy as np
@@ -35,7 +35,7 @@ from giantnet import (
 )
 from giantnet import algorithms, diagnostics, numerics, objectives
 from giantnet.diagnostics import metrics_record
-from giantnet.objectives import HETEROGENEITY_SPREAD, AgentFamily, LogisticFamily, ObjectiveLoop, QuadraticFamily
+from giantnet.objectives import HETEROGENEITY_SPREAD, AgentFamily, LogisticFamily, QuadraticFamily
 
 import reference
 from conftest import rng_for
@@ -55,10 +55,8 @@ def instance_for(kind, n, d, seed=5):
 
 
 def looped(instance):
-    """The same agents, evaluated one object at a time."""
-    reference = ProblemInstance(instance.objectives, mu=instance.mu, lipschitz=instance.lipschitz)
-    assert isinstance(reference.family, ObjectiveLoop)
-    return reference
+    """The same agents as ``reference.Loop``: the oracle's formulas, one agent at a time."""
+    return ProblemInstance(reference.Loop.of(instance.family), mu=instance.mu, lipschitz=instance.lipschitz)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -102,7 +100,7 @@ class TestAgainstPerAgent:
         assert close(harmonic_hessian_mean(instance, point), harmonic_hessian_mean(reference, point))
 
     def test_metrics_record_closed_forms_match_loop_family(self, kind, n, d):
-        # oracle: the loop family's per-agent mean at the same point
+        # oracle: reference.Loop's per-agent mean at the same point
         instance = instance_for(kind, n, d)
         reference = looped(instance)
         f_star = reference.average_value(centralized_newton(reference, np.zeros(d)))
@@ -225,15 +223,18 @@ def test_objectives_are_views_into_the_stacks(kind):
 
 
 def test_mixed_and_unequal_agents_run_on_the_loop():
+    # No built-in family mixes kinds of agent or sample counts; a user family can, and runs as any other.
     rng = rng_for(24)
     a = rng.standard_normal((3, 3))
-    objs = (
-        QuadraticObjective(a @ a.T + np.eye(3), rng.standard_normal(3)),
-        LogisticObjective(rng.standard_normal((8, 3)), np.where(rng.random(8) < 0.5, -1.0, 1.0), 0.1),
-        LogisticObjective(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, -1.0, 1.0), 0.1),
+    quad = (a @ a.T + np.eye(3), rng.standard_normal(3), 0.0)
+    logistic_8 = (rng.standard_normal((8, 3)), np.where(rng.random(8) < 0.5, -1.0, 1.0), 0.1)
+    logistic_5 = (rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, -1.0, 1.0), 0.1)
+    funcs = (
+        lambda x: reference.quadratic(*quad, x),
+        lambda x: reference.logistic(*logistic_8, x),
+        lambda x: reference.logistic(*logistic_5, x),
     )
-    instance = ProblemInstance(objs, mu=0.1, lipschitz=100.0)
-    assert isinstance(instance.family, ObjectiveLoop)
+    instance = ProblemInstance(reference.Loop(funcs, 3), mu=0.1, lipschitz=100.0)
     instance = instance.with_reference(centralized_newton(instance, np.zeros(3), tol=1e-12))
     mix = metropolis_weights(make_graph("complete", 3))
     _, log = run(
@@ -243,34 +244,12 @@ def test_mixed_and_unequal_agents_run_on_the_loop():
     assert max(r.tracking_drift for r in log.records) <= 1e-9
 
 
-def test_loop_values_on_mixed_and_unequal_agents():
-    # the agents of test_mixed_and_unequal_agents_run_on_the_loop
-    rng = rng_for(24)
-    a = rng.standard_normal((3, 3))
-    objs = (
-        QuadraticObjective(a @ a.T + np.eye(3), rng.standard_normal(3)),
-        LogisticObjective(rng.standard_normal((8, 3)), np.where(rng.random(8) < 0.5, -1.0, 1.0), 0.1),
-        LogisticObjective(rng.standard_normal((5, 3)), np.where(rng.random(5) < 0.5, -1.0, 1.0), 0.1),
-    )
-    family = ProblemInstance(objs, mu=0.1, lipschitz=100.0).family
-    x = rng_for(30).standard_normal((3, 3))
-    values = family.values(x)
-    assert values.shape == (3,)
-    assert np.array_equal(values, [obj.value(x[i]) for i, obj in enumerate(objs)])
-    value = reference.quadratic(objs[0].a, objs[0].b, objs[0].c, x[0])[0]
-    assert close(values[0], value)
-    assert close(family.average.values(x[:1]), [np.mean([obj.value(x[0]) for obj in objs])])
-
-
-@pytest.mark.parametrize("rows", [0, 1, 2, 4])
-@pytest.mark.parametrize("method", ["values", "gradients", "hessians", "values_and_gradients"])
-def test_loop_rejects_a_stack_of_another_length(method, rows):
-    # One point per objective: a longer stack used to be cut to the first len(objectives) rows.
-    family = looped(instance_for("quadratic", 3, 2)).family
-    with pytest.raises(DimensionMismatch, match=f"{rows} points for 3 objectives"):
-        getattr(family, method)(np.zeros((rows, 2)))
-    with pytest.raises(DimensionMismatch, match="3 points for 1 objectives"):
-        getattr(family.average, method)(np.zeros((3, 2)))
+@pytest.mark.parametrize(
+    "family", [(), [], None, QuadraticObjective(np.eye(2), np.zeros(2))], ids=["tuple", "list", "None", "objective"]
+)
+def test_instance_takes_only_an_agent_family(family):
+    with pytest.raises(InvalidSpec, match=f"^family must be an AgentFamily, got {type(family).__name__}$"):
+        ProblemInstance(family, mu=1.0, lipschitz=1.0)
 
 
 def test_indefinite_hessian_in_one_row_raises():
@@ -350,8 +329,8 @@ def test_harmonic_mean_takes_the_cached_inverse(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["logistic", "loop"])
 def test_other_families_factor_and_solve_every_round(kind, monkeypatch):
-    # Logistic Hessians change with x; a loop's objects may be any costs, so
-    # even quadratic objects get no cached inverse.
+    # Logistic Hessians change with x; a user family without its own
+    # newton_directions gets AgentFamily's factor solve, even over quadratic agents.
     instance = instance_for("logistic" if kind == "logistic" else "quadratic", 6, 4)
     if kind == "loop":
         instance = looped(instance).with_reference(instance.reference_solution)
@@ -367,12 +346,6 @@ def test_constant_hessian_stack_is_read_only():
     h = instance.family.hessians(np.zeros((3, 2)))
     with pytest.raises(ValueError):
         h[0, 0, 0] = 5.0
-
-
-def test_loop_rejects_objectives_of_different_dimensions():
-    objs = (QuadraticObjective(np.eye(2), np.zeros(2)), QuadraticObjective(np.eye(3), np.zeros(3)))
-    with pytest.raises(DimensionMismatch, match=r"^objectives disagree on dimension: \[2, 3\]$"):
-        ObjectiveLoop(objs)
 
 
 def test_families_reject_stacks_that_disagree_on_n():

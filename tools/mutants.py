@@ -98,6 +98,12 @@ MUTANTS = {
         "BLOCK_FLOATS // (3 * n * d + floats)",
         "BLOCK_FLOATS // floats",
     ),
+    "instance-takes-any-family": (
+        "objectives.py",
+        "        if not isinstance(self.family, AgentFamily):\n"
+        '            raise InvalidSpec(f"family must be an AgentFamily, got {type(self.family).__name__}")\n',
+        "",
+    ),
 }
 
 
