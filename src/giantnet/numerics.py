@@ -1,10 +1,13 @@
-"""Dense linear algebra helpers for small matrices.
+"""Linear algebra helpers: dense kernels for small matrices, and CSR for sparse ones.
 
-Everything here is sized for desk-scale simulations (dimensions up to a
-few hundred): Cholesky factorization of SPD matrices, triangular solves
-that realize inverse-Hessian action (an inverse that is kept is a solve
-against the identity; no inversion routine is called), and the spectral
-quantity governing consensus contraction.
+The dense kernels are sized for desk-scale simulations (dimensions up
+to a few hundred): Cholesky factorization of SPD matrices, triangular
+solves that realize inverse-Hessian action (an inverse that is kept is
+a solve against the identity; no inversion routine is called), and the
+spectral quantity governing consensus contraction. ``_RowSparse`` holds
+a square matrix as its entries row by row (CSR); it is the form a
+mixing matrix over a sparse graph takes, so that it costs O(n + E), not
+n^2 floats.
 
 A Cholesky factor is a plain lower-triangular array: (d, d) from
 ``spd_factorize``, (n, d, d) from ``spd_factorize_stack``, and the solves
@@ -19,15 +22,22 @@ of strided slices of the agent-major stacks. Each entry sees the same
 operations in the same order as it would agent-major, so the results
 are the same bits.
 
-The consensus contraction factor sigma2 comes from the symmetric
-eigensolver when the mixing matrix equals its transpose exactly, and
-from a full SVD otherwise; a matrix with a NaN or infinite entry has
-sigma2 NaN and reaches neither.
+The consensus contraction factor sigma2 reads the mixing matrix as its
+nonzero (row, column, value) triplets, whether it comes dense or as
+CSR. It builds P - 11'/n once, as an n x n array of -1/n plus the
+nonzeros (the bits of the dense ``p - 1/n``), and hands it to the
+symmetric eigensolver when every triplet equals its transposed partner
+(0 where that is not stored), to a full SVD otherwise. For a CSR P,
+that array and the eigensolver's copy of it are the only n x n arrays
+sigma2 allocates.
+A matrix with a NaN or infinite entry has sigma2 NaN and reaches
+neither solver.
 
 ``is_integer``, ``is_real`` and ``is_finite_real`` are the type tests
 every constructor applies to its scalar fields.
 
-All functions are pure; returned arrays are fresh and never alias inputs.
+All functions are pure; returned arrays are fresh and never alias inputs
+(``_RowSparse.triplets`` returns the matrix's own columns and values).
 """
 
 from __future__ import annotations
@@ -174,40 +184,159 @@ def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
     return y.transpose(swap).copy()
 
 
-def second_singular_value(p: np.ndarray, check: bool = True) -> float:
+class _RowSparse:
+    """A square matrix as its entries row by row (CSR): values, columns and row starts.
+
+    Each row's columns ascend and no position is stored twice, so the
+    entries in storage order are sorted by position; a stored entry may
+    be 0. ``@`` takes an (n,) vector or an (n, d) stack and needs every
+    row to hold an entry, because ``reduceat`` gives ``x[start]``, not 0,
+    for an empty row.
+    """
+
+    def __init__(self, vals: np.ndarray, cols: np.ndarray, starts: np.ndarray):
+        self.vals = vals
+        self.cols = cols
+        self.starts = starts
+
+    @classmethod
+    def from_dense(cls, p: np.ndarray) -> _RowSparse:
+        """The nonzeros of a square array, from one ``p != 0`` scan: NaN is kept, -0.0 is not."""
+        # row-major, so each row's columns ascend; booleans scan faster than floats
+        rows, cols = np.nonzero(p != 0)
+        return cls(p[rows, cols], cols, np.searchsorted(rows, np.arange(len(p))))
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.starts), len(self.starts)
+
+    def row_lengths(self) -> np.ndarray:
+        # concatenate, not np.append or np.diff: validation calls this often on small matrices
+        return np.concatenate((self.starts[1:], [len(self.cols)])) - self.starts
+
+    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, cols, vals) of the stored entries in storage order."""
+        return np.repeat(np.arange(len(self.starts)), self.row_lengths()), self.cols, self.vals
+
+    def transposed_values(self) -> np.ndarray:
+        """The entry at (j, i) for each stored (i, j), in storage order; 0.0 where none is stored."""
+        rows, cols, vals = self.triplets()
+        n = len(self.starts)
+        keys, wanted = rows * n + cols, cols * n + rows  # keys ascend in storage order
+        at = np.searchsorted(keys, wanted)
+        at[np.concatenate((keys, [-1]))[at] != wanted] = len(keys)  # absent: the appended 0.0
+        return np.concatenate((vals, [0.0]))[at]
+
+    def toarray(self) -> np.ndarray:
+        rows, cols, vals = self.triplets()
+        out = np.zeros(self.shape)
+        out[rows, cols] = vals
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim == 1:  # the (nnz, 1) values times an (nnz,) gather would broadcast to (nnz, nnz)
+            return (self @ x[:, None])[:, 0]
+        # take gathers the rows about a quarter faster than x[self.cols]
+        return np.add.reduceat(self.vals[:, None] * x.take(self.cols, axis=0), self.starts, axis=0)
+
+    def power(self, k: int) -> _RowSparse:
+        """The matrix to the k-th power, as CSR; ``power(1)`` is ``self``.
+
+        Row i of the power is row i of the matrix times the matrix, k - 1
+        times, which is row i of the left-to-right product. The rows are
+        built ``POWER_ROWS`` at a time, so no power below the k-th is held
+        whole and no n x n array is made.
+        """
+        if k == 1:
+            return self
+        n = len(self.starts)
+        rows, cols, vals = self.triplets()
+        widths = self.row_lengths()
+        bounds = np.concatenate((self.starts[::POWER_ROWS], [len(cols)]))
+        lengths, col_parts, val_parts = [], [], []  # per block: its rows' lengths, columns, values
+        for top, lo, hi in zip(range(0, n, POWER_ROWS), bounds[:-1], bounds[1:]):
+            block = rows[lo:hi], cols[lo:hi], vals[lo:hi]
+            for _ in range(k - 1):
+                block = _row_products(*block, self, widths)
+            lengths.append(np.bincount(block[0] - top, minlength=min(POWER_ROWS, n - top)))
+            col_parts.append(block[1])
+            val_parts.append(block[2])
+        starts = np.cumsum(np.concatenate([[0], *lengths]))[:-1]
+        vals = np.concatenate(val_parts)
+        del val_parts  # freed before the columns are joined, so each join adds one array at a time
+        return _RowSparse(vals, np.concatenate(col_parts), starts)
+
+
+# Rows of a CSR power built at once: a block's temporaries grow with its
+# rows, not with n, and the loop over blocks stays short.
+POWER_ROWS = 256
+
+
+def _row_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: _RowSparse, widths: np.ndarray):
+    """The triplets of some rows times ``p``, sorted by position; ``widths`` is ``p.row_lengths()``.
+
+    Entry (i, c) adds a_ij * p_jc over ascending j, in that order. Each
+    product is formed once: the cost is O(sum over the a_ij of the
+    length of row j of ``p``).
+    """
+    n = len(p.starts)
+    counts = widths[cols]
+    ends = np.cumsum(counts)
+    # the entries of row j of p, for each a_ij in turn
+    pick = np.repeat(p.starts[cols] - ends + counts, counts) + np.arange(counts.sum())
+    keys = np.repeat(rows, counts) * n + p.cols[pick]
+    terms = np.repeat(vals, counts) * p.vals[pick]
+    order = np.argsort(keys, kind="stable")  # a position's terms keep their ascending j
+    keys = keys[order]
+    first = np.diff(keys, prepend=-1) != 0
+    rows, cols = np.divmod(keys[first], n)
+    return rows, cols, np.bincount(np.cumsum(first) - 1, terms[order])  # adds in index order
+
+
+def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> float:
     """Largest singular value of P - (1/n) * ones: the consensus contraction factor.
 
     For a doubly stochastic P this is the per-round shrink rate of the
-    disagreement component; values below 1 certify mixing. If P equals
-    its transpose exactly, the projected matrix is symmetric and its
-    largest singular value is its largest eigenvalue magnitude,
+    disagreement component; values below 1 certify mixing. P is read as
+    its nonzero triplets: those of a ``_RowSparse`` as stored, those of
+    an array from one ``p != 0`` scan. P - 11'/n is built once from
+    them, with the bits of the dense ``p - 1/n``. If every triplet
+    equals its transposed partner (0 where none is stored), P equals its
+    transpose exactly, the projected matrix is symmetric and its largest
+    singular value is its largest eigenvalue magnitude,
     max(|lambda_min|, |lambda_max|), taken from ``eigvalsh``. Any other
     matrix, including one symmetric only to within roundoff, gets a full
     SVD. A NaN or infinite entry gives NaN without a LAPACK call.
 
     Parameters
     ----------
-    p : (n, n) array
+    p : (n, n) array or _RowSparse
         Mixing matrix.
     check : bool
         When true, require row and column sums to equal 1 within
         ``STOCHASTIC_ATOL`` and raise :class:`NotStochastic` otherwise,
-        which every non-finite matrix fails. Validation code passes
+        which every non-finite matrix fails. Each sum adds the row's or
+        column's nonzeros in storage order. Validation code passes
         ``check=False`` to measure broken inputs.
     """
-    p = np.asarray(p, dtype=float)
-    if p.ndim != 2 or p.shape[0] != p.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {p.shape}")
+    if not isinstance(p, _RowSparse):
+        p = np.asarray(p, dtype=float)
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {p.shape}")
+        p = _RowSparse.from_dense(p)
+    n = p.shape[0]
+    rows, cols, vals = p.triplets()
     if check:
         with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-            sums = np.concatenate([p.sum(axis=1), p.sum(axis=0)])
+            sums = np.concatenate([np.bincount(rows, vals, n), np.bincount(cols, vals, n)])
             dev = float(np.abs(sums - 1.0).max())
         if not dev <= STOCHASTIC_ATOL:  # NaN fails too
             raise NotStochastic(f"row/column sums deviate from 1 by {dev:.3e}")
-    if not np.isfinite(p).all():
+    if not np.isfinite(vals).all():
         return float("nan")
-    projected = p - 1.0 / p.shape[0]
-    if np.array_equal(p, p.T):
+    projected = np.full((n, n), -1.0 / n)
+    projected[rows, cols] += vals  # -1/n + v is v - 1/n: the bits of p - 1/n
+    if np.array_equal(vals, p.transposed_values()):
         w = np.linalg.eigvalsh(projected)  # ascending
         return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.svd(projected, compute_uv=False)[0])

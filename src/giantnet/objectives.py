@@ -64,6 +64,13 @@ def _sigmoid(t: np.ndarray) -> np.ndarray:
         return 1.0 / (1.0 + np.exp(-t))
 
 
+def _require_finite(**stacks: np.ndarray) -> None:
+    """Raise InvalidSpec naming the first stack that holds a NaN or an infinity."""
+    for name, stack in stacks.items():
+        if not np.isfinite(stack).all():
+            raise InvalidSpec(f"{name} must be finite, got a NaN or infinite entry")
+
+
 def _as_point(x: np.ndarray, dimension: int) -> np.ndarray:
     """``x`` as a float array, after checking that it is one point of R^dimension."""
     x = np.asarray(x, dtype=float)
@@ -127,7 +134,10 @@ class AgentFamily(ABC):
 
 @dataclass(frozen=True, eq=False)
 class QuadraticFamily(AgentFamily):
-    """f_i(x) = 0.5 * x'A_i x + b_i'x + c_i over stacks a (n,d,d), b (n,d), c (n,)."""
+    """f_i(x) = 0.5 * x'A_i x + b_i'x + c_i over finite stacks a (n,d,d), b (n,d), c (n,).
+
+    A NaN or infinite entry raises InvalidSpec naming its stack.
+    """
 
     a: np.ndarray
     b: np.ndarray
@@ -140,6 +150,7 @@ class QuadraticFamily(AgentFamily):
         a, b, c = self.a, self.b, self.c
         if a.ndim != 3 or a.shape[1] != a.shape[2] or b.shape != a.shape[:2] or c.shape != a.shape[:1]:
             raise DimensionMismatch(f"incompatible quadratic stacks: A {a.shape}, b {b.shape}, c {c.shape}")
+        _require_finite(a=a, b=b, c=c)
 
     @property
     def shape(self):
@@ -184,7 +195,7 @@ class QuadraticFamily(AgentFamily):
 
 @dataclass(frozen=True, eq=False)
 class LogisticFamily(AgentFamily):
-    """Ridge-logistic losses over stacks features (n,m,d) and labels (n,m) in {-1, +1}, ridge > 0.
+    """Ridge-logistic losses over finite features (n,m,d) and labels (n,m) in {-1, +1}, ridge > 0.
 
     f_i(x) = (1/m) * sum_j log(1 + exp(-y_ij * a_ij'x)) + (ridge/2) * ||x||^2,
     so mu >= ridge.
@@ -200,6 +211,7 @@ class LogisticFamily(AgentFamily):
         f, y = self.features, self.labels
         if f.ndim != 3 or y.shape != f.shape[:2]:
             raise DimensionMismatch(f"incompatible sample stacks: features {f.shape}, labels {y.shape}")
+        _require_finite(features=f)
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise InvalidSpec("labels must be -1 or +1")
         # NaN fails the comparison; a bool or a string is not a ridge weight.
@@ -338,6 +350,9 @@ class ProblemInstance:
 
     @property
     def objectives(self) -> tuple[_OneAgent, ...]:
+        """The built-in families' per-agent objectives; InvalidSpec for a family without them."""
+        if getattr(type(self.family), "objectives", None) is None:
+            raise InvalidSpec(f"{type(self.family).__name__} has no per-agent objectives")
         return self.family.objectives
 
     @property

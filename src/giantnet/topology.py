@@ -1,9 +1,14 @@
 """Communication graphs and doubly stochastic mixing matrices.
 
-A consensus round exchanges messages between neighbours only, so
-``MixingMatrix.mix`` applies a sparse enough P^k as CSR (values, columns
-and row starts) in O(nnz * d), and any other P^k as the dense ``@``. The
-choice is made once per k from n and nnz(P^k); see ``SPARSE_RATIO``.
+A consensus round exchanges messages between neighbours only, so P has
+n + 2E nonzeros. ``metropolis_weights`` builds P straight from the edge
+list as CSR (values, columns and row starts; ``numerics._RowSparse``)
+when ``SPARSE_RATIO`` calls n + 2E sparse, and as a dense n x n array
+otherwise. ``MixingMatrix.mix`` applies a CSR P^k in O(nnz * d), and a
+dense P^k as the dense ``@`` or, when it is sparse enough, as CSR; the
+choice is made once per k from n and nnz(P^k). ``validate_mixing``
+checks either form on its nonzero triplets, and only its sigma2
+eigensolve allocates n x n arrays.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams
-from .numerics import is_finite_real, is_integer, second_singular_value
+from .numerics import _RowSparse, is_finite_real, is_integer, second_singular_value
 
 GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
 
@@ -33,7 +38,7 @@ WEIGHT_TOL = 1e-12
 # 1 - sigma2 below it, however it is computed.
 SIGMA2_MARGIN = 1e-9
 
-# mix applies P^k as CSR when nnz(P^k) * SPARSE_RATIO <= n^2. Dense @ against
+# P, or a dense P^k, is CSR when nnz * SPARSE_RATIO <= n^2. Dense @ against
 # CSR, microseconds per product, medians of 9 (Metropolis weights, numpy
 # 2.4.6 with OpenBLAS, 2 vCPUs):
 #
@@ -88,24 +93,28 @@ class Graph:
 class MixingMatrix:
     """Consensus weights over a graph; rows and columns sum to one.
 
-    ``p`` is converted to a float array (a float array is kept as is) and
-    must be square. Every consensus product goes through :meth:`mix`,
-    which memoizes per k the form in which it applies P^k, so ``p`` must
-    not be modified after the first call to ``mix``. ``p`` itself stays the
-    dense array that validation and ``power`` read.
+    ``p`` is either a CSR ``_RowSparse``, kept as is (``metropolis_weights``
+    gives one above the sparse threshold; ``p.toarray()`` is its dense
+    form), or anything else, converted to a float array (a float array is
+    kept as is) that must be square. Every consensus product goes through
+    :meth:`mix`, which memoizes per k the form in which it applies P^k,
+    so ``p`` must not be modified after the first call to ``mix``.
 
-    ``mix`` applies P^k as the dense ``@`` unless nnz(P^k) * SPARSE_RATIO
-    <= n^2 and every row of P^k has a nonzero; then it sums the nonzeros
-    of each row (CSR), which is several times faster above the crossover
+    A CSR P gives CSR powers, which ``mix`` applies as they are. A dense
+    P^k is applied as the dense ``@`` unless nnz(P^k) * SPARSE_RATIO <= n^2
+    and every row of P^k has a nonzero; then ``mix`` sums the nonzeros of
+    each row (CSR), which is several times faster above the crossover
     (ring n=1000, d=5: 0.12 ms against 0.77 ms). The dense side gives the
     bits ``p @ x`` gives; the sparse side adds each row in column order
     and differs from the dense product by a few ulp.
     """
 
-    p: np.ndarray
+    p: np.ndarray | _RowSparse
     _products: dict = field(default_factory=dict, init=False, repr=False)  # k -> P^k as mix applies it
 
     def __post_init__(self):
+        if isinstance(self.p, _RowSparse):
+            return
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise DimensionMismatch(f"mixing matrix must be square, got shape {p.shape}")
@@ -115,15 +124,19 @@ class MixingMatrix:
     def n(self) -> int:
         return self.p.shape[0]
 
-    def power(self, k: int) -> np.ndarray:
+    def power(self, k: int) -> np.ndarray | _RowSparse:
         """P^k by repeated left-to-right multiplication; ``power(1)`` is ``p`` itself.
 
         The association order is pinned so that k rounds of mixing and a
-        single multiplication by the power are bitwise equal. Each call
-        builds the power afresh; ``mix`` keeps what it applies.
+        single multiplication by the power are bitwise equal. A CSR P
+        gives a CSR P^k by sparse row products (``_RowSparse.power``),
+        never an n x n array. Each call builds the power afresh; ``mix``
+        keeps what it applies.
         """
         if not (is_integer(k) and k >= 1):
             raise InvalidParams(f"k must be a positive integer, got {k}")
+        if isinstance(self.p, _RowSparse):
+            return self.p.power(k)
         out = self.p
         for _ in range(k - 1):
             out = out @ self.p
@@ -146,36 +159,21 @@ class MixingMatrix:
         return op @ x
 
 
-class _RowSparse:
-    """A square matrix as its nonzeros row by row (CSR), multiplied with ``@``."""
-
-    def __init__(self, vals: np.ndarray, cols: np.ndarray, starts: np.ndarray):
-        self.vals = vals[:, None]
-        self.cols = cols
-        self.starts = starts
-
-    def __matmul__(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim == 1:  # the (nnz, 1) values times an (nnz,) gather would broadcast to (nnz, nnz)
-            return (self @ x[:, None])[:, 0]
-        # take gathers the rows about a quarter faster than x[self.cols]
-        return np.add.reduceat(self.vals * x.take(self.cols, axis=0), self.starts, axis=0)
-
-
-def _product(pk: np.ndarray) -> np.ndarray | _RowSparse:
-    """``pk`` itself, or its CSR form when ``SPARSE_RATIO`` says that is faster.
+def _product(pk: np.ndarray | _RowSparse) -> np.ndarray | _RowSparse:
+    """A CSR ``pk`` itself; a dense one itself, or its CSR form when ``SPARSE_RATIO`` says that is faster.
 
     A matrix with an empty row stays dense: ``reduceat`` gives ``x[start]``,
     not 0, for an empty segment.
     """
+    if isinstance(pk, _RowSparse):
+        return pk
     n = pk.shape[0]
-    nonzero = pk != 0  # scanning booleans takes half the time of scanning floats
-    if np.count_nonzero(nonzero) * SPARSE_RATIO > n * n:
+    if np.count_nonzero(pk) * SPARSE_RATIO > n * n:
         return pk
-    rows, cols = np.nonzero(nonzero)  # row-major, so each row's columns ascend
-    starts = np.searchsorted(rows, np.arange(n))
-    if not np.diff(starts, append=rows.size).all():
+    csr = _RowSparse.from_dense(pk)
+    if not csr.row_lengths().all():
         return pk
-    return _RowSparse(pk[rows, cols], cols, starts)
+    return csr
 
 
 def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:
@@ -244,12 +242,29 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     """Symmetric doubly stochastic weights from local degrees only.
 
     P_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal takes the slack.
+    The form is chosen from nnz = n + 2E before anything is built: if
+    nnz * SPARSE_RATIO <= n^2, P is CSR, built from the edge list in
+    O(nnz log nnz), with each diagonal entry 1 minus its row's
+    off-diagonals added in column order; otherwise P is a dense n x n
+    array whose diagonal is 1 minus its row's ``sum``. On a ring, and
+    wherever a row's off-diagonals add exactly, the two forms hold the
+    same bits.
     """
-    a, b = g.edges.T
-    p = np.zeros((g.n, g.n))
-    p[a, b] = p[b, a] = 1.0 / (1.0 + np.maximum(g.degrees[a], g.degrees[b]))
-    np.fill_diagonal(p, 1.0 - p.sum(axis=1))
-    return MixingMatrix(p)
+    n, (a, b) = g.n, g.edges.T
+    w = 1.0 / (1.0 + np.maximum(g.degrees[a], g.degrees[b]))
+    if (n + 2 * len(w)) * SPARSE_RATIO > n * n:
+        p = np.zeros((n, n))
+        p[a, b] = p[b, a] = w
+        np.fill_diagonal(p, 1.0 - p.sum(axis=1))
+        return MixingMatrix(p)
+    node = np.arange(n)
+    rows, cols = np.concatenate([a, b, node]), np.concatenate([b, a, node])
+    order = np.argsort(rows * n + cols)
+    rows, cols = rows[order], cols[order]
+    vals = np.concatenate([w, w, np.zeros(n)])[order]
+    # bincount adds each row's entries in column order; the diagonal's 0 adds nothing
+    vals[rows == cols] = 1.0 - np.bincount(rows, vals, n)
+    return MixingMatrix(_RowSparse(vals, cols, np.searchsorted(rows, node)))
 
 
 @dataclass(frozen=True)
@@ -280,45 +295,53 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def validate_mixing(p: np.ndarray, g: Graph) -> ValidationReport:
+def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     """Check the mixing-matrix invariants, reporting measured deviations.
 
     Failures come back as report entries, never exceptions, so that
-    user-supplied matrices can be inspected. Checks: nonnegativity,
-    sparsity conformance to the graph, symmetry, row sums, column sums
-    and sigma2 <= 1 - ``SIGMA2_MARGIN``.
+    user-supplied matrices can be inspected. ``p`` is a CSR ``_RowSparse``
+    or anything ``np.asarray`` makes an (n, n) float array of. Every check
+    reads the nonzero (row, column, value) triplets, stored ones for a
+    CSR ``p`` and those of one ``p != 0`` scan for a dense one; an entry
+    not among them is 0. Checks: nonnegativity, sparsity conformance to
+    the graph, symmetry (each entry against its transposed partner),
+    row sums, column sums and sigma2 <= 1 - ``SIGMA2_MARGIN``. Row and
+    column sums add their nonzeros in storage order. For a CSR ``p`` only
+    the sigma2 eigensolve allocates n x n arrays: its input and LAPACK's copy.
 
     The sigma2 check fails by construction on graphs that mix too slowly
     for the margin: a ring with n >~ 1.15e5 nodes has
     1 - sigma2 = 4 pi^2 / (3 n^2) < ``SIGMA2_MARGIN``.
     """
-    p = np.asarray(p, dtype=float)
-    checks = []
+    if not isinstance(p, _RowSparse):
+        p = np.asarray(p, dtype=float)
     if p.shape != (g.n, g.n):
-        checks.append(MixingCheck("shape", False, float(abs(p.shape[0] - g.n))))
-        return ValidationReport(tuple(checks))
+        return ValidationReport((MixingCheck("shape", False, float(abs(p.shape[0] - g.n))),))
+    if not isinstance(p, _RowSparse):
+        p = _RowSparse.from_dense(p)
+    n = g.n
+    rows, cols, vals = p.triplets()
+    checks = []
 
-    # 0.0 - 0.0 is +0.0 where -0.0 is not; NaN propagates, unlike max().
-    neg = float(np.maximum(0.0, 0.0 - p.min()))
+    # 0.0 - 0.0 is +0.0 where -0.0 is not; NaN propagates. The initial 0.0 stands for the zeros.
+    neg = float(0.0 - vals.min(initial=0.0))
     checks.append(MixingCheck("nonnegativity", neg <= WEIGHT_TOL, neg))
 
     # What |p| holds off the graph and the diagonal; -0.0 reads 0 and NaN propagates.
-    buf = np.abs(p)
-    a, b = g.edges.T
-    buf[a, b] = buf[b, a] = 0.0
-    np.fill_diagonal(buf, 0.0)
-    off_graph = float(buf.max())
+    keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
+    edge_keys = g.edges[:, 0] * n + g.edges[:, 1]  # ascending, as the edges are sorted
+    on_graph = np.concatenate((edge_keys, [-1]))[np.searchsorted(edge_keys, keys)] == keys
+    off_graph = float(np.abs(vals[(rows != cols) & ~on_graph]).max(initial=0.0))
     checks.append(MixingCheck("sparsity", off_graph <= WEIGHT_TOL, off_graph))
 
     # inf - inf gives NaN, which fails its check; numpy need not warn about it.
     with np.errstate(invalid="ignore"):
-        asym = float(np.abs(np.subtract(p, p.T, out=buf), out=buf).max())
-        row_dev = float(np.abs(p.sum(axis=1) - 1.0).max())
-        col_dev = float(np.abs(p.sum(axis=0) - 1.0).max())
+        asym = float(np.abs(vals - p.transposed_values()).max(initial=0.0))
+        row_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max())
+        col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max())
     checks.append(MixingCheck("symmetry", asym <= WEIGHT_TOL, asym))
     checks.append(MixingCheck("row_sums", row_dev <= WEIGHT_TOL, row_dev))
     checks.append(MixingCheck("column_sums", col_dev <= WEIGHT_TOL, col_dev))
-    del buf  # n*n floats, freed before the eigensolver allocates its own
 
     sigma2 = second_singular_value(p, check=False)  # NaN for non-finite p, which fails
     checks.append(MixingCheck("sigma2", sigma2 <= 1.0 - SIGMA2_MARGIN, sigma2))

@@ -134,9 +134,13 @@ class TestSoftplus:
 
     def test_infinite_and_nan_margins(self):
         # logaddexp's values: 0 at +inf, inf at -inf, NaN at NaN (where logaddexp itself
-        # warns). The gradient's 0 * inf at margin +inf is invalid; only the values are checked.
-        with np.errstate(invalid="ignore"):
-            out = _losses([np.inf, -np.inf, np.nan])
+        # warns). A family's stacks are finite, so the margins come from the point:
+        # 1e300 * +-1e10 overflows to +-inf in the matmul, which numpy reports, and a NaN
+        # point gives a NaN margin. ridge/2 rounds to 0 and x * x stays finite, so each
+        # value is the loss alone.
+        family = LogisticFamily(np.full((3, 1, 1), 1e300), np.ones((3, 1)), 5e-324)
+        with np.errstate(over="ignore"):
+            out = family.values(np.array([[1e10], [-1e10], [np.nan]]))
         assert out[0] == 0.0 and out[1] == np.inf and np.isnan(out[2])
 
 

@@ -358,6 +358,32 @@ def test_families_reject_stacks_that_disagree_on_n():
         LogisticFamily(np.ones((3, 4, 2)), np.ones((2, 4)), 0.1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("stack", ["a", "b", "c", "features"])
+def test_families_reject_non_finite_stacks(stack, bad):
+    if stack == "features":
+        features = np.ones((3, 4, 2))
+        features[1, 2, 0] = bad
+        with pytest.raises(InvalidSpec, match="^features must be finite"):
+            LogisticFamily(features, np.ones((3, 4)), 0.1)
+        with pytest.raises(InvalidSpec, match="^features must be finite"):
+            LogisticObjective(features[1], np.ones(4), 0.1)
+        return
+    stacks = {"a": np.stack([np.eye(2)] * 3), "b": np.zeros((3, 2)), "c": np.zeros(3)}
+    stacks[stack].flat[-1] = bad
+    with pytest.raises(InvalidSpec, match=f"^{stack} must be finite"):
+        QuadraticFamily(**stacks)
+    with pytest.raises(InvalidSpec, match=f"^{stack} must be finite"):
+        QuadraticObjective(stacks["a"][2], stacks["b"][2], stacks["c"][2])
+
+
+def test_objectives_of_a_user_family_are_a_typed_error():
+    instance = looped(instance_for("quadratic", 3, 2))
+    with pytest.raises(InvalidSpec, match="^Loop has no per-agent objectives$"):
+        instance.objectives
+    assert len(instance_for("quadratic", 3, 2).objectives) == 3
+
+
 @pytest.mark.parametrize("label, ridge", [(0.0, 0.1), (1.0, 0.0), (1.0, float("nan"))])
 def test_logistic_family_rejects_bad_labels_and_ridge(label, ridge):
     labels = np.ones((3, 4))

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from giantnet import (
     validate_mixing,
 )
 from giantnet import topology
+from giantnet.numerics import _RowSparse
 from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, MixingCheck, check_graph
 
 from conftest import rng_for
@@ -208,18 +210,18 @@ class TestMix:
         out = mix.mix(x)
         assert on_sparse_path(mix)
         assert out.shape == x.shape
-        np.testing.assert_allclose(out, mix.p @ x, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(out, mix.p.toarray() @ x, rtol=1e-14, atol=0)
 
     @pytest.mark.parametrize("n, sparse", [(6, False), (700, True)])
     def test_k_rounds_are_the_product_by_the_power_on_both_paths(self, n, sparse):
         mix = metropolis_weights(make_graph("ring", n))
         x = rng_for(7).standard_normal((n, 3))
         out = mix.mix(x, 2)
-        assert on_sparse_path(mix, 2) == sparse
+        assert isinstance(mix.p, _RowSparse) == on_sparse_path(mix, 2) == sparse
         assert np.array_equal(out, MixingMatrix(mix.power(2)).mix(x))
 
     def test_zero_row_mixes_to_exact_zeros(self):
-        p = metropolis_weights(make_graph("ring", 400)).p.copy()
+        p = metropolis_weights(make_graph("ring", 400)).p.toarray()
         p[7] = 0.0
         mix = MixingMatrix(p)
         x = rng_for(8).standard_normal((400, 3))
@@ -235,6 +237,158 @@ class TestMix:
         first = mix.mix(x)
         assert np.array_equal(mix.mix(x), first)
         assert np.array_equal(mix.mix(x.copy()), first)
+
+
+class TestCsrWeights:
+    @pytest.mark.parametrize("kind, n", [("ring", 1000), ("grid", 676), ("star", 500), ("ring", 400)])
+    def test_csr_above_the_threshold_matches_the_dense_weights(self, monkeypatch, kind, n):
+        g = make_graph(kind, n)
+        csr = metropolis_weights(g).p
+        monkeypatch.setattr(topology, "SPARSE_RATIO", np.inf)  # every P dense
+        dense = metropolis_weights(g).p
+        assert isinstance(csr, _RowSparse) and isinstance(dense, np.ndarray)
+        rows, cols, vals = csr.triplets()
+        assert (np.diff(rows * n + cols) > 0).all()  # each row's columns ascend
+        assert np.array_equal(rows, np.nonzero(dense)[0]) and np.array_equal(cols, np.nonzero(dense)[1])
+        off = rows != cols
+        assert vals[off].tobytes() == dense[rows[off], cols[off]].tobytes()
+        # the diagonals add their rows in another order (the star's hub, 499 terms, moves by
+        # 4.4e-16); a ring's two equal weights add exactly
+        if kind == "ring":
+            assert csr.toarray().tobytes() == dense.tobytes()
+        np.testing.assert_allclose(vals[~off], np.diag(dense), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("kind, n", [("ring", 700), ("grid", 676), ("star", 400)])
+    def test_csr_powers_match_the_dense_powers(self, kind, n):
+        mix = metropolis_weights(make_graph(kind, n))
+        dense = mix.p.toarray()
+        assert mix.power(1) is mix.p
+        want = dense
+        for k in (2, 3, 4):
+            want = want @ dense
+            pk = mix.power(k)
+            assert isinstance(pk, _RowSparse)
+            rows, cols, _ = pk.triplets()
+            assert (np.diff(rows * n + cols) > 0).all()
+            np.testing.assert_allclose(pk.toarray(), want, rtol=0, atol=1e-15)
+
+    def test_weights_and_three_rounds_hold_no_dense_matrix(self):
+        # tracemalloc sees numpy's buffers; a dense P at n = 3000 is 72 MB
+        g, x = make_graph("ring", 3000), np.ones((3000, 1))
+        tracemalloc.start()
+        try:
+            mix = metropolis_weights(g)
+            mix.mix(x, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(mix.p, _RowSparse) and on_sparse_path(mix, 3)
+        assert peak < 2**20
+
+    def test_validation_allocates_only_the_eigensolve_input(self):
+        n = 1500
+        g = make_graph("ring", n)
+        p = metropolis_weights(g).p
+        tracemalloc.start()
+        try:
+            report = validate_mixing(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed, str(report)
+        assert peak <= n * n * 8 + 2**20
+
+
+def as_csr(p: np.ndarray, stored=()) -> _RowSparse:
+    """``p`` as CSR holding its nonzeros and, explicitly, its entries at the positions ``stored``."""
+    keep = p != 0
+    for i, j in stored:
+        keep[i, j] = True
+    rows, cols = np.nonzero(keep)
+    return _RowSparse(p[rows, cols], cols, np.searchsorted(rows, np.arange(len(p))))
+
+
+def assert_same_reports(a, b):
+    assert [(c.name, c.passed) for c in a.checks] == [(c.name, c.passed) for c in b.checks]
+    for x, y in zip(a.checks, b.checks):
+        assert np.array_equal(x.deviation, y.deviation, equal_nan=True), (x, y)
+    assert np.float64(a.checks[-1].deviation).tobytes() == np.float64(b.checks[-1].deviation).tobytes()
+
+
+def broken_ring(case: str):
+    """Ring-400 Metropolis weights, dense, with one defect, and the positions a CSR form stores explicitly."""
+    p = metropolis_weights(make_graph("ring", 400)).p.toarray()
+    stored = ()
+    if case == "negative":
+        p[5, 6] = -0.25
+    elif case == "off-graph":
+        p[0, 200] = p[200, 0] = 0.1
+    elif case == "one-sided":  # (200, 0) is absent, so the pair is asymmetric
+        p[0, 200] = 0.1
+    elif case == "row-off":
+        p[3, 3] += 1e-6
+    elif case == "moved":  # row 0 still sums to 1; columns 0 and 1 do not
+        p[0, 1] += 0.1
+        p[0, 0] -= 0.1
+    elif case == "nan":
+        p[0, 1] = np.nan
+    elif case == "inf":
+        p[0, 1] = p[1, 0] = np.inf
+    elif case == "negative-zero":  # stored by the CSR form, skipped by the dense scan
+        p[0, 200] = p[200, 0] = -0.0
+        stored = ((0, 200), (200, 0))
+    elif case == "stored-zero":  # a stored 0 whose transpose is absent
+        stored = ((0, 200),)
+    return p, stored
+
+
+BROKEN = {
+    "negative": {"nonnegativity", "symmetry", "row_sums", "column_sums"},
+    "off-graph": {"sparsity", "row_sums", "column_sums", "sigma2"},
+    "one-sided": {"sparsity", "symmetry", "row_sums", "column_sums", "sigma2"},
+    "row-off": {"row_sums", "column_sums"},
+    "moved": {"symmetry", "column_sums", "sigma2"},
+    "nan": {"nonnegativity", "symmetry", "row_sums", "column_sums", "sigma2"},
+    "inf": {"symmetry", "row_sums", "column_sums", "sigma2"},
+    "negative-zero": set(),
+    "stored-zero": set(),
+}
+
+
+class TestCsrValidation:
+    """One validation path: a CSR matrix and its dense form give the same report."""
+
+    @pytest.mark.parametrize(
+        "kind, n", [("ring", 1000), ("grid", 676), ("star", 500), ("complete", 300), ("erdos_renyi", 1000)]
+    )
+    def test_csr_and_dense_reports_agree(self, kind, n):
+        g = make_graph(kind, n, p=0.01)
+        p = metropolis_weights(g).p
+        assert isinstance(p, _RowSparse) == (kind in ("ring", "grid", "star"))
+        csr = p if isinstance(p, _RowSparse) else _RowSparse.from_dense(p)
+        report = validate_mixing(csr, g)
+        assert report.passed, str(report)
+        assert_same_reports(report, validate_mixing(csr.toarray(), g))
+
+    @pytest.mark.parametrize("case", BROKEN)
+    def test_broken_csr_and_dense_reports_agree(self, case):
+        g = make_graph("ring", 400)
+        p, stored = broken_ring(case)
+        csr = as_csr(p, stored)
+        report = validate_mixing(csr, g)
+        assert {c.name for c in report.failures()} == BROKEN[case]
+        assert_same_reports(report, validate_mixing(p, g))
+        assert_same_reports(report, validate_mixing(csr.toarray(), g))
+
+    def test_deviations_measure_the_defect(self):
+        g = make_graph("ring", 400)
+        deviation = {
+            case: {c.name: c.deviation for c in validate_mixing(as_csr(broken_ring(case)[0]), g).checks}
+            for case in ("off-graph", "one-sided", "moved")
+        }
+        assert deviation["off-graph"]["sparsity"] == 0.1
+        assert deviation["one-sided"]["symmetry"] == 0.1
+        assert deviation["moved"]["row_sums"] <= 1e-15 and abs(deviation["moved"]["column_sums"] - 0.1) <= 1e-15
 
 
 def on_sparse_path(mix: MixingMatrix, k: int = 1) -> bool:
@@ -442,3 +596,17 @@ def test_matches_per_pair_reference(kind, n, p, seed):
     dense = rng_for(n).random((n, n))
     (sparsity,) = [c for c in validate_mixing(dense, g).checks if c.name == "sparsity"]
     assert sparsity.deviation == _reference_off_graph(dense, n, edges)
+
+
+@pytest.mark.parametrize("kind,n,p,seed", REFERENCE_CASES)
+def test_csr_weights_match_per_pair_reference(monkeypatch, kind, n, p, seed):
+    monkeypatch.setattr(topology, "SPARSE_RATIO", 0)  # every P is built as CSR
+    g = make_graph(kind, n, p=p, seed=seed)
+    csr = metropolis_weights(g).p
+    assert isinstance(csr, _RowSparse)
+    dense, want = csr.toarray(), _reference_weights(n, _reference_edges(kind, n, p, seed))
+    off = ~np.eye(n, dtype=bool)
+    assert dense[off].tobytes() == want[off].tobytes()
+    np.testing.assert_allclose(np.diag(dense), np.diag(want), rtol=0, atol=1e-15)  # row sums in column order
+    report = validate_mixing(csr, g)
+    assert report.passed, str(report)

@@ -98,6 +98,27 @@ MUTANTS = {
         "BLOCK_FLOATS // (3 * n * d + floats)",
         "BLOCK_FLOATS // floats",
     ),
+    "sparsity-ignores-off-graph": (
+        "topology.py",
+        "    on_graph = np.concatenate((edge_keys, [-1]))[np.searchsorted(edge_keys, keys)] == keys\n",
+        "    on_graph = np.ones(len(keys), dtype=bool)\n",
+    ),
+    "symmetry-skips-absent-transpose": (
+        "topology.py",
+        "        asym = float(np.abs(vals - p.transposed_values()).max(initial=0.0))\n",
+        "        partner = p.transposed_values()\n"
+        "        asym = float(np.abs((vals - partner)[partner != 0]).max(initial=0.0))\n",
+    ),
+    "column-sums-read-as-row-sums": (
+        "topology.py",
+        "        col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max())\n",
+        "        col_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max())\n",
+    ),
+    "families-miss-infinities": (
+        "objectives.py",
+        "        if not np.isfinite(stack).all():\n",
+        "        if np.isnan(stack).any():\n",
+    ),
     "instance-takes-any-family": (
         "objectives.py",
         "        if not isinstance(self.family, AgentFamily):\n"
