@@ -52,21 +52,8 @@ from .harness import (
     tune_epsilon,
     validate_experiment,
 )
-from .numerics import (
-    second_singular_value,
-    spd_factorize,
-    spd_factorize_stack,
-    spd_solve,
-    spd_solve_stack,
-)
-from .objectives import (
-    AgentFamily,
-    LogisticObjective,
-    ProblemInstance,
-    ProblemSpec,
-    QuadraticObjective,
-    generate_problem,
-)
+from .numerics import second_singular_value, spd_factorize_stack, spd_solve_stack
+from .objectives import AgentFamily, ProblemInstance, ProblemSpec, generate_problem
 from .topology import Graph, MixingMatrix, make_graph, metropolis_weights, validate_mixing
 
 __version__ = "0.1.0"

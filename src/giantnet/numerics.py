@@ -9,11 +9,13 @@ a square matrix as its entries row by row (CSR); it is the form a
 mixing matrix over a sparse graph takes, so that it costs O(n + E), not
 n^2 floats.
 
-A Cholesky factor is a plain lower-triangular array: (d, d) from
-``spd_factorize``, (n, d, d) from ``spd_factorize_stack``, and the solves
-take it as it comes. The ``*_stack`` variants act on all agents at once:
-one batched Cholesky call over an (n, d, d) stack, and substitution that
-loops over the d coordinates while each step covers every agent.
+The Cholesky kernels act on all agents at once: ``spd_factorize_stack``
+makes one batched Cholesky call over an (n, d, d) stack and returns the
+(n, d, d) lower-triangular factors, and ``spd_solve_stack`` runs
+substitution that loops over the d coordinates while each step covers
+every agent. A single matrix is a stack of one: the former one-matrix
+``spd_factorize`` and ``spd_solve`` are
+``spd_solve_stack(spd_factorize_stack(h[None]), b[None])[0]``.
 Per-matrix LAPACK triangular solves cost a call per agent, which
 dominates at n >= 100. The substitution runs coordinate-major: it copies
 the factors to a C-contiguous (d, d, n) array and the right-hand sides
@@ -86,37 +88,6 @@ def row_norms(v: np.ndarray) -> np.ndarray:
     return np.sqrt((flat[:, None, :] @ flat[:, :, None])[:, 0, 0])
 
 
-def spd_factorize(h: np.ndarray) -> np.ndarray:
-    """Factor a symmetric positive definite matrix as L @ L.T.
-
-    It is the one-matrix case of :func:`spd_factorize_stack`.
-
-    Parameters
-    ----------
-    h : (d, d) array
-        Symmetric matrix, e.g. a local Hessian. Symmetry is checked to
-        ``SYMMETRY_RTOL`` relative tolerance.
-
-    Returns
-    -------
-    (d, d) array
-        The lower-triangular factor L, which :func:`spd_solve` takes.
-
-    Raises
-    ------
-    DimensionMismatch
-        If ``h`` is not square.
-    NotSymmetric
-        If ``h`` deviates from its transpose beyond the tolerance.
-    NotPositiveDefinite
-        If a pivot is non-positive, i.e. ``h`` is not positive definite.
-    """
-    h = np.asarray(h, dtype=float)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise DimensionMismatch(f"expected a square matrix, got shape {h.shape}")
-    return spd_factorize_stack(h[None])[0]
-
-
 def spd_factorize_stack(h: np.ndarray) -> np.ndarray:
     """Lower Cholesky factors of an (n, d, d) stack of SPD matrices.
 
@@ -136,20 +107,6 @@ def spd_factorize_stack(h: np.ndarray) -> np.ndarray:
         return np.linalg.cholesky(h)
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("matrix is not positive definite") from exc
-
-
-def spd_solve(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve H x = b given the lower Cholesky factor of H from :func:`spd_factorize`.
-
-    ``b`` may be a vector of length d or a (d, k) matrix of stacked
-    right-hand sides. It is the one-matrix case of :func:`spd_solve_stack`.
-    """
-    b = np.asarray(b, dtype=float)
-    if b.shape[0] != lower.shape[0]:
-        raise DimensionMismatch(
-            f"right-hand side has leading dimension {b.shape[0]}, factor is {lower.shape[0]}"
-        )
-    return spd_solve_stack(lower[None], b[None])[0]
 
 
 def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:

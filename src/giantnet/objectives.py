@@ -9,12 +9,15 @@ An instance evaluates all of its agents at once through an agent family:
 the quadratic family holds ``A (n,d,d)``, ``b (n,d)`` and ``c (n,)``, the
 logistic family ``F (n,m,d)``, ``Y (n,m)`` and ``ridge``, and each
 quantity is one batched numpy expression over those stacks: the only place
-each cost's formulas are written. ``QuadraticObjective`` and
-``LogisticObjective`` hold a family of one agent and evaluate it at single
-points. An instance holds its family only; per-agent objectives are built
-on demand, as views into the stacks. Any other cost is a subclass of
-``AgentFamily``; one family holds one kind of agent, and every logistic
-agent has the same number of samples.
+each cost's formulas are written. An instance holds its family only.
+Its per-agent ``objectives`` are built on demand: agent i is a family of
+one agent over the row slices ``i:i + 1`` of the stacks, viewed at single
+points. The former ``QuadraticObjective(a, b, c)`` and
+``LogisticObjective(features, labels, ridge)`` are
+``QuadraticFamily(a[None], b[None], np.array([c])).objectives[0]`` and
+``LogisticFamily(features[None], labels[None], ridge).objectives[0]``.
+Any other cost is a subclass of ``AgentFamily``; one family holds one
+kind of agent, and every logistic agent has the same number of samples.
 
 The averaged cost (1/n) * sum_i f_i is ``family.average``, a family of one
 agent of the same class: the quadratic with the mean A, b and c, or the
@@ -43,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import is_finite_real, is_integer, is_real, spd_factorize, spd_factorize_stack, spd_solve, spd_solve_stack
+from .numerics import is_finite_real, is_integer, is_real, spd_factorize_stack, spd_solve_stack
 from .topology import MAX_NODES
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
@@ -161,8 +164,8 @@ class QuadraticFamily(AgentFamily):
         return 4 * self.b.size
 
     @property
-    def objectives(self) -> tuple[QuadraticObjective, ...]:
-        return tuple(QuadraticObjective(*args) for args in zip(self.a, self.b, self.c))
+    def objectives(self) -> tuple[_OneAgent, ...]:
+        return _views(QuadraticFamily, self.a, self.b, self.c)
 
     # Batched matmul, not einsum: less dispatch on the 1-agent average, which
     # the metrics evaluate every iteration.
@@ -228,8 +231,8 @@ class LogisticFamily(AgentFamily):
         return 4 * self.labels.size
 
     @property
-    def objectives(self) -> tuple[LogisticObjective, ...]:
-        return tuple(LogisticObjective(f, y, self.ridge) for f, y in zip(self.features, self.labels))
+    def objectives(self) -> tuple[_OneAgent, ...]:
+        return _views(lambda f, y: LogisticFamily(f, y, self.ridge), self.features, self.labels)
 
     def _margins(self, x):
         # Batched matmul: about half of einsum's time, on the stacks and the pooled average alike.
@@ -291,35 +294,9 @@ class _OneAgent:
         return self.family.hessians(_as_point(x, self.dimension)[None])[0]
 
 
-class QuadraticObjective(_OneAgent):
-    """f(x) = 0.5 * x'Ax + b'x + c with symmetric positive definite A; ``QuadraticFamily`` of one agent."""
-
-    def __init__(self, a: np.ndarray, b: np.ndarray, c: float = 0.0):
-        super().__init__(QuadraticFamily(*(np.asarray(v, dtype=float)[None] for v in (a, b, c))))
-
-    a = property(lambda self: self.family.a[0])
-    b = property(lambda self: self.family.b[0])
-    c = property(lambda self: float(self.family.c[0]))
-    # Defined on the class itself: perfbench/spans.py times this method
-    # through the class's own namespace.
-    hessian = _OneAgent.hessian
-
-
-class LogisticObjective(_OneAgent):
-    """Ridge-logistic loss over features (m, d) and labels (m,); ``LogisticFamily`` of one agent.
-
-    f(x) = (1/m) * sum_j log(1 + exp(-y_j * a_j'x)) + (ridge/2) * ||x||^2
-    """
-
-    def __init__(self, features: np.ndarray, labels: np.ndarray, ridge: float):
-        super().__init__(LogisticFamily(*(np.asarray(v, dtype=float)[None] for v in (features, labels)), ridge))
-
-    features = property(lambda self: self.family.features[0])
-    labels = property(lambda self: self.family.labels[0])
-    ridge = property(lambda self: self.family.ridge)
-    # Defined on the class itself: perfbench/spans.py times this method
-    # through the class's own namespace.
-    hessian = _OneAgent.hessian
+def _views(build, *stacks: np.ndarray) -> tuple[_OneAgent, ...]:
+    """Agent i of a built-in family: ``build`` of the row slices ``i:i + 1`` of ``stacks``, at single points."""
+    return tuple(_OneAgent(build(*(s[i:i + 1] for s in stacks))) for i in range(len(stacks[0])))
 
 
 @dataclass(frozen=True, eq=False)
@@ -477,7 +454,7 @@ def _generate_quadratic(rng: Generator, spec: ProblemSpec) -> ProblemInstance:
 
     # Exact minimizer of the averaged cost: (sum A_i) x = -sum b_i.
     a_sum = np.sum(mats, axis=0)
-    x_star = spd_solve(spd_factorize(a_sum), -offsets.sum(axis=0))
+    x_star = spd_solve_stack(spd_factorize_stack(a_sum[None]), -offsets.sum(axis=0)[None])[0]
     family = QuadraticFamily(mats, offsets, np.zeros(n))
     return ProblemInstance(family, mu=1.0, lipschitz=top, reference_solution=x_star)
 

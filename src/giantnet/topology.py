@@ -1,14 +1,17 @@
 """Communication graphs and doubly stochastic mixing matrices.
 
 A consensus round exchanges messages between neighbours only, so P has
-n + 2E nonzeros. ``metropolis_weights`` builds P straight from the edge
-list as CSR (values, columns and row starts; ``numerics._RowSparse``)
-when ``SPARSE_RATIO`` calls n + 2E sparse, and as a dense n x n array
-otherwise. ``MixingMatrix.mix`` applies a CSR P^k in O(nnz * d), and a
-dense P^k as the dense ``@`` or, when it is sparse enough, as CSR; the
-choice is made once per k from n and nnz(P^k). ``validate_mixing``
-checks either form on its nonzero triplets, and only its sigma2
-eigensolve allocates n x n arrays.
+n + 2E nonzeros. P's form is decided once, by ``metropolis_weights``: it
+builds P straight from the edge list as CSR (values, columns and row
+starts; ``numerics._RowSparse``) when ``SPARSE_RATIO`` calls n + 2E
+sparse, and as a dense n x n array otherwise. ``MixingMatrix.mix``
+applies P^k in P's form: a CSR P^k in O(nnz * d), a dense one as the
+dense ``@``. A dense P is applied dense, however sparse it is. For
+Metropolis weights no power is sparser than P: their diagonal is
+positive, so nnz(P^k) >= nnz(P), and a P built dense keeps every power
+on the side of the threshold that P was on.
+``validate_mixing`` checks either form on its nonzero triplets, and only
+its sigma2 eigensolve allocates n x n arrays.
 """
 
 from __future__ import annotations
@@ -38,9 +41,9 @@ WEIGHT_TOL = 1e-12
 # 1 - sigma2 below it, however it is computed.
 SIGMA2_MARGIN = 1e-9
 
-# P, or a dense P^k, is CSR when nnz * SPARSE_RATIO <= n^2. Dense @ against
-# CSR, microseconds per product, medians of 9 (Metropolis weights, numpy
-# 2.4.6 with OpenBLAS, 2 vCPUs):
+# metropolis_weights builds P as CSR when nnz * SPARSE_RATIO <= n^2; nothing
+# else reads this rule. Dense @ against CSR, microseconds per product,
+# medians of 9 (Metropolis weights, numpy 2.4.6 with OpenBLAS, 2 vCPUs):
 #
 #   P                          n^2/nnz   d=1          d=5          d=20
 #   ring n=100                      33   3.3 / 7.1    6.8 / 21     12 / 54
@@ -97,16 +100,17 @@ class MixingMatrix:
     gives one above the sparse threshold; ``p.toarray()`` is its dense
     form), or anything else, converted to a float array (a float array is
     kept as is) that must be square. Every consensus product goes through
-    :meth:`mix`, which memoizes per k the form in which it applies P^k,
-    so ``p`` must not be modified after the first call to ``mix``.
+    :meth:`mix`, which memoizes ``power(k)`` per k, so ``p`` must not be
+    modified after the first call to ``mix``.
 
-    A CSR P gives CSR powers, which ``mix`` applies as they are. A dense
-    P^k is applied as the dense ``@`` unless nnz(P^k) * SPARSE_RATIO <= n^2
-    and every row of P^k has a nonzero; then ``mix`` sums the nonzeros of
-    each row (CSR), which is several times faster above the crossover
-    (ring n=1000, d=5: 0.12 ms against 0.77 ms). The dense side gives the
-    bits ``p @ x`` gives; the sparse side adds each row in column order
-    and differs from the dense product by a few ulp.
+    P^k keeps P's form: ``metropolis_weights`` decides it once, and
+    ``mix`` never converts. A CSR P^k sums the nonzeros of each row in
+    column order, which is several times faster above the crossover
+    (ring n=1000, d=5: 0.12 ms against 0.77 ms) and differs from the
+    dense product by a few ulp. A dense P^k, including any dense P a
+    caller supplies, is applied as the dense ``@`` and gives the bits
+    ``p @ x`` gives. A CSR P needs a stored entry in every row (see
+    ``_RowSparse``); a Metropolis P stores its diagonal.
     """
 
     p: np.ndarray | _RowSparse
@@ -155,25 +159,8 @@ class MixingMatrix:
             raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
         op = self._products.get(k)  # a hit skips power, so power runs once per k and instance
         if op is None:
-            op = self._products[k] = _product(self.power(k))
+            op = self._products[k] = self.power(k)
         return op @ x
-
-
-def _product(pk: np.ndarray | _RowSparse) -> np.ndarray | _RowSparse:
-    """A CSR ``pk`` itself; a dense one itself, or its CSR form when ``SPARSE_RATIO`` says that is faster.
-
-    A matrix with an empty row stays dense: ``reduceat`` gives ``x[start]``,
-    not 0, for an empty segment.
-    """
-    if isinstance(pk, _RowSparse):
-        return pk
-    n = pk.shape[0]
-    if np.count_nonzero(pk) * SPARSE_RATIO > n * n:
-        return pk
-    csr = _RowSparse.from_dense(pk)
-    if not csr.row_lengths().all():
-        return pk
-    return csr
 
 
 def check_graph(kind: str, n: int, p: float = 0.5, seed: int = 0) -> None:

@@ -358,7 +358,14 @@ class TestRun:
         finally:
             restored = tracer.restore()
         report = tracer.report()
-        assert report["absent"] == []
+        # exactly the deleted one-matrix, per-point and 1-row helpers; any other absent target fails
+        assert sorted(report["absent"]) == [
+            "giantnet.diagnostics.metrics_record",
+            "giantnet.numerics.spd_factorize",
+            "giantnet.numerics.spd_solve",
+            "giantnet.objectives.LogisticObjective.hessian",
+            "giantnet.objectives.QuadraticObjective.hessian",
+        ]
         for step in ("giant_step", "gt_step", "dgd_step"):
             assert report["calls"][f"algorithms.{step}"] == 3
         assert restored

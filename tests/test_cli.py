@@ -11,7 +11,6 @@ from giantnet.cli import main
 from giantnet.topology import (
     MixingCheck,
     ValidationReport,
-    _product,
     _RowSparse,
     make_graph,
     metropolis_weights,
@@ -194,8 +193,8 @@ def test_cli_paths_load_numpy_only(tmp_path):
     # memory (scipy 1.17.1). The check after the commands catches numpy submodules that load
     # lazily (numpy.random, numpy.ma via np.unique), which would move that
     # cost into setup instead of removing it.
-    # A 400-node ring is above the crossover where mix applies P as CSR.
-    assert isinstance(_product(metropolis_weights(make_graph("ring", 400)).p), _RowSparse)
+    # A 400-node ring is above the crossover where metropolis_weights builds P as CSR.
+    assert isinstance(metropolis_weights(make_graph("ring", 400)).p, _RowSparse)
     root = Path(__file__).resolve().parents[1]
     quad, logi = (str(root / "configs" / f"{name}.json") for name in ("quadratic_ring", "logistic_er"))
     ring = tmp_path / "ring400.json"

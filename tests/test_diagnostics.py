@@ -22,7 +22,7 @@ from giantnet import (
     tracking_drift,
 )
 
-from giantnet.diagnostics import GAP_FLOOR, check_block, metrics_record
+from giantnet.diagnostics import GAP_FLOOR, check_block
 from giantnet.harness import CSV_COLUMNS, write_metrics_csv
 from giantnet.objectives import QuadraticFamily
 
@@ -241,7 +241,8 @@ class TestMetricsBitwise:
 
         monkeypatch.setattr(family_class, "values_and_gradients", spy)
         with np.errstate(all="ignore"):
-            rec = metrics_record(instance, x, 7, 0.125)
+            # one bare state, drift 0: the 1-row case of check_block
+            rec = MetricsLog(check_block(instance, x[None], None, None, 7, 0.125)[0]).final
             monkeypatch.undo()
             x_bar = x.mean(axis=0)
             assert len(seen) == 1  # the averaged cost is evaluated once per record

@@ -10,11 +10,9 @@ from giantnet import (
     AlgorithmConfig,
     InvalidParams,
     InvalidSpec,
-    LogisticObjective,
     ParseError,
     ProblemInstance,
     ProblemSpec,
-    QuadraticObjective,
     TopologySpec,
     ValidationError,
     estimate_rate,
@@ -23,7 +21,7 @@ from giantnet import (
     run,
     tune_epsilon,
 )
-from giantnet import harness
+from giantnet import harness, objectives
 from giantnet.cli import main as cli_main
 from giantnet.harness import (
     CSV_COLUMNS,
@@ -506,16 +504,24 @@ class TestShippedConfigs:
         "name, averaged", [("quadratic_ring", "QuadraticObjective"), ("logistic_er", "LogisticObjective")]
     )
     def test_run_builds_only_the_averaged_objective(self, tmp_path, monkeypatch, name, averaged):
-        # The agents stay stacked and the averaged cost is a 1-agent family,
-        # so a run builds no per-point objective, not even the averaged one
-        # (``averaged`` names the class whose objective a run once built).
-        built = []
-        for cls in (QuadraticObjective, LogisticObjective):
+        # The agents stay stacked, so the only single-point view a run builds
+        # is ProblemInstance._average, over the 1-agent family.average: no
+        # per-agent objective (``averaged`` names the class whose per-point
+        # objective a run once built).
+        views, instances = [], []
+        init, build = objectives._OneAgent.__init__, harness.build_instance
 
-            def counting_init(self, *args, _init=cls.__init__, **kwargs):
-                built.append(type(self).__name__)
-                _init(self, *args, **kwargs)
+        def counting_init(self, family):
+            views.append(family)
+            init(self, family)
 
-            monkeypatch.setattr(cls, "__init__", counting_init)
+        def recording_build(cfg):
+            instances.append(build(cfg))
+            return instances[-1]
+
+        monkeypatch.setattr(objectives._OneAgent, "__init__", counting_init)
+        monkeypatch.setattr(harness, "build_instance", recording_build)
         run_experiment(load_config(str(CONFIGS / f"{name}.json")), str(tmp_path / "m.csv"))
-        assert built == []
+        (instance,) = instances
+        assert views and all(family is instance.family.average for family in views)
+        assert instance.__dict__["_average"].family is instance.family.average

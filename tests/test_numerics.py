@@ -9,9 +9,7 @@ from giantnet import (
     make_graph,
     metropolis_weights,
     second_singular_value,
-    spd_factorize,
     spd_factorize_stack,
-    spd_solve,
     spd_solve_stack,
 )
 
@@ -19,15 +17,16 @@ from conftest import rng_for
 
 
 class TestFactorize:
+    # one matrix is a stack of one
     def test_identity(self):
-        assert np.allclose(spd_factorize(np.eye(3)), np.eye(3))
+        assert np.allclose(spd_factorize_stack(np.eye(3)[None])[0], np.eye(3))
 
     def test_diagonal_square_roots(self):
-        assert np.allclose(spd_factorize(np.diag([4.0, 9.0])), np.diag([2.0, 3.0]))
+        assert np.allclose(spd_factorize_stack(np.diag([4.0, 9.0])[None])[0], np.diag([2.0, 3.0]))
 
     def test_reconstruction(self):
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
-        lower = spd_factorize(h)
+        lower = spd_factorize_stack(h[None])[0]
         # oracle: explicit multiplication of the factor by its transpose
         assert np.allclose(lower @ lower.T, h, atol=1e-14)
         assert np.allclose(np.triu(lower, 1), 0.0)
@@ -42,29 +41,31 @@ class TestFactorize:
             h = (q * eigs) @ q.T
             h = 0.5 * (h + h.T)
             with pytest.raises(NotPositiveDefinite):
-                spd_factorize(h)
+                spd_factorize_stack(h[None])
 
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
-            spd_factorize(np.array([[1.0, 0.5], [0.1, 1.0]]))
+            spd_factorize_stack(np.array([[[1.0, 0.5], [0.1, 1.0]]]))
 
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionMismatch):
-            spd_factorize(np.ones((2, 3)))
+            spd_factorize_stack(np.ones((1, 2, 3)))
 
 
 class TestSolve:
+    # one matrix and one right-hand side are stacks of one
     def test_identity(self):
-        assert np.allclose(spd_solve(spd_factorize(np.eye(2)), np.array([4.0, 6.0])), [4.0, 6.0])
+        lower = spd_factorize_stack(np.eye(2)[None])
+        assert np.allclose(spd_solve_stack(lower, np.array([[4.0, 6.0]]))[0], [4.0, 6.0])
 
     def test_scalar_scaling(self):
-        f = spd_factorize(2.0 * np.eye(2))
-        assert np.allclose(spd_solve(f, np.array([4.0, 6.0])), [2.0, 3.0])
+        f = spd_factorize_stack(2.0 * np.eye(2)[None])
+        assert np.allclose(spd_solve_stack(f, np.array([[4.0, 6.0]]))[0], [2.0, 3.0])
 
     def test_residual_oracle(self):
         h = np.array([[2.0, 1.0], [1.0, 2.0]])
         b = np.array([3.0, 3.0])
-        v = spd_solve(spd_factorize(h), b)
+        v = spd_solve_stack(spd_factorize_stack(h[None]), b[None])[0]
         # oracle: multiply back and compare with the right-hand side
         assert np.allclose(h @ v, b, atol=1e-14)
         assert np.allclose(v, [1.0, 1.0])
@@ -76,13 +77,13 @@ class TestSolve:
             a = rng.standard_normal((d, d))
             h = a.T @ a + 1e-3 * np.eye(d)
             b = rng.standard_normal(d)
-            v = spd_solve(spd_factorize(h), b)
+            v = spd_solve_stack(spd_factorize_stack(h[None]), b[None])[0]
             assert np.linalg.norm(h @ v - b) / np.linalg.norm(b) <= 1e-9
 
     def test_dimension_mismatch(self):
-        f = spd_factorize(np.eye(3))
+        f = spd_factorize_stack(np.eye(3)[None])
         with pytest.raises(DimensionMismatch):
-            spd_solve(f, np.ones(4))
+            spd_solve_stack(f, np.ones((1, 4)))
 
 
 def random_spd_stack(rng, n, d):
@@ -94,7 +95,7 @@ class TestStack:
     def test_asymmetric_is_typed(self):
         h = np.array([[1.0, 0.5], [0.1, 1.0]])
         with pytest.raises(NotSymmetric):
-            spd_factorize(h)
+            spd_factorize_stack(h[None])
         stack = np.stack([np.eye(2), h, np.eye(2)])
         with pytest.raises(NotSymmetric) as info:
             spd_factorize_stack(stack)

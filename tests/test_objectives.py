@@ -7,68 +7,76 @@ from numpy.random import Generator, Philox
 from giantnet import (
     DimensionMismatch,
     InvalidSpec,
-    LogisticObjective,
     ProblemInstance,
     ProblemSpec,
-    QuadraticObjective,
     centralized_newton,
     generate_problem,
 )
-from giantnet.objectives import HETEROGENEITY_SPREAD, MAX_HETEROGENEITY, LogisticFamily, _sigmoid
+from giantnet.objectives import HETEROGENEITY_SPREAD, MAX_HETEROGENEITY, LogisticFamily, QuadraticFamily, _sigmoid
 
 from conftest import rng_for
 from reference import finite_difference_gradient, finite_difference_hessian
 
 
+def quadratic_objective(a, b, c=0.0):
+    """0.5 * x'Ax + b'x + c at single points: the one agent of a 1-agent quadratic family."""
+    return QuadraticFamily(np.asarray(a)[None], np.asarray(b)[None], np.array([c])).objectives[0]
+
+
+def logistic_objective(features, labels, ridge):
+    """The ridge-logistic loss over (m, d) features at single points: the one agent of a 1-agent family."""
+    return LogisticFamily(np.asarray(features)[None], np.asarray(labels)[None], ridge).objectives[0]
+
+
 def random_objectives(seed=0):
     rng = rng_for(seed)
     a = rng.standard_normal((3, 3))
-    quad = QuadraticObjective(a.T @ a + 0.5 * np.eye(3), rng.standard_normal(3), 0.7)
+    quad = quadratic_objective(a.T @ a + 0.5 * np.eye(3), rng.standard_normal(3), 0.7)
     feats = rng.standard_normal((15, 3))
     labels = np.where(rng.random(15) < 0.5, -1.0, 1.0)
-    logi = LogisticObjective(feats, labels, ridge=0.1)
+    logi = logistic_objective(feats, labels, ridge=0.1)
     return quad, logi
 
 
 class TestQuadratic:
     def test_half_norm_squared(self):
-        obj = QuadraticObjective(np.eye(2), np.zeros(2))
+        obj = quadratic_objective(np.eye(2), np.zeros(2))
         assert obj.value(np.array([3.0, 4.0])) == pytest.approx(12.5)
         assert obj.value(np.zeros(2)) == 0.0
 
     def test_gradient_is_point_for_identity(self):
-        obj = QuadraticObjective(np.eye(2), np.zeros(2))
+        obj = quadratic_objective(np.eye(2), np.zeros(2))
         assert np.allclose(obj.gradient(np.array([3.0, 4.0])), [3.0, 4.0])
 
     def test_hessian_constant(self):
         rng = rng_for(2)
         a = np.array([[2.0, 0.3], [0.3, 1.0]])
-        obj = QuadraticObjective(a, np.zeros(2))
+        obj = quadratic_objective(a, np.zeros(2))
         for _ in range(5):
             assert np.array_equal(obj.hessian(rng.standard_normal(2)), a)
 
     def test_dimension_mismatch(self):
-        obj = QuadraticObjective(np.eye(2), np.zeros(2))
+        obj = quadratic_objective(np.eye(2), np.zeros(2))
         with pytest.raises(DimensionMismatch):
             obj.value(np.ones(3))
 
 
 class TestLogistic:
     def test_value_single_sample_at_origin(self):
-        obj = LogisticObjective(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=1.0)
+        obj = logistic_objective(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=1.0)
         assert obj.value(np.zeros(2)) == pytest.approx(np.log(2.0), abs=1e-12)
 
     def test_gradient_single_sample_at_origin(self):
         # expected value frozen from the central-difference oracle on the
         # declared loss: d/dx log(1 + exp(-y a'x)) at 0 is -y a / 2
-        obj = LogisticObjective(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=1.0)
+        obj = logistic_objective(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=1.0)
         fd = finite_difference_gradient(obj.value, np.zeros(2))
         assert np.allclose(fd, [-0.5, 0.0], atol=1e-9)
         assert np.allclose(obj.gradient(np.zeros(2)), [-0.5, 0.0], atol=1e-12)
 
     def test_hessian_single_sample_at_origin(self):
         # frozen from the oracle: sigma'(0) a a' + ridge I = 0.25 aa' + I
-        obj = LogisticObjective(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=1.0)
+        obj = logistic_objective(np.array([[1.0, 0.0]]), np.array([1.0]), ridge=1.0)
         expected = np.array([[1.25, 0.0], [0.0, 1.0]])
         fd = finite_difference_hessian(obj.gradient, np.zeros(2))
         assert np.allclose(fd, expected, atol=1e-7)
@@ -78,7 +86,7 @@ class TestLogistic:
         rng = rng_for(3)
         feats = rng.standard_normal((10, 3))
         labels = np.where(rng.random(10) < 0.5, -1.0, 1.0)
-        obj = LogisticObjective(feats, labels, ridge=0.1)
+        obj = logistic_objective(feats, labels, ridge=0.1)
         ub = 0.1 + (np.sum(feats**2, axis=1).max()) / 4.0
         for _ in range(10):
             eigs = np.linalg.eigvalsh(obj.hessian(rng.standard_normal(3)))
@@ -88,11 +96,11 @@ class TestLogistic:
     def test_rejects_bad_labels_and_ridge(self):
         feats = np.ones((2, 2))
         with pytest.raises(InvalidSpec):
-            LogisticObjective(feats, np.array([0.0, 1.0]), ridge=0.1)
+            logistic_objective(feats, np.array([0.0, 1.0]), ridge=0.1)
         with pytest.raises(InvalidSpec):
-            LogisticObjective(feats, np.array([1.0, -1.0]), ridge=0.0)
+            logistic_objective(feats, np.array([1.0, -1.0]), ridge=0.0)
         with pytest.raises(InvalidSpec):
-            LogisticObjective(feats, np.array([1.0, -1.0]), ridge=float("nan"))
+            logistic_objective(feats, np.array([1.0, -1.0]), ridge=float("nan"))
 
 
 class TestSigmoid:
@@ -169,7 +177,7 @@ class TestDerivativeConsistency:
 
     def test_gradient_vanishes_at_own_minimizer(self):
         quad, logi = random_objectives()
-        x_quad = np.linalg.solve(quad.a, -quad.b)
+        x_quad = np.linalg.solve(quad.family.a[0], -quad.family.b[0])
         assert np.linalg.norm(quad.gradient(x_quad)) <= 1e-8
         single = ProblemInstance(logi.family, mu=0.1, lipschitz=10.0)
         x_logi = centralized_newton(single, np.zeros(3), tol=1e-12)
@@ -270,8 +278,8 @@ class TestGenerateProblem:
         a = generate_problem(7, spec)
         b = generate_problem(7, spec)
         for oa, ob in zip(a.objectives, b.objectives):
-            assert np.array_equal(oa.a, ob.a)
-            assert np.array_equal(oa.b, ob.b)
+            assert np.array_equal(oa.family.a, ob.family.a)
+            assert np.array_equal(oa.family.b, ob.family.b)
         assert np.array_equal(a.reference_solution, b.reference_solution)
 
     @pytest.mark.parametrize("n, d, h", list(GOLDEN_QUADRATIC_OFFSETS))
@@ -312,31 +320,31 @@ class TestGenerateProblem:
         a = generate_problem(8, spec)
         b = generate_problem(8, spec)
         for oa, ob in zip(a.objectives, b.objectives):
-            assert np.array_equal(oa.features, ob.features)
-            assert np.array_equal(oa.labels, ob.labels)
+            assert np.array_equal(oa.family.features, ob.family.features)
+            assert np.array_equal(oa.family.labels, ob.family.labels)
 
     def test_zero_heterogeneity_gives_identical_agents(self):
         instance = generate_problem(9, ProblemSpec(kind="quadratic", n=5, d=3, heterogeneity=0.0))
         first = instance.objectives[0]
         for obj in instance.objectives[1:]:
-            assert np.array_equal(obj.a, first.a)
-            assert np.array_equal(obj.b, first.b)
+            assert np.array_equal(obj.family.a, first.family.a)
+            assert np.array_equal(obj.family.b, first.family.b)
 
     def test_reference_solves_averaged_normal_equations(self):
         instance = generate_problem(10, ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=1.0))
         x_star = instance.reference_solution
         # oracle: averaged stationarity residual computed directly
-        resid = np.mean([o.a @ x_star + o.b for o in instance.objectives], axis=0)
+        resid = np.mean([o.family.a[0] @ x_star + o.family.b[0] for o in instance.objectives], axis=0)
         assert np.linalg.norm(resid) <= 1e-10
         # and agreement with an independent dense solve
-        a_mean = np.mean([o.a for o in instance.objectives], axis=0)
-        b_mean = np.mean([o.b for o in instance.objectives], axis=0)
+        a_mean = np.mean([o.family.a[0] for o in instance.objectives], axis=0)
+        b_mean = np.mean([o.family.b[0] for o in instance.objectives], axis=0)
         assert np.allclose(x_star, np.linalg.solve(a_mean, -b_mean), atol=1e-10)
 
     def test_declared_bounds_hold(self):
         instance = generate_problem(11, ProblemSpec(kind="quadratic", n=6, d=4, heterogeneity=1.0))
         for obj in instance.objectives:
-            eigs = np.linalg.eigvalsh(obj.a)
+            eigs = np.linalg.eigvalsh(obj.family.a[0])
             assert eigs[0] >= instance.mu - 1e-9
             assert eigs[-1] <= instance.lipschitz + 1e-9
 
@@ -375,7 +383,7 @@ class TestGenerateProblem:
          {"lipschitz": float("inf")}, {"mu": float("inf"), "lipschitz": float("inf")}],
     )
     def test_instance_bounds_are_typed(self, bounds):
-        quad = QuadraticObjective(np.eye(2), np.zeros(2))
+        quad = quadratic_objective(np.eye(2), np.zeros(2))
         with pytest.raises(InvalidSpec, match="^bounds must be finite"):
             ProblemInstance(quad.family, **{"mu": 0.5, "lipschitz": 2.0, **bounds})
         assert ProblemInstance(quad.family, mu=np.float32(0.5), lipschitz=2).lipschitz == 2

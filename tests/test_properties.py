@@ -26,7 +26,6 @@ from giantnet import (  # noqa: E402
     run,
     tracking_drift,
 )
-from giantnet import topology  # noqa: E402
 from giantnet.topology import GRAPH_KINDS, _RowSparse  # noqa: E402
 
 import reference  # noqa: E402
@@ -133,11 +132,9 @@ def test_whole_runs_match_the_per_agent_reference(setup):
         for algorithm in ALGORITHMS
     }
     _assert_runs_match(instance, mix, k, x0, wants)
-    # Again with every P^k applied as CSR: at these sizes mix picks the dense product.
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(topology, "SPARSE_RATIO", 0)
-        csr = MixingMatrix(mix.p)
-        _assert_runs_match(instance, csr, k, x0, wants)
+    # Again with P, and so every P^k, as CSR: at these sizes metropolis_weights builds P dense.
+    csr = MixingMatrix(_RowSparse.from_dense(mix.p))
+    _assert_runs_match(instance, csr, k, x0, wants)
     assert csr._products and all(isinstance(op, _RowSparse) for op in csr._products.values())
 
 

@@ -16,11 +16,10 @@ from giantnet import (
     AlgorithmConfig,
     DimensionMismatch,
     InvalidSpec,
-    LogisticObjective,
+    MetricsLog,
     NotPositiveDefinite,
     ProblemInstance,
     ProblemSpec,
-    QuadraticObjective,
     centralized_newton,
     decompose,
     generate_problem,
@@ -30,11 +29,11 @@ from giantnet import (
     make_graph,
     metropolis_weights,
     run,
-    spd_factorize,
-    spd_solve,
+    spd_factorize_stack,
+    spd_solve_stack,
 )
 from giantnet import algorithms, diagnostics, numerics, objectives
-from giantnet.diagnostics import metrics_record
+from giantnet.diagnostics import check_block
 from giantnet.objectives import HETEROGENEITY_SPREAD, AgentFamily, LogisticFamily, QuadraticFamily
 
 import reference
@@ -83,7 +82,10 @@ class TestAgainstPerAgent:
         x = rng.standard_normal((n, d))
         w = rng.standard_normal((n, d))
         dirs = np.stack(
-            [spd_solve(spd_factorize(o.hessian(x[i])), w[i]) for i, o in enumerate(instance.objectives)]
+            [
+                spd_solve_stack(spd_factorize_stack(o.hessian(x[i])[None]), w[i][None])[0]
+                for i, o in enumerate(instance.objectives)
+            ]
         )
         assert close(instance.family.newton_directions(x, w), dirs)
 
@@ -105,8 +107,8 @@ class TestAgainstPerAgent:
         reference = looped(instance)
         f_star = reference.average_value(centralized_newton(reference, np.zeros(d)))
         x = 2.0 + rng_for(25).standard_normal((n, d))
-        a = metrics_record(instance, x, 7, f_star)
-        b = metrics_record(reference, x, 7, f_star)
+        # one bare state's record, drift 0: the 1-row case of check_block
+        a, b = (MetricsLog(check_block(i, x[None], None, None, 7, f_star)[0]).final for i in (instance, reference))
         assert a.opt_gap > 1e-3
         assert a.consensus_err == b.consensus_err == np.linalg.norm(decompose(x)[1])
         assert close(a.opt_gap, b.opt_gap) and close(a.grad_norm, b.grad_norm)
@@ -208,8 +210,8 @@ def test_generation_bitwise_equal_to_per_agent_draws():
         shift = rng.standard_normal(spec.d)
         feats = rng.standard_normal((10, spec.d)) + spec.heterogeneity * shift
         labels = np.where(rng.random(10) < expit(feats @ x_true), 1.0, -1.0)
-        assert np.array_equal(obj.features, feats)
-        assert np.array_equal(obj.labels, labels)
+        assert np.array_equal(obj.family.features[0], feats)
+        assert np.array_equal(obj.family.labels[0], labels)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
@@ -218,7 +220,7 @@ def test_objectives_are_views_into_the_stacks(kind):
     family = instance.family
     stack = family.a if kind == "quadratic" else family.features
     for obj in instance.objectives:
-        assert np.shares_memory(obj.a if kind == "quadratic" else obj.features, stack)
+        assert np.shares_memory(obj.family.a if kind == "quadratic" else obj.family.features, stack)
     assert instance.with_reference(np.zeros(3)).family is family
 
 
@@ -245,7 +247,9 @@ def test_mixed_and_unequal_agents_run_on_the_loop():
 
 
 @pytest.mark.parametrize(
-    "family", [(), [], None, QuadraticObjective(np.eye(2), np.zeros(2))], ids=["tuple", "list", "None", "objective"]
+    "family",
+    [(), [], None, QuadraticFamily(np.eye(2)[None], np.zeros((1, 2)), np.zeros(1)).objectives[0]],
+    ids=["tuple", "list", "None", "objective"],
 )
 def test_instance_takes_only_an_agent_family(family):
     with pytest.raises(InvalidSpec, match=f"^family must be an AgentFamily, got {type(family).__name__}$"):
@@ -367,14 +371,14 @@ def test_families_reject_non_finite_stacks(stack, bad):
         with pytest.raises(InvalidSpec, match="^features must be finite"):
             LogisticFamily(features, np.ones((3, 4)), 0.1)
         with pytest.raises(InvalidSpec, match="^features must be finite"):
-            LogisticObjective(features[1], np.ones(4), 0.1)
+            LogisticFamily(features[1][None], np.ones((1, 4)), 0.1).objectives[0]
         return
     stacks = {"a": np.stack([np.eye(2)] * 3), "b": np.zeros((3, 2)), "c": np.zeros(3)}
     stacks[stack].flat[-1] = bad
     with pytest.raises(InvalidSpec, match=f"^{stack} must be finite"):
         QuadraticFamily(**stacks)
     with pytest.raises(InvalidSpec, match=f"^{stack} must be finite"):
-        QuadraticObjective(stacks["a"][2], stacks["b"][2], stacks["c"][2])
+        QuadraticFamily(stacks["a"][2][None], stacks["b"][2][None], np.array([stacks["c"][2]])).objectives[0]
 
 
 def test_objectives_of_a_user_family_are_a_typed_error():
@@ -412,7 +416,7 @@ def test_families_convert_list_stacks_and_type_bad_shapes():
 @pytest.mark.parametrize("ridge", [True, "0.1", float("nan"), 0, -1])
 def test_ridge_must_be_a_positive_real(ridge):
     with pytest.raises(InvalidSpec, match="ridge"):
-        LogisticObjective(np.ones((4, 2)), np.ones(4), ridge)
+        LogisticFamily(np.ones((1, 4, 2)), np.ones((1, 4)), ridge).objectives[0]
     with pytest.raises(InvalidSpec, match="ridge"):
         LogisticFamily(np.ones((3, 4, 2)), np.ones((3, 4)), ridge)
 
@@ -421,7 +425,7 @@ def test_ridge_must_be_a_positive_real(ridge):
 def test_family_stores_ridge_as_float(ridge):
     family = LogisticFamily(np.ones((3, 4, 2)), np.ones((3, 4)), ridge)
     assert type(family.ridge) is float and family.ridge == float(ridge)
-    assert type(LogisticObjective(np.ones((4, 2)), np.ones(4), ridge).ridge) is float
+    assert type(LogisticFamily(np.ones((1, 4, 2)), np.ones((1, 4)), ridge).objectives[0].family.ridge) is float
 
 
 def test_instance_needs_an_agent():

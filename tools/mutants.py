@@ -119,6 +119,11 @@ MUTANTS = {
         "        if not np.isfinite(stack).all():\n",
         "        if np.isnan(stack).any():\n",
     ),
+    "objectives-view-first-agent": (
+        "objectives.py",
+        "(s[i:i + 1] for s in stacks)",
+        "(s[0:1] for s in stacks)",
+    ),
     "instance-takes-any-family": (
         "objectives.py",
         "        if not isinstance(self.family, AgentFamily):\n"
