@@ -26,12 +26,17 @@ are the same bits.
 
 The consensus contraction factor sigma2 reads the mixing matrix as its
 nonzero (row, column, value) triplets, whether it comes dense or as
-CSR. It builds P - 11'/n once, as an n x n array of -1/n plus the
-nonzeros (the bits of the dense ``p - 1/n``), and hands it to the
-symmetric eigensolver when every triplet equals its transposed partner
-(0 where that is not stored), to a full SVD otherwise. For a CSR P,
-that array and the eigensolver's copy of it are the only n x n arrays
-sigma2 allocates.
+CSR. When every triplet equals its transposed partner (0 where that is
+not stored) and every row holds row 0's nonzeros shifted along the
+cycle (P is circulant: Metropolis weights on a ring always are, on a
+complete graph when every row's diagonal rounds alike), sigma2 is the
+largest magnitude of P's closed-form eigenvalues, in O(n w) for rows
+of w nonzeros and without an n x n array. Any other P gets P - 11'/n
+built once, as an n x n array of -1/n plus the nonzeros (the bits of
+the dense ``p - 1/n``), and handed to the symmetric eigensolver if it
+is symmetric, to a full SVD otherwise.
+For a CSR P that is not circulant, that array and the eigensolver's
+copy of it are the only n x n arrays sigma2 allocates.
 A matrix with a NaN or infinite entry has sigma2 NaN and reaches
 neither solver.
 
@@ -148,7 +153,7 @@ class _RowSparse:
     entries in storage order are sorted by position; a stored entry may
     be 0. ``@`` takes an (n,) vector or an (n, d) stack and needs every
     row to hold an entry, because ``reduceat`` gives ``x[start]``, not 0,
-    for an empty row.
+    for an empty row; ``MixingMatrix`` rejects a CSR P with an empty row.
     """
 
     def __init__(self, vals: np.ndarray, cols: np.ndarray, starts: np.ndarray):
@@ -260,10 +265,15 @@ def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> flo
     them, with the bits of the dense ``p - 1/n``. If every triplet
     equals its transposed partner (0 where none is stored), P equals its
     transpose exactly, the projected matrix is symmetric and its largest
-    singular value is its largest eigenvalue magnitude,
-    max(|lambda_min|, |lambda_max|), taken from ``eigvalsh``. Any other
-    matrix, including one symmetric only to within roundoff, gets a full
-    SVD. A NaN or infinite entry gives NaN without a LAPACK call.
+    singular value is its largest eigenvalue magnitude. A symmetric P
+    that is also circulant, every row holding the same nonzero
+    (offset, value) pairs as row 0 bit for bit, takes that magnitude
+    from the closed-form eigenvalues of ``_circulant_sigma2`` and builds
+    no n x n array; stored zeros do not count, so a CSR P and its dense
+    form take the same path. Any other symmetric P takes
+    max(|lambda_min|, |lambda_max|) from ``eigvalsh``. Any other matrix,
+    including one symmetric only to within roundoff, gets a full SVD. A
+    NaN or infinite entry gives NaN without a LAPACK call.
 
     Parameters
     ----------
@@ -291,9 +301,46 @@ def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> flo
             raise NotStochastic(f"row/column sums deviate from 1 by {dev:.3e}")
     if not np.isfinite(vals).all():
         return float("nan")
+    symmetric = np.array_equal(vals, p.transposed_values())
+    if symmetric:
+        sigma2 = _circulant_sigma2(rows, cols, vals, n)
+        if sigma2 is not None:
+            return sigma2
     projected = np.full((n, n), -1.0 / n)
     projected[rows, cols] += vals  # -1/n + v is v - 1/n: the bits of p - 1/n
-    if np.array_equal(vals, p.transposed_values()):
+    if symmetric:
         w = np.linalg.eigvalsh(projected)  # ascending
         return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.svd(projected, compute_uv=False)[0])
+
+
+def _circulant_sigma2(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> float | None:
+    """sigma2 of a symmetric P from the triplets if P is circulant, else None.
+
+    P is circulant when every row holds the same (offset, value) pairs
+    as row 0, offset being (col - row) mod n. Only nonzeros count, so a
+    stored 0 or -0.0 changes nothing; with zeros and NaN gone, ``==``
+    compares bits. The check costs O(nnz log nnz).
+
+    Row 0 of a circulant P holds c_j at offset j, and P - 11'/n has the
+    eigenvalues lambda_k = sum_j c_j cos(2 pi (j k mod n) / n) for k >= 1
+    and lambda_0 = sum_j c_j - 1. P is symmetric, so c_j = c_{n-j} and
+    lambda_k = lambda_{n-k}: k runs to n // 2. j k is reduced mod n in
+    int64 before scaling, which keeps every angle below 2 pi. The
+    eigenvalues cost O(n w) for a row of w nonzeros.
+    """
+    nz = vals != 0
+    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    counts = np.bincount(rows, minlength=n)
+    if not (counts == counts[0]).all():
+        return None
+    offsets = (cols - rows) % n
+    order = np.argsort(rows * n + offsets)  # rows * n + offset < n^2 fits in int64 below MAX_NODES
+    offsets, vals = offsets[order].reshape(n, -1), vals[order].reshape(n, -1)
+    same = (offsets == offsets[0]) & (vals == vals[0])
+    if not same.all():
+        return None
+    k = np.arange(n // 2 + 1)
+    lam = np.cos((k[:, None] * offsets[0] % n) * (2 * np.pi / n)) @ vals[0]
+    lam[0] -= 1.0
+    return float(np.abs(lam).max())

@@ -11,7 +11,8 @@ Metropolis weights no power is sparser than P: their diagonal is
 positive, so nnz(P^k) >= nnz(P), and a P built dense keeps every power
 on the side of the threshold that P was on.
 ``validate_mixing`` checks either form on its nonzero triplets, and only
-its sigma2 eigensolve allocates n x n arrays.
+its sigma2 eigensolve allocates n x n arrays; a circulant P (a ring's
+Metropolis weights) gets sigma2 in closed form and allocates none.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ MAX_NODES = math.isqrt(2**63 - 1)
 
 WEIGHT_TOL = 1e-12
 # sigma2 must sit strictly below 1. The margin absorbs the roundoff of the
-# eigensolver or SVD on matrices whose true sigma2 is exactly 1 (a
-# disconnected support, the identity), and so rejects every matrix with
-# 1 - sigma2 below it, however it is computed.
+# eigensolver, the SVD or the circulant closed form on matrices whose true
+# sigma2 is exactly 1 (a disconnected support, the identity), and so
+# rejects every matrix with 1 - sigma2 below it, however it is computed.
 SIGMA2_MARGIN = 1e-9
 
 # metropolis_weights builds P as CSR when nnz * SPARSE_RATIO <= n^2; nothing
@@ -110,7 +111,8 @@ class MixingMatrix:
     dense product by a few ulp. A dense P^k, including any dense P a
     caller supplies, is applied as the dense ``@`` and gives the bits
     ``p @ x`` gives. A CSR P needs a stored entry in every row (see
-    ``_RowSparse``); a Metropolis P stores its diagonal.
+    ``_RowSparse``) and one without raises DimensionMismatch naming the
+    empty row; a Metropolis P stores its diagonal.
     """
 
     p: np.ndarray | _RowSparse
@@ -118,6 +120,9 @@ class MixingMatrix:
 
     def __post_init__(self):
         if isinstance(self.p, _RowSparse):
+            lengths = self.p.row_lengths()
+            if not lengths.all():
+                raise DimensionMismatch(f"CSR mixing matrix stores no entry in row {int(np.argmin(lengths))}")
             return
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -293,8 +298,10 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     not among them is 0. Checks: nonnegativity, sparsity conformance to
     the graph, symmetry (each entry against its transposed partner),
     row sums, column sums and sigma2 <= 1 - ``SIGMA2_MARGIN``. Row and
-    column sums add their nonzeros in storage order. For a CSR ``p`` only
-    the sigma2 eigensolve allocates n x n arrays: its input and LAPACK's copy.
+    column sums add their nonzeros in storage order. A circulant ``p``
+    gets sigma2 in closed form and, if CSR, allocates no n x n array.
+    For a CSR ``p`` that is not circulant, only the sigma2 eigensolve
+    allocates n x n arrays: its input and LAPACK's copy.
 
     The sigma2 check fails by construction on graphs that mix too slowly
     for the margin: a ring with n >~ 1.15e5 nodes has

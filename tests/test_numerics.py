@@ -282,6 +282,36 @@ class TestSecondSingularValueOracle:
         assert radius < sigma - 0.4  # an eigenvalue shortcut would read 0.5, not 1
         assert second_singular_value(p) == sigma
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 8, 17, 100, 383, 384, 1000, 4099, 10_000])
+    def test_ring_matches_the_closed_form(self, n):
+        p = metropolis_weights(make_graph("ring", n)).p
+        assert abs(second_singular_value(p) - (1 / 3 + 2 / 3 * np.cos(2 * np.pi / n))) <= 1e-15
+
+    def test_path_follows_circulance(self, monkeypatch):
+        p = metropolis_weights(make_graph("ring", 12)).p
+        moved = p.copy()  # one symmetric pair moved: still symmetric and doubly stochastic
+        moved[5, 6] += 0.1
+        moved[6, 5] += 0.1
+        moved[5, 5] -= 0.1
+        moved[6, 6] -= 0.1
+        expected = _svd_oracle(p), _svd_oracle(moved)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a circulant P reached a dense solver")
+
+        def record(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert abs(second_singular_value(p) - expected[0]) <= 1e-15
+        monkeypatch.setattr(np.linalg, "eigvalsh", record)
+        assert abs(second_singular_value(moved) - expected[1]) <= 1e-13
+        assert calls == [(12, 12)]
+
     def test_path_follows_exact_symmetry(self, monkeypatch):
         p = metropolis_weights(make_graph("erdos_renyi", 12, p=0.4, seed=3)).p
         near = p.copy()

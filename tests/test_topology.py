@@ -230,6 +230,13 @@ class TestMix:
         assert np.array_equal(out[7], np.zeros(3))
         assert np.array_equal(out, p @ x)
 
+    def test_csr_with_an_empty_row_is_rejected(self):
+        # reduceat would give row 2 the first term of row 3, not 0
+        p = metropolis_weights(make_graph("ring", 6)).p
+        p[2] = 0.0
+        with pytest.raises(DimensionMismatch, match=r"^CSR mixing matrix stores no entry in row 2$"):
+            MixingMatrix(_RowSparse.from_dense(p))
+
     @pytest.mark.parametrize("n", [6, 400])
     def test_repeated_calls_are_bitwise_equal(self, n):
         mix = metropolis_weights(make_graph("ring", n))
@@ -286,7 +293,21 @@ class TestCsrWeights:
         assert peak < 2**20
 
     def test_validation_allocates_only_the_eigensolve_input(self):
-        n = 1500
+        n = 1500  # a star is CSR but not circulant, so sigma2 takes the eigensolver
+        g = make_graph("star", n)
+        p = metropolis_weights(g).p
+        assert isinstance(p, _RowSparse)
+        tracemalloc.start()
+        try:
+            report = validate_mixing(p, g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed, str(report)
+        assert peak <= n * n * 8 + 2**20
+
+    def test_circulant_validation_allocates_no_dense_matrix(self):
+        n = 2000  # one n x n array is 32 MB
         g = make_graph("ring", n)
         p = metropolis_weights(g).p
         tracemalloc.start()
@@ -296,7 +317,7 @@ class TestCsrWeights:
         finally:
             tracemalloc.stop()
         assert report.passed, str(report)
-        assert peak <= n * n * 8 + 2**20
+        assert peak < 2 * 2**20
 
 
 def as_csr(p: np.ndarray, stored=()) -> _RowSparse:
@@ -380,6 +401,22 @@ class TestCsrValidation:
         assert_same_reports(report, validate_mixing(p, g))
         assert_same_reports(report, validate_mixing(csr.toarray(), g))
 
+    @pytest.mark.parametrize("case", ["negative-zero", "stored-zero"])
+    def test_stored_zeros_take_the_dense_forms_path(self, monkeypatch, case):
+        # the nonzeros are a circulant ring's, whatever zeros the CSR form stores
+        p, stored = broken_ring(case)
+        csr = as_csr(p, stored)
+        assert len(csr.vals) > np.count_nonzero(p)
+        dense_value = second_singular_value(p)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a circulant P reached a dense solver")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        assert np.float64(second_singular_value(csr)).tobytes() == np.float64(dense_value).tobytes()
+        assert second_singular_value(p) == dense_value
+
     def test_deviations_measure_the_defect(self):
         g = make_graph("ring", 400)
         deviation = {
@@ -400,6 +437,23 @@ class TestValidateMixing:
     def test_wrong_shape_is_the_one_failed_check(self):
         report = validate_mixing(np.eye(3), make_graph("ring", 4))
         assert report.checks == (MixingCheck("shape", False, 1.0),)
+
+    def test_ring_sigma2_limit_is_where_the_docstring_puts_it(self, monkeypatch):
+        # 1 - sigma2 = 4 pi^2 / (3 n^2) crosses SIGMA2_MARGIN between these sizes
+        graphs = {n: make_graph("ring", n) for n in (110_000, 120_000)}
+        weights = {n: metropolis_weights(g).p for n, g in graphs.items()}
+
+        def refuse(*args, **kwargs):  # a dense P - 11'/n here would take about 115 GB
+            raise AssertionError("a circulant P reached the dense sigma2 path")
+
+        monkeypatch.setattr(np, "full", refuse)
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        reports = {n: validate_mixing(weights[n], g) for n, g in graphs.items()}
+        assert reports[110_000].passed, str(reports[110_000])
+        assert [c.name for c in reports[120_000].failures()] == ["sigma2"]
+        for n, report in reports.items():
+            gap = 1.0 - report.checks[-1].deviation
+            assert gap == pytest.approx(4 * np.pi**2 / (3 * n * n), rel=1e-5)
 
     def test_identity_fails_sigma2(self):
         g = make_graph("ring", 4)

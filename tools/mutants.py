@@ -124,6 +124,22 @@ MUTANTS = {
         "(s[i:i + 1] for s in stacks)",
         "(s[0:1] for s in stacks)",
     ),
+    "circulant-compares-rows-0-and-1": (
+        "numerics.py",
+        "    same = (offsets == offsets[0]) & (vals == vals[0])\n",
+        "    same = (offsets[:2] == offsets[0]) & (vals[:2] == vals[0])\n",
+    ),
+    "circulant-lambda0-keeps-perron": (
+        "numerics.py",
+        "    lam[0] -= 1.0\n",
+        "",
+    ),
+    "csr-empty-row-accepted": (
+        "topology.py",
+        "            if not lengths.all():\n"
+        '                raise DimensionMismatch(f"CSR mixing matrix stores no entry in row {int(np.argmin(lengths))}")\n',
+        "",
+    ),
     "instance-takes-any-family": (
         "objectives.py",
         "        if not isinstance(self.family, AgentFamily):\n"
