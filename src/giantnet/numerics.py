@@ -50,6 +50,7 @@ All functions are pure; returned arrays are fresh and never alias inputs
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 
@@ -154,12 +155,29 @@ class _RowSparse:
     be 0. ``@`` takes an (n,) vector or an (n, d) stack and needs every
     row to hold an entry, because ``reduceat`` gives ``x[start]``, not 0,
     for an empty row; ``MixingMatrix`` rejects a CSR P with an empty row.
+
+    ``@`` forms the products a_ij * x_j of each row, then adds them in
+    one of two ways, chosen once per matrix from its row lengths. If
+    every row stores the same number w of entries, 1 <= w <=
+    ``SLAB_WIDTH`` (a ring's Metropolis P, P^2 and P^3 have w = 3, 5, 7),
+    the products are gathered as an (n, w, d) array and added as w
+    slabs of (n, d): ``(t_1 + t_2 + ... + t_{w-1}) + t_0``, left to right,
+    for the row's terms t_0 ... t_{w-1} in column order. Any other matrix
+    goes through ``np.add.reduceat``, which adds each row as t_0 plus
+    numpy's pairwise sum of the rest; below 9 terms that sum runs left
+    to right from t_1, so both ways add in the same order and give the
+    same bits, signed zeros and NaN included. From 9 terms on the
+    pairwise sum splits into blocks, which is why wider rows stay on
+    ``reduceat``. The slabs save ``reduceat``'s cost per row, which
+    dominates at small d, and scale the gather in place by the values
+    repeated d times, an (n, w, d) array kept for the last d seen.
     """
 
     def __init__(self, vals: np.ndarray, cols: np.ndarray, starts: np.ndarray):
         self.vals = vals
         self.cols = cols
         self.starts = starts
+        self._scales = None  # the slab product's values for the last d (see __matmul__)
 
     @classmethod
     def from_dense(cls, p: np.ndarray) -> _RowSparse:
@@ -195,11 +213,35 @@ class _RowSparse:
         out[rows, cols] = vals
         return out
 
+    @cached_property
+    def _slab_width(self) -> int:
+        """w if every row stores w entries and 1 <= w <= ``SLAB_WIDTH``, else 0."""
+        lengths = self.row_lengths()
+        w = int(lengths[0]) if len(lengths) else 0
+        return w if w <= SLAB_WIDTH and (lengths == w).all() else 0
+
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:  # the (nnz, 1) values times an (nnz,) gather would broadcast to (nnz, nnz)
             return (self @ x[:, None])[:, 0]
-        # take gathers the rows about a quarter faster than x[self.cols]
-        return np.add.reduceat(self.vals[:, None] * x.take(self.cols, axis=0), self.starts, axis=0)
+        w = self._slab_width
+        if not w:
+            # take gathers the rows about a quarter faster than x[self.cols]
+            return np.add.reduceat(self.vals[:, None] * x.take(self.cols, axis=0), self.starts, axis=0)
+        n, d = len(self.starts), x.shape[1]
+        scales = self._scales
+        if scales is None or scales.shape[2] != d:
+            # each value repeated d times: the scaling is one flat product, not n * w short ones
+            scales = self._scales = np.repeat(self.vals, d).reshape(n, w, d)
+        # the gather is fresh, so it is scaled in place
+        terms = x.take(self.cols.reshape(n, w), axis=0).astype(np.result_type(x, self.vals), copy=False)
+        terms *= scales  # (n, w, d)
+        if w == 1:
+            return terms[:, 0]
+        out = terms[:, 1] + terms[:, 2] if w > 2 else terms[:, 1].copy()
+        for j in range(3, w):
+            out += terms[:, j]
+        out += terms[:, 0]  # reduceat's order: the first term comes last
+        return out
 
     def power(self, k: int) -> _RowSparse:
         """The matrix to the k-th power, as CSR; ``power(1)`` is ``self``.
@@ -228,6 +270,11 @@ class _RowSparse:
         del val_parts  # freed before the columns are joined, so each join adds one array at a time
         return _RowSparse(vals, np.concatenate(col_parts), starts)
 
+
+# The widest uniform rows that _RowSparse.__matmul__ adds as slabs: up to
+# 8 terms, reduceat adds a row from its first term left to right; from 9
+# on, numpy's pairwise sum splits the rest into blocks and the bits differ.
+SLAB_WIDTH = 8
 
 # Rows of a CSR power built at once: a block's temporaries grow with its
 # rows, not with n, and the loop over blocks stays short.

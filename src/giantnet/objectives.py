@@ -74,6 +74,12 @@ def _require_finite(**stacks: np.ndarray) -> None:
             raise InvalidSpec(f"{name} must be finite, got a NaN or infinite entry")
 
 
+def _check_rows(n: int, stack: np.ndarray) -> None:
+    """Raise DimensionMismatch unless the stack has n rows; a family of one agent takes any number."""
+    if len(stack) != n and n > 1:
+        raise DimensionMismatch(f"stack has shape {stack.shape} for {n} agents")
+
+
 def _as_point(x: np.ndarray, dimension: int) -> np.ndarray:
     """``x`` as a float array, after checking that it is one point of R^dimension."""
     x = np.asarray(x, dtype=float)
@@ -88,7 +94,8 @@ class AgentFamily(ABC):
     A user cost subclasses it and defines the abstract members; ``values``
     and ``newton_directions`` have defaults. ``average`` is evaluated at a
     (B, d) stack of points at once, so a family of one agent must take any
-    number of rows. A
+    number of rows. The built-in families of n > 1 agents raise
+    DimensionMismatch for a stack whose row count is not n. A
     family must evaluate purely: the same stack gives the same bits,
     whatever was evaluated before. ``run`` relies on it to end a run that
     repeats a state by writing the rest of its log from that cycle.
@@ -170,18 +177,23 @@ class QuadraticFamily(AgentFamily):
     # Batched matmul, not einsum: less dispatch on the 1-agent average, which
     # the metrics evaluate every iteration.
     def gradients(self, x):
+        _check_rows(len(self.a), x)
         return (self.a @ x[..., None])[..., 0] + self.b
 
     def values_and_gradients(self, x):
+        _check_rows(len(self.a), x)
         ax = (self.a @ x[..., None])[..., 0]
         return ((0.5 * ax + self.b) * x).sum(axis=1) + self.c, ax + self.b
 
     def hessians(self, x):
+        _check_rows(len(self.a), x)
         out = self.a.view()
         out.flags.writeable = False
         return out
 
     def newton_directions(self, x, v):
+        _check_rows(len(self.a), x)
+        _check_rows(len(self.a), v)
         return (self._inverse @ v.reshape(*self.shape, -1)).reshape(v.shape)
 
     @cached_property
@@ -236,6 +248,7 @@ class LogisticFamily(AgentFamily):
 
     def _margins(self, x):
         # Batched matmul: about half of einsum's time, on the stacks and the pooled average alike.
+        _check_rows(len(self.labels), x)
         return self.labels * (self.features @ x[..., None])[..., 0]
 
     def gradients(self, x):

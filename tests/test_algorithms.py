@@ -28,7 +28,7 @@ from giantnet import (
     run,
     tracking_drift,
 )
-from giantnet import topology
+from giantnet import numerics, topology
 from giantnet.diagnostics import DIVERGENCE_LIMIT, check_block
 from giantnet.objectives import AgentFamily, QuadraticFamily
 
@@ -478,6 +478,20 @@ class TestRun:
         instance, mix, x0 = hetero_ring
         with pytest.raises(InvalidParams):
             run("sgd", instance, mix, AlgorithmConfig(), x0)
+
+    @pytest.mark.parametrize("K", [1, 3])
+    def test_slab_mixing_keeps_the_run_bits(self, monkeypatch, K):
+        instance = generate_problem(42, ProblemSpec(kind="quadratic", n=400, d=3, heterogeneity=1.0))
+        x0 = rng_for(3).standard_normal((400, 3))
+        cfg = AlgorithmConfig(epsilon=0.5, K=K, max_iters=40)
+        mix = ring_mixing(400)
+        _, slabs = run("giant", instance, mix, cfg, x0)
+        assert mix._products[K]._slab_width == 2 * K + 1
+        monkeypatch.setattr(numerics, "SLAB_WIDTH", 0)  # every CSR product through reduceat
+        mix = ring_mixing(400)
+        _, plain = run("giant", instance, mix, cfg, x0)
+        assert mix._products[K]._slab_width == 0
+        assert len(slabs) == 41 and slabs.table.tobytes() == plain.table.tobytes()
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,7 @@ from giantnet import (
     spd_factorize_stack,
     spd_solve_stack,
 )
+from giantnet.numerics import SLAB_WIDTH, _RowSparse
 
 from conftest import rng_for
 
@@ -327,3 +328,72 @@ class TestSecondSingularValueOracle:
         monkeypatch.undo()
         monkeypatch.setattr(np.linalg, "svd", refuse)
         assert second_singular_value(p) == sym_value
+
+
+def _reduceat_product(csr: _RowSparse, x: np.ndarray) -> np.ndarray:
+    """The CSR product as ``np.add.reduceat`` adds it: each row's first term plus the sum of the rest."""
+    x2 = x.reshape(len(x), -1)
+    return np.add.reduceat(csr.vals[:, None] * x2.take(csr.cols, axis=0), csr.starts, axis=0).reshape(x.shape)
+
+
+def _random_csr(lengths: np.ndarray, seed: int) -> _RowSparse:
+    """Rows of the given lengths over random ascending columns; values with stored zeros and -0.0."""
+    rng = rng_for(seed)
+    n = len(lengths)
+    cols = np.concatenate([np.sort(rng.choice(n, size=k, replace=False)) for k in lengths])
+    vals = rng.standard_normal(len(cols)) * np.exp(rng.uniform(-20, 20, len(cols)))
+    pick = rng.random(len(cols))
+    vals[pick < 0.1] = 0.0
+    vals[(pick >= 0.1) & (pick < 0.2)] = -0.0
+    return _RowSparse(vals, cols, np.concatenate(([0], np.cumsum(lengths)[:-1])))
+
+
+def _awkward_stack(shape, seed: int) -> np.ndarray:
+    """Values over 40 orders of magnitude with +-0.0, +-inf and NaNs of several payloads."""
+    rng = rng_for(seed)
+    x = rng.standard_normal(shape) * np.exp(rng.uniform(-20, 20, shape))
+    pick = rng.random(shape)
+    payloads = rng.integers(1, 2**51, shape).astype(np.uint64) | np.uint64(0x7FF8000000000000)
+    for lo, hi, value in ((0.0, 0.05, 0.0), (0.05, 0.1, -0.0), (0.1, 0.13, np.inf), (0.13, 0.16, -np.inf)):
+        x[(pick >= lo) & (pick < hi)] = value
+    nan = pick >= 0.96
+    x[nan] = payloads[nan].view(np.float64)
+    return x
+
+
+class TestSlabProduct:
+    """Rows of one width w <= SLAB_WIDTH are added as slabs, with the bits of ``reduceat``."""
+
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
+    @pytest.mark.parametrize("w", range(1, SLAB_WIDTH + 1))
+    def test_bitwise_equal_to_reduceat(self, w, shape):
+        n = 600
+        csr = _random_csr(np.full(n, w), seed=40 + w)
+        x = _awkward_stack((n, *shape), seed=50 + w)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and large products
+            out, want = csr @ x, _reduceat_product(csr, x)
+        assert csr._slab_width == w
+        assert out.shape == x.shape
+        assert out.tobytes() == want.tobytes()
+
+    def test_only_uniform_rows_up_to_the_width_take_slabs(self):
+        # 3, 2, 4, ... stores 3 entries per row on average, which a (n, 3) reshape would accept
+        ragged = _random_csr(np.tile([3, 2, 4], 200), seed=60)
+        wide = _random_csr(np.full(600, SLAB_WIDTH + 1), seed=61)
+        x = rng_for(62).standard_normal((600, 4))
+        for csr in (ragged, wide):
+            assert csr._slab_width == 0
+            assert (csr @ x).tobytes() == _reduceat_product(csr, x).tobytes()
+
+    def test_weights_follow_the_stack_width(self):
+        csr = _random_csr(np.full(300, 5), seed=63)
+        rng = rng_for(64)
+        for d in (4, 1, 4, 7):
+            x = rng.standard_normal((300, d))
+            assert (csr @ x).tobytes() == _reduceat_product(csr, x).tobytes()
+            assert csr._scales.shape == (300, 5, d)
+
+    def test_integer_stack_is_promoted(self):
+        csr = _random_csr(np.full(50, 3), seed=65)
+        x = np.arange(100).reshape(50, 2)
+        assert (csr @ x).tobytes() == _reduceat_product(csr, x).tobytes()

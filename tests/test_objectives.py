@@ -401,3 +401,37 @@ class TestGenerateProblem:
     def test_largest_heterogeneity_generates(self):
         spec = ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=MAX_HETEROGENEITY)
         assert np.isfinite(generate_problem(1, spec).lipschitz)
+
+
+class TestStackRows:
+    """A family of n > 1 agents takes stacks of n rows only; a family of one agent takes any number."""
+
+    def test_quadratic_gradients_of_one_row_for_three_agents(self):
+        family = generate_problem(1, ProblemSpec(kind="quadratic", n=3, d=2)).family
+        with pytest.raises(DimensionMismatch, match=r"^stack has shape \(1, 2\) for 3 agents$"):
+            family.gradients(np.zeros((1, 2)))
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    @pytest.mark.parametrize("rows", [1, 2, 4])
+    def test_every_batched_method_rejects_another_row_count(self, kind, rows):
+        family = generate_problem(1, ProblemSpec(kind=kind, n=3, d=2, samples_per_agent=5)).family
+        bad, good = np.zeros((rows, 2)), np.zeros((3, 2))
+        calls = [
+            lambda: family.gradients(bad),
+            lambda: family.values(bad),
+            lambda: family.values_and_gradients(bad),
+            lambda: family.hessians(bad),
+            lambda: family.newton_directions(bad, good),
+            lambda: family.newton_directions(good, bad),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatch):
+                call()
+
+    @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
+    def test_one_agent_family_takes_any_number_of_rows(self, kind):
+        family = generate_problem(1, ProblemSpec(kind=kind, n=3, d=2, samples_per_agent=5)).family.average
+        x = rng_for(31).standard_normal((5, 2))
+        values, gradients = family.values_and_gradients(x)
+        assert values.shape == (5,) and gradients.shape == family.gradients(x).shape == (5, 2)
+        assert family.hessians(x[:4]).shape[1:] == (2, 2)

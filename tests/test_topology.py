@@ -14,7 +14,7 @@ from giantnet import (
     second_singular_value,
     validate_mixing,
 )
-from giantnet import topology
+from giantnet import numerics, topology
 from giantnet.numerics import _RowSparse
 from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, MixingCheck, check_graph
 
@@ -244,6 +244,47 @@ class TestMix:
         first = mix.mix(x)
         assert np.array_equal(mix.mix(x), first)
         assert np.array_equal(mix.mix(x.copy()), first)
+
+
+class ReduceatRefused(Exception):
+    pass
+
+
+class _NumpyWithoutReduceat:
+    """numpy as ``numerics`` sees it, except that ``np.add.reduceat`` raises ReduceatRefused."""
+
+    class add:
+        @staticmethod
+        def reduceat(*args, **kwargs):
+            raise ReduceatRefused
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+class TestSlabMixing:
+    """A ring's P, P^2 and P^3 mix as slabs; ragged and wider CSR powers keep ``reduceat``."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("n", [384, 1000])
+    def test_ring_powers_mix_without_reduceat(self, monkeypatch, n, k):
+        mix = metropolis_weights(make_graph("ring", n))
+        x = rng_for(70 + k).standard_normal((n, 4))
+        pk = mix.power(k)
+        want = np.add.reduceat(pk.vals[:, None] * x[pk.cols], pk.starts, axis=0)
+        monkeypatch.setattr(numerics, "np", _NumpyWithoutReduceat())
+        out = mix.mix(x, k)
+        assert on_sparse_path(mix, k) and mix._products[k]._slab_width == 2 * k + 1
+        assert out.tobytes() == want.tobytes()
+        assert mix.mix(x[:, 0], k).tobytes() == want[:, 0].tobytes()
+
+    @pytest.mark.parametrize("kind, n, k", [("star", 400, 1), ("grid", 676, 1), ("grid", 676, 2), ("ring", 400, 4)])
+    def test_ragged_and_wide_powers_reach_reduceat(self, monkeypatch, kind, n, k):
+        mix = metropolis_weights(make_graph(kind, n))
+        monkeypatch.setattr(numerics, "np", _NumpyWithoutReduceat())
+        with pytest.raises(ReduceatRefused):
+            mix.mix(np.ones((n, 2)), k)
+        assert on_sparse_path(mix, k) and mix._products[k]._slab_width == 0
 
 
 class TestCsrWeights:

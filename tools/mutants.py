@@ -140,6 +140,26 @@ MUTANTS = {
         '                raise DimensionMismatch(f"CSR mixing matrix stores no entry in row {int(np.argmin(lengths))}")\n',
         "",
     ),
+    "slab-sum-from-the-first-term": (
+        "numerics.py",
+        "        out = terms[:, 1] + terms[:, 2] if w > 2 else terms[:, 1].copy()\n"
+        "        for j in range(3, w):\n"
+        "            out += terms[:, j]\n"
+        "        out += terms[:, 0]  # reduceat's order: the first term comes last\n",
+        "        out = terms[:, 0] + terms[:, 1]\n"
+        "        for j in range(2, w):\n"
+        "            out += terms[:, j]\n",
+    ),
+    "slabs-on-ragged-rows": (
+        "numerics.py",
+        "        return w if w <= SLAB_WIDTH and (lengths == w).all() else 0\n",
+        "        return w if w <= SLAB_WIDTH else 0\n",
+    ),
+    "families-take-any-row-count": (
+        "objectives.py",
+        "    if len(stack) != n and n > 1:\n",
+        "    if False:\n",
+    ),
     "instance-takes-any-family": (
         "objectives.py",
         "        if not isinstance(self.family, AgentFamily):\n"
