@@ -256,29 +256,46 @@ class ComparisonSummary:
     rows: tuple[TuneResult, ...]
 
 
-def _tune(instance, mix, x0, name, algo_cfg, grid, target):
-    """Run ``name`` at every grid step size: ``(results, winner, winner's log)``.
+def _tune_point(instance, mix, x0, name, algo_cfg, target):
+    """``(TuneResult, log)`` of one grid point: ``name`` run under ``algo_cfg``.
 
-    Only the winner's log is kept. A later point replaces it only when
-    strictly better under ``_tune_key``, so among ties the earliest wins.
-    A point whose run raises a ``GiantNetError`` is marked ``failed``, with
-    a NaN gap, and has no log; the other points still run.
+    A run that raises a ``GiantNetError`` is ``failed``, with a NaN gap,
+    and has no log. Every run goes through the module-global ``run``.
     """
-    results, best, best_log = [], None, None
+    try:
+        _, log = run(name, instance, mix, algo_cfg, x0)
+    except GiantNetError:
+        return TuneResult(name, algo_cfg.epsilon, "failed", None, np.nan), None
+    hit = None if log.diverged else log.first_iteration_below(target)
+    status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"
+    return TuneResult(name, algo_cfg.epsilon, status, hit, float(log.final.opt_gap)), log
+
+
+def _tune_winner(instance, mix, x0, name, algo_cfg, grid, target):
+    """``(winner, winner's log)`` of ``name`` over ``grid``: the point a full grid run picks.
+
+    A later point replaces the best only when strictly better under
+    ``_tune_key``, so among ties the earliest wins. Once the best so far
+    reached the target at iteration h, each later point runs with
+    ``max_iters = min(max_iters, h)``. A capped point that has not reached
+    the target by h (diverged and failed ones included) ranks below the
+    best, as its full run would, and is dropped. A capped point that
+    reached it but stopped at the cap, not at ``grad_tol``, runs again in
+    full; the rerun repeats the capped rows bit for bit, and its log breaks
+    a tie on h by final gap and gives the rate. So the winner and its log
+    are those of the full runs. Only the best log is kept.
+    """
+    best, best_log = None, None
     for eps in grid:
-        try:
-            _, log = run(name, instance, mix, replace(algo_cfg, epsilon=eps), x0)
-        except GiantNetError:
-            result, log = TuneResult(name, eps, "failed", None, np.nan), None
-        else:
-            hit = None if log.diverged else log.first_iteration_below(target)
-            status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"
-            result = TuneResult(name, eps, status, hit, float(log.final.opt_gap))
-        results.append(result)
+        full = replace(algo_cfg, epsilon=eps)
+        cap = best.iterations if best is not None and best.status == "reached" else full.max_iters
+        result, log = _tune_point(instance, mix, x0, name, replace(full, max_iters=cap), target)
+        if cap < full.max_iters and result.status == "reached" and log.final.grad_norm > full.grad_tol:
+            result, log = _tune_point(instance, mix, x0, name, full, target)
         if best is None or _tune_key(result) < _tune_key(best):
             best, best_log = result, log
         del log  # no losing log is held while the next point runs
-    return results, best, best_log
+    return best, best_log
 
 
 def _tune_key(r: TuneResult):
@@ -303,9 +320,11 @@ def tune_epsilon(
     optimality-gap threshold. Diverged runs, and runs that raise a
     ``GiantNetError`` (``failed``), are marked, never raised; among runs
     that never reach the target the smallest final gap wins, with grid
-    order breaking ties. Raises InvalidParams for a grid that is
-    empty or holds anything but finite reals > 0, and for a target that is
-    not a finite number >= 0.
+    order breaking ties. Every point runs in full to its stopping rule,
+    since each point's result is returned (``compare``, which reports the
+    winner only, caps the points that can no longer win). Raises
+    InvalidParams for a grid that is empty or holds anything but finite
+    reals > 0, and for a target that is not a finite number >= 0.
     """
     grid = _epsilon_grid(grid)
     if target is None:
@@ -314,8 +333,11 @@ def tune_epsilon(
     instance = build_instance(cfg)
     _, mix = build_network(cfg)
     x0 = initial_stack(cfg, instance)
-    results, best, _ = _tune(instance, mix, x0, cfg.algorithm_name, cfg.algorithm, grid, target)
-    return best.epsilon, results
+    results = [
+        _tune_point(instance, mix, x0, cfg.algorithm_name, replace(cfg.algorithm, epsilon=eps), target)[0]
+        for eps in grid
+    ]
+    return min(results, key=_tune_key).epsilon, results  # min keeps the earliest of ties
 
 
 def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPARE_TARGET) -> ComparisonSummary:
@@ -325,9 +347,13 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPAR
     seeds and shared, never regenerated per algorithm. Each algorithm is
     tuned over the config's epsilon grid (or its single configured
     epsilon) and reported at its best step size; a point whose run raises
-    a ``GiantNetError`` is ``failed`` and ranks last. Raises InvalidParams for
-    an empty algorithm list, an unknown name and a target that is not a
-    finite number >= 0.
+    a ``GiantNetError`` is ``failed`` and ranks last. Once a point has
+    reached the target at iteration h, the later points of that algorithm
+    run at most h iterations, and only one that reaches the target by h
+    and stops at the cap runs again in full (see ``_tune_winner``); the
+    reported rows, rates included, are the winners of a full grid run
+    (``tune_epsilon`` at the same target). Raises InvalidParams for an empty algorithm
+    list, an unknown name and a target that is not a finite number >= 0.
     """
     if not algorithms:
         raise InvalidParams(f"algorithms must name at least one of {ALGORITHMS}")
@@ -342,7 +368,7 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPAR
 
     rows = []
     for name in algorithms:
-        _, best, log = _tune(instance, mix, x0, name, cfg.algorithm, grid, target)
+        best, log = _tune_winner(instance, mix, x0, name, cfg.algorithm, grid, target)
         if log is not None:  # None when every point failed
             try:
                 best = replace(best, rate=estimate_rate(log).rate)

@@ -97,7 +97,12 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Consensus weights over a graph; rows and columns sum to one.
+    """Consensus weights over a graph; the constructor checks their shape, not their sums.
+
+    It checks only that P is square and, for a CSR P, that every row
+    stores an entry. Rows and columns summing to one is not enforced:
+    ``validate_mixing`` measures and reports it (ROADMAP.md item 13 plans
+    to enforce it at construction).
 
     ``p`` is either a CSR ``_RowSparse``, kept as is (``metropolis_weights``
     gives one above the sparse threshold; ``p.toarray()`` is its dense

@@ -21,7 +21,7 @@ from giantnet import (
     run,
     tune_epsilon,
 )
-from giantnet import harness, objectives
+from giantnet import algorithms, harness, objectives
 from giantnet.cli import main as cli_main
 from giantnet.harness import (
     CSV_COLUMNS,
@@ -393,20 +393,78 @@ class TestCompare:
         assert a == b
 
     def test_rows_are_tune_epsilon_winners_with_their_rate(self, tmp_path):
+        # compare caps the points after a hit; tune_epsilon runs every point in full
         payload = base_cfg(
             algorithm={"max_iters": 300}, tuner={"epsilon_grid": [0.02, 0.05, 0.25, 1.0]}
         )
-        cfg = load_config(write_cfg(tmp_path, payload))
-        summary = compare(cfg, ("giant", "dgd", "gt"), target=1e-6)
+        for run_seed in range(10):
+            cfg = replace(load_config(write_cfg(tmp_path, payload)), run_seed=run_seed)
+            summary = compare(cfg, ("giant", "dgd", "gt"), target=1e-6)
+            instance = build_instance(cfg)
+            _, mix = build_network(cfg)
+            x0 = initial_stack(cfg, instance)
+            for row in summary.rows:
+                algo_cfg = replace(cfg, algorithm_name=row.algorithm)
+                best, results = tune_epsilon(algo_cfg, cfg.epsilon_grid, target=1e-6)
+                (winner,) = [r for r in results if r.epsilon == best]
+                _, log = run(row.algorithm, instance, mix, replace(cfg.algorithm, epsilon=best), x0)
+                assert row == replace(winner, rate=estimate_rate(log).rate), run_seed
+
+    def test_tie_on_the_best_hit_goes_to_the_smaller_final_gap(self):
+        # giant at eps 0.05 and 0.1 both reach 1e-6 at iteration 96; 0.1 runs capped at 96,
+        # stops at the cap and must run again in full for its final gap and rate
+        cfg = replace(load_config(str(CONFIGS / "quadratic_ring.json")), run_seed=577090037)
+        _, results = tune_epsilon(cfg, cfg.epsilon_grid, target=1e-6)
+        first, second = results[1:3]
+        assert (first.epsilon, first.iterations, second.epsilon, second.iterations) == (0.05, 96, 0.1, 96)
+        assert second.final_gap < first.final_gap
+        (giant,) = compare(cfg, ("giant",), target=1e-6).rows
+        instance = build_instance(cfg)
+        _, mix = build_network(cfg)
+        _, log = run("giant", instance, mix, replace(cfg.algorithm, epsilon=0.1), initial_stack(cfg, instance))
+        assert giant == replace(second, rate=estimate_rate(log).rate)
+
+    def test_points_after_a_hit_stop_at_it(self, monkeypatch):
+        steps = [0]
+
+        def counted(step):
+            def wrapper(*args, **kwargs):
+                steps[0] += 1
+                return step(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("giant_step", "gt_step", "dgd_step"):
+            monkeypatch.setattr(algorithms, name, counted(getattr(algorithms, name)))
+        runs = []  # (algorithm, epsilon, max_iters, step calls, iteration the target was hit)
+
+        def recorded(name, instance, mix, algo_cfg, x0):
+            before = steps[0]
+            state, log = run(name, instance, mix, algo_cfg, x0)
+            hit = None if log.diverged else log.first_iteration_below(1e-6)
+            runs.append((name, algo_cfg.epsilon, algo_cfg.max_iters, steps[0] - before, hit))
+            return state, log
+
+        monkeypatch.setattr(harness, "run", recorded)
+        cfg = load_config(str(CONFIGS / "quadratic_ring.json"))
+        compare(cfg, ("giant", "dgd", "gt"), target=1e-6)
         instance = build_instance(cfg)
         _, mix = build_network(cfg)
         x0 = initial_stack(cfg, instance)
-        for row in summary.rows:
-            algo_cfg = replace(cfg, algorithm_name=row.algorithm)
-            best, results = tune_epsilon(algo_cfg, cfg.epsilon_grid, target=1e-6)
-            (winner,) = [r for r in results if r.epsilon == best]
-            _, log = run(row.algorithm, instance, mix, replace(cfg.algorithm, epsilon=best), x0)
-            assert row == replace(winner, rate=estimate_rate(log).rate)
+        for name in ("giant", "dgd", "gt"):
+            made = [r for r in runs if r[0] == name]
+            best_hit = min((r[4] for r in made if r[2] == cfg.algorithm.max_iters and r[4] is not None), default=None)
+            dropped = [r for r in made if r[2] < cfg.algorithm.max_iters and r[4] is None]
+            assert all(cap == best_hit and calls <= cap for _, _, cap, calls, _ in dropped)
+            before = steps[0]
+            for eps in cfg.epsilon_grid:
+                run(name, instance, mix, replace(cfg.algorithm, epsilon=eps), x0)
+            full = steps[0] - before
+            made_calls = sum(r[3] for r in made)
+            if name == "dgd":  # never reaches 1e-6, so no point is capped
+                assert (dropped, made_calls) == ([], full)
+            else:
+                assert len(dropped) >= 3 and made_calls < full
 
 
 def indefinite_far_out(center):

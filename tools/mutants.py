@@ -62,12 +62,22 @@ MUTANTS = {
     ),
     "tune-judges-the-final-gap": (
         "harness.py",
-        "            hit = None if log.diverged else log.first_iteration_below(target)\n"
-        '            status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"\n',
-        "            gap = float(log.final.opt_gap)\n"
-        "            diverged = log.diverged or not np.isfinite(gap) or gap > 1e12\n"
-        "            hit = None if diverged else log.first_iteration_below(target)\n"
-        '            status = "diverged" if diverged else "not_reached" if hit is None else "reached"\n',
+        "    hit = None if log.diverged else log.first_iteration_below(target)\n"
+        '    status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"\n',
+        "    gap = float(log.final.opt_gap)\n"
+        "    diverged = log.diverged or not np.isfinite(gap) or gap > 1e12\n"
+        "    hit = None if diverged else log.first_iteration_below(target)\n"
+        '    status = "diverged" if diverged else "not_reached" if hit is None else "reached"\n',
+    ),
+    "tune-caps-before-the-best-hit": (
+        "harness.py",
+        "        cap = best.iterations if best",
+        "        cap = best.iterations - 1 if best",
+    ),
+    "tune-keeps-the-capped-log": (
+        "harness.py",
+        "            result, log = _tune_point(instance, mix, x0, name, full, target)\n",
+        "            pass\n",
     ),
     "mix-takes-any-ndim": (
         "topology.py",
