@@ -125,10 +125,11 @@ def giant_step(
     Update order: refresh the tracker with the new local gradients, store
     those gradients, apply each agent's inverse Hessian to its fresh
     tracker value, then take the damped step and mix. K consensus rounds
-    are ``P.mix(v, K)``: one multiplication by P^K, which the matrix
-    computes once and keeps, applied to both the tracker and the iterate
-    update. This keeps a K-round step bitwise identical to a one-round
-    step under P^K.
+    are ``P.mix(v, K)``, applied to both the tracker and the iterate
+    update: K products by a CSR P, one neighbour exchange each, or one
+    multiplication by the P^K that a dense P computes once and keeps.
+    On a dense P this keeps a K-round step bitwise identical to a
+    one-round step under P^K; on a CSR P the two agree to a few ulp.
 
     Raises NotPositiveDefinite if a local Hessian stops being positive
     definite at the current iterate, which signals that the iterate left

@@ -159,10 +159,11 @@ class _RowSparse:
     ``@`` forms the products a_ij * x_j of each row, then adds them in
     one of two ways, chosen once per matrix from its row lengths. If
     every row stores the same number w of entries, 1 <= w <=
-    ``SLAB_WIDTH`` (a ring's Metropolis P, P^2 and P^3 have w = 3, 5, 7),
-    the products are gathered as an (n, w, d) array and added as w
-    slabs of (n, d): ``(t_1 + t_2 + ... + t_{w-1}) + t_0``, left to right,
-    for the row's terms t_0 ... t_{w-1} in column order. Any other matrix
+    ``SLAB_WIDTH`` (a ring's Metropolis P has w = 3), the products are
+    gathered as an (n, w, d) array and added as w slabs of (n, d):
+    ``(t_1 + t_2 + ... + t_{w-1}) + t_0``, left to right, for the row's
+    terms t_0 ... t_{w-1} in column order. Any other matrix (a star's or
+    a grid's, whose rows differ in length)
     goes through ``np.add.reduceat``, which adds each row as t_0 plus
     numpy's pairwise sum of the rest; below 9 terms that sum runs left
     to right from t_1, so both ways add in the same order and give the
@@ -243,63 +244,11 @@ class _RowSparse:
         out += terms[:, 0]  # reduceat's order: the first term comes last
         return out
 
-    def power(self, k: int) -> _RowSparse:
-        """The matrix to the k-th power, as CSR; ``power(1)`` is ``self``.
-
-        Row i of the power is row i of the matrix times the matrix, k - 1
-        times, which is row i of the left-to-right product. The rows are
-        built ``POWER_ROWS`` at a time, so no power below the k-th is held
-        whole and no n x n array is made.
-        """
-        if k == 1:
-            return self
-        n = len(self.starts)
-        rows, cols, vals = self.triplets()
-        widths = self.row_lengths()
-        bounds = np.concatenate((self.starts[::POWER_ROWS], [len(cols)]))
-        lengths, col_parts, val_parts = [], [], []  # per block: its rows' lengths, columns, values
-        for top, lo, hi in zip(range(0, n, POWER_ROWS), bounds[:-1], bounds[1:]):
-            block = rows[lo:hi], cols[lo:hi], vals[lo:hi]
-            for _ in range(k - 1):
-                block = _row_products(*block, self, widths)
-            lengths.append(np.bincount(block[0] - top, minlength=min(POWER_ROWS, n - top)))
-            col_parts.append(block[1])
-            val_parts.append(block[2])
-        starts = np.cumsum(np.concatenate([[0], *lengths]))[:-1]
-        vals = np.concatenate(val_parts)
-        del val_parts  # freed before the columns are joined, so each join adds one array at a time
-        return _RowSparse(vals, np.concatenate(col_parts), starts)
-
 
 # The widest uniform rows that _RowSparse.__matmul__ adds as slabs: up to
 # 8 terms, reduceat adds a row from its first term left to right; from 9
 # on, numpy's pairwise sum splits the rest into blocks and the bits differ.
 SLAB_WIDTH = 8
-
-# Rows of a CSR power built at once: a block's temporaries grow with its
-# rows, not with n, and the loop over blocks stays short.
-POWER_ROWS = 256
-
-
-def _row_products(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, p: _RowSparse, widths: np.ndarray):
-    """The triplets of some rows times ``p``, sorted by position; ``widths`` is ``p.row_lengths()``.
-
-    Entry (i, c) adds a_ij * p_jc over ascending j, in that order. Each
-    product is formed once: the cost is O(sum over the a_ij of the
-    length of row j of ``p``).
-    """
-    n = len(p.starts)
-    counts = widths[cols]
-    ends = np.cumsum(counts)
-    # the entries of row j of p, for each a_ij in turn
-    pick = np.repeat(p.starts[cols] - ends + counts, counts) + np.arange(counts.sum())
-    keys = np.repeat(rows, counts) * n + p.cols[pick]
-    terms = np.repeat(vals, counts) * p.vals[pick]
-    order = np.argsort(keys, kind="stable")  # a position's terms keep their ascending j
-    keys = keys[order]
-    first = np.diff(keys, prepend=-1) != 0
-    rows, cols = np.divmod(keys[first], n)
-    return rows, cols, np.bincount(np.cumsum(first) - 1, terms[order])  # adds in index order
 
 
 def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> float:

@@ -5,13 +5,11 @@ n + 2E nonzeros. P's form is decided once, by ``metropolis_weights``: it
 builds P straight from the edge list as CSR (values, columns and row
 starts; ``numerics._RowSparse``) when ``SPARSE_RATIO`` calls n + 2E
 sparse, and as a dense n x n array otherwise. ``MixingMatrix.mix``
-applies P^k in P's form: a CSR P^k in O(nnz * d), a dense one as the
-dense ``@``; a ring's CSR P, P^2 and P^3 (rows of 3, 5 and 7 entries)
-take ``_RowSparse``'s slab product, other CSR powers ``reduceat``. A
-dense P is applied dense, however sparse it is. For
-Metropolis weights no power is sparser than P: their diagonal is
-positive, so nnz(P^k) >= nnz(P), and a P built dense keeps every power
-on the side of the threshold that P was on.
+runs k rounds in P's form: on a CSR P as k products by P, each one
+neighbour exchange in O((n + 2E) d) (a ring's rows of 3 entries take
+``_RowSparse``'s slab product, other rows ``reduceat``); on a dense P
+as one dense ``@`` by the kept P^k. A dense P is applied dense, however
+sparse it is.
 ``validate_mixing`` checks either form on its nonzero triplets, and only
 its sigma2 eigensolve allocates n x n arrays; a circulant P (a ring's
 Metropolis weights) gets sigma2 in closed form and allocates none.
@@ -108,27 +106,28 @@ class MixingMatrix:
     gives one above the sparse threshold; ``p.toarray()`` is its dense
     form), or anything else, converted to a float array (a float array is
     kept as is) that must be square. Every consensus product goes through
-    :meth:`mix`, which memoizes ``power(k)`` per k, so ``p`` must not be
-    modified after the first call to ``mix``.
+    :meth:`mix`, which on a dense P memoizes ``power(k)`` per k, so ``p``
+    must not be modified after the first call to ``mix``.
 
-    P^k keeps P's form: ``metropolis_weights`` decides it once, and
-    ``mix`` never converts. A CSR P^k adds each row's stored products
-    t_0, ..., t_{w-1} (in column order) as t_0 + (t_1 + ... + t_{w-1}),
+    ``metropolis_weights`` decides P's form once, and ``mix`` never
+    converts it. On a CSR P, k rounds are k products by P, each adding
+    each row's stored products t_0, ..., t_{w-1} (in column order) as
+    t_0 + (t_1 + ... + t_{w-1}),
     the rest from left to right: by ``np.add.reduceat``, or as gathered
     slabs with the same bits when every row stores the same number of
     entries up to ``numerics.SLAB_WIDTH`` (see ``_RowSparse``). That is
     many times faster than the dense product above the crossover (ring
     n=1000, d=5, best of 9 on 2 vCPUs: 37 us as slabs and 77 us through
     ``reduceat``, against 680 us dense) and differs from it by a few
-    ulp. A dense P^k, including any dense P a
-    caller supplies, is applied as the dense ``@`` and gives the bits
-    ``p @ x`` gives. A CSR P needs a stored entry in every row (see
+    ulp per round. On a dense P, including any dense P a caller
+    supplies, k rounds are one dense ``@`` by P^k, with the bits
+    ``power(k) @ x`` gives. A CSR P needs a stored entry in every row (see
     ``_RowSparse``) and one without raises DimensionMismatch naming the
     empty row; a Metropolis P stores its diagonal.
     """
 
     p: np.ndarray | _RowSparse
-    _products: dict = field(default_factory=dict, init=False, repr=False)  # k -> P^k as mix applies it
+    _products: dict = field(default_factory=dict, init=False, repr=False)  # k -> a dense P^k, as mix applies it
 
     def __post_init__(self):
         if isinstance(self.p, _RowSparse):
@@ -145,35 +144,44 @@ class MixingMatrix:
     def n(self) -> int:
         return self.p.shape[0]
 
-    def power(self, k: int) -> np.ndarray | _RowSparse:
-        """P^k by repeated left-to-right multiplication; ``power(1)`` is ``p`` itself.
+    def power(self, k: int) -> np.ndarray:
+        """P^k as a dense array, by repeated left-to-right multiplication.
 
-        The association order is pinned so that k rounds of mixing and a
-        single multiplication by the power are bitwise equal. A CSR P
-        gives a CSR P^k by sparse row products (``_RowSparse.power``),
-        never an n x n array. Each call builds the power afresh; ``mix``
-        keeps what it applies.
+        On a dense P, ``power(1)`` is ``p`` itself, and the association
+        order is pinned so that k rounds of mixing and a single
+        multiplication by the power are bitwise equal. A CSR P gives the
+        power of its ``toarray()`` form, an n x n array, for checks at
+        small n: ``mix`` never calls this on a CSR P, and its k products
+        by P agree with one product by the power to a few ulp, not bit
+        for bit. Each call builds the power afresh; ``mix`` keeps what it
+        applies.
         """
         if not (is_integer(k) and k >= 1):
             raise InvalidParams(f"k must be a positive integer, got {k}")
-        if isinstance(self.p, _RowSparse):
-            return self.p.power(k)
-        out = self.p
+        p = self.p.toarray() if isinstance(self.p, _RowSparse) else self.p
+        out = p
         for _ in range(k - 1):
-            out = out @ self.p
+            out = out @ p
         return out
 
     def mix(self, x: np.ndarray, k: int = 1) -> np.ndarray:
         """k consensus rounds on an (n, d) stack or an (n,) vector: P^k @ x.
 
-        Raises DimensionMismatch for any other shape of ``x``.
+        On a CSR P the rounds are k products by P; on a dense P they are
+        one product by ``power(k)``, built at the first call for that k.
+        Raises InvalidParams unless k is a positive integer, and
+        DimensionMismatch for any other shape of ``x``.
         """
-        if not is_integer(k):  # 2.0 or True would hit the memo of 2 or 1
+        if not (is_integer(k) and k >= 1):  # 2.0 or True would hit the memo of 2 or 1
             raise InvalidParams(f"k must be a positive integer, got {k}")
         if x.ndim not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis
             raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got shape {x.shape}")
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
+        if isinstance(self.p, _RowSparse):
+            for _ in range(k):  # one neighbour exchange per round
+                x = self.p @ x
+            return x
         op = self._products.get(k)  # a hit skips power, so power runs once per k and instance
         if op is None:
             op = self._products[k] = self.power(k)

@@ -30,6 +30,7 @@ from giantnet import (
 )
 from giantnet import numerics, topology
 from giantnet.diagnostics import DIVERGENCE_LIMIT, check_block
+from giantnet.numerics import _RowSparse
 from giantnet.objectives import AgentFamily, QuadraticFamily
 
 from conftest import identical_quadratic_instance, ring_mixing, rng_for
@@ -454,8 +455,8 @@ class TestRun:
         cfg = AlgorithmConfig(epsilon=epsilon, max_iters=20, grad_tol=0.0)
         sparse_mix = ring_mixing(n)
         _, log = run("giant", instance, sparse_mix, cfg, x0)
-        assert not isinstance(sparse_mix._products[1], np.ndarray)
-        monkeypatch.setattr(topology, "SPARSE_RATIO", np.inf)  # every P^k stays dense
+        assert isinstance(sparse_mix.p, _RowSparse)
+        monkeypatch.setattr(topology, "SPARSE_RATIO", np.inf)  # P, and so every P^k, dense
         dense_mix = ring_mixing(n)
         _, ref = run("giant", instance, dense_mix, cfg, x0)
         assert dense_mix._products[1] is dense_mix.p
@@ -465,14 +466,7 @@ class TestRun:
         if log.diverged:
             return
         assert len(log) == 21
-        got, want = (np.array([tuple(r) for r in lg.records]) for lg in (log, ref))
-        assert np.isfinite(got).all()
-        assert got[:, 4].max() <= 1e-9  # tracking_drift
-        # Each column to 1e-12 of its largest entry; the drift column is roundoff in
-        # both runs, so it agrees to the drift bound only.
-        for col in (1, 2, 3, 5):  # opt_gap, consensus_err, grad_norm, lyapunov
-            assert np.abs(got[:, col] - want[:, col]).max() <= 1e-12 * np.abs(want[:, col]).max()
-        assert np.abs(got[:, 4] - want[:, 4]).max() <= 1e-9
+        assert_tables_agree(log, ref)
 
     def test_unknown_algorithm(self, hetero_ring):
         instance, mix, x0 = hetero_ring
@@ -486,12 +480,27 @@ class TestRun:
         cfg = AlgorithmConfig(epsilon=0.5, K=K, max_iters=40)
         mix = ring_mixing(400)
         _, slabs = run("giant", instance, mix, cfg, x0)
-        assert mix._products[K]._slab_width == 2 * K + 1
+        assert mix.p._slab_width == 3  # K rounds are K products by P itself
+        # one product by the dense P^K adds in another order
+        _, powered = run("giant", instance, MixingMatrix(mix.p.toarray()), cfg, x0)
+        assert_tables_agree(slabs, powered)
         monkeypatch.setattr(numerics, "SLAB_WIDTH", 0)  # every CSR product through reduceat
         mix = ring_mixing(400)
         _, plain = run("giant", instance, mix, cfg, x0)
-        assert mix._products[K]._slab_width == 0
+        assert mix.p._slab_width == 0
         assert len(slabs) == 41 and slabs.table.tobytes() == plain.table.tobytes()
+
+
+def assert_tables_agree(log, ref):
+    """Two runs of one problem whose mixing products add in different orders agree to roundoff."""
+    got, want = log.table, ref.table
+    assert got.shape == want.shape and np.isfinite(got).all()
+    assert got[:, 4].max() <= 1e-9  # tracking_drift
+    # Each column to 1e-12 of its largest entry; the drift column is roundoff in
+    # both runs, so it agrees to the drift bound only.
+    for col in (1, 2, 3, 5):  # opt_gap, consensus_err, grad_norm, lyapunov
+        assert np.abs(got[:, col] - want[:, col]).max() <= 1e-12 * np.abs(want[:, col]).max()
+    assert np.abs(got[:, 4] - want[:, 4]).max() <= 1e-9
 
 
 @pytest.mark.parametrize(

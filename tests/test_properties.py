@@ -132,10 +132,11 @@ def test_whole_runs_match_the_per_agent_reference(setup):
         for algorithm in ALGORITHMS
     }
     _assert_runs_match(instance, mix, k, x0, wants)
-    # Again with P, and so every P^k, as CSR: at these sizes metropolis_weights builds P dense.
+    # Again with P as CSR, whose k rounds are k products by P: at these sizes
+    # metropolis_weights builds P dense.
     csr = MixingMatrix(_RowSparse.from_dense(mix.p))
     _assert_runs_match(instance, csr, k, x0, wants)
-    assert csr._products and all(isinstance(op, _RowSparse) for op in csr._products.values())
+    np.testing.assert_allclose(csr.mix(x0, k), mix.power(k) @ x0, rtol=0, atol=1e-14 * np.abs(x0).max())
 
 
 def _assert_runs_match(instance, mix, k, x0, wants):

@@ -136,26 +136,33 @@ class TestMetropolisWeights:
 
 class TestMix:
     def test_k_rounds_are_one_product_by_the_power(self):
-        mix = metropolis_weights(make_graph("ring", 6))
+        # a dense P applies P^3 once; a CSR P applies P three times, a few ulp from the power
         x = rng_for(5).standard_normal((6, 3))
-        assert np.array_equal(mix.mix(x), mix.p @ x)
-        assert np.array_equal(mix.mix(x, 3), mix.p @ mix.p @ mix.p @ x)
-        with pytest.raises(InvalidParams):
-            mix.mix(x, 0)
+        for mix in both_forms(6):
+            p = mix.p
+            assert np.array_equal(mix.mix(x), p @ x)
+            if isinstance(p, _RowSparse):
+                assert np.array_equal(mix.mix(x, 3), p @ (p @ (p @ x)))
+                assert_rounds_match_the_power(mix, x, 3)
+            else:
+                assert np.array_equal(mix.mix(x, 3), p @ p @ p @ x)
+            for k in (0, -1):
+                with pytest.raises(InvalidParams, match="^k must be a positive integer"):
+                    mix.mix(x, k)
 
     @pytest.mark.parametrize("k, accepted", [(2.5, False), (True, False), (2.0, False), (np.int64(2), True)])
     def test_rounds_are_integers(self, k, accepted):
-        mix = metropolis_weights(make_graph("ring", 6))
         x = rng_for(5).standard_normal((6, 3))
-        squared = mix.mix(x, 2)
-        mix.mix(x)  # True and 2.0 hash like the memoized 1 and 2
-        if accepted:
-            assert np.array_equal(mix.mix(x, k), squared)
-            return
-        with pytest.raises(InvalidParams, match="^k must be"):
-            mix.power(k)
-        with pytest.raises(InvalidParams, match="^k must be"):
-            mix.mix(x, k)
+        for mix in both_forms(6):
+            squared = mix.mix(x, 2)
+            mix.mix(x)  # on a dense P, True and 2.0 hash like the memoized 1 and 2
+            if accepted:
+                assert np.array_equal(mix.mix(x, k), squared)
+                continue
+            with pytest.raises(InvalidParams, match="^k must be"):
+                mix.power(k)
+            with pytest.raises(InvalidParams, match="^k must be"):
+                mix.mix(x, k)
 
     @pytest.mark.parametrize("p", [np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))])
     def test_rejects_non_square_weights(self, p):
@@ -168,8 +175,7 @@ class TestMix:
         if sparse:
             monkeypatch.setattr(topology, "SPARSE_RATIO", 0)
         mix = metropolis_weights(make_graph("ring", n))
-        mix.mix(np.ones((n, 2)))
-        assert on_sparse_path(mix) == sparse
+        assert isinstance(mix.p, _RowSparse) == sparse
         x = np.float64(1.0) if shape == () else np.ones((n, *shape))
         with pytest.raises(DimensionMismatch, match=r"^mix takes an \(n,\) vector or an \(n, d\) stack, got shape"):
             mix.mix(x)
@@ -198,8 +204,7 @@ class TestMix:
     )
     def test_sparse_path_chosen_from_n_and_nnz(self, kind, n, sparse):
         mix = metropolis_weights(make_graph(kind, n, p=0.1))
-        mix.mix(np.ones((n, 2)))
-        assert on_sparse_path(mix) == sparse
+        assert isinstance(mix.p, _RowSparse) == sparse
 
     @pytest.mark.parametrize("shape", [(1,), (5,), ()], ids=["d1", "d5", "vector"])
     @pytest.mark.parametrize("kind, n", [("ring", 400), ("star", 400), ("grid", 676)])
@@ -208,7 +213,7 @@ class TestMix:
         # positive entries: no cancellation, so the few ulp of a reordered sum stay relative
         x = rng_for(6).uniform(1.0, 2.0, size=(n, *shape))
         out = mix.mix(x)
-        assert on_sparse_path(mix)
+        assert isinstance(mix.p, _RowSparse)
         assert out.shape == x.shape
         np.testing.assert_allclose(out, mix.p.toarray() @ x, rtol=1e-14, atol=0)
 
@@ -216,9 +221,11 @@ class TestMix:
     def test_k_rounds_are_the_product_by_the_power_on_both_paths(self, n, sparse):
         mix = metropolis_weights(make_graph("ring", n))
         x = rng_for(7).standard_normal((n, 3))
-        out = mix.mix(x, 2)
-        assert isinstance(mix.p, _RowSparse) == on_sparse_path(mix, 2) == sparse
-        assert np.array_equal(out, MixingMatrix(mix.power(2)).mix(x))
+        assert isinstance(mix.p, _RowSparse) == sparse
+        if sparse:  # two products by P add in another order than one by P^2
+            assert_rounds_match_the_power(mix, x, 2)
+        else:
+            assert np.array_equal(mix.mix(x, 2), MixingMatrix(mix.power(2)).mix(x))
 
     def test_zero_row_mixes_to_exact_zeros(self):
         p = metropolis_weights(make_graph("ring", 400)).p.toarray()
@@ -226,7 +233,7 @@ class TestMix:
         mix = MixingMatrix(p)
         x = rng_for(8).standard_normal((400, 3))
         out = mix.mix(x)
-        assert not on_sparse_path(mix)
+        assert isinstance(mix.p, np.ndarray)
         assert np.array_equal(out[7], np.zeros(3))
         assert np.array_equal(out, p @ x)
 
@@ -263,28 +270,30 @@ class _NumpyWithoutReduceat:
 
 
 class TestSlabMixing:
-    """A ring's P, P^2 and P^3 mix as slabs; ragged and wider CSR powers keep ``reduceat``."""
+    """Every round on a ring's CSR P mixes as slabs; ragged and wider CSR rows keep ``reduceat``."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [384, 1000])
     def test_ring_powers_mix_without_reduceat(self, monkeypatch, n, k):
         mix = metropolis_weights(make_graph("ring", n))
         x = rng_for(70 + k).standard_normal((n, 4))
-        pk = mix.power(k)
-        want = np.add.reduceat(pk.vals[:, None] * x[pk.cols], pk.starts, axis=0)
+        p, want = mix.p, x
+        for _ in range(k):
+            want = np.add.reduceat(p.vals[:, None] * want[p.cols], p.starts, axis=0)
         monkeypatch.setattr(numerics, "np", _NumpyWithoutReduceat())
         out = mix.mix(x, k)
-        assert on_sparse_path(mix, k) and mix._products[k]._slab_width == 2 * k + 1
+        assert p._slab_width == 3
         assert out.tobytes() == want.tobytes()
         assert mix.mix(x[:, 0], k).tobytes() == want[:, 0].tobytes()
+        assert_rounds_match_the_power(mix, x, k)
 
-    @pytest.mark.parametrize("kind, n, k", [("star", 400, 1), ("grid", 676, 1), ("grid", 676, 2), ("ring", 400, 4)])
+    @pytest.mark.parametrize("kind, n, k", [("star", 400, 1), ("grid", 676, 1), ("grid", 676, 2), ("wide", 400, 2)])
     def test_ragged_and_wide_powers_reach_reduceat(self, monkeypatch, kind, n, k):
-        mix = metropolis_weights(make_graph(kind, n))
+        mix = wide_rows(n) if kind == "wide" else metropolis_weights(make_graph(kind, n))
         monkeypatch.setattr(numerics, "np", _NumpyWithoutReduceat())
         with pytest.raises(ReduceatRefused):
             mix.mix(np.ones((n, 2)), k)
-        assert on_sparse_path(mix, k) and mix._products[k]._slab_width == 0
+        assert isinstance(mix.p, _RowSparse) and mix.p._slab_width == 0
 
 
 class TestCsrWeights:
@@ -308,17 +317,14 @@ class TestCsrWeights:
 
     @pytest.mark.parametrize("kind, n", [("ring", 700), ("grid", 676), ("star", 400)])
     def test_csr_powers_match_the_dense_powers(self, kind, n):
+        # a CSR P's power is its dense form's; k rounds on P agree with it to roundoff
         mix = metropolis_weights(make_graph(kind, n))
+        assert isinstance(mix.p, _RowSparse)
         dense = mix.p.toarray()
-        assert mix.power(1) is mix.p
-        want = dense
-        for k in (2, 3, 4):
-            want = want @ dense
-            pk = mix.power(k)
-            assert isinstance(pk, _RowSparse)
-            rows, cols, _ = pk.triplets()
-            assert (np.diff(rows * n + cols) > 0).all()
-            np.testing.assert_allclose(pk.toarray(), want, rtol=0, atol=1e-15)
+        assert np.array_equal(mix.power(4), dense @ dense @ dense @ dense)
+        x = rng_for(75).standard_normal((n, 3))
+        for k in (1, 2, 3, 4):
+            assert_rounds_match_the_power(mix, x, k)
 
     def test_weights_and_three_rounds_hold_no_dense_matrix(self):
         # tracemalloc sees numpy's buffers; a dense P at n = 3000 is 72 MB
@@ -330,7 +336,20 @@ class TestCsrWeights:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert isinstance(mix.p, _RowSparse) and on_sparse_path(mix, 3)
+        assert isinstance(mix.p, _RowSparse)
+        assert peak < 2**20
+
+    def test_star_rounds_hold_no_filled_in_power(self):
+        # a star's P^2 is full: 10^6 entries where P stores 2,998; x is 40 kB
+        mix = metropolis_weights(make_graph("star", 1000))
+        x = rng_for(76).standard_normal((1000, 5))
+        tracemalloc.start()
+        try:
+            mix.mix(x, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(mix.p, _RowSparse)
         assert peak < 2**20
 
     def test_validation_allocates_only_the_eigensolve_input(self):
@@ -469,9 +488,21 @@ class TestCsrValidation:
         assert deviation["moved"]["row_sums"] <= 1e-15 and abs(deviation["moved"]["column_sums"] - 0.1) <= 1e-15
 
 
-def on_sparse_path(mix: MixingMatrix, k: int = 1) -> bool:
-    """Whether ``mix`` applies P^k as CSR; read after its first ``mix(x, k)``."""
-    return not isinstance(mix._products[k], np.ndarray)
+def both_forms(n: int) -> tuple[MixingMatrix, MixingMatrix]:
+    """Ring-n Metropolis weights as a dense P and as the CSR form of the same matrix."""
+    dense = metropolis_weights(make_graph("ring", n))
+    return dense, MixingMatrix(_RowSparse.from_dense(dense.p))
+
+
+def wide_rows(n: int) -> MixingMatrix:
+    """A CSR P with 9 equal entries per row, at offsets -4..4 on a cycle: one past ``SLAB_WIDTH``."""
+    cols = np.sort((np.arange(n)[:, None] + np.arange(-4, 5)) % n, axis=1)
+    return MixingMatrix(_RowSparse(np.full(9 * n, 1 / 9), cols.ravel(), np.arange(0, 9 * n, 9)))
+
+
+def assert_rounds_match_the_power(mix: MixingMatrix, x: np.ndarray, k: int) -> None:
+    """k rounds of ``mix`` on ``x`` against one product by the dense P^k: a few ulp of ``x`` apart."""
+    np.testing.assert_allclose(mix.mix(x, k), mix.power(k) @ x, rtol=0, atol=1e-14 * np.abs(x).max())
 
 
 class TestValidateMixing:

@@ -79,6 +79,16 @@ MUTANTS = {
         "            result, log = _tune_point(instance, mix, x0, name, full, target)\n",
         "            pass\n",
     ),
+    "csr-mix-one-round-short": (
+        "topology.py",
+        "            for _ in range(k):  # one neighbour exchange per round\n",
+        "            for _ in range(k - 1):  # one neighbour exchange per round\n",
+    ),
+    "mix-accepts-zero-rounds": (
+        "topology.py",
+        "        if not (is_integer(k) and k >= 1):  # 2.0 or True would hit the memo of 2 or 1\n",
+        "        if not is_integer(k):  # 2.0 or True would hit the memo of 2 or 1\n",
+    ),
     "mix-takes-any-ndim": (
         "topology.py",
         "        if x.ndim not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis\n"
