@@ -136,7 +136,7 @@ def giant_step(
     the region where the curvature assumptions hold numerically.
     """
     x = instance.check_stack(state.x)
-    grads = instance.stacked_gradient(x)
+    grads = instance.family.gradients(x)
     w_next = P.mix(state.w + grads - state.g, cfg.K)
     directions = instance.family.newton_directions(x, w_next)
     x_next = P.mix(x - cfg.epsilon * directions, cfg.K)
@@ -152,7 +152,7 @@ def dgd_step(
     divergence reductions and a drift norm to every iteration.
     """
     x = instance.check_stack(x)
-    return P.mix(x) - cfg.epsilon * instance.stacked_gradient(x)
+    return P.mix(x) - cfg.epsilon * instance.family.gradients(x)
 
 
 def gt_step(
@@ -201,8 +201,9 @@ def centralized_newton(
     raise MaxItersExceeded(f"Newton oracle did not reach tol={tol} in {max_iters} steps")
 
 
-# The column of the run log that the stopping rule reads.
+# The columns of the run log that the stopping rule reads.
 _GRAD_NORM = MetricsRecord._fields.index("grad_norm")
+_OPT_GAP = MetricsRecord._fields.index("opt_gap")
 
 # run checks at most MAX_BLOCK iterations per pass, and no more than its
 # states and averaged-cost temporaries fit in BLOCK_FLOATS floats (512 KiB).
@@ -229,6 +230,8 @@ def run(
     P: MixingMatrix,
     cfg: AlgorithmConfig,
     x0: np.ndarray,
+    *,
+    target: float | None = None,
 ) -> tuple[NetworkState | np.ndarray, MetricsLog]:
     """Drive an algorithm to its stopping rule, logging one metrics row per iteration.
 
@@ -236,7 +239,11 @@ def run(
     drops to ``cfg.grad_tol``, when ``cfg.max_iters`` iterations have run,
     or when any state entry leaves [-1e12, 1e12] or turns non-finite, in
     which case the log is marked diverged instead of raising. Iteration 0
-    is logged but not checked for divergence.
+    is logged but not checked for divergence. With a ``target``, the run
+    also stops at the first row whose optimality gap is at or below it,
+    iteration 0 included: the row ``MetricsLog.first_iteration_below``
+    names, so the log is a prefix of the log of the run without a target,
+    bit for bit. Without one, no row is compared with a target.
 
     The rule is checked once per block of iterations: the steps of a block
     run first, then ``diagnostics.check_block`` gives the metrics rows and
@@ -281,8 +288,8 @@ def run(
 
     with np.errstate(all="ignore"):
         tables = [_check(instance, [state], 0, f_star)[0]]
-        k, size, diverged = 0, 1, False
-        while not diverged and k < cfg.max_iters and tables[-1][-1, _GRAD_NORM] > cfg.grad_tol:
+        k, size, diverged, stopped = 0, 1, False, bool(_stop_mask(tables[0], cfg, target)[0])
+        while not stopped and k < cfg.max_iters:
             previous, states, error = state, [], None
             try:
                 for _ in range(min(size, cap, cfg.max_iters - k)):
@@ -293,14 +300,15 @@ def run(
                     raise
                 error = exc
             table, block_diverged = _check(instance, states, k + 1, f_star)
-            stops = np.flatnonzero(block_diverged | ~(table[:, _GRAD_NORM] > cfg.grad_tol))
+            stops = np.flatnonzero(block_diverged | _stop_mask(table, cfg, target))
             if error is not None and not stops.size:
                 raise error
             end = stops[0] + 1 if stops.size else len(table)
             tables.append(table[:end])
             state, k, diverged = states[end - 1], k + end, bool(block_diverged[end - 1])
+            stopped = bool(stops.size)
             size *= 2
-            period = 0 if stops.size or k == cfg.max_iters else _period(tables[-2][-1], table, [previous, *states])
+            period = 0 if stopped or k == cfg.max_iters else _period(tables[-2][-1], table, [previous, *states])
             if period:
                 # From here the rows repeat the last period's, renumbered, and none of them stops the run.
                 rest = np.arange(cfg.max_iters - k)
@@ -310,6 +318,14 @@ def run(
                 tables.append(tail)
                 state, k = states[-1 - (k - cfg.max_iters) % period], cfg.max_iters
     return state, MetricsLog(np.concatenate(tables), diverged)
+
+
+def _stop_mask(table, cfg, target):
+    """Rows of ``table`` that stop a run by ``cfg.grad_tol`` or, if one is set, by ``target``."""
+    stop = ~(table[:, _GRAD_NORM] > cfg.grad_tol)
+    if target is not None:
+        stop |= table[:, _OPT_GAP] <= target
+    return stop
 
 
 def _period(previous_row, table, states):

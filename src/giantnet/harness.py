@@ -256,14 +256,15 @@ class ComparisonSummary:
     rows: tuple[TuneResult, ...]
 
 
-def _tune_point(instance, mix, x0, name, algo_cfg, target):
+def _tune_point(instance, mix, x0, name, algo_cfg, target, stop_at_target=False):
     """``(TuneResult, log)`` of one grid point: ``name`` run under ``algo_cfg``.
 
+    With ``stop_at_target`` the run also stops where it reaches ``target``.
     A run that raises a ``GiantNetError`` is ``failed``, with a NaN gap,
     and has no log. Every run goes through the module-global ``run``.
     """
     try:
-        _, log = run(name, instance, mix, algo_cfg, x0)
+        _, log = run(name, instance, mix, algo_cfg, x0, target=target if stop_at_target else None)
     except GiantNetError:
         return TuneResult(name, algo_cfg.epsilon, "failed", None, np.nan), None
     hit = None if log.diverged else log.first_iteration_below(target)
@@ -271,30 +272,57 @@ def _tune_point(instance, mix, x0, name, algo_cfg, target):
     return TuneResult(name, algo_cfg.epsilon, status, hit, float(log.final.opt_gap)), log
 
 
+def _full_runs(instance, mix, x0, name, algo_cfg, grid, target):
+    """``_tune_point`` of each step size of ``grid``, run in full, one at a time."""
+    for eps in grid:
+        yield _tune_point(instance, mix, x0, name, replace(algo_cfg, epsilon=eps), target)
+
+
+def _best(points):
+    """The first ``(result, log)`` of ``points`` least under ``_tune_key``.
+
+    No losing log is held while the next point runs.
+    """
+    best, best_log = None, None
+    for result, log in points:
+        if best is None or _tune_key(result) < _tune_key(best):
+            best, best_log = result, log
+        del log
+    return best, best_log
+
+
 def _tune_winner(instance, mix, x0, name, algo_cfg, grid, target):
     """``(winner, winner's log)`` of ``name`` over ``grid``: the point a full grid run picks.
 
-    A later point replaces the best only when strictly better under
-    ``_tune_key``, so among ties the earliest wins. Once the best so far
-    reached the target at iteration h, each later point runs with
-    ``max_iters = min(max_iters, h)``. A capped point that has not reached
-    the target by h (diverged and failed ones included) ranks below the
-    best, as its full run would, and is dropped. A capped point that
-    reached it but stopped at the cap, not at ``grad_tol``, runs again in
-    full; the rerun repeats the capped rows bit for bit, and its log breaks
-    a tie on h by final gap and gives the rate. So the winner and its log
-    are those of the full runs. Only the best log is kept.
+    Each point first runs until it reaches the target or until the least
+    hit h found so far (``max_iters = h``), whichever comes first. A point
+    that has not reached the target by h ranks below the best, as its full
+    run would (its log is a prefix of that run's), and is dropped. Until
+    some point reaches the target, every run is a full one, and the best
+    of them keeps its log; the last point then runs in full at once, since
+    its hit would cap no later point. The points that reach the target at
+    the least hit, the leaders, then run again in full: their final gaps
+    break the tie, and the winner's full log gives the rate. If every
+    leader diverges or fails after its hit, the early ranking was wrong,
+    and every point runs in full, as in ``tune_epsilon``. Only the best
+    log is kept.
     """
-    best, best_log = None, None
-    for eps in grid:
-        full = replace(algo_cfg, epsilon=eps)
-        cap = best.iterations if best is not None and best.status == "reached" else full.max_iters
-        result, log = _tune_point(instance, mix, x0, name, replace(full, max_iters=cap), target)
-        if cap < full.max_iters and result.status == "reached" and log.final.grad_norm > full.grad_tol:
-            result, log = _tune_point(instance, mix, x0, name, full, target)
-        if best is None or _tune_key(result) < _tune_key(best):
+    cap, leaders, best, best_log = algo_cfg.max_iters, [], None, None
+    for i, eps in enumerate(grid, 1):
+        # A last point with no hit before it caps nothing, so its hit would only be rerun.
+        early = bool(leaders) or i < len(grid)
+        point = replace(algo_cfg, epsilon=eps, max_iters=cap)
+        result, log = _tune_point(instance, mix, x0, name, point, target, stop_at_target=early)
+        if early and result.status == "reached":
+            leaders = [*leaders, eps] if leaders and result.iterations == cap else [eps]
+            cap, best, best_log = result.iterations, None, None
+        elif not leaders and (best is None or _tune_key(result) < _tune_key(best)):
             best, best_log = result, log
         del log  # no losing log is held while the next point runs
+    if leaders:
+        best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, leaders, target))
+        if best.status != "reached":
+            best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, grid, target))
     return best, best_log
 
 
@@ -322,7 +350,7 @@ def tune_epsilon(
     that never reach the target the smallest final gap wins, with grid
     order breaking ties. Every point runs in full to its stopping rule,
     since each point's result is returned (``compare``, which reports the
-    winner only, caps the points that can no longer win). Raises
+    winner only, stops each point at its hit). Raises
     InvalidParams for a grid that is empty or holds anything but finite
     reals > 0, and for a target that is not a finite number >= 0.
     """
@@ -333,10 +361,8 @@ def tune_epsilon(
     instance = build_instance(cfg)
     _, mix = build_network(cfg)
     x0 = initial_stack(cfg, instance)
-    results = [
-        _tune_point(instance, mix, x0, cfg.algorithm_name, replace(cfg.algorithm, epsilon=eps), target)[0]
-        for eps in grid
-    ]
+    runs = _full_runs(instance, mix, x0, cfg.algorithm_name, cfg.algorithm, grid, target)
+    results = [result for result, _ in runs]
     return min(results, key=_tune_key).epsilon, results  # min keeps the earliest of ties
 
 
@@ -347,13 +373,14 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPAR
     seeds and shared, never regenerated per algorithm. Each algorithm is
     tuned over the config's epsilon grid (or its single configured
     epsilon) and reported at its best step size; a point whose run raises
-    a ``GiantNetError`` is ``failed`` and ranks last. Once a point has
-    reached the target at iteration h, the later points of that algorithm
-    run at most h iterations, and only one that reaches the target by h
-    and stops at the cap runs again in full (see ``_tune_winner``); the
-    reported rows, rates included, are the winners of a full grid run
-    (``tune_epsilon`` at the same target). Raises InvalidParams for an empty algorithm
-    list, an unknown name and a target that is not a finite number >= 0.
+    a ``GiantNetError`` is ``failed`` and ranks last. Each point runs only
+    until it reaches the target or until the least hit so far, and only
+    the points tied at the least hit run on to ``grad_tol``, for their
+    final gap and rate (see ``_tune_winner``); the reported rows, rates
+    included, are the winners of a full grid run (``tune_epsilon`` at the
+    same target). Every run goes through the module-global ``run``.
+    Raises InvalidParams for an empty algorithm list, an unknown name and
+    a target that is not a finite number >= 0.
     """
     if not algorithms:
         raise InvalidParams(f"algorithms must name at least one of {ALGORITHMS}")

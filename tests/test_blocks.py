@@ -13,6 +13,7 @@ steps that were really taken.
 """
 
 import math
+from dataclasses import replace
 from functools import cached_property
 
 import numpy as np
@@ -403,3 +404,53 @@ class TestUserFamily:
         log, steps = _compare(monkeypatch, "dgd", "user", cfg)
         assert not log.diverged and log.final.iteration == cfg.max_iters
         assert steps < 1000
+
+
+class TestTargetStop:
+    """``run(..., target=t)`` also stops at the row ``MetricsLog.first_iteration_below(t)`` names."""
+
+    @staticmethod
+    def _runs(monkeypatch, algorithm, instance, cfg, row):
+        n, d = instance.family.shape
+        P, x0 = ring_mixing(n), rng_for(3).standard_normal((n, d))
+        _, full = run(algorithm, instance, P, cfg, x0)
+        target = full.table[row, 1]  # a logged gap: the run stops at it, not after it
+        _, calls = _counted(monkeypatch, algorithm)
+        return full, target, run(algorithm, instance, P, cfg, x0, target=target), len(calls), (P, x0)
+
+    @pytest.mark.parametrize("row", [1, 37, -1])
+    @pytest.mark.parametrize("instance_name", ["ring10", "logistic"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_log_is_the_full_log_cut_at_the_hit(self, monkeypatch, algorithm, instance_name, row):
+        instance = _instance(instance_name)
+        cfg = AlgorithmConfig(epsilon=EPSILON[algorithm], max_iters=400, grad_tol=1e-12)
+        full, target, (state, log), steps, (P, x0) = self._runs(monkeypatch, algorithm, instance, cfg, row)
+        hit = full.first_iteration_below(target)
+        assert not full.diverged and hit <= len(full) - 1
+        assert log.table.tobytes() == full.table[: hit + 1].tobytes() and not log.diverged
+        assert log.first_iteration_below(target) == hit == log.final.iteration
+        assert hit <= steps < hit + MAX_BLOCK
+        monkeypatch.undo()
+        want, _ = run(algorithm, instance, P, replace(cfg, max_iters=hit), x0)
+        assert _state_bits(state) == _state_bits(want)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_hit_at_iteration_zero_returns_one_row(self, monkeypatch, algorithm):
+        cfg = AlgorithmConfig(epsilon=EPSILON[algorithm], max_iters=400, grad_tol=1e-12)
+        full, _, (state, log), steps, (_, x0) = self._runs(monkeypatch, algorithm, _instance("ring10"), cfg, 0)
+        assert log.table.tobytes() == full.table[:1].tobytes() and steps == 0
+        assert (state if algorithm == "dgd" else state.x).tobytes() == x0.tobytes()
+
+    def test_a_cycling_dgd_run_stops_at_a_hit_above_its_floor(self, monkeypatch):
+        # dgd at eps 0.02 stalls at its biased fixed point with a gap of 1.42e-3 and cycles there.
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=5000, grad_tol=1e-10)
+        _, calls = _counted(monkeypatch, "dgd")
+        _, full = run("dgd", instance, P, cfg, x0)
+        assert len(calls) < 1000 and len(full) == cfg.max_iters + 1  # fast-forwarded
+        assert 1e-3 < full.table[:, 1].min() < 2e-3
+        _, above = run("dgd", instance, P, cfg, x0, target=2e-3)
+        hit = full.first_iteration_below(2e-3)
+        assert above.table.tobytes() == full.table[: hit + 1].tobytes()
+        _, below = run("dgd", instance, P, cfg, x0, target=1e-3)
+        assert below.table.tobytes() == full.table.tobytes() and not below.diverged

@@ -10,6 +10,7 @@ from giantnet import (
     AlgorithmConfig,
     InvalidParams,
     InvalidSpec,
+    NotPositiveDefinite,
     ParseError,
     ProblemInstance,
     ProblemSpec,
@@ -436,35 +437,74 @@ class TestCompare:
 
         for name in ("giant_step", "gt_step", "dgd_step"):
             monkeypatch.setattr(algorithms, name, counted(getattr(algorithms, name)))
-        runs = []  # (algorithm, epsilon, max_iters, step calls, iteration the target was hit)
+        # (algorithm, epsilon, max_iters, step calls, iteration the target was hit, target, last iteration)
+        runs = []
 
-        def recorded(name, instance, mix, algo_cfg, x0):
+        def recorded(name, instance, mix, algo_cfg, x0, **kwargs):
             before = steps[0]
-            state, log = run(name, instance, mix, algo_cfg, x0)
+            state, log = run(name, instance, mix, algo_cfg, x0, **kwargs)
             hit = None if log.diverged else log.first_iteration_below(1e-6)
-            runs.append((name, algo_cfg.epsilon, algo_cfg.max_iters, steps[0] - before, hit))
+            runs.append((name, algo_cfg.epsilon, algo_cfg.max_iters, steps[0] - before, hit, kwargs.get("target"),
+                         log.final.iteration))
             return state, log
 
         monkeypatch.setattr(harness, "run", recorded)
-        cfg = load_config(str(CONFIGS / "quadratic_ring.json"))
+        # perfbench seed 1; giant at 0.05 and 0.1 both reach 1e-6 first, at iteration 96
+        cfg = replace(load_config(str(CONFIGS / "quadratic_ring.json")), run_seed=577090037)
         compare(cfg, ("giant", "dgd", "gt"), target=1e-6)
         instance = build_instance(cfg)
         _, mix = build_network(cfg)
         x0 = initial_stack(cfg, instance)
+        leaders = {"giant": [0.05, 0.1], "gt": [0.02], "dgd": []}
         for name in ("giant", "dgd", "gt"):
             made = [r for r in runs if r[0] == name]
-            best_hit = min((r[4] for r in made if r[2] == cfg.algorithm.max_iters and r[4] is not None), default=None)
             dropped = [r for r in made if r[2] < cfg.algorithm.max_iters and r[4] is None]
-            assert all(cap == best_hit and calls <= cap for _, _, cap, calls, _ in dropped)
+            assert all(calls <= cap for _, _, cap, calls, *_ in dropped)
+            # a run with a target ends at its hit; only the points tied at the least hit run on to grad_tol
+            early, full = [r for r in made if r[5] is not None], [r for r in made if r[5] is None]
+            assert all(r[6] == r[4] for r in early if r[4] is not None)
+            assert [r[1] for r in full] == (leaders[name] or [cfg.epsilon_grid[-1]])
             before = steps[0]
             for eps in cfg.epsilon_grid:
                 run(name, instance, mix, replace(cfg.algorithm, epsilon=eps), x0)
-            full = steps[0] - before
+            full_grid = steps[0] - before
             made_calls = sum(r[3] for r in made)
-            if name == "dgd":  # never reaches 1e-6, so no point is capped
-                assert (dropped, made_calls) == ([], full)
+            if name == "dgd":  # never reaches 1e-6: every run is a full one
+                assert (dropped, made_calls) == ([], full_grid)
             else:
-                assert len(dropped) >= 3 and made_calls < full
+                # an early run takes no more steps than its full run; a leader's is the one repeated
+                repeated = sum(r[3] for r in early if r[1] in leaders[name])
+                assert len(dropped) >= 3 and made_calls - repeated <= full_grid
+            if name == "giant":  # gt's one leader is its first point, whose early run is all repeated
+                assert made_calls < full_grid
+        assert sum(r[3] for r in runs) < 4287  # step calls when every hit ran to grad_tol
+
+    @pytest.mark.parametrize("blowup", ["diverges", "fails"])
+    def test_a_leader_that_breaks_after_its_hit_falls_back_to_full_runs(self, monkeypatch, blowup):
+        # giant at eps 0.05 reaches 1e-6 first (iteration 88, then 0.1 at 91); here its
+        # step, a pure function of the state, throws x to 1e13 or raises once every agent
+        # is within 1e-6 of x*, long after the hit, so only its full run breaks.
+        cfg = load_config(str(CONFIGS / "quadratic_ring.json"))
+        x_star = build_instance(cfg).reference_solution
+        giant_step = algorithms.giant_step
+
+        def step(state, instance, mix, algo_cfg):
+            if algo_cfg.epsilon == 0.05 and np.abs(state.x - x_star).max() < 1e-6:
+                if blowup == "fails":
+                    raise NotPositiveDefinite("injected after the hit")
+                return algorithms.NetworkState(np.full_like(state.x, 1e13), state.g, state.w)
+            return giant_step(state, instance, mix, algo_cfg)
+
+        monkeypatch.setattr(algorithms, "giant_step", step)
+        best, results = tune_epsilon(cfg, cfg.epsilon_grid, target=1e-6)
+        broken = {"diverges": "diverged", "fails": "failed"}[blowup]
+        assert [(r.epsilon, r.status) for r in results[1:3]] == [(0.05, broken), (0.1, "reached")]
+        (giant,) = compare(cfg, ("giant",), target=1e-6).rows
+        instance = build_instance(cfg)
+        _, mix = build_network(cfg)
+        _, log = run("giant", instance, mix, replace(cfg.algorithm, epsilon=best), initial_stack(cfg, instance))
+        (winner,) = [r for r in results if r.epsilon == best]
+        assert best == 0.1 and giant == replace(winner, rate=estimate_rate(log).rate)
 
 
 def indefinite_far_out(center):

@@ -71,13 +71,24 @@ MUTANTS = {
     ),
     "tune-caps-before-the-best-hit": (
         "harness.py",
-        "        cap = best.iterations if best",
-        "        cap = best.iterations - 1 if best",
+        "            cap, best, best_log = result.iterations, None, None\n",
+        "            cap, best, best_log = result.iterations - 1, None, None\n",
     ),
     "tune-keeps-the-capped-log": (
         "harness.py",
-        "            result, log = _tune_point(instance, mix, x0, name, full, target)\n",
-        "            pass\n",
+        "        best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, leaders, target))\n",
+        "        capped = replace(algo_cfg, max_iters=cap)\n"
+        "        best, best_log = _best(_full_runs(instance, mix, x0, name, capped, leaders, target))\n",
+    ),
+    "tune-trusts-the-early-winner": (
+        "harness.py",
+        '        if best.status != "reached":\n',
+        "        if False:\n",
+    ),
+    "run-stops-below-the-target": (
+        "algorithms.py",
+        "        stop |= table[:, _OPT_GAP] <= target\n",
+        "        stop |= table[:, _OPT_GAP] < target\n",
     ),
     "csr-mix-one-round-short": (
         "topology.py",
