@@ -232,6 +232,7 @@ def run(
     x0: np.ndarray,
     *,
     target: float | None = None,
+    start: tuple[NetworkState | np.ndarray, MetricsLog] | None = None,
 ) -> tuple[NetworkState | np.ndarray, MetricsLog]:
     """Drive an algorithm to its stopping rule, logging one metrics row per iteration.
 
@@ -266,7 +267,19 @@ def run(
     again, renumbered, and the run returns the cycle's state at
     ``cfg.max_iters``, not diverged. So the step count can be below
     ``cfg.max_iters`` on a run that reaches it. Only periods up to the
-    block cap are found: at a cap of 4 periods up to 4.
+    block cap are found: at a cap of 4 periods up to 4. The rest of the
+    log is one O(rows) gather from those p rows.
+
+    ``start`` is the ``(state, log)`` of an earlier run of the same
+    algorithm, instance, P and cfg that stopped early, at a ``target`` or
+    at a lower ``cfg.max_iters``; ``x0`` is then not read. If the log's
+    last row meets the rule, the run returns at once; otherwise it steps on
+    from that row in blocks of 1, 2, 4, ... The whole log from iteration 0
+    and the final state are the bits of the same run without ``start``:
+    rows are those of one state at a time, whatever the blocks, and steps
+    are pure. A diverged start log, or one past ``cfg.max_iters``, raises
+    InvalidParams; a state of the wrong kind or shape raises
+    DimensionMismatch.
 
     Returns (final_state, MetricsLog): x, g and w as a NetworkState for
     giant and gt, the bare stack for dgd. The log numbers the iterations and
@@ -283,12 +296,17 @@ def run(
 
     # Built per call from the module globals, so a rebinding of a step reaches run.
     step = {"giant": giant_step, "gt": gt_step, "dgd": dgd_step}[algorithm]
-    state = giant_init(instance, x0) if algorithm != "dgd" else instance.check_stack(x0).copy()
+    if start is None:
+        state = giant_init(instance, x0) if algorithm != "dgd" else instance.check_stack(x0).copy()
+        with np.errstate(all="ignore"):
+            table = _check(instance, [state], 0, f_star)[0]
+    else:
+        state, table = _resumed(algorithm, instance, cfg, start)
     cap = _block_cap(instance)
 
     with np.errstate(all="ignore"):
-        tables = [_check(instance, [state], 0, f_star)[0]]
-        k, size, diverged, stopped = 0, 1, False, bool(_stop_mask(tables[0], cfg, target)[0])
+        tables, k, size, diverged = [table], int(table[-1, 0]), 1, False
+        stopped = bool(_stop_mask(table[-1:], cfg, target)[0])
         while not stopped and k < cfg.max_iters:
             previous, states, error = state, [], None
             try:
@@ -312,12 +330,28 @@ def run(
             if period:
                 # From here the rows repeat the last period's, renumbered, and none of them stops the run.
                 rest = np.arange(cfg.max_iters - k)
-                tail = table[-period:].take(rest, axis=0, mode="wrap")
+                tail = table[-period:][rest % period]
                 tail[:, 0] = rest
                 tail[:, 0] += k + 1
                 tables.append(tail)
                 state, k = states[-1 - (k - cfg.max_iters) % period], cfg.max_iters
     return state, MetricsLog(np.concatenate(tables), diverged)
+
+
+def _resumed(algorithm, instance, cfg, start):
+    """The state and log table of ``start``, an earlier ``(state, log)`` of ``run``, checked for resuming."""
+    state, log = start
+    if log.diverged or log.final.iteration > cfg.max_iters:
+        raise InvalidParams(
+            f"start must be a log that did not diverge and ends by max_iters = {cfg.max_iters}, "
+            f"got diverged={log.diverged} at iteration {log.final.iteration}"
+        )
+    tracked = algorithm != "dgd"
+    if isinstance(state, NetworkState) != tracked:
+        kind = "a NetworkState" if tracked else "a bare (n, d) stack"
+        raise DimensionMismatch(f"{algorithm} resumes from {kind}, got {type(state).__name__}")
+    instance.check_stack(state.x if tracked else state)
+    return state, log.table
 
 
 def _stop_mask(table, cfg, target):

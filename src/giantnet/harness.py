@@ -256,20 +256,21 @@ class ComparisonSummary:
     rows: tuple[TuneResult, ...]
 
 
-def _tune_point(instance, mix, x0, name, algo_cfg, target, stop_at_target=False):
-    """``(TuneResult, log)`` of one grid point: ``name`` run under ``algo_cfg``.
+def _tune_point(instance, mix, x0, name, algo_cfg, target, stop_at_target=False, start=None):
+    """``(TuneResult, state, log)`` of one grid point: ``name`` run under ``algo_cfg``.
 
-    With ``stop_at_target`` the run also stops where it reaches ``target``.
-    A run that raises a ``GiantNetError`` is ``failed``, with a NaN gap,
-    and has no log. Every run goes through the module-global ``run``.
+    With ``stop_at_target`` the run also stops where it reaches ``target``;
+    with a ``start`` it resumes from that earlier ``(state, log)``. A run
+    that raises a ``GiantNetError`` is ``failed``, with a NaN gap, and has
+    no state or log. Every run goes through the module-global ``run``.
     """
     try:
-        _, log = run(name, instance, mix, algo_cfg, x0, target=target if stop_at_target else None)
+        state, log = run(name, instance, mix, algo_cfg, x0, target=target if stop_at_target else None, start=start)
     except GiantNetError:
-        return TuneResult(name, algo_cfg.epsilon, "failed", None, np.nan), None
+        return TuneResult(name, algo_cfg.epsilon, "failed", None, np.nan), None, None
     hit = None if log.diverged else log.first_iteration_below(target)
     status = "diverged" if log.diverged else "not_reached" if hit is None else "reached"
-    return TuneResult(name, algo_cfg.epsilon, status, hit, float(log.final.opt_gap)), log
+    return TuneResult(name, algo_cfg.epsilon, status, hit, float(log.final.opt_gap)), state, log
 
 
 def _full_runs(instance, mix, x0, name, algo_cfg, grid, target):
@@ -279,12 +280,12 @@ def _full_runs(instance, mix, x0, name, algo_cfg, grid, target):
 
 
 def _best(points):
-    """The first ``(result, log)`` of ``points`` least under ``_tune_key``.
+    """``(result, log)`` of the first ``(result, state, log)`` of ``points`` least under ``_tune_key``.
 
     No losing log is held while the next point runs.
     """
     best, best_log = None, None
-    for result, log in points:
+    for result, _, log in points:
         if best is None or _tune_key(result) < _tune_key(best):
             best, best_log = result, log
         del log
@@ -301,26 +302,34 @@ def _tune_winner(instance, mix, x0, name, algo_cfg, grid, target):
     some point reaches the target, every run is a full one, and the best
     of them keeps its log; the last point then runs in full at once, since
     its hit would cap no later point. The points that reach the target at
-    the least hit, the leaders, then run again in full: their final gaps
-    break the tie, and the winner's full log gives the rate. If every
-    leader diverges or fails after its hit, the early ranking was wrong,
-    and every point runs in full, as in ``tune_epsilon``. Only the best
-    log is kept.
+    the least hit, the leaders, then run on in full, each resumed from the
+    ``(state, log)`` its early run stopped at, so no step up to the hit is
+    taken twice: their final gaps break the tie, and the winner's full log
+    gives the rate. A displaced leader's pair is dropped, so one state and
+    at most hit + 1 rows are held per leader. If every leader diverges or
+    fails after its hit, the early ranking was wrong, and every point runs
+    in full from iteration 0, as in ``tune_epsilon``. Only the best log is
+    kept.
     """
     cap, leaders, best, best_log = algo_cfg.max_iters, [], None, None
     for i, eps in enumerate(grid, 1):
-        # A last point with no hit before it caps nothing, so its hit would only be rerun.
+        # A last point with no hit before it caps nothing: a stop at its hit would only waste its block's rest.
         early = bool(leaders) or i < len(grid)
         point = replace(algo_cfg, epsilon=eps, max_iters=cap)
-        result, log = _tune_point(instance, mix, x0, name, point, target, stop_at_target=early)
+        result, state, log = _tune_point(instance, mix, x0, name, point, target, stop_at_target=early)
         if early and result.status == "reached":
-            leaders = [*leaders, eps] if leaders and result.iterations == cap else [eps]
+            tied = leaders if leaders and result.iterations == cap else []
+            leaders = [*tied, (eps, (state, log))]
             cap, best, best_log = result.iterations, None, None
         elif not leaders and (best is None or _tune_key(result) < _tune_key(best)):
             best, best_log = result, log
-        del log  # no losing log is held while the next point runs
+        del state, log  # no losing log is held while the next point runs
     if leaders:
-        best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, leaders, target))
+        resumed = (
+            _tune_point(instance, mix, x0, name, replace(algo_cfg, epsilon=eps), target, start=start)
+            for eps, start in leaders
+        )
+        best, best_log = _best(resumed)
         if best.status != "reached":
             best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, grid, target))
     return best, best_log
@@ -362,7 +371,7 @@ def tune_epsilon(
     _, mix = build_network(cfg)
     x0 = initial_stack(cfg, instance)
     runs = _full_runs(instance, mix, x0, cfg.algorithm_name, cfg.algorithm, grid, target)
-    results = [result for result, _ in runs]
+    results = [result for result, *_ in runs]
     return min(results, key=_tune_key).epsilon, results  # min keeps the earliest of ties
 
 
@@ -375,10 +384,11 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPAR
     epsilon) and reported at its best step size; a point whose run raises
     a ``GiantNetError`` is ``failed`` and ranks last. Each point runs only
     until it reaches the target or until the least hit so far, and only
-    the points tied at the least hit run on to ``grad_tol``, for their
-    final gap and rate (see ``_tune_winner``); the reported rows, rates
-    included, are the winners of a full grid run (``tune_epsilon`` at the
-    same target). Every run goes through the module-global ``run``.
+    the points tied at the least hit run on to ``grad_tol``, each resumed
+    from its hit, for their final gap and rate (see ``_tune_winner``); the
+    reported rows, rates included, are the winners of a full grid run
+    (``tune_epsilon`` at the same target). Every run goes through the
+    module-global ``run``, and a resumed run returns its whole log.
     Raises InvalidParams for an empty algorithm list, an unknown name and
     a target that is not a finite number >= 0.
     """

@@ -22,6 +22,8 @@ import pytest
 from giantnet import (
     ALGORITHMS,
     AlgorithmConfig,
+    DimensionMismatch,
+    InvalidParams,
     NetworkState,
     NotPositiveDefinite,
     ProblemInstance,
@@ -79,12 +81,12 @@ def _reference_run(algorithm, instance, P, cfg, x0, step):
 
 
 def _counted(monkeypatch, algorithm, nan_at=None, raise_at=None, replace_at=None):
-    """Rebind the module's step to a wrapper that counts calls and can inject a NaN, an error or a state."""
+    """Rebind the module's step to a wrapper that records the state of each call and can inject a NaN, an error or a state."""
     original = getattr(algorithms, STEPS[algorithm])
     calls = []
 
     def step(state, instance, P, cfg):
-        calls.append(1)
+        calls.append(state)
         if len(calls) == raise_at:
             raise NotPositiveDefinite(f"injected at step {raise_at}")
         out = original(state, instance, P, cfg)
@@ -314,13 +316,13 @@ class TestMidBlockErrors:
         assert len(calls) == raise_at
 
 
-def _period3(start):
-    """A pure step: x[0, 0] + 1 below start + 2, else start. From x[0, 0] = 0 it has period 3 from iteration start."""
+def _cycle(start, period):
+    """A pure step: x[0, 0] + 1 below start + period - 1, else start. From x[0, 0] = 0 it has that period from iteration start."""
 
     def step(state, instance, P, cfg):
         tracked = isinstance(state, NetworkState)
         x = (state.x if tracked else state).copy()
-        x[0, 0] = x[0, 0] + 1 if x[0, 0] < start + 2 else start
+        x[0, 0] = x[0, 0] + 1 if x[0, 0] < start + period - 1 else start
         return NetworkState(x, state.g, state.w) if tracked else x
 
     return step
@@ -354,13 +356,25 @@ class TestFastForward:
     @pytest.mark.parametrize("left", [1, 2, 3, 4])
     @pytest.mark.parametrize("algorithm", ["dgd", "giant"])
     def test_period_three_up_to_max_iters(self, monkeypatch, algorithm, left):
-        monkeypatch.setattr(algorithms, STEPS[algorithm], _period3(100))
+        monkeypatch.setattr(algorithms, STEPS[algorithm], _cycle(100, 3))
         x0 = rng_for(3).standard_normal((10, 5))
         x0[0, 0] = 0.0
         cfg = AlgorithmConfig(max_iters=127 + left, grad_tol=0.0)
         log, steps = _compare(monkeypatch, algorithm, "ring10", cfg, x0=x0)
         assert steps == 127 and log.final.iteration == cfg.max_iters
         assert log.table[-1, 1] == log.table[127 + left - 3, 1] != log.table[127 + left - 1, 1]
+
+    # The same cycle at periods 1 and 2: the 19,873 rows after iteration 127 are written, not stepped.
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_long_tail_of_a_short_period(self, monkeypatch, period):
+        monkeypatch.setattr(algorithms, "dgd_step", _cycle(100, period))
+        x0 = rng_for(3).standard_normal((10, 5))
+        x0[0, 0] = 0.0
+        cfg = AlgorithmConfig(max_iters=20_000, grad_tol=0.0)
+        log, steps = _compare(monkeypatch, "dgd", "ring10", cfg, x0=x0)
+        assert steps == 127 and log.final.iteration == cfg.max_iters
+        gaps = log.table[100:, 1]
+        assert len(np.unique(gaps)) == period and (gaps[period:] == gaps[:-period]).all()
 
     def test_equal_rows_of_unequal_states_are_not_a_cycle(self, monkeypatch):
         monkeypatch.setattr(algorithms, "giant_step", _held_x(1.0))
@@ -454,3 +468,93 @@ class TestTargetStop:
         assert above.table.tobytes() == full.table[: hit + 1].tobytes()
         _, below = run("dgd", instance, P, cfg, x0, target=1e-3)
         assert below.table.tobytes() == full.table.tobytes() and not below.diverged
+
+
+def _sliced(state):
+    """``state`` with its last column dropped."""
+    if isinstance(state, NetworkState):
+        return NetworkState(state.x[:, :-1], state.g[:, :-1], state.w[:, :-1])
+    return state[:, :-1]
+
+
+class TestResume:
+    """``run(..., start=(state, log))`` steps on from an early stop and returns the run without ``start``, bit for bit."""
+
+    @pytest.mark.parametrize("row", [0, 1, 37, -1])
+    @pytest.mark.parametrize("instance_name", ["ring10", "logistic"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_resumed_from_a_hit(self, monkeypatch, algorithm, instance_name, row):
+        instance = _instance(instance_name)
+        n, d = instance.family.shape
+        P, x0 = ring_mixing(n), rng_for(3).standard_normal((n, d))
+        cfg = AlgorithmConfig(epsilon=EPSILON[algorithm], max_iters=400, grad_tol=1e-12)
+        full = run(algorithm, instance, P, cfg, x0)
+        target = full[1].table[row, 1]
+        early = run(algorithm, instance, P, cfg, x0, target=target)
+        hit = early[1].final.iteration
+        _, calls = _counted(monkeypatch, algorithm)
+        # The start's last row meets the target, so a resumed run with that target returns it at once.
+        assert run(algorithm, instance, P, cfg, x0, target=target, start=early)[1].table.tobytes() == (
+            early[1].table.tobytes()
+        )
+        assert not calls
+        resumed = run(algorithm, instance, P, cfg, None, start=early)  # x0 is not read
+        _assert_same_run(resumed, full)
+        if hit == full[1].final.iteration:
+            assert not calls
+        else:  # the first step is taken from the hit's state: none at or before the hit is repeated
+            assert calls[0] is early[0] and hit + len(calls) < full[1].final.iteration + MAX_BLOCK
+
+    def test_a_dgd_start_fast_forwards_after_it_resumes(self, monkeypatch):
+        # dgd at eps 0.02 passes a gap of 2e-3 on its way to a floor of 1.42e-3, where it cycles.
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=5000, grad_tol=1e-10)
+        full = run("dgd", instance, P, cfg, x0)
+        early = run("dgd", instance, P, cfg, x0, target=2e-3)
+        assert len(early[1]) < 500
+        _, calls = _counted(monkeypatch, "dgd")
+        resumed = run("dgd", instance, P, cfg, x0, start=early)
+        _assert_same_run(resumed, full)
+        assert calls[0] is early[0] and len(calls) < 1000 and len(full[1]) == cfg.max_iters + 1
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_resumed_from_a_lower_max_iters(self, monkeypatch, algorithm):
+        instance, P, x0 = _instance("logistic"), ring_mixing(8), rng_for(3).standard_normal((8, 6))
+        cfg = AlgorithmConfig(epsilon=EPSILON[algorithm], max_iters=300, grad_tol=1e-12)
+        early = run(algorithm, instance, P, replace(cfg, max_iters=50), x0)
+        _, calls = _counted(monkeypatch, algorithm)
+        resumed = run(algorithm, instance, P, cfg, x0, start=early)
+        assert calls[0] is early[0]
+        monkeypatch.undo()
+        _assert_same_run(resumed, run(algorithm, instance, P, cfg, x0))
+
+    def test_a_diverged_start_is_rejected(self):
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=2.0, max_iters=2000, grad_tol=0.0)
+        start = run("dgd", instance, P, cfg, x0)
+        assert start[1].diverged
+        with pytest.raises(InvalidParams, match="^start must be a log that did not diverge"):
+            run("dgd", instance, P, cfg, x0, start=start)
+
+    def test_a_start_past_max_iters_is_rejected(self):
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.25, max_iters=50, grad_tol=0.0)
+        start = run("giant", instance, P, cfg, x0)
+        with pytest.raises(InvalidParams, match="ends by max_iters = 49, got diverged=False at iteration 50"):
+            run("giant", instance, P, replace(cfg, max_iters=49), x0, start=start)
+
+    @pytest.mark.parametrize("algorithm, other", [("giant", "dgd"), ("gt", "dgd"), ("dgd", "giant")])
+    def test_a_start_of_the_wrong_kind_is_rejected(self, algorithm, other):
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=3)
+        start = run(other, instance, P, replace(cfg, max_iters=2), x0)
+        with pytest.raises(DimensionMismatch, match=f"^{algorithm} resumes from a"):
+            run(algorithm, instance, P, cfg, x0, start=start)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_a_start_of_the_wrong_shape_is_rejected(self, algorithm):
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=3)
+        state, log = run(algorithm, instance, P, replace(cfg, max_iters=2), x0)
+        with pytest.raises(DimensionMismatch, match=r"^stacked iterate has shape \(10, 4\)"):
+            run(algorithm, instance, P, cfg, x0, start=(_sliced(state), log))

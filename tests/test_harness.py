@@ -426,26 +426,30 @@ class TestCompare:
         assert giant == replace(second, rate=estimate_rate(log).rate)
 
     def test_points_after_a_hit_stop_at_it(self, monkeypatch):
-        steps = [0]
+        steps = [0, None]  # step calls, and the state of the first call since the mark was cleared
 
         def counted(step):
             def wrapper(*args, **kwargs):
                 steps[0] += 1
+                steps[1] = args[0] if steps[1] is None else steps[1]
                 return step(*args, **kwargs)
 
             return wrapper
 
         for name in ("giant_step", "gt_step", "dgd_step"):
             monkeypatch.setattr(algorithms, name, counted(getattr(algorithms, name)))
-        # (algorithm, epsilon, max_iters, step calls, iteration the target was hit, target, last iteration)
+        # (algorithm, epsilon, max_iters, step calls, iteration the target was hit, target, last iteration,
+        #  and for a resumed run the start's last iteration and whether its first step was from the start's state)
         runs = []
 
         def recorded(name, instance, mix, algo_cfg, x0, **kwargs):
-            before = steps[0]
+            before, steps[1] = steps[0], None
             state, log = run(name, instance, mix, algo_cfg, x0, **kwargs)
             hit = None if log.diverged else log.first_iteration_below(1e-6)
+            start = kwargs.get("start")
+            resumed = None if start is None else (start[1].final.iteration, steps[1] is start[0])
             runs.append((name, algo_cfg.epsilon, algo_cfg.max_iters, steps[0] - before, hit, kwargs.get("target"),
-                         log.final.iteration))
+                         log.final.iteration, resumed))
             return state, log
 
         monkeypatch.setattr(harness, "run", recorded)
@@ -464,6 +468,8 @@ class TestCompare:
             early, full = [r for r in made if r[5] is not None], [r for r in made if r[5] is None]
             assert all(r[6] == r[4] for r in early if r[4] is not None)
             assert [r[1] for r in full] == (leaders[name] or [cfg.epsilon_grid[-1]])
+            # a leader resumes from its hit and steps only after it; dgd's last point runs in full at once
+            assert [r[7] for r in full] == ([(r[4], True) for r in full] if leaders[name] else [None])
             before = steps[0]
             for eps in cfg.epsilon_grid:
                 run(name, instance, mix, replace(cfg.algorithm, epsilon=eps), x0)
@@ -471,13 +477,9 @@ class TestCompare:
             made_calls = sum(r[3] for r in made)
             if name == "dgd":  # never reaches 1e-6: every run is a full one
                 assert (dropped, made_calls) == ([], full_grid)
-            else:
-                # an early run takes no more steps than its full run; a leader's is the one repeated
-                repeated = sum(r[3] for r in early if r[1] in leaders[name])
-                assert len(dropped) >= 3 and made_calls - repeated <= full_grid
-            if name == "giant":  # gt's one leader is its first point, whose early run is all repeated
-                assert made_calls < full_grid
-        assert sum(r[3] for r in runs) < 4287  # step calls when every hit ran to grad_tol
+            else:  # no step up to a leader's hit is taken twice
+                assert len(dropped) >= 3 and made_calls < full_grid
+        assert sum(r[3] for r in runs) <= 3426  # 3,746 when each leader reran from iteration 0
 
     @pytest.mark.parametrize("blowup", ["diverges", "fails"])
     def test_a_leader_that_breaks_after_its_hit_falls_back_to_full_runs(self, monkeypatch, blowup):

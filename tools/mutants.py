@@ -76,14 +76,28 @@ MUTANTS = {
     ),
     "tune-keeps-the-capped-log": (
         "harness.py",
-        "        best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, leaders, target))\n",
-        "        capped = replace(algo_cfg, max_iters=cap)\n"
-        "        best, best_log = _best(_full_runs(instance, mix, x0, name, capped, leaders, target))\n",
+        "_tune_point(instance, mix, x0, name, replace(algo_cfg, epsilon=eps), target, start=start)",
+        "_tune_point(instance, mix, x0, name, replace(algo_cfg, epsilon=eps, max_iters=cap), target, start=start)",
     ),
     "tune-trusts-the-early-winner": (
         "harness.py",
         '        if best.status != "reached":\n',
         "        if False:\n",
+    ),
+    "tail-phase-shift": (
+        "algorithms.py",
+        "                tail = table[-period:][rest % period]\n",
+        "                tail = table[-period:][(rest + 1) % period]\n",
+    ),
+    "resume-drops-prefix": (
+        "algorithms.py",
+        "    return state, log.table\n",
+        "    return state, log.table[-1:]\n",
+    ),
+    "resume-restarts-numbering": (
+        "algorithms.py",
+        "        tables, k, size, diverged = [table], int(table[-1, 0]), 1, False\n",
+        "        tables, k, size, diverged = [table], 0, 1, False\n",
     ),
     "run-stops-below-the-target": (
         "algorithms.py",
