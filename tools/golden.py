@@ -1,12 +1,14 @@
-"""Rewrite the golden outputs in tests/golden/ from the shipped configs.
+"""Rewrite the golden outputs in tests/golden/.
 
-    python tools/golden.py
+    python tools/golden.py [NAME ...]
 
 For each config in configs/ it writes ``<name>_run.csv`` (``giantnet run``)
 and ``<name>_compare.csv`` (``giantnet compare`` with its default
-algorithms and target). Run it only when a change is meant to move a
-trajectory, and state the drift that ``tools/drift.py`` reports against
-the old files.
+algorithms and target). For each config kept in tests/golden/ itself, the
+runs on a CSR mixing matrix at n >= 1000, it writes ``<name>_run.csv``
+only. Names restrict it to those configs. Run it only when a change is
+meant to move a trajectory, and state the drift that ``tools/drift.py``
+reports against the old files.
 """
 
 from __future__ import annotations
@@ -21,17 +23,23 @@ from giantnet.harness import compare, load_config, run_experiment, write_compari
 
 GOLDEN = ROOT / "tests" / "golden"
 CONFIGS = ("quadratic_ring", "logistic_er")
+RUN_ONLY = tuple(sorted(path.stem for path in GOLDEN.glob("*.json")))
 
 
-def main() -> int:
-    GOLDEN.mkdir(exist_ok=True)
-    for name in CONFIGS:
-        cfg = load_config(str(ROOT / "configs" / f"{name}.json"))
+def main(argv: list[str]) -> int:
+    names = argv or [*CONFIGS, *RUN_ONLY]
+    unknown = [name for name in names if name not in CONFIGS + RUN_ONLY]
+    if unknown:
+        print(f"unknown config(s) {unknown}; choose from {[*CONFIGS, *RUN_ONLY]}", file=sys.stderr)
+        return 2
+    for name in names:
+        cfg = load_config(str((ROOT / "configs" if name in CONFIGS else GOLDEN) / f"{name}.json"))
         run_experiment(cfg, str(GOLDEN / f"{name}_run.csv"))
-        write_comparison_csv(compare(cfg), str(GOLDEN / f"{name}_compare.csv"))
-        print(f"wrote {name}_run.csv and {name}_compare.csv")
+        if name in CONFIGS:
+            write_comparison_csv(compare(cfg), str(GOLDEN / f"{name}_compare.csv"))
+        print(f"wrote {name}_run.csv{' and ' + name + '_compare.csv' if name in CONFIGS else ''}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
