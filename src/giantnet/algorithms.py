@@ -27,18 +27,13 @@ The baseline ``gt`` is the same tracker with the identity in place of the
 Hessian and carries the same NetworkState from ``giant_init``. Every step
 is ``step(state, instance, P, cfg)``; dgd's state is the bare n x d stack.
 
-``run`` checks its stopping rule once per block of up to 64 steps: it
-stacks the block's states into (B, n, d) arrays and hands them to
+``run`` checks its stopping rule once per block of up to 64 steps with
 ``diagnostics.check_block``, which owns the metrics rows, the tracking
-drift and the divergence rule. The run's log is those rows, one table in
-CSV column order; its rows, stop and final state are those of a check
-after every step.
-
-Steps are pure functions of the state's arrays (x, w, g), and so must be
-the agent families they evaluate. So once a state equals an earlier one bit
-for bit, the run repeats that cycle up to ``max_iters``, and ``run``
-writes those rows from the cycle's instead of stepping: a run can take
-fewer step calls than its log has iterations.
+drift and the divergence rule; its rows, stop and final state are those of
+a check after every step. Steps are pure functions of the state's arrays
+(x, w, g), and so must be the agent families they evaluate: so ``run``
+writes the rows of a cycle of states instead of stepping through it, and
+a run that stopped early resumes from its last row.
 """
 
 from __future__ import annotations
@@ -236,50 +231,50 @@ def run(
 ) -> tuple[NetworkState | np.ndarray, MetricsLog]:
     """Drive an algorithm to its stopping rule, logging one metrics row per iteration.
 
-    Stops when the gradient norm of the averaged cost at the mean iterate
-    drops to ``cfg.grad_tol``, when ``cfg.max_iters`` iterations have run,
-    or when any state entry leaves [-1e12, 1e12] or turns non-finite, in
-    which case the log is marked diverged instead of raising. Iteration 0
-    is logged but not checked for divergence. With a ``target``, the run
-    also stops at the first row whose optimality gap is at or below it,
-    iteration 0 included: the row ``MetricsLog.first_iteration_below``
-    names, so the log is a prefix of the log of the run without a target,
-    bit for bit. Without one, no row is compared with a target.
+    Stop: the run stops at the first row whose averaged-cost gradient norm
+    at the mean iterate is at most ``cfg.grad_tol``, or whose optimality gap
+    is at most ``target`` if one is given, iteration 0 included; at
+    ``cfg.max_iters``; or at the first state past iteration 0 with an entry
+    outside [-1e12, 1e12] or non-finite, where the log is marked diverged
+    instead of raising. A run with a target thus logs a prefix of the run
+    without one, bit for bit, up to the row
+    ``MetricsLog.first_iteration_below`` names. ``target`` is None or a
+    finite real >= 0, never a bool; anything else raises InvalidParams.
 
-    The rule is checked once per block of iterations: the steps of a block
-    run first, then ``diagnostics.check_block`` gives the metrics rows and
-    the divergence mask of all its states in one batched pass. Block
-    lengths double 1, 2, 4, ... up to ``_block_cap(instance)`` (at most 64)
-    and never pass ``cfg.max_iters``. The run stops at the first row of a
-    block that meets the rule and returns that row's state, so the log,
-    the final state and the stop are those of a check after every step;
-    the up to cap - 1 steps computed after the stop are discarded. If a
-    step raises, the states before it are checked first: the run returns
-    normally if one of them stops it, and the error propagates otherwise.
-    The kept rows of all blocks become the log's table in one concatenate.
+    Blocks: from iteration k the run takes min(k + 1, cap, max_iters - k)
+    steps, where cap = ``_block_cap(instance)`` (at most 64) and max_iters =
+    ``cfg.max_iters``: a fresh run's blocks double 1, 2, 4, ... up to the
+    cap. Then ``diagnostics.check_block`` gives the block's metrics rows and
+    divergence mask in one batched pass, and the run stops at the first row
+    that meets the rule and returns that row's state: the log, the final
+    state and the stop are those of a check after every step, and the up to
+    cap - 1 steps computed after the stop are discarded. If a step raises,
+    the states before it are checked first: the run returns normally if one
+    of them stops it, and the error propagates otherwise.
 
-    After a block that neither stops nor reaches ``cfg.max_iters``, its
-    last state is compared with the block's other states and the previous
-    block's last one, first by metrics row, then bit for bit. If it equals
-    the state p iterations back, every step assumed pure, the run has
-    period p from there and none of its later rows stops it: the log gets
-    the rest of its rows up to ``cfg.max_iters`` as the last p rows over
-    again, renumbered, and the run returns the cycle's state at
-    ``cfg.max_iters``, not diverged. So the step count can be below
-    ``cfg.max_iters`` on a run that reaches it. Only periods up to the
-    block cap are found: at a cap of 4 periods up to 4. The rest of the
-    log is one O(rows) gather from those p rows.
+    Fast-forward: after a block that neither stops nor reaches
+    ``cfg.max_iters``, its last state is compared with the state the block
+    started from and its other states, first by metrics row, then bit for
+    bit. If it equals the state p iterations back, every step assumed pure,
+    the run has period p from there and none of its later rows stops it: the
+    log gets the rest of its rows up to ``cfg.max_iters`` as the last p rows
+    over again, renumbered, in one O(rows) gather, and the run returns the
+    cycle's state at ``cfg.max_iters``, not diverged. So the step count can
+    be below ``cfg.max_iters`` on a run that reaches it. Only periods up to
+    the block length are found: at a cap of 4 periods up to 4.
 
-    ``start`` is the ``(state, log)`` of an earlier run of the same
-    algorithm, instance, P and cfg that stopped early, at a ``target`` or
-    at a lower ``cfg.max_iters``; ``x0`` is then not read. If the log's
-    last row meets the rule, the run returns at once; otherwise it steps on
-    from that row in blocks of 1, 2, 4, ... The whole log from iteration 0
-    and the final state are the bits of the same run without ``start``:
-    rows are those of one state at a time, whatever the blocks, and steps
-    are pure. A diverged start log, or one past ``cfg.max_iters``, raises
-    InvalidParams; a state of the wrong kind or shape raises
-    DimensionMismatch.
+    Resume: every run steps on from the last row of a ``(state, log)`` pair.
+    A fresh run builds its own from ``x0``: the start state and its
+    iteration-0 row, which is never checked for divergence. ``start`` gives
+    instead the pair of an earlier run of the same algorithm, instance, P
+    and cfg that stopped early, at a ``target`` or at a lower
+    ``cfg.max_iters``, and ``x0`` is not read. Rows are those of one state
+    at a time, blocks depend on the iteration only and steps are pure, so
+    the whole log from iteration 0 and the final state are the bits of the
+    same run without ``start``. If the start's last row meets the rule, the
+    run returns at once. A diverged start log, or one past
+    ``cfg.max_iters``, raises InvalidParams; a state of the wrong kind or
+    shape raises DimensionMismatch.
 
     Returns (final_state, MetricsLog): x, g and w as a NetworkState for
     giant and gt, the bare stack for dgd. The log numbers the iterations and
@@ -293,44 +288,44 @@ def run(
         raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
     if algorithm not in ALGORITHMS:
         raise InvalidParams(f"unknown algorithm {algorithm!r}; choose from {ALGORITHMS}")
+    if target is not None:
+        check_target(target)
 
     # Built per call from the module globals, so a rebinding of a step reaches run.
     step = {"giant": giant_step, "gt": gt_step, "dgd": dgd_step}[algorithm]
-    if start is None:
+    if start is None:  # a fresh run resumes from its iteration-0 row
         state = giant_init(instance, x0) if algorithm != "dgd" else instance.check_stack(x0).copy()
         with np.errstate(all="ignore"):
-            table = _check(instance, [state], 0, f_star)[0]
-    else:
-        state, table = _resumed(algorithm, instance, cfg, start)
+            start = state, MetricsLog(_check(instance, [state], 0, f_star)[0])
+    state, table = _resumed(algorithm, instance, cfg, start)
     cap = _block_cap(instance)
 
     with np.errstate(all="ignore"):
-        tables, k, size, diverged = [table], int(table[-1, 0]), 1, False
+        tables, k, diverged = [table], int(table[-1, 0]), False
         stopped = bool(_stop_mask(table[-1:], cfg, target)[0])
         while not stopped and k < cfg.max_iters:
-            previous, states, error = state, [], None
+            states, error = [state], None
             try:
-                for _ in range(min(size, cap, cfg.max_iters - k)):
-                    state = step(state, instance, P, cfg)
-                    states.append(state)
+                for _ in range(min(k + 1, cap, cfg.max_iters - k)):
+                    states.append(step(states[-1], instance, P, cfg))
             except Exception as exc:  # raised again below unless a state before it stops the run
-                if not states:
+                if len(states) == 1:
                     raise
                 error = exc
-            table, block_diverged = _check(instance, states, k + 1, f_star)
+            table, block_diverged = _check(instance, states[1:], k + 1, f_star)
             stops = np.flatnonzero(block_diverged | _stop_mask(table, cfg, target))
             if error is not None and not stops.size:
                 raise error
             end = stops[0] + 1 if stops.size else len(table)
-            tables.append(table[:end])
-            state, k, diverged = states[end - 1], k + end, bool(block_diverged[end - 1])
+            rows = np.vstack((tables[-1][-1:], table[:end]))  # rows[i] is the row of states[i]
+            tables.append(rows[1:])
+            state, k, diverged = states[end], k + end, bool(block_diverged[end - 1])
             stopped = bool(stops.size)
-            size *= 2
-            period = 0 if stopped or k == cfg.max_iters else _period(tables[-2][-1], table, [previous, *states])
+            period = 0 if stopped or k == cfg.max_iters else _period(rows, states)
             if period:
                 # From here the rows repeat the last period's, renumbered, and none of them stops the run.
                 rest = np.arange(cfg.max_iters - k)
-                tail = table[-period:][rest % period]
+                tail = rows[-period:][rest % period]
                 tail[:, 0] = rest
                 tail[:, 0] += k + 1
                 tables.append(tail)
@@ -338,8 +333,14 @@ def run(
     return state, MetricsLog(np.concatenate(tables), diverged)
 
 
+def check_target(target) -> None:
+    """Raise InvalidParams unless ``target`` is a finite real >= 0 (a NaN stops no run), never a bool."""
+    if not (is_finite_real(target) and target >= 0):
+        raise InvalidParams(f"target must be a finite number >= 0, got {target!r}")
+
+
 def _resumed(algorithm, instance, cfg, start):
-    """The state and log table of ``start``, an earlier ``(state, log)`` of ``run``, checked for resuming."""
+    """The state and log table of ``start``, a ``(state, log)`` that ``run`` steps on from, checked."""
     state, log = start
     if log.diverged or log.final.iteration > cfg.max_iters:
         raise InvalidParams(
@@ -362,16 +363,14 @@ def _stop_mask(table, cfg, target):
     return stop
 
 
-def _period(previous_row, table, states):
+def _period(rows, states):
     """Smallest p with ``states[-1 - p]`` bitwise equal to ``states[-1]``, or 0 if there is none.
 
-    ``states`` is the previous block's last state followed by a block's
-    states, and ``previous_row`` and ``table`` are their metrics rows. Equal
-    states have equal rows, so only states whose row equals the last one in
-    every metric column are compared, bit by bit (-0.0 and 0.0 differ).
+    ``rows[i]`` is the metrics row of ``states[i]``. Equal states have equal
+    rows, so only states whose row equals the last one in every metric
+    column are compared, bit by bit (-0.0 and 0.0 differ).
     """
-    rows = np.vstack((previous_row, table[:-1]))[:, 1:]
-    for i in np.flatnonzero((rows == table[-1, 1:]).all(axis=1))[::-1]:
+    for i in np.flatnonzero((rows[:-1, 1:] == rows[-1, 1:]).all(axis=1))[::-1]:
         if _same_bits(states[i], states[-1]):
             return len(states) - 1 - i
     return 0

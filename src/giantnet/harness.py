@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .algorithms import ALGORITHMS, AlgorithmConfig, centralized_newton, run
+from .algorithms import ALGORITHMS, AlgorithmConfig, centralized_newton, check_target, run
 from .diagnostics import MetricsLog, MetricsRecord, estimate_rate
 from .errors import GiantNetError, InsufficientData, InvalidParams, InvalidSpec, ParseError, ValidationError
 from .numerics import is_finite_real, is_integer
@@ -211,11 +211,16 @@ def initial_stack(cfg: ExperimentConfig, instance: ProblemInstance) -> np.ndarra
     return rng.standard_normal((instance.n_agents, instance.dimension))
 
 
-def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> MetricsLog:
-    """Build instance, graph and weights, run the configured algorithm, write CSV."""
+def _setup(cfg: ExperimentConfig) -> tuple[ProblemInstance, MixingMatrix, np.ndarray]:
+    """The instance, mixing matrix and start stack of an experiment, built from the config seeds."""
     instance = build_instance(cfg)
     _, mix = build_network(cfg)
-    x0 = initial_stack(cfg, instance)
+    return instance, mix, initial_stack(cfg, instance)
+
+
+def run_experiment(cfg: ExperimentConfig, out_path: str | None = None) -> MetricsLog:
+    """Build instance, graph and weights, run the configured algorithm, write CSV."""
+    instance, mix, x0 = _setup(cfg)
     _, log = run(cfg.algorithm_name, instance, mix, cfg.algorithm, x0)
     write_metrics_csv(log, out_path or cfg.output)
     return log
@@ -304,7 +309,8 @@ def _tune_winner(instance, mix, x0, name, algo_cfg, grid, target):
     its hit would cap no later point. The points that reach the target at
     the least hit, the leaders, then run on in full, each resumed from the
     ``(state, log)`` its early run stopped at, so no step up to the hit is
-    taken twice: their final gaps break the tie, and the winner's full log
+    taken twice and its blocks are those any run takes from the hit's
+    iteration: their final gaps break the tie, and the winner's full log
     gives the rate. A displaced leader's pair is dropped, so one state and
     at most hit + 1 rows are held per leader. If every leader diverges or
     fails after its hit, the early ranking was wrong, and every point runs
@@ -342,12 +348,6 @@ def _tune_key(r: TuneResult):
     return (rank, iters, gap)
 
 
-def _check_target(target) -> None:
-    # NaN would compare below no gap, so every run would read not_reached.
-    if not (is_finite_real(target) and target >= 0):
-        raise InvalidParams(f"target must be a finite number >= 0, got {target}")
-
-
 def tune_epsilon(
     cfg: ExperimentConfig, grid, target: float | None = None
 ) -> tuple[float, list[TuneResult]]:
@@ -366,10 +366,8 @@ def tune_epsilon(
     grid = _epsilon_grid(grid)
     if target is None:
         target = cfg.algorithm.grad_tol
-    _check_target(target)
-    instance = build_instance(cfg)
-    _, mix = build_network(cfg)
-    x0 = initial_stack(cfg, instance)
+    check_target(target)
+    instance, mix, x0 = _setup(cfg)
     runs = _full_runs(instance, mix, x0, cfg.algorithm_name, cfg.algorithm, grid, target)
     results = [result for result, *_ in runs]
     return min(results, key=_tune_key).epsilon, results  # min keeps the earliest of ties
@@ -397,11 +395,9 @@ def compare(cfg: ExperimentConfig, algorithms=ALGORITHMS, target: float = COMPAR
     for name in algorithms:
         if name not in ALGORITHMS:
             raise InvalidParams(f"unknown algorithm {name!r}; choose from {ALGORITHMS}")
-    _check_target(target)
+    check_target(target)
     grid = cfg.epsilon_grid or (cfg.algorithm.epsilon,)
-    instance = build_instance(cfg)
-    _, mix = build_network(cfg)
-    x0 = initial_stack(cfg, instance)
+    instance, mix, x0 = _setup(cfg)
 
     rows = []
     for name in algorithms:

@@ -13,8 +13,7 @@ The Cholesky kernels act on all agents at once: ``spd_factorize_stack``
 makes one batched Cholesky call over an (n, d, d) stack and returns the
 (n, d, d) lower-triangular factors, and ``spd_solve_stack`` runs
 substitution that loops over the d coordinates while each step covers
-every agent. A single matrix is a stack of one: the former one-matrix
-``spd_factorize`` and ``spd_solve`` are
+every agent. A single matrix is a stack of one:
 ``spd_solve_stack(spd_factorize_stack(h[None]), b[None])[0]``.
 Per-matrix LAPACK triangular solves cost a call per agent, which
 dominates at n >= 100. The substitution runs coordinate-major: it copies

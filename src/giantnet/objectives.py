@@ -12,10 +12,7 @@ quantity is one batched numpy expression over those stacks: the only place
 each cost's formulas are written. An instance holds its family only.
 Its per-agent ``objectives`` are built on demand: agent i is a family of
 one agent over the row slices ``i:i + 1`` of the stacks, viewed at single
-points. The former ``QuadraticObjective(a, b, c)`` and
-``LogisticObjective(features, labels, ridge)`` are
-``QuadraticFamily(a[None], b[None], np.array([c])).objectives[0]`` and
-``LogisticFamily(features[None], labels[None], ridge).objectives[0]``.
+points; a single cost is likewise a family of one agent.
 Any other cost is a subclass of ``AgentFamily``; one family holds one
 kind of agent, and every logistic agent has the same number of samples.
 

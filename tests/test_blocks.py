@@ -13,6 +13,7 @@ steps that were really taken.
 """
 
 import math
+import re
 from dataclasses import replace
 from functools import cached_property
 
@@ -235,6 +236,34 @@ class TestBlockSchedule:
             size *= 2
         assert steps == end
         assert steps - log.final.iteration < cap
+
+    @pytest.mark.parametrize("cap", [3, MAX_BLOCK])
+    @pytest.mark.parametrize("resume_at", [None, 0, 5, 96])
+    def test_blocks_are_a_function_of_the_iteration(self, monkeypatch, cap, resume_at):
+        # A block from iteration k takes min(k + 1, cap, max_iters - k) steps, so a run resumed
+        # at k takes the blocks any run takes at k, and a fresh run (None) doubles 1, 2, 4, ...
+        monkeypatch.setattr(algorithms, "MAX_BLOCK", cap)
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.02, max_iters=300, grad_tol=0.0)
+        start = None if resume_at is None else run("gt", instance, P, replace(cfg, max_iters=resume_at), x0)
+        blocks, check_block = [], algorithms.check_block
+
+        def recorded(instance, x, w, g, first_iteration, f_star):
+            blocks.append((first_iteration, len(x)))
+            return check_block(instance, x, w, g, first_iteration, f_star)
+
+        monkeypatch.setattr(algorithms, "check_block", recorded)
+        _, log = run("gt", instance, P, cfg, x0, start=start)
+        assert log.final.iteration == cfg.max_iters and not log.diverged
+        k, want = resume_at or 0, [(0, 1)] if resume_at is None else []  # a fresh run checks its row 0 alone
+        while k < cfg.max_iters:
+            want.append((k + 1, min(k + 1, cap, cfg.max_iters - k)))
+            k += want[-1][1]
+        assert blocks == want
+        if (resume_at, cap) == (96, MAX_BLOCK):
+            assert blocks == [(97, 64), (161, 64), (225, 64), (289, 12)]
+        if (resume_at, cap) == (None, MAX_BLOCK):
+            assert [size for _, size in blocks[1:]] == [1, 2, 4, 8, 16, 32, 64, 64, 64, 45]
 
 
 class TestWholeRunEquivalence:
@@ -468,6 +497,15 @@ class TestTargetStop:
         assert above.table.tobytes() == full.table[: hit + 1].tobytes()
         _, below = run("dgd", instance, P, cfg, x0, target=1e-3)
         assert below.table.tobytes() == full.table.tobytes() and not below.diverged
+
+    # A NaN or negative target would stop no run, and True is a flag, not a gap.
+    @pytest.mark.parametrize("target", ["x", math.nan, -1.0, True, math.inf])
+    def test_a_target_that_is_not_a_finite_real_at_least_0_is_rejected(self, monkeypatch, target):
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        _, calls = _counted(monkeypatch, "giant")
+        with pytest.raises(InvalidParams, match=f"^target must be a finite number >= 0, got {re.escape(repr(target))}$"):
+            run("giant", instance, P, AlgorithmConfig(epsilon=0.25, max_iters=50), x0, target=target)
+        assert not calls
 
 
 def _sliced(state):

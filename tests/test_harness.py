@@ -438,6 +438,13 @@ class TestCompare:
 
         for name in ("giant_step", "gt_step", "dgd_step"):
             monkeypatch.setattr(algorithms, name, counted(getattr(algorithms, name)))
+        checks, check_block = [0], algorithms.check_block
+
+        def counted_check(*args):
+            checks[0] += 1
+            return check_block(*args)
+
+        monkeypatch.setattr(algorithms, "check_block", counted_check)
         # (algorithm, epsilon, max_iters, step calls, iteration the target was hit, target, last iteration,
         #  and for a resumed run the start's last iteration and whether its first step was from the start's state)
         runs = []
@@ -456,6 +463,7 @@ class TestCompare:
         # perfbench seed 1; giant at 0.05 and 0.1 both reach 1e-6 first, at iteration 96
         cfg = replace(load_config(str(CONFIGS / "quadratic_ring.json")), run_seed=577090037)
         compare(cfg, ("giant", "dgd", "gt"), target=1e-6)
+        compare_checks = checks[0]
         instance = build_instance(cfg)
         _, mix = build_network(cfg)
         x0 = initial_stack(cfg, instance)
@@ -479,7 +487,10 @@ class TestCompare:
                 assert (dropped, made_calls) == ([], full_grid)
             else:  # no step up to a leader's hit is taken twice
                 assert len(dropped) >= 3 and made_calls < full_grid
-        assert sum(r[3] for r in runs) <= 3426  # 3,746 when each leader reran from iteration 0
+        # A resumed leader takes the blocks any run takes at its hit, 64 steps each here: blocks of
+        # 1, 2, 4, ... from each hit would make 3,426 step calls but 174 checks.
+        assert sum(r[3] for r in runs) <= 3429
+        assert compare_checks <= 159
 
     @pytest.mark.parametrize("blowup", ["diverges", "fails"])
     def test_a_leader_that_breaks_after_its_hit_falls_back_to_full_runs(self, monkeypatch, blowup):

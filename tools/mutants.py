@@ -10,7 +10,7 @@ A mutant is killed when the suite fails. Prints one line per mutant with
 the failing test files. Exits 1 if the unmutated copy fails or a mutant
 survives, 2 if a snippet no longer occurs exactly once in its file, and
 0 otherwise. The working tree is never modified. Each copy costs one
-suite run, about 15 s on 2 cores.
+suite run, about 25 s on 2 cores.
 """
 
 from __future__ import annotations
@@ -47,8 +47,8 @@ MUTANTS = {
     ),
     "block-past-max-iters": (
         "algorithms.py",
-        "range(min(size, cap, cfg.max_iters - k))",
-        "range(min(size, cap))",
+        "range(min(k + 1, cap, cfg.max_iters - k))",
+        "range(min(k + 1, cap))",
     ),
     "tracker-keeps-old-gradients": (
         "algorithms.py",
@@ -86,8 +86,8 @@ MUTANTS = {
     ),
     "tail-phase-shift": (
         "algorithms.py",
-        "                tail = table[-period:][rest % period]\n",
-        "                tail = table[-period:][(rest + 1) % period]\n",
+        "                tail = rows[-period:][rest % period]\n",
+        "                tail = rows[-period:][(rest + 1) % period]\n",
     ),
     "resume-drops-prefix": (
         "algorithms.py",
@@ -96,8 +96,13 @@ MUTANTS = {
     ),
     "resume-restarts-numbering": (
         "algorithms.py",
-        "        tables, k, size, diverged = [table], int(table[-1, 0]), 1, False\n",
-        "        tables, k, size, diverged = [table], 0, 1, False\n",
+        "        tables, k, diverged = [table], int(table[-1, 0]), False\n",
+        "        tables, k, diverged = [table], 0, False\n",
+    ),
+    "resume-restarts-ramp": (
+        "algorithms.py",
+        "range(min(k + 1, cap, cfg.max_iters - k))",
+        "range(min(k + 1 if len(tables) > 1 else 1, cap, cfg.max_iters - k))",
     ),
     "run-stops-below-the-target": (
         "algorithms.py",
