@@ -1,14 +1,13 @@
 """Rewrite the golden outputs in tests/golden/.
 
-    python tools/golden.py [NAME ...]
+    python tools/golden.py
 
 For each config in configs/ it writes ``<name>_run.csv`` (``giantnet run``)
 and ``<name>_compare.csv`` (``giantnet compare`` with its default
 algorithms and target). For each config kept in tests/golden/ itself, the
 runs on a CSR mixing matrix at n >= 1000, it writes ``<name>_run.csv``
-only. Names restrict it to those configs. Run it only when a change is
-meant to move a trajectory, and state the drift that ``tools/drift.py``
-reports against the old files.
+only. Run it only when a change is meant to move a trajectory, and state
+the drift that ``tools/drift.py`` reports against the old files.
 """
 
 from __future__ import annotations
@@ -26,20 +25,18 @@ CONFIGS = ("quadratic_ring", "logistic_er")
 RUN_ONLY = tuple(sorted(path.stem for path in GOLDEN.glob("*.json")))
 
 
-def main(argv: list[str]) -> int:
-    names = argv or [*CONFIGS, *RUN_ONLY]
-    unknown = [name for name in names if name not in CONFIGS + RUN_ONLY]
-    if unknown:
-        print(f"unknown config(s) {unknown}; choose from {[*CONFIGS, *RUN_ONLY]}", file=sys.stderr)
-        return 2
-    for name in names:
-        cfg = load_config(str((ROOT / "configs" if name in CONFIGS else GOLDEN) / f"{name}.json"))
+def main() -> int:
+    GOLDEN.mkdir(exist_ok=True)
+    for name in CONFIGS:
+        cfg = load_config(str(ROOT / "configs" / f"{name}.json"))
         run_experiment(cfg, str(GOLDEN / f"{name}_run.csv"))
-        if name in CONFIGS:
-            write_comparison_csv(compare(cfg), str(GOLDEN / f"{name}_compare.csv"))
-        print(f"wrote {name}_run.csv{' and ' + name + '_compare.csv' if name in CONFIGS else ''}")
+        write_comparison_csv(compare(cfg), str(GOLDEN / f"{name}_compare.csv"))
+        print(f"wrote {name}_run.csv and {name}_compare.csv")
+    for name in RUN_ONLY:
+        run_experiment(load_config(str(GOLDEN / f"{name}.json")), str(GOLDEN / f"{name}_run.csv"))
+        print(f"wrote {name}_run.csv")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
