@@ -137,7 +137,7 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
 
         g'Mg >= ||g||^2 / L
         g'Mg >= (mu^2 / L) * r^2
-        (mu^2 / 2) * r^2 <= V(x) <= (L^2 / 2) * r^2
+        (mu / 2) * r^2 <= V(x) <= (L / 2) * r^2
         ||grad V|| <= L * r
 
     The distance-based inequalities are stated in coordinates translated
@@ -163,8 +163,8 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
     checks = (
         geq("curvature_lower", quad, gnorm2 / lip),
         geq("distance_lower", quad, (mu**2 / lip) * r2),
-        geq("value_lower", v, 0.5 * mu**2 * r2),
-        geq("value_upper", 0.5 * lip**2 * r2, v),
+        geq("value_lower", v, 0.5 * mu * r2),
+        geq("value_upper", 0.5 * lip * r2, v),
         geq("gradient_bound", lip * np.sqrt(r2), np.sqrt(gnorm2)),
     )
     return DescentReport(checks=checks, tolerance=DESCENT_TOL)

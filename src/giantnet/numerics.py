@@ -49,7 +49,6 @@ All functions are pure; returned arrays are fresh and never alias inputs
 from __future__ import annotations
 
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -151,33 +150,21 @@ class _RowSparse:
 
     Each row's columns ascend and no position is stored twice, so the
     entries in storage order are sorted by position; a stored entry may
-    be 0. ``@`` takes an (n,) vector or an (n, d) stack and needs every
-    row to hold an entry, because ``reduceat`` gives ``x[start]``, not 0,
-    for an empty row; ``MixingMatrix`` rejects a CSR P with an empty row.
-
-    ``@`` forms the products a_ij * x_j of each row, then adds them in
-    one of two ways, chosen once per matrix from its row lengths. If
-    every row stores the same number w of entries, 1 <= w <=
-    ``SLAB_WIDTH`` (a ring's Metropolis P has w = 3), the products are
-    gathered as an (n, w, d) array and added as w slabs of (n, d):
-    ``(t_1 + t_2 + ... + t_{w-1}) + t_0``, left to right, for the row's
-    terms t_0 ... t_{w-1} in column order. Any other matrix (a star's or
-    a grid's, whose rows differ in length)
-    goes through ``np.add.reduceat``, which adds each row as t_0 plus
-    numpy's pairwise sum of the rest; below 9 terms that sum runs left
-    to right from t_1, so both ways add in the same order and give the
-    same bits, signed zeros and NaN included. From 9 terms on the
-    pairwise sum splits into blocks, which is why wider rows stay on
-    ``reduceat``. The slabs save ``reduceat``'s cost per row, which
-    dominates at small d, and scale the gather in place by the values
-    repeated d times, an (n, w, d) array kept for the last d seen.
+    be 0, and a row may store none. ``@`` takes an (n,) vector or an
+    (n, d) stack: it gathers x at the stored columns, scales the gather
+    by the values, and adds each row's products a_ij * x_j with one
+    ``np.bincount`` over the keys r * d + k, for the entry's row r and
+    the stack's column k. bincount adds each row left to right in column
+    order from +0.0, so an empty row gives exact zeros, as a dense zero
+    row does. The keys are kept for the last d seen, as one nnz * d
+    int64 array.
     """
 
     def __init__(self, vals: np.ndarray, cols: np.ndarray, starts: np.ndarray):
         self.vals = vals
         self.cols = cols
         self.starts = starts
-        self._scales = None  # the slab product's values for the last d (see __matmul__)
+        self._keys = np.zeros(0, dtype=np.int64)  # the bincount keys of __matmul__, for the last d
 
     @classmethod
     def from_dense(cls, p: np.ndarray) -> _RowSparse:
@@ -213,41 +200,18 @@ class _RowSparse:
         out[rows, cols] = vals
         return out
 
-    @cached_property
-    def _slab_width(self) -> int:
-        """w if every row stores w entries and 1 <= w <= ``SLAB_WIDTH``, else 0."""
-        lengths = self.row_lengths()
-        w = int(lengths[0]) if len(lengths) else 0
-        return w if w <= SLAB_WIDTH and (lengths == w).all() else 0
-
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:  # the (nnz, 1) values times an (nnz,) gather would broadcast to (nnz, nnz)
             return (self @ x[:, None])[:, 0]
-        w = self._slab_width
-        if not w:
-            # take gathers the rows about a quarter faster than x[self.cols]
-            return np.add.reduceat(self.vals[:, None] * x.take(self.cols, axis=0), self.starts, axis=0)
         n, d = len(self.starts), x.shape[1]
-        scales = self._scales
-        if scales is None or scales.shape[2] != d:
-            # each value repeated d times: the scaling is one flat product, not n * w short ones
-            scales = self._scales = np.repeat(self.vals, d).reshape(n, w, d)
-        # the gather is fresh, so it is scaled in place
-        terms = x.take(self.cols.reshape(n, w), axis=0).astype(np.result_type(x, self.vals), copy=False)
-        terms *= scales  # (n, w, d)
-        if w == 1:
-            return terms[:, 0]
-        out = terms[:, 1] + terms[:, 2] if w > 2 else terms[:, 1].copy()
-        for j in range(3, w):
-            out += terms[:, j]
-        out += terms[:, 0]  # reduceat's order: the first term comes last
-        return out
-
-
-# The widest uniform rows that _RowSparse.__matmul__ adds as slabs: up to
-# 8 terms, reduceat adds a row from its first term left to right; from 9
-# on, numpy's pairwise sum splits the rest into blocks and the bits differ.
-SLAB_WIDTH = 8
+        if len(self._keys) != len(self.cols) * d:  # kept for another d; with no entries, any d fits
+            rows = self.triplets()[0]
+            self._keys = (rows[:, None] * d + np.arange(d)).ravel()
+        # take gathers the rows about a quarter faster than x[self.cols]; the gather is
+        # fresh, so it is scaled in place, which spares a second nnz * d array
+        terms = x.take(self.cols, axis=0).astype(np.result_type(x, self.vals), copy=False)
+        np.multiply(self.vals[:, None], terms, out=terms)
+        return np.bincount(self._keys, terms.ravel(), minlength=n * d).reshape(n, d)
 
 
 def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> float:

@@ -207,7 +207,7 @@ class QuadraticFamily(AgentFamily):
 
 @dataclass(frozen=True, eq=False)
 class LogisticFamily(AgentFamily):
-    """Ridge-logistic losses over finite features (n,m,d) and labels (n,m) in {-1, +1}, ridge > 0.
+    """Ridge-logistic losses over finite features (n,m,d) and labels (n,m) in {-1, +1}, finite ridge > 0.
 
     f_i(x) = (1/m) * sum_j log(1 + exp(-y_ij * a_ij'x)) + (ridge/2) * ||x||^2,
     so mu >= ridge.
@@ -226,9 +226,9 @@ class LogisticFamily(AgentFamily):
         _require_finite(features=f)
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise InvalidSpec("labels must be -1 or +1")
-        # NaN fails the comparison; a bool or a string is not a ridge weight.
-        if not (is_real(self.ridge) and self.ridge > 0):
-            raise InvalidSpec(f"ridge weight must be a positive real number, got {self.ridge!r}")
+        # a bool or a string is not a ridge weight; an infinite one makes every value NaN
+        if not (is_finite_real(self.ridge) and self.ridge > 0):
+            raise InvalidSpec(f"ridge weight must be a finite positive real number, got {self.ridge!r}")
         object.__setattr__(self, "ridge", float(self.ridge))
 
     @property

@@ -6,10 +6,8 @@ builds P straight from the edge list as CSR (values, columns and row
 starts; ``numerics._RowSparse``) when ``SPARSE_RATIO`` calls n + 2E
 sparse, and as a dense n x n array otherwise. ``MixingMatrix.mix``
 runs k rounds in P's form: on a CSR P as k products by P, each one
-neighbour exchange in O((n + 2E) d) (a ring's rows of 3 entries take
-``_RowSparse``'s slab product, other rows ``reduceat``); on a dense P
-as one dense ``@`` by the kept P^k. A dense P is applied dense, however
-sparse it is.
+neighbour exchange in O((n + 2E) d); on a dense P as one dense ``@`` by
+the kept P^k. A dense P is applied dense, however sparse it is.
 ``validate_mixing`` checks either form on its nonzero triplets, and only
 its sigma2 eigensolve allocates n x n arrays; a circulant P (a ring's
 Metropolis weights) gets sigma2 in closed form and allocates none.
@@ -47,20 +45,19 @@ SIGMA2_MARGIN = 1e-9
 # medians of 9 (Metropolis weights, numpy 2.4.6 with OpenBLAS, 2 vCPUs):
 #
 #   P                          n^2/nnz   d=1          d=5          d=20
-#   ring n=100                      33   3.3 / 7.1    6.8 / 21     12 / 54
-#   Erdos-Renyi n=100, p=0.1        10   3.3 / 9.8    7.1 / 36     13 / 192
-#   ring n=200                      67   9.1 / 9.9     21 / 33     41 / 108
-#   ring n=300                     100    19 / 14      48 / 53      * / 157
-#   ring n=400                     133    32 / 17      91 / 67      * / 215
-#   ring n=1000                    333   193 / 30     770 / 116   949 / 474
-#   grid n=900                     185   147 / 34     576 / 152   856 / 534
-#   star n=1000                    334   184 / 22     740 / 102  1075 / 315
-#   Erdos-Renyi n=1000, p=0.01      93   199 / 52     756 / 286  1073 / 1114
+#   ring n=100                      33   2.7 / 3.7    5.3 / 9.0    9.3 / 22
+#   Erdos-Renyi n=100, p=0.1        10   2.8 / 6.6    5.8 / 29      14 / 71
+#   ring n=200                      67   7.0 / 5.6     17 / 14      38 / 38
+#   ring n=300                     100    14 / 5.3     35 / 21      76 / 57
+#   ring n=400                     133    27 / 7.1     87 / 27     160 / 94
+#   ring n=1000                    333   231 / 19     972 / 79    1390 / 211
+#   grid n=900                     185   157 / 24     755 / 123    966 / 328
+#   star n=1000                    334   202 / 20     944 / 83    1770 / 251
+#   Erdos-Renyi n=1000, p=0.01      93   217 / 51     943 / 207   1230 / 900
 #
-# The crossover sits near n^2/nnz = 100 at d = 5 and moves up with d, so
-# 128 errs towards the dense product. (*: the dense product read 8.0 ms in
-# every repeat at these shapes in this run, and at other shapes in other
-# runs; the rule does not count on such stalls.)
+# The crossover sits between n^2/nnz = 33 and 67 at d = 1 and 5, and near
+# 67 at d = 20, so 128 errs towards the dense product: ring10 and er100
+# (n^2/nnz about 3 and 9) stay dense by a wide margin.
 SPARSE_RATIO = 128
 
 
@@ -97,10 +94,9 @@ class Graph:
 class MixingMatrix:
     """Consensus weights over a graph; the constructor checks their shape, not their sums.
 
-    It checks only that P is square and, for a CSR P, that every row
-    stores an entry. Rows and columns summing to one is not enforced:
-    ``validate_mixing`` measures and reports it (ROADMAP.md item 13 plans
-    to enforce it at construction).
+    It checks only that a dense P is square. Rows and columns summing to
+    one is not enforced: ``validate_mixing`` measures and reports it
+    (ROADMAP.md item 13 plans to enforce it at construction).
 
     ``p`` is either a CSR ``_RowSparse``, kept as is (``metropolis_weights``
     gives one above the sparse threshold; ``p.toarray()`` is its dense
@@ -111,19 +107,12 @@ class MixingMatrix:
 
     ``metropolis_weights`` decides P's form once, and ``mix`` never
     converts it. On a CSR P, k rounds are k products by P, each adding
-    each row's stored products t_0, ..., t_{w-1} (in column order) as
-    t_0 + (t_1 + ... + t_{w-1}),
-    the rest from left to right: by ``np.add.reduceat``, or as gathered
-    slabs with the same bits when every row stores the same number of
-    entries up to ``numerics.SLAB_WIDTH`` (see ``_RowSparse``). That is
-    many times faster than the dense product above the crossover (ring
-    n=1000, d=5, best of 9 on 2 vCPUs: 37 us as slabs and 77 us through
-    ``reduceat``, against 680 us dense) and differs from it by a few
-    ulp per round. On a dense P, including any dense P a caller
-    supplies, k rounds are one dense ``@`` by P^k, with the bits
-    ``power(k) @ x`` gives. A CSR P needs a stored entry in every row (see
-    ``_RowSparse``) and one without raises DimensionMismatch naming the
-    empty row; a Metropolis P stores its diagonal.
+    every row's stored products in column order (see ``_RowSparse``).
+    That is many times faster than the dense product above the crossover
+    (ring n=1000, d=5, in the table beside ``SPARSE_RATIO``: 79 us,
+    against 972 us dense) and differs from it by a few ulp per round. On
+    a dense P, including any dense P a caller supplies, k rounds are one
+    dense ``@`` by P^k, with the bits ``power(k) @ x`` gives.
     """
 
     p: np.ndarray | _RowSparse
@@ -131,9 +120,6 @@ class MixingMatrix:
 
     def __post_init__(self):
         if isinstance(self.p, _RowSparse):
-            lengths = self.p.row_lengths()
-            if not lengths.all():
-                raise DimensionMismatch(f"CSR mixing matrix stores no entry in row {int(np.argmin(lengths))}")
             return
         p = np.asarray(self.p, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
@@ -312,7 +298,9 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
 
     Failures come back as report entries, never exceptions, so that
     user-supplied matrices can be inspected. ``p`` is a CSR ``_RowSparse``
-    or anything ``np.asarray`` makes an (n, n) float array of. Every check
+    or anything ``np.asarray`` makes a float array of. A ``p`` that is not
+    (n, n) gets one failed ``shape`` check, whose deviation is the largest
+    |dim - n| of a 2-D ``p`` and inf for any other ndim. Every check
     reads the nonzero (row, column, value) triplets, stored ones for a
     CSR ``p`` and those of one ``p != 0`` scan for a dense one; an entry
     not among them is 0. Checks: nonnegativity, sparsity conformance to
@@ -330,7 +318,8 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     if not isinstance(p, _RowSparse):
         p = np.asarray(p, dtype=float)
     if p.shape != (g.n, g.n):
-        return ValidationReport((MixingCheck("shape", False, float(abs(p.shape[0] - g.n))),))
+        off = max(abs(dim - g.n) for dim in p.shape) if len(p.shape) == 2 else math.inf
+        return ValidationReport((MixingCheck("shape", False, float(off)),))
     if not isinstance(p, _RowSparse):
         p = _RowSparse.from_dense(p)
     n = g.n

@@ -7,7 +7,8 @@ families can be checked against code that does not share theirs; the
 central differences check any cost's derivatives against its values.
 ``trajectory`` runs giant, gt and dgd the same way: dense ``p @ x`` per
 consensus round, one ``np.linalg.solve`` per agent, and the six metrics
-of every iteration from the per-agent formulas. ``Loop`` is a user
+of every iteration from the per-agent formulas. ``csr_product`` is a
+CSR product in plain Python floats, one row sum at a time. ``Loop`` is a user
 family over such per-agent functions, evaluated one agent at a time, so
 the package's own paths can run on agents written outside it.
 """
@@ -88,6 +89,22 @@ class Loop(AgentFamily):
             return tuple(np.mean([row[k] for row in rows], axis=0) for k in range(3))
 
         return Loop([mean], self.d)
+
+
+def csr_product(csr, x):
+    """``csr @ x`` for an (n,) vector or an (n, d) stack: each row added from 0.0, left to right in column order."""
+    stack = np.asarray(x).reshape(len(x), -1)
+    d, rows = stack.shape[1], stack.tolist()
+    vals, cols = csr.vals.tolist(), csr.cols.tolist()
+    ends = [*csr.starts[1:].tolist(), len(cols)]
+    out = []
+    for start, end in zip(csr.starts.tolist(), ends):
+        for k in range(d):
+            acc = 0.0
+            for i in range(start, end):
+                acc = acc + vals[i] * rows[cols[i]][k]
+            out.append(acc)
+    return np.array(out, dtype=float).reshape(np.shape(x))
 
 
 def stacked(family, x):

@@ -28,12 +28,13 @@ from giantnet import (
     run,
     tracking_drift,
 )
-from giantnet import numerics, topology
+from giantnet import topology
 from giantnet.diagnostics import DIVERGENCE_LIMIT, check_block
 from giantnet.numerics import _RowSparse
 from giantnet.objectives import AgentFamily, QuadraticFamily
 
 from conftest import identical_quadratic_instance, ring_mixing, rng_for
+from reference import csr_product
 
 
 class TestInit:
@@ -474,21 +475,19 @@ class TestRun:
             run("sgd", instance, mix, AlgorithmConfig(), x0)
 
     @pytest.mark.parametrize("K", [1, 3])
-    def test_slab_mixing_keeps_the_run_bits(self, monkeypatch, K):
+    def test_csr_mixing_keeps_the_run_bits(self, monkeypatch, K):
         instance = generate_problem(42, ProblemSpec(kind="quadratic", n=400, d=3, heterogeneity=1.0))
         x0 = rng_for(3).standard_normal((400, 3))
         cfg = AlgorithmConfig(epsilon=0.5, K=K, max_iters=40)
         mix = ring_mixing(400)
-        _, slabs = run("giant", instance, mix, cfg, x0)
-        assert mix.p._slab_width == 3  # K rounds are K products by P itself
+        _, csr = run("giant", instance, mix, cfg, x0)
+        assert isinstance(mix.p, _RowSparse)  # K rounds are K products by P itself
         # one product by the dense P^K adds in another order
         _, powered = run("giant", instance, MixingMatrix(mix.p.toarray()), cfg, x0)
-        assert_tables_agree(slabs, powered)
-        monkeypatch.setattr(numerics, "SLAB_WIDTH", 0)  # every CSR product through reduceat
-        mix = ring_mixing(400)
-        _, plain = run("giant", instance, mix, cfg, x0)
-        assert mix.p._slab_width == 0
-        assert len(slabs) == 41 and slabs.table.tobytes() == plain.table.tobytes()
+        assert_tables_agree(csr, powered)
+        monkeypatch.setattr(_RowSparse, "__matmul__", csr_product)  # every row sum in plain Python
+        _, plain = run("giant", instance, ring_mixing(400), cfg, x0)
+        assert len(csr) == 41 and csr.table.tobytes() == plain.table.tobytes()
 
 
 def assert_tables_agree(log, ref):

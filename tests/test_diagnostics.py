@@ -128,6 +128,19 @@ class TestDescentCheck:
             x = inst.reference_solution + 3.0 * rng.standard_normal(4)
             assert descent_check(inst, x).passed
 
+    @pytest.mark.parametrize("h", [2.0, 0.5])
+    def test_value_bounds_hold_away_from_unit_curvature(self, h):
+        # f_i = (h/2)||x - c_i||^2, so V = (h/2) r^2 with mu = L = h: the bounds (mu/2) r^2
+        # and (L/2) r^2 are tight, where (mu^2/2) r^2 and (L^2/2) r^2 miss V unless h = 1
+        centers = np.array([[1.0, 2.0], [3.0, -1.0], [2.0, 2.0]])
+        family = QuadraticFamily(np.stack([h * np.eye(2)] * 3), -h * centers, 0.5 * h * (centers**2).sum(axis=1))
+        inst = ProblemInstance(family, mu=h, lipschitz=h, reference_solution=centers.mean(axis=0))
+        report = descent_check(inst, inst.reference_solution + [1.0, 0.0])
+        assert report.passed
+        bounds = {c.name: (c.lhs, c.rhs) for c in report.checks}
+        assert bounds["value_lower"] == pytest.approx((h / 2, h / 2), rel=1e-12)
+        assert bounds["value_upper"] == pytest.approx((h / 2, h / 2), rel=1e-12)
+
     def test_passed_is_a_python_bool(self):
         # json.dumps rejects numpy's bool, so a run summary could not hold it
         inst = generate_problem(2, ProblemSpec(kind="quadratic", n=6, d=4, heterogeneity=0.9))

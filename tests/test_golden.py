@@ -1,9 +1,9 @@
 """Run and compare CSVs against tests/golden/.
 
 The shipped configs' ``run`` and ``compare --out`` CSVs are pinned, and
-so are the ``run`` CSVs of the configs kept in tests/golden/, which take
-the CSR mixing paths: a ring's slab product at K = 3, and ``reduceat`` on
-the ragged rows of a grid at K = 2 and of an Erdos-Renyi graph at K = 3.
+so are the ``run`` CSVs of the configs kept in tests/golden/, which mix
+on a CSR P: a ring's at K = 3, and the ragged rows of a grid at K = 2 and
+of an Erdos-Renyi graph at K = 3.
 Iterations, statuses and winning step sizes must match exactly. Every
 other column must agree within ``BOUND`` times the largest magnitude in
 that column of the golden file, since BLAS builds can move the last bits,

@@ -12,9 +12,10 @@ from giantnet import (
     spd_factorize_stack,
     spd_solve_stack,
 )
-from giantnet.numerics import SLAB_WIDTH, _RowSparse
+from giantnet.numerics import _RowSparse
 
 from conftest import rng_for
+from reference import csr_product
 
 
 class TestFactorize:
@@ -330,12 +331,6 @@ class TestSecondSingularValueOracle:
         assert second_singular_value(p) == sym_value
 
 
-def _reduceat_product(csr: _RowSparse, x: np.ndarray) -> np.ndarray:
-    """The CSR product as ``np.add.reduceat`` adds it: each row's first term plus the sum of the rest."""
-    x2 = x.reshape(len(x), -1)
-    return np.add.reduceat(csr.vals[:, None] * x2.take(csr.cols, axis=0), csr.starts, axis=0).reshape(x.shape)
-
-
 def _random_csr(lengths: np.ndarray, seed: int) -> _RowSparse:
     """Rows of the given lengths over random ascending columns; values with stored zeros and -0.0."""
     rng = rng_for(seed)
@@ -361,39 +356,44 @@ def _awkward_stack(shape, seed: int) -> np.ndarray:
     return x
 
 
-class TestSlabProduct:
-    """Rows of one width w <= SLAB_WIDTH are added as slabs, with the bits of ``reduceat``."""
+class TestRowProduct:
+    """``csr @ x`` adds each row from +0.0, left to right in column order, as plain Python does."""
 
     @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
-    @pytest.mark.parametrize("w", range(1, SLAB_WIDTH + 1))
-    def test_bitwise_equal_to_reduceat(self, w, shape):
+    @pytest.mark.parametrize("w", range(1, 13))
+    def test_bitwise_equal_to_the_row_sum(self, w, shape):
         n = 600
         csr = _random_csr(np.full(n, w), seed=40 + w)
         x = _awkward_stack((n, *shape), seed=50 + w)
-        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and large products
-            out, want = csr @ x, _reduceat_product(csr, x)
-        assert csr._slab_width == w
+        with np.errstate(invalid="ignore", over="ignore"):  # inf * 0, and large products
+            out = csr @ x
         assert out.shape == x.shape
-        assert out.tobytes() == want.tobytes()
+        assert out.tobytes() == csr_product(csr, x).tobytes()
 
-    def test_only_uniform_rows_up_to_the_width_take_slabs(self):
-        # 3, 2, 4, ... stores 3 entries per row on average, which a (n, 3) reshape would accept
-        ragged = _random_csr(np.tile([3, 2, 4], 200), seed=60)
-        wide = _random_csr(np.full(600, SLAB_WIDTH + 1), seed=61)
-        x = rng_for(62).standard_normal((600, 4))
-        for csr in (ragged, wide):
-            assert csr._slab_width == 0
-            assert (csr @ x).tobytes() == _reduceat_product(csr, x).tobytes()
+    @pytest.mark.parametrize("shape", [(), (3,)], ids=["vector", "stack"])
+    def test_ragged_wide_and_empty_rows(self, shape):
+        lengths = rng_for(60).integers(0, 13, 600)
+        lengths[-1] = 0  # an empty last row: the product still has n rows
+        csr = _random_csr(lengths, seed=61)
+        x = _awkward_stack((600, *shape), seed=62)
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = csr @ x
+        assert set(lengths) == set(range(13))
+        assert out.tobytes() == csr_product(csr, x).tobytes()
+        assert out[lengths == 0].tobytes() == np.zeros_like(out[lengths == 0]).tobytes()  # +0.0, not -0.0
 
-    def test_weights_follow_the_stack_width(self):
-        csr = _random_csr(np.full(300, 5), seed=63)
-        rng = rng_for(64)
+    def test_keys_follow_the_stack_width(self):
+        lengths = np.tile([3, 0, 9, 1], 75)
+        csr = _random_csr(lengths, seed=63)
         for d in (4, 1, 4, 7):
-            x = rng.standard_normal((300, d))
-            assert (csr @ x).tobytes() == _reduceat_product(csr, x).tobytes()
-            assert csr._scales.shape == (300, 5, d)
+            x = _awkward_stack((300, d), seed=64 + d)
+            with np.errstate(invalid="ignore", over="ignore"):
+                out = csr @ x
+            assert out.tobytes() == csr_product(csr, x).tobytes()
 
     def test_integer_stack_is_promoted(self):
-        csr = _random_csr(np.full(50, 3), seed=65)
-        x = np.arange(100).reshape(50, 2)
-        assert (csr @ x).tobytes() == _reduceat_product(csr, x).tobytes()
+        csr = _random_csr(np.tile([3, 1, 0, 5], 25), seed=65)
+        x = np.arange(200).reshape(100, 2)
+        out = csr @ x
+        assert out.dtype == np.float64
+        assert out.tobytes() == csr_product(csr, x).tobytes()

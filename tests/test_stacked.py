@@ -413,7 +413,7 @@ def test_families_convert_list_stacks_and_type_bad_shapes():
         LogisticFamily([[[1.0, 0.0]]], [1.0], 0.1)
 
 
-@pytest.mark.parametrize("ridge", [True, "0.1", float("nan"), 0, -1])
+@pytest.mark.parametrize("ridge", [True, "0.1", float("nan"), float("inf"), 0, -1])
 def test_ridge_must_be_a_positive_real(ridge):
     with pytest.raises(InvalidSpec, match="ridge"):
         LogisticFamily(np.ones((1, 4, 2)), np.ones((1, 4)), ridge).objectives[0]

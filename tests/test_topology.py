@@ -14,11 +14,12 @@ from giantnet import (
     second_singular_value,
     validate_mixing,
 )
-from giantnet import numerics, topology
+from giantnet import topology
 from giantnet.numerics import _RowSparse
 from giantnet.topology import MAX_CONNECTIVITY_RETRIES, MAX_NODES, MixingCheck, check_graph
 
 from conftest import rng_for
+from reference import csr_product
 
 
 class TestMakeGraph:
@@ -237,12 +238,16 @@ class TestMix:
         assert np.array_equal(out[7], np.zeros(3))
         assert np.array_equal(out, p @ x)
 
-    def test_csr_with_an_empty_row_is_rejected(self):
-        # reduceat would give row 2 the first term of row 3, not 0
-        p = metropolis_weights(make_graph("ring", 6)).p
-        p[2] = 0.0
-        with pytest.raises(DimensionMismatch, match=r"^CSR mixing matrix stores no entry in row 2$"):
-            MixingMatrix(_RowSparse.from_dense(p))
+    def test_empty_csr_row_mixes_to_exact_zeros(self):
+        p = metropolis_weights(make_graph("ring", 400)).p.toarray()
+        p[[7, 399]] = 0.0  # the last row among them
+        mix = MixingMatrix(_RowSparse.from_dense(p))
+        x = rng_for(8).standard_normal((400, 3))
+        out = mix.mix(x)
+        assert mix.p.row_lengths()[[7, 399]].tolist() == [0, 0]
+        assert out[[7, 399]].tobytes() == np.zeros((2, 3)).tobytes()
+        assert out.tobytes() == csr_product(mix.p, x).tobytes()
+        assert_rounds_match_the_power(mix, x, 1)
 
     @pytest.mark.parametrize("n", [6, 400])
     def test_repeated_calls_are_bitwise_equal(self, n):
@@ -253,47 +258,30 @@ class TestMix:
         assert np.array_equal(mix.mix(x.copy()), first)
 
 
-class ReduceatRefused(Exception):
-    pass
-
-
-class _NumpyWithoutReduceat:
-    """numpy as ``numerics`` sees it, except that ``np.add.reduceat`` raises ReduceatRefused."""
-
-    class add:
-        @staticmethod
-        def reduceat(*args, **kwargs):
-            raise ReduceatRefused
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-
-class TestSlabMixing:
-    """Every round on a ring's CSR P mixes as slabs; ragged and wider CSR rows keep ``reduceat``."""
+class TestCsrMixing:
+    """k rounds on a CSR P are k products by P, each row added as plain Python adds it."""
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("n", [384, 1000])
-    def test_ring_powers_mix_without_reduceat(self, monkeypatch, n, k):
-        mix = metropolis_weights(make_graph("ring", n))
-        x = rng_for(70 + k).standard_normal((n, 4))
-        p, want = mix.p, x
-        for _ in range(k):
-            want = np.add.reduceat(p.vals[:, None] * want[p.cols], p.starts, axis=0)
-        monkeypatch.setattr(numerics, "np", _NumpyWithoutReduceat())
-        out = mix.mix(x, k)
-        assert p._slab_width == 3
-        assert out.tobytes() == want.tobytes()
-        assert mix.mix(x[:, 0], k).tobytes() == want[:, 0].tobytes()
-        assert_rounds_match_the_power(mix, x, k)
+    def test_ring_rounds_are_row_sums(self, n, k):
+        assert_rounds_are_row_sums(metropolis_weights(make_graph("ring", n)), k, seed=70 + k)
 
     @pytest.mark.parametrize("kind, n, k", [("star", 400, 1), ("grid", 676, 1), ("grid", 676, 2), ("wide", 400, 2)])
-    def test_ragged_and_wide_powers_reach_reduceat(self, monkeypatch, kind, n, k):
+    def test_ragged_and_wide_rounds_are_row_sums(self, kind, n, k):
         mix = wide_rows(n) if kind == "wide" else metropolis_weights(make_graph(kind, n))
-        monkeypatch.setattr(numerics, "np", _NumpyWithoutReduceat())
-        with pytest.raises(ReduceatRefused):
-            mix.mix(np.ones((n, 2)), k)
-        assert isinstance(mix.p, _RowSparse) and mix.p._slab_width == 0
+        assert_rounds_are_row_sums(mix, k, seed=74 + k)
+
+
+def assert_rounds_are_row_sums(mix: MixingMatrix, k: int, seed: int) -> None:
+    """k rounds of ``mix`` on a stack and on its first column, bit for bit ``csr_product`` k times."""
+    x = rng_for(seed).standard_normal((mix.n, 4))
+    want = x
+    for _ in range(k):
+        want = csr_product(mix.p, want)
+    assert isinstance(mix.p, _RowSparse)
+    assert mix.mix(x, k).tobytes() == want.tobytes()
+    assert mix.mix(x[:, 0], k).tobytes() == want[:, 0].tobytes()
+    assert_rounds_match_the_power(mix, x, k)
 
 
 class TestCsrWeights:
@@ -495,7 +483,7 @@ def both_forms(n: int) -> tuple[MixingMatrix, MixingMatrix]:
 
 
 def wide_rows(n: int) -> MixingMatrix:
-    """A CSR P with 9 equal entries per row, at offsets -4..4 on a cycle: one past ``SLAB_WIDTH``."""
+    """A CSR P with 9 equal entries per row, at offsets -4..4 on a cycle."""
     cols = np.sort((np.arange(n)[:, None] + np.arange(-4, 5)) % n, axis=1)
     return MixingMatrix(_RowSparse(np.full(9 * n, 1 / 9), cols.ravel(), np.arange(0, 9 * n, 9)))
 
@@ -509,6 +497,12 @@ class TestValidateMixing:
     def test_wrong_shape_is_the_one_failed_check(self):
         report = validate_mixing(np.eye(3), make_graph("ring", 4))
         assert report.checks == (MixingCheck("shape", False, 1.0),)
+
+    @pytest.mark.parametrize("shape, deviation", [((), np.inf), ((4,), np.inf), ((4, 4, 1), np.inf), ((4, 5), 1.0), ((5, 5), 1.0)])
+    def test_wrong_shape_reports_its_largest_offset(self, shape, deviation):
+        # the largest |dim - n| of a matrix; any other ndim is infinitely far from (n, n)
+        report = validate_mixing(np.full(shape, 0.25), make_graph("ring", 4))
+        assert report.checks == (MixingCheck("shape", False, deviation),)
 
     def test_ring_sigma2_limit_is_where_the_docstring_puts_it(self, monkeypatch):
         # 1 - sigma2 = 4 pi^2 / (3 n^2) crosses SIGMA2_MARGIN between these sizes
