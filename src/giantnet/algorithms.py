@@ -105,7 +105,7 @@ def giant_init(instance: ProblemInstance, x0: np.ndarray) -> NetworkState:
     sum_i w_i = sum_i grad f_i(x_i) hold from the first iteration.
     """
     x0 = instance.check_stack(x0).copy()
-    grads = instance.stacked_gradient(x0)
+    grads = instance.family.gradients(x0)
     return NetworkState(x=x0, g=grads, w=grads.copy())
 
 
@@ -163,7 +163,7 @@ def gt_step(
     """
     x = instance.check_stack(state.x)
     x_next = P.mix(x) - cfg.epsilon * state.w
-    grads_next = instance.stacked_gradient(x_next)
+    grads_next = instance.family.gradients(x_next)
     w_next = P.mix(state.w) + grads_next - state.g
     return NetworkState(x=x_next, g=grads_next, w=w_next)
 
@@ -187,11 +187,11 @@ def centralized_newton(
         raise InvalidParams(f"max_iters must be a nonnegative integer, got {max_iters!r}")
     x = np.array(x0, dtype=float)
     for _ in range(max_iters):
-        g = instance.average_gradient(x)
+        g = instance.objective.gradient(x)
         if np.linalg.norm(g) <= tol:
             return x
         x = x - instance.family.average.newton_directions(x[None], g[None])[0]
-    if np.linalg.norm(instance.average_gradient(x)) <= tol:
+    if np.linalg.norm(instance.objective.gradient(x)) <= tol:
         return x
     raise MaxItersExceeded(f"Newton oracle did not reach tol={tol} in {max_iters} steps")
 
@@ -265,7 +265,9 @@ def run(
 
     Resume: every run steps on from the last row of a ``(state, log)`` pair.
     A fresh run builds its own from ``x0``: the start state and its
-    iteration-0 row, which is never checked for divergence. ``start`` gives
+    iteration-0 row, which is never checked for divergence: an ``x0``
+    holding a NaN or an infinity raises InvalidParams naming their count,
+    and a finite one beyond 1e12 starts a run. ``start`` gives
     instead the pair of an earlier run of the same algorithm, instance, P
     and cfg that stopped early, at a ``target`` or at a lower
     ``cfg.max_iters``, and ``x0`` is not read. Rows are those of one state
@@ -283,7 +285,7 @@ def run(
     """
     if instance.reference_solution is None:
         raise MissingReference("instance has no reference solution; compute one first")
-    f_star = instance.average_value(instance.reference_solution)
+    f_star = instance.objective.value(instance.reference_solution)
     if P.n != instance.n_agents:
         raise DimensionMismatch(f"mixing matrix is {P.n}x{P.n} for {instance.n_agents} agents")
     if algorithm not in ALGORITHMS:
@@ -294,7 +296,11 @@ def run(
     # Built per call from the module globals, so a rebinding of a step reaches run.
     step = {"giant": giant_step, "gt": gt_step, "dgd": dgd_step}[algorithm]
     if start is None:  # a fresh run resumes from its iteration-0 row
-        state = giant_init(instance, x0) if algorithm != "dgd" else instance.check_stack(x0).copy()
+        x0 = instance.check_stack(x0)
+        bad = np.count_nonzero(~np.isfinite(x0))
+        if bad:
+            raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")
+        state = giant_init(instance, x0) if algorithm != "dgd" else x0.copy()
         with np.errstate(all="ignore"):
             start = state, MetricsLog(_check(instance, [state], 0, f_star)[0])
     state, table = _resumed(algorithm, instance, cfg, start)

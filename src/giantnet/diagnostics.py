@@ -150,12 +150,12 @@ def descent_check(instance: ProblemInstance, x: np.ndarray) -> DescentReport:
     x_star = instance.reference_solution
     mu, lip = instance.mu, instance.lipschitz
 
-    g = instance.average_gradient(x)
+    g = instance.objective.gradient(x)
     m = harmonic_hessian_mean(instance, x)
     quad = float(g @ m @ g)
     gnorm2 = float(g @ g)
     r2 = float(np.sum((x - x_star) ** 2))
-    v = instance.average_value(x) - instance.average_value(x_star)
+    v = instance.objective.value(x) - instance.objective.value(x_star)
 
     def geq(name, lhs, rhs):
         return DescentCheck(name, bool(lhs >= rhs - DESCENT_TOL), float(lhs), float(rhs))
@@ -183,7 +183,7 @@ def tracking_drift(state: "NetworkState", instance: ProblemInstance, prev_x: np.
     up to 6.3e-4 before the divergence rule ends them.
     Immediately after initialization, pass the initial stack itself.
     """
-    grads = instance.stacked_gradient(np.asarray(prev_x, dtype=float))
+    grads = instance.family.gradients(instance.check_stack(prev_x))
     resid = state.w.sum(axis=0) - grads.sum(axis=0)
     return float(np.linalg.norm(resid))
 

@@ -10,9 +10,6 @@ the quadratic family holds ``A (n,d,d)``, ``b (n,d)`` and ``c (n,)``, the
 logistic family ``F (n,m,d)``, ``Y (n,m)`` and ``ridge``, and each
 quantity is one batched numpy expression over those stacks: the only place
 each cost's formulas are written. An instance holds its family only.
-Its per-agent ``objectives`` are built on demand: agent i is a family of
-one agent over the row slices ``i:i + 1`` of the stacks, viewed at single
-points; a single cost is likewise a family of one agent.
 Any other cost is a subclass of ``AgentFamily``; one family holds one
 kind of agent, and every logistic agent has the same number of samples.
 
@@ -24,6 +21,12 @@ Hessian at a single point take one evaluation of one agent, not n, and
 ``newton_directions`` applies the inverse local Hessians by Cholesky
 solves; the quadratic family's are constant, so it solves against the
 identity once and then applies them as one batched matrix product.
+
+Every family, a user's included, is seen at single points of R^d the same
+way: agent i of ``family.objectives`` at x is row i of the family's
+results at the (n, d) stack holding x in every row. So
+``instance.objectives[i]`` is f_i and ``instance.objective``, the one agent
+of ``family.average``, is the averaged cost.
 
 The logistic sigmoid is scipy.special.expit's formula, 1 / (1 + exp(-t)),
 evaluated with numpy's exp, so the package needs numpy alone at run time.
@@ -88,10 +91,10 @@ def _as_point(x: np.ndarray, dimension: int) -> np.ndarray:
 class AgentFamily(ABC):
     """The n agents' costs, evaluated at once: row i of each result is f_i at row i of an (n, d) stack.
 
-    A user cost subclasses it and defines the abstract members; ``values``
-    and ``newton_directions`` have defaults. ``average`` is evaluated at a
-    (B, d) stack of points at once, so a family of one agent must take any
-    number of rows. The built-in families of n > 1 agents raise
+    A user cost subclasses it and defines the abstract members; ``values``,
+    ``newton_directions`` and the point views ``objectives`` have defaults.
+    ``average`` is evaluated at a (B, d) stack of points at once, so a
+    family of one agent must take any number of rows. The built-in families of n > 1 agents raise
     DimensionMismatch for a stack whose row count is not n. A
     family must evaluate purely: the same stack gives the same bits,
     whatever was evaluated before. ``run`` relies on it to end a run that
@@ -122,6 +125,11 @@ class AgentFamily(ABC):
         Raises NotPositiveDefinite if any local Hessian is not positive definite.
         """
         return spd_solve_stack(spd_factorize_stack(self.hessians(x)), v)
+
+    @property
+    def objectives(self) -> tuple[_OneAgent, ...]:
+        """The n agents at single points; each call evaluates the whole family at the point's stack."""
+        return tuple(_OneAgent(self, i) for i in range(self.shape[0]))
 
     @property
     @abstractmethod
@@ -166,10 +174,6 @@ class QuadraticFamily(AgentFamily):
     @property
     def floats(self):
         return 4 * self.b.size
-
-    @property
-    def objectives(self) -> tuple[_OneAgent, ...]:
-        return _views(QuadraticFamily, self.a, self.b, self.c)
 
     # Batched matmul, not einsum: less dispatch on the 1-agent average, which
     # the metrics evaluate every iteration.
@@ -239,10 +243,6 @@ class LogisticFamily(AgentFamily):
     def floats(self):
         return 4 * self.labels.size
 
-    @property
-    def objectives(self) -> tuple[_OneAgent, ...]:
-        return _views(lambda f, y: LogisticFamily(f, y, self.ridge), self.features, self.labels)
-
     def _margins(self, x):
         # Batched matmul: about half of einsum's time, on the stacks and the pooled average alike.
         _check_rows(len(self.labels), x)
@@ -282,31 +282,27 @@ class LogisticFamily(AgentFamily):
 
 
 class _OneAgent:
-    """A family of one agent, evaluated at single points of R^d.
+    """Agent ``index`` of ``family`` at single points x of R^d.
 
+    Each quantity is row ``index`` of the family's own at the (n, d) stack
+    holding x in every row; x of any other shape raises DimensionMismatch.
     ``hessian`` returns the family's Hessian row; treat it as read-only.
     """
 
-    def __init__(self, family: AgentFamily):
-        self.family = family
+    def __init__(self, family: AgentFamily, index: int):
+        self.family, self.index = family, index
 
-    @property
-    def dimension(self) -> int:
-        return self.family.shape[1]
+    def _stack(self, x):
+        return np.broadcast_to(_as_point(x, self.family.shape[1]), self.family.shape)
 
     def value(self, x):
-        return float(self.family.values(_as_point(x, self.dimension)[None])[0])
+        return float(self.family.values(self._stack(x))[self.index])
 
     def gradient(self, x):
-        return self.family.gradients(_as_point(x, self.dimension)[None])[0]
+        return self.family.gradients(self._stack(x))[self.index]
 
     def hessian(self, x):
-        return self.family.hessians(_as_point(x, self.dimension)[None])[0]
-
-
-def _views(build, *stacks: np.ndarray) -> tuple[_OneAgent, ...]:
-    """Agent i of a built-in family: ``build`` of the row slices ``i:i + 1`` of ``stacks``, at single points."""
-    return tuple(_OneAgent(build(*(s[i:i + 1] for s in stacks))) for i in range(len(stacks[0])))
+        return self.family.hessians(self._stack(x))[self.index]
 
 
 @dataclass(frozen=True, eq=False)
@@ -314,8 +310,8 @@ class ProblemInstance:
     """n local objectives over a shared decision variable, with global bounds.
 
     ``family`` is the agents' one description, an ``AgentFamily`` (anything
-    else raises InvalidSpec), from which ``n_agents``, ``dimension`` and,
-    for the built-in families, ``objectives`` derive. ``mu`` and
+    else raises InvalidSpec), from which ``n_agents``, ``dimension``, the
+    per-agent ``objectives`` and the averaged ``objective`` derive. ``mu`` and
     ``lipschitz``, finite real numbers (never bools) with 0 < mu <= L, bound
     every local Hessian from below and above. ``reference_solution`` is the minimizer of the averaged
     cost when known; the harness fills it in for families without a closed
@@ -337,10 +333,12 @@ class ProblemInstance:
 
     @property
     def objectives(self) -> tuple[_OneAgent, ...]:
-        """The built-in families' per-agent objectives; InvalidSpec for a family without them."""
-        if getattr(type(self.family), "objectives", None) is None:
-            raise InvalidSpec(f"{type(self.family).__name__} has no per-agent objectives")
         return self.family.objectives
+
+    @cached_property
+    def objective(self) -> _OneAgent:
+        """(1/n) * sum_i f_i at single points of shape (d,): the one agent of ``family.average``."""
+        return self.family.average.objectives[0]
 
     @property
     def n_agents(self) -> int:
@@ -360,26 +358,6 @@ class ProblemInstance:
         if x.shape != self.family.shape:
             raise DimensionMismatch(f"stacked iterate has shape {x.shape}, expected {self.family.shape}")
         return x
-
-    @cached_property
-    def _average(self) -> _OneAgent:
-        return _OneAgent(self.family.average)
-
-    def average_value(self, x: np.ndarray) -> float:
-        """(1/n) * sum_i f_i(x), the global cost at a single point of shape (d,).
-
-        It and ``average_gradient`` evaluate the 1-agent family
-        ``family.average`` at ``x``; both raise DimensionMismatch unless
-        ``x`` has shape (d,).
-        """
-        return self._average.value(x)
-
-    def average_gradient(self, x: np.ndarray) -> np.ndarray:
-        return self._average.gradient(x)
-
-    def stacked_gradient(self, x: np.ndarray) -> np.ndarray:
-        """Row i of the result is grad f_i evaluated at row i of ``x``."""
-        return self.family.gradients(self.check_stack(x))
 
     def with_reference(self, x_star: np.ndarray) -> "ProblemInstance":
         return replace(self, reference_solution=np.asarray(x_star, dtype=float))

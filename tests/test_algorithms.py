@@ -54,7 +54,7 @@ class TestInit:
     def test_tracker_sum_matches_gradient_sum(self, hetero_ring):
         instance, _, x0 = hetero_ring
         state = giant_init(instance, x0)
-        grads = instance.stacked_gradient(x0)
+        grads = instance.family.gradients(x0)
         assert np.array_equal(state.w.sum(axis=0), grads.sum(axis=0))
 
     def test_shape_check(self):
@@ -97,7 +97,7 @@ class TestGiantStep:
         for _ in range(200):
             prev = state.x
             state = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.25))
-            expected = instance.stacked_gradient(prev).sum(axis=0)
+            expected = instance.family.gradients(prev).sum(axis=0)
             assert np.linalg.norm(state.w.sum(axis=0) - expected) <= 1e-9
 
     def test_mean_dynamics_consistency(self, hetero_ring):
@@ -108,7 +108,7 @@ class TestGiantStep:
         state = giant_init(instance, x0)
         for _ in range(5):
             p_eff = mix.power(cfg.K)
-            grads = instance.stacked_gradient(state.x)
+            grads = instance.family.gradients(state.x)
             w_next = p_eff @ (state.w + grads - state.g)
             dirs = np.stack(
                 [
@@ -147,8 +147,8 @@ class TestGiantStep:
 
         x_star = instance.reference_solution
         x = np.tile(x_star, (instance.n_agents, 1))
-        g = instance.stacked_gradient(x)
-        w = np.tile(instance.average_gradient(x_star), (instance.n_agents, 1))
+        g = instance.family.gradients(x)
+        w = np.tile(instance.objective.gradient(x_star), (instance.n_agents, 1))
         state = NetworkState(x=x, g=g, w=w)
         nxt = giant_step(state, instance, mix, AlgorithmConfig(epsilon=0.5))
         assert np.abs(nxt.x - x).max() <= 1e-12
@@ -223,7 +223,7 @@ class TestBaselines:
         state = giant_init(instance, x0)
         for _ in range(100):
             state = gt_step(state, instance, mix, AlgorithmConfig(epsilon=0.02))
-            expected = instance.stacked_gradient(state.x).sum(axis=0)
+            expected = instance.family.gradients(state.x).sum(axis=0)
             assert np.linalg.norm(state.w.sum(axis=0) - expected) <= 1e-9
 
     def test_gt_zero_step_keeps_tracking(self, hetero_ring):
@@ -231,7 +231,7 @@ class TestBaselines:
         state = giant_init(instance, x0)
         nxt = gt_step(state, instance, mix, AlgorithmConfig(epsilon=0.0))
         assert np.allclose(nxt.x, mix.p @ x0, atol=1e-15)
-        expected = instance.stacked_gradient(nxt.x).sum(axis=0)
+        expected = instance.family.gradients(nxt.x).sum(axis=0)
         assert np.linalg.norm(nxt.w.sum(axis=0) - expected) <= 1e-9
 
 
@@ -244,7 +244,7 @@ class TestCentralizedNewton:
     def test_logistic_postcondition(self):
         inst = generate_problem(4, ProblemSpec(kind="logistic", n=4, d=3, samples_per_agent=15))
         x = centralized_newton(inst, np.zeros(3), tol=1e-12)
-        assert np.linalg.norm(inst.average_gradient(x)) <= 1e-12
+        assert np.linalg.norm(inst.objective.gradient(x)) <= 1e-12
 
     def test_max_iters_exceeded(self):
         inst = identical_quadratic_instance(2, np.array([1.0]))
@@ -360,12 +360,16 @@ class TestRun:
         finally:
             restored = tracer.restore()
         report = tracer.report()
-        # exactly the deleted one-matrix, per-point and 1-row helpers; any other absent target fails
+        # exactly the deleted one-matrix, per-point and 1-row helpers and the
+        # ProblemInstance evaluation forwards; any other absent target fails
         assert sorted(report["absent"]) == [
             "giantnet.diagnostics.metrics_record",
             "giantnet.numerics.spd_factorize",
             "giantnet.numerics.spd_solve",
             "giantnet.objectives.LogisticObjective.hessian",
+            "giantnet.objectives.ProblemInstance.average_gradient",
+            "giantnet.objectives.ProblemInstance.average_value",
+            "giantnet.objectives.ProblemInstance.stacked_gradient",
             "giantnet.objectives.QuadraticObjective.hessian",
         ]
         for step in ("giant_step", "gt_step", "dgd_step"):

@@ -51,7 +51,7 @@ def _norm(v):
 
 def _reference_run(algorithm, instance, P, cfg, x0, step):
     """Check after every step: one record, one drift and one divergence test per iteration."""
-    f_star = instance.average_value(instance.reference_solution)
+    f_star = instance.objective.value(instance.reference_solution)
     tracked = algorithm != "dgd"
     state = giant_init(instance, x0) if tracked else instance.check_stack(x0).copy()
 
@@ -310,13 +310,21 @@ class TestWholeRunEquivalence:
         assert log.diverged and log.final.iteration == nan_at and len(log) == nan_at + 1
         assert math.isnan(log.final.consensus_err)
 
-    def test_nan_in_the_start_is_not_checked(self, monkeypatch):
-        # Iteration 0 gets no divergence test, and its NaN gradient norm fails "> grad_tol".
-        instance = _instance("ring10")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_non_finite_start_raises(self, algorithm, bad):
+        # Iteration 0 gets no divergence test, and a NaN gradient norm there would read as a stop.
         x0 = rng_for(3).standard_normal((10, 5))
-        x0[2, 3] = np.nan
-        state, log = run("giant", instance, ring_mixing(10), AlgorithmConfig(), x0)
-        assert len(log) == 1 and not log.diverged and np.array_equal(state.x, x0, equal_nan=True)
+        x0[2, 3] = bad
+        with pytest.raises(InvalidParams, match="^x0 must be finite, got 1 of 50 entries NaN or infinite$"):
+            run(algorithm, _instance("ring10"), ring_mixing(10), AlgorithmConfig(), x0)
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_finite_start_beyond_the_limit_diverges_at_iteration_1(self, algorithm):
+        x0 = rng_for(3).standard_normal((10, 5))
+        x0[2, 3] = 1e13
+        _, log = run(algorithm, _instance("ring10"), ring_mixing(10), AlgorithmConfig(), x0)
+        assert log.diverged and log.final.iteration == 1 and log.records[0].opt_gap > DIVERGENCE_LIMIT
 
 
 class TestMidBlockErrors:

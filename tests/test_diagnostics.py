@@ -260,11 +260,11 @@ class TestMetricsBitwise:
             x_bar = x.mean(axis=0)
             assert len(seen) == 1  # the averaged cost is evaluated once per record
             assert all(p.shape == (1, 4) and p[0].tobytes() == x_bar.tobytes() for p in seen)
-            gap = instance.average_value(x_bar) - 0.125
+            gap = instance.objective.value(x_bar) - 0.125
             expected = (
                 gap,
                 float(np.linalg.norm(x - x_bar)),
-                float(np.linalg.norm(instance.average_gradient(x_bar))),
+                float(np.linalg.norm(instance.objective.gradient(x_bar))),
                 0.0,
                 gap,
             )

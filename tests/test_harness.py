@@ -275,7 +275,7 @@ class TestRunExperiment:
         cfg = load_config(write_cfg(tmp_path, payload))
         instance = build_instance(cfg)
         assert instance.reference_solution is not None
-        assert np.linalg.norm(instance.average_gradient(instance.reference_solution)) <= 1e-12
+        assert np.linalg.norm(instance.objective.gradient(instance.reference_solution)) <= 1e-12
         log = run_experiment(cfg, str(tmp_path / "m.csv"))
         assert not log.diverged
 
@@ -616,15 +616,15 @@ class TestShippedConfigs:
     )
     def test_run_builds_only_the_averaged_objective(self, tmp_path, monkeypatch, name, averaged):
         # The agents stay stacked, so the only single-point view a run builds
-        # is ProblemInstance._average, over the 1-agent family.average: no
-        # per-agent objective (``averaged`` names the class whose per-point
-        # objective a run once built).
+        # is ProblemInstance.objective, the one agent of the 1-agent
+        # family.average: no per-agent objective (``averaged`` names the class
+        # whose per-point objective a run once built).
         views, instances = [], []
         init, build = objectives._OneAgent.__init__, harness.build_instance
 
-        def counting_init(self, family):
+        def counting_init(self, family, index):
             views.append(family)
-            init(self, family)
+            init(self, family, index)
 
         def recording_build(cfg):
             instances.append(build(cfg))
@@ -635,4 +635,4 @@ class TestShippedConfigs:
         run_experiment(load_config(str(CONFIGS / f"{name}.json")), str(tmp_path / "m.csv"))
         (instance,) = instances
         assert views and all(family is instance.family.average for family in views)
-        assert instance.__dict__["_average"].family is instance.family.average
+        assert instance.__dict__["objective"].family is instance.family.average

@@ -277,9 +277,8 @@ class TestGenerateProblem:
         spec = ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=0.8)
         a = generate_problem(7, spec)
         b = generate_problem(7, spec)
-        for oa, ob in zip(a.objectives, b.objectives):
-            assert np.array_equal(oa.family.a, ob.family.a)
-            assert np.array_equal(oa.family.b, ob.family.b)
+        assert np.array_equal(a.family.a, b.family.a)
+        assert np.array_equal(a.family.b, b.family.b)
         assert np.array_equal(a.reference_solution, b.reference_solution)
 
     @pytest.mark.parametrize("n, d, h", list(GOLDEN_QUADRATIC_OFFSETS))
@@ -319,32 +318,32 @@ class TestGenerateProblem:
         spec = ProblemSpec(kind="logistic", n=3, d=2, samples_per_agent=10)
         a = generate_problem(8, spec)
         b = generate_problem(8, spec)
-        for oa, ob in zip(a.objectives, b.objectives):
-            assert np.array_equal(oa.family.features, ob.family.features)
-            assert np.array_equal(oa.family.labels, ob.family.labels)
+        assert np.array_equal(a.family.features, b.family.features)
+        assert np.array_equal(a.family.labels, b.family.labels)
 
     def test_zero_heterogeneity_gives_identical_agents(self):
         instance = generate_problem(9, ProblemSpec(kind="quadratic", n=5, d=3, heterogeneity=0.0))
-        first = instance.objectives[0]
-        for obj in instance.objectives[1:]:
-            assert np.array_equal(obj.family.a, first.family.a)
-            assert np.array_equal(obj.family.b, first.family.b)
+        family = instance.family
+        for a, b in zip(family.a[1:], family.b[1:]):
+            assert np.array_equal(a, family.a[0])
+            assert np.array_equal(b, family.b[0])
 
     def test_reference_solves_averaged_normal_equations(self):
         instance = generate_problem(10, ProblemSpec(kind="quadratic", n=4, d=3, heterogeneity=1.0))
         x_star = instance.reference_solution
         # oracle: averaged stationarity residual computed directly
-        resid = np.mean([o.family.a[0] @ x_star + o.family.b[0] for o in instance.objectives], axis=0)
+        family = instance.family
+        resid = np.mean([a @ x_star + b for a, b in zip(family.a, family.b)], axis=0)
         assert np.linalg.norm(resid) <= 1e-10
         # and agreement with an independent dense solve
-        a_mean = np.mean([o.family.a[0] for o in instance.objectives], axis=0)
-        b_mean = np.mean([o.family.b[0] for o in instance.objectives], axis=0)
+        a_mean = np.mean(list(family.a), axis=0)
+        b_mean = np.mean(list(family.b), axis=0)
         assert np.allclose(x_star, np.linalg.solve(a_mean, -b_mean), atol=1e-10)
 
     def test_declared_bounds_hold(self):
         instance = generate_problem(11, ProblemSpec(kind="quadratic", n=6, d=4, heterogeneity=1.0))
-        for obj in instance.objectives:
-            eigs = np.linalg.eigvalsh(obj.family.a[0])
+        for a in instance.family.a:
+            eigs = np.linalg.eigvalsh(a)
             assert eigs[0] >= instance.mu - 1e-9
             assert eigs[-1] <= instance.lipschitz + 1e-9
 
@@ -395,8 +394,8 @@ class TestGenerateProblem:
         with pytest.raises(InvalidSpec, match="^seed must be a nonnegative integer"):
             generate_problem(seed, spec)
         x = np.ones((2, 2))
-        reference = generate_problem(3, spec).stacked_gradient(x)
-        assert generate_problem(np.uint8(3), spec).stacked_gradient(x).tobytes() == reference.tobytes()
+        reference = generate_problem(3, spec).family.gradients(x)
+        assert generate_problem(np.uint8(3), spec).family.gradients(x).tobytes() == reference.tobytes()
 
     def test_largest_heterogeneity_generates(self):
         spec = ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=MAX_HETEROGENEITY)

@@ -140,7 +140,7 @@ def test_whole_runs_match_the_per_agent_reference(setup):
 
 
 def _assert_runs_match(instance, mix, k, x0, wants):
-    scale = max(1.0, np.linalg.norm(instance.stacked_gradient(x0)))
+    scale = max(1.0, np.linalg.norm(instance.family.gradients(x0)))
     for algorithm, (want, want_x) in wants.items():
         cfg = AlgorithmConfig(epsilon=ORACLE_EPSILON[algorithm], K=k, max_iters=ORACLE_ITERATIONS, grad_tol=0.0)
         state, log = run(algorithm, instance, mix, cfg, x0)

@@ -1,6 +1,7 @@
 """Static checks on the package source."""
 
 import ast
+import importlib.util
 import re
 from pathlib import Path
 
@@ -85,3 +86,69 @@ def test_only_numerics_and_objectives_name_the_cholesky_kernels():
         for name in sorted(_uses(ast.parse(path.read_text())) & CHOLESKY_KERNELS)
     ]
     assert not hits, "Cholesky kernels named outside numerics and objectives: " + ", ".join(hits)
+
+
+# The package's promise (cli's module docstring, README): no environment variable is read or set.
+ENVIRONMENT_NAMES = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def _environment_uses(tree):
+    """``os.<name>`` attributes and ``from os import <name>`` imports of an environment function or mapping."""
+    hits = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "os":
+            names = [node.attr]
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            names = [alias.name for alias in node.names]
+        else:
+            continue
+        hits += [f"{node.lineno}: os.{name}" for name in names if name in ENVIRONMENT_NAMES]
+    return hits
+
+
+def test_no_module_reads_the_environment():
+    hits = [
+        f"{path.name}:{hit}"
+        for path in sorted(SRC.glob("*.py"))
+        for hit in _environment_uses(ast.parse(path.read_text()))
+    ]
+    assert not hits, "environment access in the package: " + ", ".join(hits)
+
+
+def test_environment_check_sees_each_form():
+    source = "import os\nfrom os import getenv, path\nos.environ['A']\nos.putenv('A', '1')\nos.path.join('a')\n"
+    assert _environment_uses(ast.parse(source)) == ["2: os.getenv", "3: os.environ", "4: os.putenv"]
+
+
+def _srclines():
+    path = SRC.parents[1] / "tools" / "srclines.py"
+    spec = importlib.util.spec_from_file_location("srclines", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_srclines_splits_docstring_lines_from_the_rest():
+    source = '''"""Module docstring,
+over two lines."""
+
+import os  # a comment
+
+X = "a string that is no docstring"
+
+
+class A:
+    """Class docstring."""
+
+    def f(self):
+        """Method docstring
+        over three
+        lines."""
+        return 1
+
+
+async def g():
+    pass
+'''
+    assert _srclines().count(source) == (6, 14)
+

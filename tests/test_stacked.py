@@ -1,7 +1,7 @@
 """Batched agent families against per-agent references.
 
-The per-point objectives are 1-agent families, so they share the
-families' formulas. The independent oracle is ``reference.py``: plain
+The per-point objectives are rows of the families' own results, so they
+share the families' formulas. The independent oracle is ``reference.py``: plain
 per-agent formulas that every batched quantity, average and value must
 agree with to 1e-12 relative. Its ``Loop`` family runs the same formulas
 one agent at a time through the package's generic paths, and generated
@@ -65,15 +65,15 @@ class TestAgainstPerAgent:
         instance = instance_for(kind, n, d)
         x = rng_for(20).standard_normal((n, d))
         objs = instance.objectives
-        assert close(instance.stacked_gradient(x), [o.gradient(x[i]) for i, o in enumerate(objs)])
+        assert close(instance.family.gradients(x), [o.gradient(x[i]) for i, o in enumerate(objs)])
         assert close(instance.family.hessians(x), [o.hessian(x[i]) for i, o in enumerate(objs)])
 
     def test_averages(self, kind, n, d):
         instance = instance_for(kind, n, d)
         x = rng_for(21).standard_normal(d)
         objs = instance.objectives
-        assert close(instance.average_value(x), np.mean([o.value(x) for o in objs]))
-        assert close(instance.average_gradient(x), np.mean([o.gradient(x) for o in objs], axis=0))
+        assert close(instance.objective.value(x), np.mean([o.value(x) for o in objs]))
+        assert close(instance.objective.gradient(x), np.mean([o.gradient(x) for o in objs], axis=0))
         assert close(instance.family.average.hessians(x[None])[0], np.mean([o.hessian(x) for o in objs], axis=0))
 
     def test_newton_directions(self, kind, n, d):
@@ -105,7 +105,7 @@ class TestAgainstPerAgent:
         # oracle: reference.Loop's per-agent mean at the same point
         instance = instance_for(kind, n, d)
         reference = looped(instance)
-        f_star = reference.average_value(centralized_newton(reference, np.zeros(d)))
+        f_star = reference.objective.value(centralized_newton(reference, np.zeros(d)))
         x = 2.0 + rng_for(25).standard_normal((n, d))
         # one bare state's record, drift 0: the 1-row case of check_block
         a, b = (MetricsLog(check_block(i, x[None], None, None, 7, f_star)[0]).final for i in (instance, reference))
@@ -116,7 +116,7 @@ class TestAgainstPerAgent:
     def test_averages_reject_points_of_the_wrong_shape(self, kind, n, d):
         instance = instance_for(kind, n, d)
         for inst in (instance, looped(instance)):
-            for average in (inst.average_value, inst.average_gradient):
+            for average in (inst.objective.value, inst.objective.gradient):
                 for bad in (np.zeros(d + 1), np.zeros((n, d))):
                     with pytest.raises(DimensionMismatch, match="point has shape"):
                         average(bad)
@@ -131,15 +131,15 @@ class TestAgainstReference:
         x = rng_for(26).standard_normal((n, d))
         values, gradients, hessians = reference.stacked(instance.family, x)
         assert close(instance.family.values(x), values)
-        assert close(instance.stacked_gradient(x), gradients)
+        assert close(instance.family.gradients(x), gradients)
         assert close(instance.family.hessians(x), hessians)
 
     def test_averages(self, kind, n, d):
         instance = instance_for(kind, n, d)
         x = rng_for(27).standard_normal(d)
         value, gradient, hessian = reference.averaged(instance.family, x)
-        assert close(instance.average_value(x), value)
-        assert close(instance.average_gradient(x), gradient)
+        assert close(instance.objective.value(x), value)
+        assert close(instance.objective.gradient(x), gradient)
         assert close(instance.family.average.hessians(x[None])[0], hessian)
         assert close(instance.family.average.values(x[None]), [value])
 
@@ -160,11 +160,11 @@ def test_objectives_and_averages_use_the_family_formulas(monkeypatch):
     logistic = instance_for("logistic", 3, 2)
     x = rng_for(29).standard_normal(2)
     quad_obj, logi_obj = quadratic.objectives[0], logistic.objectives[0]
-    before = (quad_obj.value(x), quadratic.average_value(x), logi_obj.gradient(x), logistic.average_gradient(x))
+    before = (quad_obj.value(x), quadratic.objective.value(x), logi_obj.gradient(x), logistic.objective.gradient(x))
     values, gradients = QuadraticFamily.values, LogisticFamily.gradients
     monkeypatch.setattr(QuadraticFamily, "values", lambda self, x: values(self, x) + 1.0)
     monkeypatch.setattr(LogisticFamily, "gradients", lambda self, x: gradients(self, x) + 1.0)
-    after = (quad_obj.value(x), quadratic.average_value(x), logi_obj.gradient(x), logistic.average_gradient(x))
+    after = (quad_obj.value(x), quadratic.objective.value(x), logi_obj.gradient(x), logistic.objective.gradient(x))
     for old, new in zip(before, after):
         assert np.allclose(new, np.add(old, 1.0), rtol=0, atol=1e-12)
 
@@ -206,22 +206,34 @@ def test_generation_bitwise_equal_to_per_agent_draws():
     rng = np.random.Generator(np.random.Philox(8))
     x_true = rng.standard_normal(spec.d)
     instance = generate_problem(8, spec)
-    for obj in instance.objectives:
+    for i in range(spec.n):
         shift = rng.standard_normal(spec.d)
         feats = rng.standard_normal((10, spec.d)) + spec.heterogeneity * shift
         labels = np.where(rng.random(10) < expit(feats @ x_true), 1.0, -1.0)
-        assert np.array_equal(obj.family.features[0], feats)
-        assert np.array_equal(obj.family.labels[0], labels)
+        assert np.array_equal(instance.family.features[i], feats)
+        assert np.array_equal(instance.family.labels[i], labels)
 
 
 @pytest.mark.parametrize("kind", ["quadratic", "logistic"])
 def test_objectives_are_views_into_the_stacks(kind):
+    # agent i holds no arrays of its own: it reads row i of its family's results
     instance = instance_for(kind, 4, 3)
     family = instance.family
-    stack = family.a if kind == "quadratic" else family.features
-    for obj in instance.objectives:
-        assert np.shares_memory(obj.family.a if kind == "quadratic" else obj.family.features, stack)
+    assert [(obj.family, obj.index) for obj in instance.objectives] == [(family, i) for i in range(4)]
+    assert instance.objective.family is family.average and instance.objective.index == 0
     assert instance.with_reference(np.zeros(3)).family is family
+
+
+@pytest.mark.parametrize("kind", ["quadratic", "logistic", "loop"])
+def test_objective_is_the_average_family_bit_for_bit(kind):
+    instance = instance_for("quadratic" if kind == "loop" else kind, 4, 3)
+    if kind == "loop":
+        instance = looped(instance)
+    average, x = instance.family.average, rng_for(31).standard_normal(3)
+    assert instance.objective is instance.objective  # cached
+    assert instance.objective.value(x) == average.values(x[None])[0]
+    assert instance.objective.gradient(x).tobytes() == average.gradients(x[None])[0].tobytes()
+    assert instance.objective.hessian(x).tobytes() == average.hessians(x[None])[0].tobytes()
 
 
 def test_mixed_and_unequal_agents_run_on_the_loop():
@@ -381,11 +393,23 @@ def test_families_reject_non_finite_stacks(stack, bad):
         QuadraticFamily(stacks["a"][2][None], stacks["b"][2][None], np.array([stacks["c"][2]])).objectives[0]
 
 
-def test_objectives_of_a_user_family_are_a_typed_error():
-    instance = looped(instance_for("quadratic", 3, 2))
-    with pytest.raises(InvalidSpec, match="^Loop has no per-agent objectives$"):
-        instance.objectives
-    assert len(instance_for("quadratic", 3, 2).objectives) == 3
+def test_objectives_of_a_user_family_match_its_agents():
+    # oracle: reference.agents, the per-agent formulas that Loop evaluates one agent at a time
+    for kind in ("quadratic", "logistic"):
+        instance = instance_for(kind, 3, 2)
+        loop = looped(instance)
+        x = rng_for(30).standard_normal(2)
+        agents = reference.agents(instance.family)
+        assert len(loop.objectives) == len(agents) == 3
+        for obj, agent in zip(loop.objectives, agents):
+            value, gradient, hessian = agent(x)
+            assert obj.value(x) == value
+            assert obj.gradient(x).tobytes() == gradient.tobytes()
+            assert obj.hessian(x).tobytes() == hessian.tobytes()
+        value, gradient, hessian = reference.averaged(instance.family, x)
+        assert loop.objective.value(x) == value
+        assert loop.objective.gradient(x).tobytes() == gradient.tobytes()
+        assert loop.objective.hessian(x).tobytes() == hessian.tobytes()
 
 
 @pytest.mark.parametrize("label, ridge", [(0.0, 0.1), (1.0, 0.0), (1.0, float("nan"))])

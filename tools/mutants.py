@@ -205,8 +205,8 @@ MUTANTS = {
     ),
     "objectives-view-first-agent": (
         "objectives.py",
-        "(s[i:i + 1] for s in stacks)",
-        "(s[0:1] for s in stacks)",
+        "        self.family, self.index = family, index\n",
+        "        self.family, self.index = family, 0\n",
         ("tests/test_stacked.py",),
     ),
     "circulant-compares-rows-0-and-1": (
@@ -275,6 +275,13 @@ MUTANTS = {
         "        off = max(abs(dim - g.n) for dim in p.shape) if len(p.shape) == 2 else math.inf\n",
         "        off = abs(p.shape[0] - g.n)\n",
         ("tests/test_topology.py",),
+    ),
+    "nonfinite-start-accepted": (
+        "algorithms.py",
+        "        if bad:\n"
+        '            raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")\n',
+        "",
+        ("tests/test_blocks.py",),
     ),
 }
 
