@@ -179,13 +179,13 @@ def centralized_newton(
     Steps x <- x - hess_avg(x)^{-1} grad_avg(x) by the averaged cost's
     ``newton_directions`` until the averaged gradient norm drops to ``tol``.
     Exact in one step on quadratics.
-    ``tol`` is a finite nonnegative real number and ``max_iters`` a nonnegative integer.
+    ``tol`` is a finite nonnegative real number, ``max_iters`` a nonnegative integer and ``x0`` finite.
     """
     if not (is_finite_real(tol) and tol >= 0):
         raise InvalidParams(f"tol must be a finite nonnegative real number, got {tol!r}")
     if not (is_integer(max_iters) and max_iters >= 0):
         raise InvalidParams(f"max_iters must be a nonnegative integer, got {max_iters!r}")
-    x = np.array(x0, dtype=float)
+    x = _finite_start(np.array(x0, dtype=float))
     for _ in range(max_iters):
         g = instance.objective.gradient(x)
         if np.linalg.norm(g) <= tol:
@@ -274,8 +274,8 @@ def run(
     at a time, blocks depend on the iteration only and steps are pure, so
     the whole log from iteration 0 and the final state are the bits of the
     same run without ``start``. If the start's last row meets the rule, the
-    run returns at once. A diverged start log, or one past
-    ``cfg.max_iters``, raises InvalidParams; a state of the wrong kind or
+    run returns at once. A start log with no rows, a diverged one or one
+    past ``cfg.max_iters`` raises InvalidParams; a state of the wrong kind or
     shape raises DimensionMismatch.
 
     Returns (final_state, MetricsLog): x, g and w as a NetworkState for
@@ -296,10 +296,7 @@ def run(
     # Built per call from the module globals, so a rebinding of a step reaches run.
     step = {"giant": giant_step, "gt": gt_step, "dgd": dgd_step}[algorithm]
     if start is None:  # a fresh run resumes from its iteration-0 row
-        x0 = instance.check_stack(x0)
-        bad = np.count_nonzero(~np.isfinite(x0))
-        if bad:
-            raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")
+        x0 = _finite_start(instance.check_stack(x0))
         state = giant_init(instance, x0) if algorithm != "dgd" else x0.copy()
         with np.errstate(all="ignore"):
             start = state, MetricsLog(_check(instance, [state], 0, f_star)[0])
@@ -345,9 +342,19 @@ def check_target(target) -> None:
         raise InvalidParams(f"target must be a finite number >= 0, got {target!r}")
 
 
+def _finite_start(x0: np.ndarray) -> np.ndarray:
+    """``x0``, after InvalidParams naming the count of its entries that are NaN or infinite, if any."""
+    bad = np.count_nonzero(~np.isfinite(x0))
+    if bad:
+        raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")
+    return x0
+
+
 def _resumed(algorithm, instance, cfg, start):
     """The state and log table of ``start``, a ``(state, log)`` that ``run`` steps on from, checked."""
     state, log = start
+    if not len(log):
+        raise InvalidParams("start log has no rows; a run's log always holds its iteration-0 row")
     if log.diverged or log.final.iteration > cfg.max_iters:
         raise InvalidParams(
             f"start must be a log that did not diverge and ends by max_iters = {cfg.max_iters}, "

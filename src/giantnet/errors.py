@@ -14,11 +14,11 @@ class NotPositiveDefinite(GiantNetError):
 
 
 class NotSymmetric(GiantNetError, ValueError):
-    """A matrix required to be symmetric deviates beyond the relative tolerance."""
+    """A matrix required to be symmetric deviates beyond its tolerance."""
 
 
 class NotStochastic(GiantNetError):
-    """Row or column sums of a mixing matrix deviate from one."""
+    """A mixing matrix has a negative or NaN entry, or a row or column sum off one."""
 
 
 class InvalidSpec(GiantNetError):

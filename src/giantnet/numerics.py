@@ -23,21 +23,21 @@ of strided slices of the agent-major stacks. Each entry sees the same
 operations in the same order as it would agent-major, so the results
 are the same bits.
 
-The consensus contraction factor sigma2 reads the mixing matrix as its
-nonzero (row, column, value) triplets, whether it comes dense or as
-CSR. When every triplet equals its transposed partner (0 where that is
-not stored) and every row holds row 0's nonzeros shifted along the
-cycle (P is circulant: Metropolis weights on a ring always are, on a
-complete graph when every row's diagonal rounds alike), sigma2 is the
-largest magnitude of P's closed-form eigenvalues, in O(n w) for rows
-of w nonzeros and without an n x n array. Any other P gets P - 11'/n
-built once, as an n x n array of -1/n plus the nonzeros (the bits of
-the dense ``p - 1/n``), and handed to the symmetric eigensolver if it
-is symmetric, to a full SVD otherwise.
-For a CSR P that is not circulant, that array and the eigensolver's
-copy of it are the only n x n arrays sigma2 allocates.
-A matrix with a NaN or infinite entry has sigma2 NaN and reaches
-neither solver.
+The consensus contraction factor sigma2 only measures (whether P is
+doubly stochastic is ``topology.MixingMatrix``'s check). It reads the
+matrix as its nonzero (row, column, value) triplets, whether it comes
+dense or as CSR. When every triplet equals its transposed partner (0
+where that is not stored) and every row holds row 0's nonzeros shifted
+along the cycle (P is circulant: Metropolis weights on a ring always
+are, on a complete graph when every row's diagonal rounds alike),
+sigma2 is the largest magnitude of P's closed-form eigenvalues, in
+O(n w) for rows of w nonzeros and without an n x n array. Any other P
+gets P - 11'/n built once, as an n x n array of -1/n plus the nonzeros
+(the bits of the dense ``p - 1/n``), and handed to the symmetric
+eigensolver if it is symmetric, to a full SVD otherwise. For a CSR P
+that is not circulant, that array and the eigensolver's copy of it are
+the only n x n arrays sigma2 allocates. A matrix with a NaN or infinite
+entry has sigma2 NaN and reaches neither solver.
 
 ``is_integer``, ``is_real`` and ``is_finite_real`` are the type tests
 every constructor applies to its scalar fields.
@@ -52,13 +52,11 @@ import math
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotPositiveDefinite, NotStochastic, NotSymmetric
+from .errors import DimensionMismatch, NotPositiveDefinite, NotSymmetric
 
 # Hessians of twice-differentiable objectives are analytically symmetric;
 # looser inputs signal caller bugs rather than roundoff.
 SYMMETRY_RTOL = 1e-10
-
-STOCHASTIC_ATOL = 1e-9
 
 
 def is_integer(value) -> bool:
@@ -214,36 +212,27 @@ class _RowSparse:
         return np.bincount(self._keys, terms.ravel(), minlength=n * d).reshape(n, d)
 
 
-def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> float:
+def second_singular_value(p: np.ndarray | _RowSparse) -> float:
     """Largest singular value of P - (1/n) * ones: the consensus contraction factor.
 
     For a doubly stochastic P this is the per-round shrink rate of the
-    disagreement component; values below 1 certify mixing. P is read as
-    its nonzero triplets: those of a ``_RowSparse`` as stored, those of
-    an array from one ``p != 0`` scan. P - 11'/n is built once from
-    them, with the bits of the dense ``p - 1/n``. If every triplet
-    equals its transposed partner (0 where none is stored), P equals its
-    transpose exactly, the projected matrix is symmetric and its largest
-    singular value is its largest eigenvalue magnitude. A symmetric P
-    that is also circulant, every row holding the same nonzero
-    (offset, value) pairs as row 0 bit for bit, takes that magnitude
-    from the closed-form eigenvalues of ``_circulant_sigma2`` and builds
-    no n x n array; stored zeros do not count, so a CSR P and its dense
-    form take the same path. Any other symmetric P takes
-    max(|lambda_min|, |lambda_max|) from ``eigvalsh``. Any other matrix,
-    including one symmetric only to within roundoff, gets a full SVD. A
-    NaN or infinite entry gives NaN without a LAPACK call.
-
-    Parameters
-    ----------
-    p : (n, n) array or _RowSparse
-        Mixing matrix.
-    check : bool
-        When true, require row and column sums to equal 1 within
-        ``STOCHASTIC_ATOL`` and raise :class:`NotStochastic` otherwise,
-        which every non-finite matrix fails. Each sum adds the row's or
-        column's nonzeros in storage order. Validation code passes
-        ``check=False`` to measure broken inputs.
+    disagreement component; values below 1 certify mixing. Any square P
+    gets a value (whether P is doubly stochastic is ``MixingMatrix``'s
+    check); any other shape raises DimensionMismatch. P is read as its
+    nonzero triplets: those of a ``_RowSparse`` as stored, those of an
+    array from one ``p != 0`` scan. P - 11'/n is built once from them,
+    with the bits of the dense ``p - 1/n``. If every triplet equals its
+    transposed partner (0 where none is stored), P equals its transpose
+    exactly, the projected matrix is symmetric and its largest singular
+    value is its largest eigenvalue magnitude. A symmetric P that is also
+    circulant, every row holding the same nonzero (offset, value) pairs
+    as row 0 bit for bit, takes that magnitude from the closed-form
+    eigenvalues of ``_circulant_sigma2`` and builds no n x n array;
+    stored zeros do not count, so a CSR P and its dense form take the
+    same path. Any other symmetric P takes max(|lambda_min|,
+    |lambda_max|) from ``eigvalsh``. Any other matrix, including one
+    symmetric only to within roundoff, gets a full SVD. A NaN or infinite
+    entry gives NaN without a LAPACK call.
     """
     if not isinstance(p, _RowSparse):
         p = np.asarray(p, dtype=float)
@@ -252,12 +241,6 @@ def second_singular_value(p: np.ndarray | _RowSparse, check: bool = True) -> flo
         p = _RowSparse.from_dense(p)
     n = p.shape[0]
     rows, cols, vals = p.triplets()
-    if check:
-        with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails below
-            sums = np.concatenate([np.bincount(rows, vals, n), np.bincount(cols, vals, n)])
-            dev = float(np.abs(sums - 1.0).max())
-        if not dev <= STOCHASTIC_ATOL:  # NaN fails too
-            raise NotStochastic(f"row/column sums deviate from 1 by {dev:.3e}")
     if not np.isfinite(vals).all():
         return float("nan")
     symmetric = np.array_equal(vals, p.transposed_values())

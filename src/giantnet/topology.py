@@ -8,9 +8,9 @@ sparse, and as a dense n x n array otherwise. ``MixingMatrix.mix``
 runs k rounds in P's form: on a CSR P as k products by P, each one
 neighbour exchange in O((n + 2E) d); on a dense P as one dense ``@`` by
 the kept P^k. A dense P is applied dense, however sparse it is.
-``validate_mixing`` checks either form on its nonzero triplets, and only
-its sigma2 eigensolve allocates n x n arrays; a circulant P (a ring's
-Metropolis weights) gets sigma2 in closed form and allocates none.
+``MixingMatrix`` and ``validate_mixing`` check either form on its
+nonzero triplets. Only the sigma2 eigensolve allocates n x n arrays; a
+circulant P (a ring's Metropolis weights) gets sigma2 in closed form.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 from numpy.random import Generator, Philox
 
-from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams
+from .errors import ConnectivityFailure, DimensionMismatch, InvalidParams, NotStochastic, NotSymmetric
 from .numerics import _RowSparse, is_finite_real, is_integer, second_singular_value
 
 GRAPH_KINDS = ("ring", "complete", "star", "grid", "erdos_renyi")
@@ -92,18 +92,17 @@ class Graph:
 
 @dataclass(frozen=True, eq=False)
 class MixingMatrix:
-    """Consensus weights over a graph; the constructor checks their shape, not their sums.
-
-    It checks only that a dense P is square. Rows and columns summing to
-    one is not enforced: ``validate_mixing`` measures and reports it
-    (ROADMAP.md item 13 plans to enforce it at construction).
+    """Consensus weights over a graph, checked at construction to be symmetric doubly stochastic.
 
     ``p`` is either a CSR ``_RowSparse``, kept as is (``metropolis_weights``
     gives one above the sparse threshold; ``p.toarray()`` is its dense
     form), or anything else, converted to a float array (a float array is
-    kept as is) that must be square. Every consensus product goes through
-    :meth:`mix`, which on a dense P memoizes ``power(k)`` per k, so ``p``
-    must not be modified after the first call to ``mix``.
+    kept as is) that must be square. Either form must pass
+    ``validate_mixing``'s nonnegativity, symmetry, row-sum and column-sum
+    checks, each within ``WEIGHT_TOL``: the first that fails raises
+    NotSymmetric (symmetry) or NotStochastic (the others) with its
+    deviation. The graph and sigma2 are ``validate_mixing``'s alone. As
+    ``mix`` memoizes ``power(k)`` on a dense P, ``p`` must not be modified.
 
     ``metropolis_weights`` decides P's form once, and ``mix`` never
     converts it. On a CSR P, k rounds are k products by P, each adding
@@ -119,12 +118,17 @@ class MixingMatrix:
     _products: dict = field(default_factory=dict, init=False, repr=False)  # k -> a dense P^k, as mix applies it
 
     def __post_init__(self):
-        if isinstance(self.p, _RowSparse):
-            return
-        p = np.asarray(self.p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionMismatch(f"mixing matrix must be square, got shape {p.shape}")
-        object.__setattr__(self, "p", p)
+        p = self.p
+        if not isinstance(p, _RowSparse):
+            p = np.asarray(p, dtype=float)
+            if p.ndim != 2 or p.shape[0] != p.shape[1]:
+                raise DimensionMismatch(f"mixing matrix must be square, got shape {p.shape}")
+            object.__setattr__(self, "p", p)
+            p = _RowSparse.from_dense(p)
+        for c in _weight_checks(p):
+            if not c.passed:
+                error = NotSymmetric if c.name == "symmetry" else NotStochastic
+                raise error(f"mixing matrix fails {c.name}: deviation {c.deviation:.3e} (WEIGHT_TOL {WEIGHT_TOL:g})")
 
     @property
     def n(self) -> int:
@@ -293,6 +297,25 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+def _weight_checks(p: _RowSparse) -> tuple[MixingCheck, ...]:
+    """Nonnegativity, symmetry, row sums and column sums of a CSR P, each within ``WEIGHT_TOL``.
+
+    Symmetry compares each stored entry with its transposed partner (0 if
+    absent); each sum adds its row's or column's nonzeros in storage order.
+    """
+    n = p.shape[0]
+    rows, cols, vals = p.triplets()
+    # 0.0 - 0.0 is +0.0 where -0.0 is not; NaN propagates. The initial 0.0 stands for the zeros.
+    neg = float(0.0 - vals.min(initial=0.0))
+    # inf - inf gives NaN, which fails its check; numpy need not warn about it.
+    with np.errstate(invalid="ignore"):
+        asym = float(np.abs(vals - p.transposed_values()).max(initial=0.0))
+        row_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max(initial=0.0))
+        col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max(initial=0.0))
+    deviations = {"nonnegativity": neg, "symmetry": asym, "row_sums": row_dev, "column_sums": col_dev}
+    return tuple(MixingCheck(name, dev <= WEIGHT_TOL, dev) for name, dev in deviations.items())
+
+
 def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     """Check the mixing-matrix invariants, reporting measured deviations.
 
@@ -304,12 +327,12 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     reads the nonzero (row, column, value) triplets, stored ones for a
     CSR ``p`` and those of one ``p != 0`` scan for a dense one; an entry
     not among them is 0. Checks: nonnegativity, sparsity conformance to
-    the graph, symmetry (each entry against its transposed partner),
-    row sums, column sums and sigma2 <= 1 - ``SIGMA2_MARGIN``. Row and
-    column sums add their nonzeros in storage order. A circulant ``p``
-    gets sigma2 in closed form and, if CSR, allocates no n x n array.
-    For a CSR ``p`` that is not circulant, only the sigma2 eigensolve
-    allocates n x n arrays: its input and LAPACK's copy.
+    the graph, symmetry, row sums, column sums (all but sparsity are
+    ``MixingMatrix``'s, from ``_weight_checks``) and sigma2 <= 1 -
+    ``SIGMA2_MARGIN``. A circulant ``p`` gets sigma2 in closed form and,
+    if CSR, allocates no n x n array. For a CSR ``p`` that is not
+    circulant, only the sigma2 eigensolve allocates n x n arrays: its
+    input and LAPACK's copy.
 
     The sigma2 check fails by construction on graphs that mix too slowly
     for the margin: a ring with n >~ 1.15e5 nodes has
@@ -322,33 +345,19 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
         return ValidationReport((MixingCheck("shape", False, float(off)),))
     if not isinstance(p, _RowSparse):
         p = _RowSparse.from_dense(p)
-    n = g.n
-    rows, cols, vals = p.triplets()
-    checks = []
-
-    # 0.0 - 0.0 is +0.0 where -0.0 is not; NaN propagates. The initial 0.0 stands for the zeros.
-    neg = float(0.0 - vals.min(initial=0.0))
-    checks.append(MixingCheck("nonnegativity", neg <= WEIGHT_TOL, neg))
+    nonnegativity, *weights = _weight_checks(p)
 
     # What |p| holds off the graph and the diagonal; -0.0 reads 0 and NaN propagates.
-    keys = np.minimum(rows, cols) * n + np.maximum(rows, cols)
-    edge_keys = g.edges[:, 0] * n + g.edges[:, 1]  # ascending, as the edges are sorted
+    rows, cols, vals = p.triplets()
+    keys = np.minimum(rows, cols) * g.n + np.maximum(rows, cols)
+    edge_keys = g.edges[:, 0] * g.n + g.edges[:, 1]  # ascending, as the edges are sorted
     on_graph = np.concatenate((edge_keys, [-1]))[np.searchsorted(edge_keys, keys)] == keys
     off_graph = float(np.abs(vals[(rows != cols) & ~on_graph]).max(initial=0.0))
-    checks.append(MixingCheck("sparsity", off_graph <= WEIGHT_TOL, off_graph))
+    sparsity = MixingCheck("sparsity", off_graph <= WEIGHT_TOL, off_graph)
 
-    # inf - inf gives NaN, which fails its check; numpy need not warn about it.
-    with np.errstate(invalid="ignore"):
-        asym = float(np.abs(vals - p.transposed_values()).max(initial=0.0))
-        row_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max())
-        col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max())
-    checks.append(MixingCheck("symmetry", asym <= WEIGHT_TOL, asym))
-    checks.append(MixingCheck("row_sums", row_dev <= WEIGHT_TOL, row_dev))
-    checks.append(MixingCheck("column_sums", col_dev <= WEIGHT_TOL, col_dev))
-
-    sigma2 = second_singular_value(p, check=False)  # NaN for non-finite p, which fails
-    checks.append(MixingCheck("sigma2", sigma2 <= 1.0 - SIGMA2_MARGIN, sigma2))
-    return ValidationReport(tuple(checks))
+    sigma2 = second_singular_value(p)  # NaN for non-finite p, which fails
+    contraction = MixingCheck("sigma2", sigma2 <= 1.0 - SIGMA2_MARGIN, sigma2)
+    return ValidationReport((nonnegativity, sparsity, *weights, contraction))
 
 
 def write_edge_list(g: Graph, stream) -> None:

@@ -268,6 +268,13 @@ class TestCentralizedNewton:
         with pytest.raises(InvalidParams, match=f"^{name} must be"):
             centralized_newton(inst, np.array([5.0]), **{name: value})
 
+    @pytest.mark.parametrize("kind, bad", [("logistic", np.nan), ("quadratic", np.inf)])
+    def test_rejects_a_non_finite_start_before_any_step(self, kind, bad):
+        # the suite turns warnings into errors, so no step on the non-finite point may run
+        inst = generate_problem(4, ProblemSpec(kind=kind, n=4, d=3, samples_per_agent=15))
+        with pytest.raises(InvalidParams, match="^x0 must be finite, got 1 of 3 entries NaN or infinite$"):
+            centralized_newton(inst, np.array([bad, 0.0, 0.0]))
+
 
 class TestRun:
     def test_zero_max_iters_single_record(self, hetero_ring):

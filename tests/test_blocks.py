@@ -582,6 +582,13 @@ class TestResume:
         with pytest.raises(InvalidParams, match="^start must be a log that did not diverge"):
             run("dgd", instance, P, cfg, x0, start=start)
 
+    def test_a_start_log_without_rows_is_rejected(self):
+        instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
+        cfg = AlgorithmConfig(epsilon=0.25, max_iters=5)
+        state, _ = run("giant", instance, P, replace(cfg, max_iters=2), x0)
+        with pytest.raises(InvalidParams, match="^start log has no rows"):
+            run("giant", instance, P, cfg, x0, start=(state, MetricsLog()))
+
     def test_a_start_past_max_iters_is_rejected(self):
         instance, P, x0 = _instance("ring10"), ring_mixing(10), rng_for(3).standard_normal((10, 5))
         cfg = AlgorithmConfig(epsilon=0.25, max_iters=50, grad_tol=0.0)

@@ -3,6 +3,7 @@ import pytest
 
 from giantnet import (
     DimensionMismatch,
+    MixingMatrix,
     NotPositiveDefinite,
     NotStochastic,
     NotSymmetric,
@@ -230,28 +231,25 @@ class TestSecondSingularValue:
                 second_singular_value(p.T), abs=1e-12
             )
 
-    @pytest.mark.parametrize("check", [True, False])
-    def test_rejects_a_matrix_that_is_not_square(self, check):
-        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \(2, 3\)$"):
-            second_singular_value(np.full((2, 3), 0.5), check=check)
+    @pytest.mark.parametrize("transposed", [True, False])
+    def test_rejects_a_matrix_that_is_not_square(self, transposed):
+        shape = (3, 2) if transposed else (2, 3)
+        with pytest.raises(DimensionMismatch, match=rf"^expected a square matrix, got shape \({shape[0]}, {shape[1]}\)$"):
+            second_singular_value(np.full(shape, 0.5))
 
-    def test_rejects_nonstochastic(self):
+    def test_measures_a_matrix_that_is_not_stochastic(self):
+        # whether P is doubly stochastic is MixingMatrix's check; sigma2 only measures
         p = np.eye(3)
         p[0, 0] = 0.9
-        with pytest.raises(NotStochastic):
-            second_singular_value(p)
-
-    def test_check_can_be_disabled(self):
-        p = np.eye(3)
-        p[0, 0] = 0.9
-        second_singular_value(p, check=False)
+        assert second_singular_value(p) == pytest.approx(_svd_oracle(p), abs=1e-15)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_is_not_stochastic_or_nan(self, bad, capfd):
         p = np.full((3, 3), bad)
-        with pytest.raises(NotStochastic):
-            second_singular_value(p)
-        assert np.isnan(second_singular_value(p, check=False))
+        # NaN is not known to be nonnegative; inf is, but inf - inf leaves its symmetry unknown
+        with pytest.raises(NotStochastic if np.isnan(bad) else NotSymmetric):
+            MixingMatrix(p)
+        assert np.isnan(second_singular_value(p))
         assert capfd.readouterr().err == ""  # no LAPACK complaint: it was never called
 
 

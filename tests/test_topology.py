@@ -9,6 +9,8 @@ from giantnet import (
     DimensionMismatch,
     InvalidParams,
     MixingMatrix,
+    NotStochastic,
+    NotSymmetric,
     make_graph,
     metropolis_weights,
     second_singular_value,
@@ -228,26 +230,27 @@ class TestMix:
         else:
             assert np.array_equal(mix.mix(x, 2), MixingMatrix(mix.power(2)).mix(x))
 
+    # MixingMatrix rejects a P with a zero row; its CSR form's product is pinned here without one.
     def test_zero_row_mixes_to_exact_zeros(self):
         p = metropolis_weights(make_graph("ring", 400)).p.toarray()
         p[7] = 0.0
-        mix = MixingMatrix(p)
+        csr = _RowSparse.from_dense(p)  # the scan stores nothing for a zero row
         x = rng_for(8).standard_normal((400, 3))
-        out = mix.mix(x)
-        assert isinstance(mix.p, np.ndarray)
-        assert np.array_equal(out[7], np.zeros(3))
-        assert np.array_equal(out, p @ x)
+        out = csr @ x
+        assert csr.row_lengths()[7] == 0
+        assert out[7].tobytes() == np.zeros(3).tobytes()
+        np.testing.assert_allclose(out, p @ x, rtol=0, atol=1e-14 * np.abs(x).max())
 
     def test_empty_csr_row_mixes_to_exact_zeros(self):
         p = metropolis_weights(make_graph("ring", 400)).p.toarray()
         p[[7, 399]] = 0.0  # the last row among them
-        mix = MixingMatrix(_RowSparse.from_dense(p))
+        csr = _RowSparse.from_dense(p)
         x = rng_for(8).standard_normal((400, 3))
-        out = mix.mix(x)
-        assert mix.p.row_lengths()[[7, 399]].tolist() == [0, 0]
+        out = csr @ x
+        assert csr.row_lengths()[[7, 399]].tolist() == [0, 0]
         assert out[[7, 399]].tobytes() == np.zeros((2, 3)).tobytes()
-        assert out.tobytes() == csr_product(mix.p, x).tobytes()
-        assert_rounds_match_the_power(mix, x, 1)
+        assert out.tobytes() == csr_product(csr, x).tobytes()
+        assert (csr @ x[:, 0]).tobytes() == csr_product(csr, x[:, 0]).tobytes()
 
     @pytest.mark.parametrize("n", [6, 400])
     def test_repeated_calls_are_bitwise_equal(self, n):
@@ -422,6 +425,7 @@ BROKEN = {
     "negative-zero": set(),
     "stored-zero": set(),
 }
+WEIGHT_CHECKS = ("nonnegativity", "symmetry", "row_sums", "column_sums")  # MixingMatrix's, in its order
 
 
 class TestCsrValidation:
@@ -474,6 +478,76 @@ class TestCsrValidation:
         assert deviation["off-graph"]["sparsity"] == 0.1
         assert deviation["one-sided"]["symmetry"] == 0.1
         assert deviation["moved"]["row_sums"] <= 1e-15 and abs(deviation["moved"]["column_sums"] - 0.1) <= 1e-15
+
+
+class TestConstructionChecks:
+    """``MixingMatrix`` raises on the first of ``validate_mixing``'s weight checks that fails, with its deviation."""
+
+    @pytest.mark.parametrize("case", BROKEN)
+    def test_raises_on_the_first_failed_weight_check(self, case):
+        g = make_graph("ring", 400)
+        p, stored = broken_ring(case)
+        deviation = {c.name: c.deviation for c in validate_mixing(p, g).checks}
+        failed = [name for name in WEIGHT_CHECKS if name in BROKEN[case]]
+        for form in (p, as_csr(p, stored)):
+            if not failed:
+                MixingMatrix(form)
+                continue
+            first = failed[0]
+            with pytest.raises(NotSymmetric if first == "symmetry" else NotStochastic,
+                               match=f"^mixing matrix fails {first}: deviation {deviation[first]:.3e} "):
+                MixingMatrix(form)
+
+    def test_moved_weight_on_ring10_is_rejected(self):
+        # rows still sum to 1; the run this P drove ended at tracking drift 0.31 after 2,000 iterations
+        p = metropolis_weights(make_graph("ring", 10)).p.copy()
+        p[0, 1] -= 0.05
+        p[0, 0] += 0.05
+        with pytest.raises(NotSymmetric, match=r"^mixing matrix fails symmetry: deviation 5\.000e-02 "):
+            MixingMatrix(p)
+
+    def test_zero_rows_are_rejected(self):
+        p = metropolis_weights(make_graph("ring", 400)).p.toarray()
+        p[7] = 0.0  # (6, 7) and (8, 7) lose their partners
+        with pytest.raises(NotSymmetric, match=r"^mixing matrix fails symmetry: deviation 3\.333e-01 "):
+            MixingMatrix(p)
+        p[:, 7] = 0.0  # symmetric again; row 7 sums to 0
+        with pytest.raises(NotStochastic, match=r"^mixing matrix fails row_sums: deviation 1\.000e\+00 "):
+            MixingMatrix(p)
+        p[[7, 399]] = p[:, [7, 399]] = 0.0
+        csr = _RowSparse.from_dense(p)
+        assert csr.row_lengths()[[7, 399]].tolist() == [0, 0]
+        with pytest.raises(NotStochastic, match=r"^mixing matrix fails row_sums: deviation 1\.000e\+00 "):
+            MixingMatrix(csr)
+
+    @pytest.mark.parametrize("delta, accepted", [(1e-13, True), (1e-9, False)])
+    def test_sums_are_held_to_weight_tol(self, delta, accepted):
+        p = metropolis_weights(make_graph("ring", 10)).p.copy()
+        p[3, 3] += delta  # row 3 and column 3 sum to 1 + delta
+        for form in (p, _RowSparse.from_dense(p)):
+            if accepted:
+                MixingMatrix(form)
+            else:
+                with pytest.raises(NotStochastic, match="^mixing matrix fails row_sums"):
+                    MixingMatrix(form)
+
+    def test_column_sums_are_checked_where_rows_and_symmetry_hold(self):
+        # column 0 gains 0.9e-12 from rows 1 and 9, whose diagonals give it back: every row sums
+        # to 1, every pair is symmetric within WEIGHT_TOL, and column 0 sums to 1 + 1.8e-12
+        p = metropolis_weights(make_graph("ring", 10)).p.copy()
+        for i in (1, 9):
+            p[i, 0] += 0.9e-12
+            p[i, i] -= 0.9e-12
+        assert [c.name for c in validate_mixing(p, make_graph("ring", 10)).failures()] == ["column_sums"]
+        for form in (p, _RowSparse.from_dense(p)):
+            with pytest.raises(NotStochastic, match="^mixing matrix fails column_sums"):
+                MixingMatrix(form)
+
+    @pytest.mark.parametrize("kind, n, p", [("ring", 1000, 0.5), ("grid", 1024, 0.5), ("erdos_renyi", 2000, 0.004)])
+    def test_large_metropolis_weights_are_accepted(self, kind, n, p):
+        mix = metropolis_weights(make_graph(kind, n, p=p))  # the constructor checks P
+        assert isinstance(mix.p, _RowSparse)
+        assert MixingMatrix(mix.p.toarray()).n == n
 
 
 def both_forms(n: int) -> tuple[MixingMatrix, MixingMatrix]:

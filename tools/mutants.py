@@ -193,8 +193,20 @@ MUTANTS = {
     ),
     "column-sums-read-as-row-sums": (
         "topology.py",
-        "        col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max())\n",
-        "        col_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max())\n",
+        "        col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max(initial=0.0))\n",
+        "        col_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max(initial=0.0))\n",
+        ("tests/test_topology.py",),
+    ),
+    "mixing-matrix-accepts-any-p": (
+        "topology.py",
+        "        for c in _weight_checks(p):\n",
+        "        for c in ():\n",
+        ("tests/test_topology.py",),
+    ),
+    "mixing-matrix-skips-column-sums": (
+        "topology.py",
+        "        for c in _weight_checks(p):\n",
+        "        for c in _weight_checks(p)[:3]:\n",
         ("tests/test_topology.py",),
     ),
     "families-miss-infinities": (
@@ -278,8 +290,8 @@ MUTANTS = {
     ),
     "nonfinite-start-accepted": (
         "algorithms.py",
-        "        if bad:\n"
-        '            raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")\n',
+        "    if bad:\n"
+        '        raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")\n',
         "",
         ("tests/test_blocks.py",),
     ),
