@@ -121,10 +121,10 @@ def giant_step(
     those gradients, apply each agent's inverse Hessian to its fresh
     tracker value, then take the damped step and mix. K consensus rounds
     are ``P.mix(v, K)``, applied to both the tracker and the iterate
-    update: K products by a CSR P, one neighbour exchange each, or one
+    update: K products by a sparse P, one neighbour exchange each, or one
     multiplication by the P^K that a dense P computes once and keeps.
     On a dense P this keeps a K-round step bitwise identical to a
-    one-round step under P^K; on a CSR P the two agree to a few ulp.
+    one-round step under P^K; on a sparse P the two agree to a few ulp.
 
     Raises NotPositiveDefinite if a local Hessian stops being positive
     definite at the current iterate, which signals that the iterate left

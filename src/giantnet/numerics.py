@@ -1,13 +1,13 @@
-"""Linear algebra helpers: dense kernels for small matrices, and CSR for sparse ones.
+"""Linear algebra helpers: dense kernels for small matrices, and row-sorted triplets for sparse ones.
 
 The dense kernels are sized for desk-scale simulations (dimensions up
 to a few hundred): Cholesky factorization of SPD matrices, triangular
 solves that realize inverse-Hessian action (an inverse that is kept is
 a solve against the identity; no inversion routine is called), and the
 spectral quantity governing consensus contraction. ``_RowSparse`` holds
-a square matrix as its entries row by row (CSR); it is the form a
-mixing matrix over a sparse graph takes, so that it costs O(n + E), not
-n^2 floats.
+a square matrix as its stored (row, column, value) triplets, sorted by
+row; it is the form a mixing matrix over a sparse graph takes, so that
+it costs O(n + E), not n^2 floats.
 
 The Cholesky kernels act on all agents at once: ``spd_factorize_stack``
 makes one batched Cholesky call over an (n, d, d) stack and returns the
@@ -25,25 +25,24 @@ are the same bits.
 
 The consensus contraction factor sigma2 only measures (whether P is
 doubly stochastic is ``topology.MixingMatrix``'s check). It reads the
-matrix as its nonzero (row, column, value) triplets, whether it comes
-dense or as CSR. When every triplet equals its transposed partner (0
-where that is not stored) and every row holds row 0's nonzeros shifted
-along the cycle (P is circulant: Metropolis weights on a ring always
-are, on a complete graph when every row's diagonal rounds alike),
-sigma2 is the largest magnitude of P's closed-form eigenvalues, in
-O(n w) for rows of w nonzeros and without an n x n array. Any other P
-gets P - 11'/n built once, as an n x n array of -1/n plus the nonzeros
-(the bits of the dense ``p - 1/n``), and handed to the symmetric
-eigensolver if it is symmetric, to a full SVD otherwise. For a CSR P
-that is not circulant, that array and the eigensolver's copy of it are
-the only n x n arrays sigma2 allocates. A matrix with a NaN or infinite
-entry has sigma2 NaN and reaches neither solver.
+matrix as ``_RowSparse.of`` gives it, whether it comes dense or sparse.
+When every triplet equals its transposed partner (0 where that is not
+stored) and every row holds row 0's nonzeros shifted along the cycle (P
+is circulant: Metropolis weights on a ring always are, on a complete
+graph when every row's diagonal rounds alike), sigma2 is the largest
+magnitude of P's closed-form eigenvalues, in O(n w) for rows of w
+nonzeros and without an n x n array. Any other P gets P - 11'/n built
+once, as an n x n array of -1/n plus the nonzeros (the bits of the dense
+``p - 1/n``), and handed to the symmetric eigensolver if it is
+symmetric, to a full SVD otherwise. For a sparse P that is not
+circulant, that array and the eigensolver's copy of it are the only
+n x n arrays sigma2 allocates. A matrix with a NaN or infinite entry has
+sigma2 NaN and reaches neither solver.
 
 ``is_integer``, ``is_real`` and ``is_finite_real`` are the type tests
 every constructor applies to its scalar fields.
 
-All functions are pure; returned arrays are fresh and never alias inputs
-(``_RowSparse.triplets`` returns the matrix's own columns and values).
+All functions are pure; returned arrays are fresh and never alias inputs.
 """
 
 from __future__ import annotations
@@ -144,67 +143,69 @@ def spd_solve_stack(lower: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 class _RowSparse:
-    """A square matrix as its entries row by row (CSR): values, columns and row starts.
+    """A square n x n matrix as its stored entries: ``rows``, ``cols`` and ``vals``, sorted by row, then column.
 
-    Each row's columns ascend and no position is stored twice, so the
-    entries in storage order are sorted by position; a stored entry may
-    be 0, and a row may store none. ``@`` takes an (n,) vector or an
-    (n, d) stack: it gathers x at the stored columns, scales the gather
-    by the values, and adds each row's products a_ij * x_j with one
-    ``np.bincount`` over the keys r * d + k, for the entry's row r and
-    the stack's column k. bincount adds each row left to right in column
-    order from +0.0, so an empty row gives exact zeros, as a dense zero
-    row does. The keys are kept for the last d seen, as one nnz * d
+    No position is stored twice, so the keys rows * n + cols ascend
+    strictly in storage order: ``transposed_values`` finds partners by
+    ``searchsorted`` over them, and every row sum adds its entries in
+    column order. A stored entry may be 0, and a row may store none.
+    ``of`` is the one conversion into this form. ``@`` takes an (n,)
+    vector or an (n, d) stack: it gathers x at the stored columns, scales
+    the gather by the values, and adds each row's products a_ij * x_j
+    with one ``np.bincount`` over the keys r * d + k, for the entry's row
+    r and the stack's column k. bincount adds each row left to right in
+    column order from +0.0, so an empty row gives exact zeros, as a dense
+    zero row does. The keys are kept for the last d seen, as one nnz * d
     int64 array.
     """
 
-    def __init__(self, vals: np.ndarray, cols: np.ndarray, starts: np.ndarray):
-        self.vals = vals
-        self.cols = cols
-        self.starts = starts
+    def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+        self.rows, self.cols, self.vals, self.n = rows, cols, vals, n
         self._keys = np.zeros(0, dtype=np.int64)  # the bincount keys of __matmul__, for the last d
 
     @classmethod
-    def from_dense(cls, p: np.ndarray) -> _RowSparse:
-        """The nonzeros of a square array, from one ``p != 0`` scan: NaN is kept, -0.0 is not."""
-        # row-major, so each row's columns ascend; booleans scan faster than floats
-        rows, cols = np.nonzero(p != 0)
-        return cls(p[rows, cols], cols, np.searchsorted(rows, np.arange(len(p))))
+    def of(cls, p) -> _RowSparse:
+        """``p`` itself if it is a ``_RowSparse``, else the nonzeros of ``np.asarray(p, dtype=float)``.
+
+        The array must be square. Its nonzeros come from one ``p != 0``
+        scan, row-major: NaN is kept, -0.0 is not. Raises DimensionMismatch
+        for any other shape, and for a ``p`` numpy cannot convert.
+        """
+        if isinstance(p, _RowSparse):
+            return p
+        try:
+            p = np.asarray(p, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # a ragged list, a string
+            raise DimensionMismatch(
+                f"expected a square matrix, got a {type(p).__name__} numpy cannot convert: {exc}"
+            ) from exc
+        if p.ndim != 2 or p.shape[0] != p.shape[1]:
+            raise DimensionMismatch(f"expected a square matrix, got shape {p.shape}")
+        rows, cols = np.nonzero(p != 0)  # booleans scan faster than floats
+        return cls(rows, cols, p[rows, cols], len(p))
 
     @property
     def shape(self) -> tuple[int, int]:
-        return len(self.starts), len(self.starts)
-
-    def row_lengths(self) -> np.ndarray:
-        # concatenate, not np.append or np.diff: validation calls this often on small matrices
-        return np.concatenate((self.starts[1:], [len(self.cols)])) - self.starts
-
-    def triplets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, cols, vals) of the stored entries in storage order."""
-        return np.repeat(np.arange(len(self.starts)), self.row_lengths()), self.cols, self.vals
+        return self.n, self.n
 
     def transposed_values(self) -> np.ndarray:
         """The entry at (j, i) for each stored (i, j), in storage order; 0.0 where none is stored."""
-        rows, cols, vals = self.triplets()
-        n = len(self.starts)
-        keys, wanted = rows * n + cols, cols * n + rows  # keys ascend in storage order
+        keys, wanted = self.rows * self.n + self.cols, self.cols * self.n + self.rows
         at = np.searchsorted(keys, wanted)
         at[np.concatenate((keys, [-1]))[at] != wanted] = len(keys)  # absent: the appended 0.0
-        return np.concatenate((vals, [0.0]))[at]
+        return np.concatenate((self.vals, [0.0]))[at]
 
     def toarray(self) -> np.ndarray:
-        rows, cols, vals = self.triplets()
         out = np.zeros(self.shape)
-        out[rows, cols] = vals
+        out[self.rows, self.cols] = self.vals
         return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         if x.ndim == 1:  # the (nnz, 1) values times an (nnz,) gather would broadcast to (nnz, nnz)
             return (self @ x[:, None])[:, 0]
-        n, d = len(self.starts), x.shape[1]
+        n, d = self.n, x.shape[1]
         if len(self._keys) != len(self.cols) * d:  # kept for another d; with no entries, any d fits
-            rows = self.triplets()[0]
-            self._keys = (rows[:, None] * d + np.arange(d)).ravel()
+            self._keys = (self.rows[:, None] * d + np.arange(d)).ravel()
         # take gathers the rows about a quarter faster than x[self.cols]; the gather is
         # fresh, so it is scaled in place, which spares a second nnz * d array
         terms = x.take(self.cols, axis=0).astype(np.result_type(x, self.vals), copy=False)
@@ -218,9 +219,9 @@ def second_singular_value(p: np.ndarray | _RowSparse) -> float:
     For a doubly stochastic P this is the per-round shrink rate of the
     disagreement component; values below 1 certify mixing. Any square P
     gets a value (whether P is doubly stochastic is ``MixingMatrix``'s
-    check); any other shape raises DimensionMismatch. P is read as its
-    nonzero triplets: those of a ``_RowSparse`` as stored, those of an
-    array from one ``p != 0`` scan. P - 11'/n is built once from them,
+    check); any other shape, or a ``p`` numpy cannot convert, raises
+    DimensionMismatch. P is read as the triplets of ``_RowSparse.of(p)``.
+    P - 11'/n is built once from them,
     with the bits of the dense ``p - 1/n``. If every triplet equals its
     transposed partner (0 where none is stored), P equals its transpose
     exactly, the projected matrix is symmetric and its largest singular
@@ -228,36 +229,30 @@ def second_singular_value(p: np.ndarray | _RowSparse) -> float:
     circulant, every row holding the same nonzero (offset, value) pairs
     as row 0 bit for bit, takes that magnitude from the closed-form
     eigenvalues of ``_circulant_sigma2`` and builds no n x n array;
-    stored zeros do not count, so a CSR P and its dense form take the
+    stored zeros do not count, so a sparse P and its dense form take the
     same path. Any other symmetric P takes max(|lambda_min|,
     |lambda_max|) from ``eigvalsh``. Any other matrix, including one
     symmetric only to within roundoff, gets a full SVD. A NaN or infinite
     entry gives NaN without a LAPACK call.
     """
-    if not isinstance(p, _RowSparse):
-        p = np.asarray(p, dtype=float)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise DimensionMismatch(f"expected a square matrix, got shape {p.shape}")
-        p = _RowSparse.from_dense(p)
-    n = p.shape[0]
-    rows, cols, vals = p.triplets()
-    if not np.isfinite(vals).all():
+    p = _RowSparse.of(p)
+    if not np.isfinite(p.vals).all():
         return float("nan")
-    symmetric = np.array_equal(vals, p.transposed_values())
+    symmetric = np.array_equal(p.vals, p.transposed_values())
     if symmetric:
-        sigma2 = _circulant_sigma2(rows, cols, vals, n)
+        sigma2 = _circulant_sigma2(p)
         if sigma2 is not None:
             return sigma2
-    projected = np.full((n, n), -1.0 / n)
-    projected[rows, cols] += vals  # -1/n + v is v - 1/n: the bits of p - 1/n
+    projected = np.full(p.shape, -1.0 / p.n)
+    projected[p.rows, p.cols] += p.vals  # -1/n + v is v - 1/n: the bits of p - 1/n
     if symmetric:
         w = np.linalg.eigvalsh(projected)  # ascending
         return float(max(abs(w[0]), abs(w[-1])))
     return float(np.linalg.svd(projected, compute_uv=False)[0])
 
 
-def _circulant_sigma2(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> float | None:
-    """sigma2 of a symmetric P from the triplets if P is circulant, else None.
+def _circulant_sigma2(p: _RowSparse) -> float | None:
+    """sigma2 of a symmetric P from its stored entries if P is circulant, else None.
 
     P is circulant when every row holds the same (offset, value) pairs
     as row 0, offset being (col - row) mod n. Only nonzeros count, so a
@@ -271,8 +266,8 @@ def _circulant_sigma2(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: i
     int64 before scaling, which keeps every angle below 2 pi. The
     eigenvalues cost O(n w) for a row of w nonzeros.
     """
-    nz = vals != 0
-    rows, cols, vals = rows[nz], cols[nz], vals[nz]
+    n, nz = p.n, p.vals != 0
+    rows, cols, vals = p.rows[nz], p.cols[nz], p.vals[nz]
     counts = np.bincount(rows, minlength=n)
     if not (counts == counts[0]).all():
         return None

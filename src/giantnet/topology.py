@@ -2,14 +2,14 @@
 
 A consensus round exchanges messages between neighbours only, so P has
 n + 2E nonzeros. P's form is decided once, by ``metropolis_weights``: it
-builds P straight from the edge list as CSR (values, columns and row
-starts; ``numerics._RowSparse``) when ``SPARSE_RATIO`` calls n + 2E
-sparse, and as a dense n x n array otherwise. ``MixingMatrix.mix``
-runs k rounds in P's form: on a CSR P as k products by P, each one
-neighbour exchange in O((n + 2E) d); on a dense P as one dense ``@`` by
-the kept P^k. A dense P is applied dense, however sparse it is.
-``MixingMatrix`` and ``validate_mixing`` check either form on its
-nonzero triplets. Only the sigma2 eigensolve allocates n x n arrays; a
+builds P straight from the edge list as row-sorted triplets
+(``numerics._RowSparse``) when ``SPARSE_RATIO`` calls n + 2E sparse, and
+as a dense n x n array otherwise. ``MixingMatrix.mix`` runs k rounds in
+P's form: on a sparse P as k products by P, each one neighbour exchange
+in O((n + 2E) d); on a dense P as one dense ``@`` by the kept P^k. A
+dense P is applied dense, however sparse it is. ``MixingMatrix`` and
+``validate_mixing`` check either form on the triplets of
+``_RowSparse.of``. Only the sigma2 eigensolve allocates n x n arrays; a
 circulant P (a ring's Metropolis weights) gets sigma2 in closed form.
 """
 
@@ -40,8 +40,8 @@ WEIGHT_TOL = 1e-12
 # rejects every matrix with 1 - sigma2 below it, however it is computed.
 SIGMA2_MARGIN = 1e-9
 
-# metropolis_weights builds P as CSR when nnz * SPARSE_RATIO <= n^2; nothing
-# else reads this rule. Dense @ against CSR, microseconds per product,
+# metropolis_weights builds P sparse when nnz * SPARSE_RATIO <= n^2; nothing
+# else reads this rule. Dense @ against sparse, microseconds per product,
 # medians of 9 (Metropolis weights, numpy 2.4.6 with OpenBLAS, 2 vCPUs):
 #
 #   P                          n^2/nnz   d=1          d=5          d=20
@@ -94,10 +94,11 @@ class Graph:
 class MixingMatrix:
     """Consensus weights over a graph, checked at construction to be symmetric doubly stochastic.
 
-    ``p`` is either a CSR ``_RowSparse``, kept as is (``metropolis_weights``
+    ``p`` is either a ``_RowSparse``, kept as is (``metropolis_weights``
     gives one above the sparse threshold; ``p.toarray()`` is its dense
     form), or anything else, converted to a float array (a float array is
-    kept as is) that must be square. Either form must pass
+    kept as is) that must be square: ``_RowSparse.of`` raises
+    DimensionMismatch otherwise. Either form must pass
     ``validate_mixing``'s nonnegativity, symmetry, row-sum and column-sum
     checks, each within ``WEIGHT_TOL``: the first that fails raises
     NotSymmetric (symmetry) or NotStochastic (the others) with its
@@ -105,7 +106,7 @@ class MixingMatrix:
     ``mix`` memoizes ``power(k)`` on a dense P, ``p`` must not be modified.
 
     ``metropolis_weights`` decides P's form once, and ``mix`` never
-    converts it. On a CSR P, k rounds are k products by P, each adding
+    converts it. On a sparse P, k rounds are k products by P, each adding
     every row's stored products in column order (see ``_RowSparse``).
     That is many times faster than the dense product above the crossover
     (ring n=1000, d=5, in the table beside ``SPARSE_RATIO``: 79 us,
@@ -118,14 +119,10 @@ class MixingMatrix:
     _products: dict = field(default_factory=dict, init=False, repr=False)  # k -> a dense P^k, as mix applies it
 
     def __post_init__(self):
-        p = self.p
-        if not isinstance(p, _RowSparse):
-            p = np.asarray(p, dtype=float)
-            if p.ndim != 2 or p.shape[0] != p.shape[1]:
-                raise DimensionMismatch(f"mixing matrix must be square, got shape {p.shape}")
-            object.__setattr__(self, "p", p)
-            p = _RowSparse.from_dense(p)
-        for c in _weight_checks(p):
+        sparse = _RowSparse.of(self.p)
+        if sparse is not self.p:  # a dense P is kept as its float array; ``of`` converted it already
+            object.__setattr__(self, "p", np.asarray(self.p, dtype=float))
+        for c in _weight_checks(sparse):
             if not c.passed:
                 error = NotSymmetric if c.name == "symmetry" else NotStochastic
                 raise error(f"mixing matrix fails {c.name}: deviation {c.deviation:.3e} (WEIGHT_TOL {WEIGHT_TOL:g})")
@@ -139,9 +136,9 @@ class MixingMatrix:
 
         On a dense P, ``power(1)`` is ``p`` itself, and the association
         order is pinned so that k rounds of mixing and a single
-        multiplication by the power are bitwise equal. A CSR P gives the
+        multiplication by the power are bitwise equal. A sparse P gives the
         power of its ``toarray()`` form, an n x n array, for checks at
-        small n: ``mix`` never calls this on a CSR P, and its k products
+        small n: ``mix`` never calls this on a sparse P, and its k products
         by P agree with one product by the power to a few ulp, not bit
         for bit. Each call builds the power afresh; ``mix`` keeps what it
         applies.
@@ -157,7 +154,7 @@ class MixingMatrix:
     def mix(self, x: np.ndarray, k: int = 1) -> np.ndarray:
         """k consensus rounds on an (n, d) stack or an (n,) vector: P^k @ x.
 
-        On a CSR P the rounds are k products by P; on a dense P they are
+        On a sparse P the rounds are k products by P; on a dense P they are
         one product by ``power(k)``, built at the first call for that k.
         Raises InvalidParams unless k is a positive integer, and
         DimensionMismatch for any other shape of ``x``.
@@ -245,7 +242,7 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
 
     P_ij = 1 / (1 + max(deg_i, deg_j)) on edges, diagonal takes the slack.
     The form is chosen from nnz = n + 2E before anything is built: if
-    nnz * SPARSE_RATIO <= n^2, P is CSR, built from the edge list in
+    nnz * SPARSE_RATIO <= n^2, P is sparse, built from the edge list in
     O(nnz log nnz), with each diagonal entry 1 minus its row's
     off-diagonals added in column order; otherwise P is a dense n x n
     array whose diagonal is 1 minus its row's ``sum``. On a ring, and
@@ -266,7 +263,7 @@ def metropolis_weights(g: Graph) -> MixingMatrix:
     vals = np.concatenate([w, w, np.zeros(n)])[order]
     # bincount adds each row's entries in column order; the diagonal's 0 adds nothing
     vals[rows == cols] = 1.0 - np.bincount(rows, vals, n)
-    return MixingMatrix(_RowSparse(vals, cols, np.searchsorted(rows, node)))
+    return MixingMatrix(_RowSparse(rows, cols, vals, n))
 
 
 @dataclass(frozen=True)
@@ -298,18 +295,19 @@ class ValidationReport:
 
 
 def _weight_checks(p: _RowSparse) -> tuple[MixingCheck, ...]:
-    """Nonnegativity, symmetry, row sums and column sums of a CSR P, each within ``WEIGHT_TOL``.
+    """Nonnegativity, symmetry, row sums and column sums of a sparse P, each within ``WEIGHT_TOL``.
 
     Symmetry compares each stored entry with its transposed partner (0 if
-    absent); each sum adds its row's or column's nonzeros in storage order.
+    absent), and an entry equal to its partner deviates by 0, infinities
+    included; each sum adds its row's or column's entries in storage order.
     """
-    n = p.shape[0]
-    rows, cols, vals = p.triplets()
+    n, rows, cols, vals = p.n, p.rows, p.cols, p.vals
     # 0.0 - 0.0 is +0.0 where -0.0 is not; NaN propagates. The initial 0.0 stands for the zeros.
     neg = float(0.0 - vals.min(initial=0.0))
-    # inf - inf gives NaN, which fails its check; numpy need not warn about it.
+    partner = p.transposed_values()
+    # inf - inf gives NaN, which np.where drops for an equal pair; numpy need not warn about it.
     with np.errstate(invalid="ignore"):
-        asym = float(np.abs(vals - p.transposed_values()).max(initial=0.0))
+        asym = float(np.abs(np.where(vals == partner, 0.0, vals - partner)).max(initial=0.0))
         row_dev = float(np.abs(np.bincount(rows, vals, n) - 1.0).max(initial=0.0))
         col_dev = float(np.abs(np.bincount(cols, vals, n) - 1.0).max(initial=0.0))
     deviations = {"nonnegativity": neg, "symmetry": asym, "row_sums": row_dev, "column_sums": col_dev}
@@ -320,17 +318,16 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     """Check the mixing-matrix invariants, reporting measured deviations.
 
     Failures come back as report entries, never exceptions, so that
-    user-supplied matrices can be inspected. ``p`` is a CSR ``_RowSparse``
-    or anything ``np.asarray`` makes a float array of. A ``p`` that is not
-    (n, n) gets one failed ``shape`` check, whose deviation is the largest
-    |dim - n| of a 2-D ``p`` and inf for any other ndim. Every check
-    reads the nonzero (row, column, value) triplets, stored ones for a
-    CSR ``p`` and those of one ``p != 0`` scan for a dense one; an entry
-    not among them is 0. Checks: nonnegativity, sparsity conformance to
+    user-supplied matrices can be inspected. ``p`` is a ``_RowSparse`` or
+    anything else. A ``p`` that is not (n, n) gets one failed ``shape``
+    check, whose deviation is the largest |dim - n| of a 2-D ``p`` and inf
+    for any other ndim, or where numpy makes no float array of ``p``.
+    Every check reads the triplets of ``_RowSparse.of(p)``; an entry not
+    among them is 0. Checks: nonnegativity, sparsity conformance to
     the graph, symmetry, row sums, column sums (all but sparsity are
     ``MixingMatrix``'s, from ``_weight_checks``) and sigma2 <= 1 -
     ``SIGMA2_MARGIN``. A circulant ``p`` gets sigma2 in closed form and,
-    if CSR, allocates no n x n array. For a CSR ``p`` that is not
+    if sparse, allocates no n x n array. For a sparse ``p`` that is not
     circulant, only the sigma2 eigensolve allocates n x n arrays: its
     input and LAPACK's copy.
 
@@ -338,17 +335,18 @@ def validate_mixing(p: np.ndarray | _RowSparse, g: Graph) -> ValidationReport:
     for the margin: a ring with n >~ 1.15e5 nodes has
     1 - sigma2 = 4 pi^2 / (3 n^2) < ``SIGMA2_MARGIN``.
     """
-    if not isinstance(p, _RowSparse):
-        p = np.asarray(p, dtype=float)
-    if p.shape != (g.n, g.n):
-        off = max(abs(dim - g.n) for dim in p.shape) if len(p.shape) == 2 else math.inf
+    try:
+        shape = p.shape if isinstance(p, _RowSparse) else np.asarray(p, dtype=float).shape
+    except (TypeError, ValueError, OverflowError):  # a ragged list, a string: no dimension matches
+        shape = ()
+    if shape != (g.n, g.n):
+        off = max(abs(dim - g.n) for dim in shape) if len(shape) == 2 else math.inf
         return ValidationReport((MixingCheck("shape", False, float(off)),))
-    if not isinstance(p, _RowSparse):
-        p = _RowSparse.from_dense(p)
+    p = _RowSparse.of(p)
     nonnegativity, *weights = _weight_checks(p)
 
     # What |p| holds off the graph and the diagonal; -0.0 reads 0 and NaN propagates.
-    rows, cols, vals = p.triplets()
+    rows, cols, vals = p.rows, p.cols, p.vals
     keys = np.minimum(rows, cols) * g.n + np.maximum(rows, cols)
     edge_keys = g.edges[:, 0] * g.n + g.edges[:, 1]  # ascending, as the edges are sorted
     on_graph = np.concatenate((edge_keys, [-1]))[np.searchsorted(edge_keys, keys)] == keys

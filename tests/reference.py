@@ -95,15 +95,11 @@ def csr_product(csr, x):
     """``csr @ x`` for an (n,) vector or an (n, d) stack: each row added from 0.0, left to right in column order."""
     stack = np.asarray(x).reshape(len(x), -1)
     d, rows = stack.shape[1], stack.tolist()
-    vals, cols = csr.vals.tolist(), csr.cols.tolist()
-    ends = [*csr.starts[1:].tolist(), len(cols)]
-    out = []
-    for start, end in zip(csr.starts.tolist(), ends):
+    out = [[0.0] * d for _ in range(csr.n)]
+    # the triplets are sorted by row, then column, so each row is added in column order
+    for r, c, v in zip(csr.rows.tolist(), csr.cols.tolist(), csr.vals.tolist()):
         for k in range(d):
-            acc = 0.0
-            for i in range(start, end):
-                acc = acc + vals[i] * rows[cols[i]][k]
-            out.append(acc)
+            out[r][k] = out[r][k] + v * rows[c][k]
     return np.array(out, dtype=float).reshape(np.shape(x))
 
 

@@ -237,6 +237,11 @@ class TestSecondSingularValue:
         with pytest.raises(DimensionMismatch, match=rf"^expected a square matrix, got shape \({shape[0]}, {shape[1]}\)$"):
             second_singular_value(np.full(shape, 0.5))
 
+    @pytest.mark.parametrize("p", [[[1.0, 0.0], [0.0]], "ab"], ids=["ragged", "string"])
+    def test_rejects_a_matrix_numpy_cannot_convert(self, p):
+        with pytest.raises(DimensionMismatch, match="^expected a square matrix, got a (list|str) numpy cannot "):
+            second_singular_value(p)
+
     def test_measures_a_matrix_that_is_not_stochastic(self):
         # whether P is doubly stochastic is MixingMatrix's check; sigma2 only measures
         p = np.eye(3)
@@ -246,8 +251,9 @@ class TestSecondSingularValue:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_is_not_stochastic_or_nan(self, bad, capfd):
         p = np.full((3, 3), bad)
-        # NaN is not known to be nonnegative; inf is, but inf - inf leaves its symmetry unknown
-        with pytest.raises(NotStochastic if np.isnan(bad) else NotSymmetric):
+        # NaN is not known to be nonnegative; inf is, and equals its transpose, but its rows sum to inf
+        check = "nonnegativity: deviation nan" if np.isnan(bad) else "row_sums: deviation inf"
+        with pytest.raises(NotStochastic, match=f"^mixing matrix fails {check} "):
             MixingMatrix(p)
         assert np.isnan(second_singular_value(p))
         assert capfd.readouterr().err == ""  # no LAPACK complaint: it was never called
@@ -338,7 +344,7 @@ def _random_csr(lengths: np.ndarray, seed: int) -> _RowSparse:
     pick = rng.random(len(cols))
     vals[pick < 0.1] = 0.0
     vals[(pick >= 0.1) & (pick < 0.2)] = -0.0
-    return _RowSparse(vals, cols, np.concatenate(([0], np.cumsum(lengths)[:-1])))
+    return _RowSparse(np.repeat(np.arange(n), lengths), cols, vals, n)
 
 
 def _awkward_stack(shape, seed: int) -> np.ndarray:

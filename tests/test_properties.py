@@ -134,7 +134,7 @@ def test_whole_runs_match_the_per_agent_reference(setup):
     _assert_runs_match(instance, mix, k, x0, wants)
     # Again with P as CSR, whose k rounds are k products by P: at these sizes
     # metropolis_weights builds P dense.
-    csr = MixingMatrix(_RowSparse.from_dense(mix.p))
+    csr = MixingMatrix(_RowSparse.of(mix.p))
     _assert_runs_match(instance, csr, k, x0, wants)
     np.testing.assert_allclose(csr.mix(x0, k), mix.power(k) @ x0, rtol=0, atol=1e-14 * np.abs(x0).max())
 

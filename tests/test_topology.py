@@ -169,7 +169,12 @@ class TestMix:
 
     @pytest.mark.parametrize("p", [np.ones((3, 4)), np.ones(3), np.ones((2, 2, 2))])
     def test_rejects_non_square_weights(self, p):
-        with pytest.raises(DimensionMismatch, match="must be square"):
+        with pytest.raises(DimensionMismatch, match=r"^expected a square matrix, got shape \("):
+            MixingMatrix(p)
+
+    @pytest.mark.parametrize("p", [[[1.0, 0.0], [0.0]], "ab"], ids=["ragged", "string"])
+    def test_rejects_weights_numpy_cannot_convert(self, p):
+        with pytest.raises(DimensionMismatch, match="^expected a square matrix, got a (list|str) numpy cannot "):
             MixingMatrix(p)
 
     @pytest.mark.parametrize("n, sparse", [(4, False), (12, True)])
@@ -234,20 +239,20 @@ class TestMix:
     def test_zero_row_mixes_to_exact_zeros(self):
         p = metropolis_weights(make_graph("ring", 400)).p.toarray()
         p[7] = 0.0
-        csr = _RowSparse.from_dense(p)  # the scan stores nothing for a zero row
+        csr = _RowSparse.of(p)  # the scan stores nothing for a zero row
         x = rng_for(8).standard_normal((400, 3))
         out = csr @ x
-        assert csr.row_lengths()[7] == 0
+        assert np.bincount(csr.rows, minlength=csr.n)[7] == 0
         assert out[7].tobytes() == np.zeros(3).tobytes()
         np.testing.assert_allclose(out, p @ x, rtol=0, atol=1e-14 * np.abs(x).max())
 
     def test_empty_csr_row_mixes_to_exact_zeros(self):
         p = metropolis_weights(make_graph("ring", 400)).p.toarray()
         p[[7, 399]] = 0.0  # the last row among them
-        csr = _RowSparse.from_dense(p)
+        csr = _RowSparse.of(p)
         x = rng_for(8).standard_normal((400, 3))
         out = csr @ x
-        assert csr.row_lengths()[[7, 399]].tolist() == [0, 0]
+        assert np.bincount(csr.rows, minlength=csr.n)[[7, 399]].tolist() == [0, 0]
         assert out[[7, 399]].tobytes() == np.zeros((2, 3)).tobytes()
         assert out.tobytes() == csr_product(csr, x).tobytes()
         assert (csr @ x[:, 0]).tobytes() == csr_product(csr, x[:, 0]).tobytes()
@@ -295,7 +300,7 @@ class TestCsrWeights:
         monkeypatch.setattr(topology, "SPARSE_RATIO", np.inf)  # every P dense
         dense = metropolis_weights(g).p
         assert isinstance(csr, _RowSparse) and isinstance(dense, np.ndarray)
-        rows, cols, vals = csr.triplets()
+        rows, cols, vals = csr.rows, csr.cols, csr.vals
         assert (np.diff(rows * n + cols) > 0).all()  # each row's columns ascend
         assert np.array_equal(rows, np.nonzero(dense)[0]) and np.array_equal(cols, np.nonzero(dense)[1])
         off = rows != cols
@@ -305,6 +310,25 @@ class TestCsrWeights:
         if kind == "ring":
             assert csr.toarray().tobytes() == dense.tobytes()
         np.testing.assert_allclose(vals[~off], np.diag(dense), rtol=0, atol=1e-15)
+
+    # transposed_values' searchsorted and the column-order row sums read the keys rows * n + cols
+    @pytest.mark.parametrize(
+        "kind, n, p", [("ring", 1000, 0.5), ("grid", 1024, 0.5), ("star", 500, 0.5), ("erdos_renyi", 2000, 0.004)]
+    )
+    def test_stored_keys_ascend_strictly(self, kind, n, p):
+        csr = metropolis_weights(make_graph(kind, n, p=p)).p
+        assert isinstance(csr, _RowSparse) and csr.n == n
+        assert (np.diff(csr.rows * n + csr.cols) > 0).all()
+
+    def test_conversion_keys_ascend_strictly(self):
+        p = rng_for(77).random((50, 50))
+        p[p < 0.7] = 0.0
+        p[3, 4], p[5, 6], p[7] = np.nan, -0.0, 0.0  # NaN is stored; -0.0 and an empty row are not
+        csr = _RowSparse.of(p)
+        assert (np.diff(csr.rows * 50 + csr.cols) > 0).all()
+        assert np.array_equal(np.stack((csr.rows, csr.cols)), np.nonzero(p != 0))
+        assert np.array_equal(csr.toarray(), p, equal_nan=True)
+        assert _RowSparse.of(csr) is csr
 
     @pytest.mark.parametrize("kind, n", [("ring", 700), ("grid", 676), ("star", 400)])
     def test_csr_powers_match_the_dense_powers(self, kind, n):
@@ -377,7 +401,7 @@ def as_csr(p: np.ndarray, stored=()) -> _RowSparse:
     for i, j in stored:
         keep[i, j] = True
     rows, cols = np.nonzero(keep)
-    return _RowSparse(p[rows, cols], cols, np.searchsorted(rows, np.arange(len(p))))
+    return _RowSparse(rows, cols, p[rows, cols], len(p))
 
 
 def assert_same_reports(a, b):
@@ -421,7 +445,7 @@ BROKEN = {
     "row-off": {"row_sums", "column_sums"},
     "moved": {"symmetry", "column_sums", "sigma2"},
     "nan": {"nonnegativity", "symmetry", "row_sums", "column_sums", "sigma2"},
-    "inf": {"symmetry", "row_sums", "column_sums", "sigma2"},
+    "inf": {"row_sums", "column_sums", "sigma2"},  # the inf pair is symmetric: equal entries deviate by 0
     "negative-zero": set(),
     "stored-zero": set(),
 }
@@ -438,7 +462,7 @@ class TestCsrValidation:
         g = make_graph(kind, n, p=0.01)
         p = metropolis_weights(g).p
         assert isinstance(p, _RowSparse) == (kind in ("ring", "grid", "star"))
-        csr = p if isinstance(p, _RowSparse) else _RowSparse.from_dense(p)
+        csr = p if isinstance(p, _RowSparse) else _RowSparse.of(p)
         report = validate_mixing(csr, g)
         assert report.passed, str(report)
         assert_same_reports(report, validate_mixing(csr.toarray(), g))
@@ -515,8 +539,8 @@ class TestConstructionChecks:
         with pytest.raises(NotStochastic, match=r"^mixing matrix fails row_sums: deviation 1\.000e\+00 "):
             MixingMatrix(p)
         p[[7, 399]] = p[:, [7, 399]] = 0.0
-        csr = _RowSparse.from_dense(p)
-        assert csr.row_lengths()[[7, 399]].tolist() == [0, 0]
+        csr = _RowSparse.of(p)
+        assert np.bincount(csr.rows, minlength=csr.n)[[7, 399]].tolist() == [0, 0]
         with pytest.raises(NotStochastic, match=r"^mixing matrix fails row_sums: deviation 1\.000e\+00 "):
             MixingMatrix(csr)
 
@@ -524,7 +548,7 @@ class TestConstructionChecks:
     def test_sums_are_held_to_weight_tol(self, delta, accepted):
         p = metropolis_weights(make_graph("ring", 10)).p.copy()
         p[3, 3] += delta  # row 3 and column 3 sum to 1 + delta
-        for form in (p, _RowSparse.from_dense(p)):
+        for form in (p, _RowSparse.of(p)):
             if accepted:
                 MixingMatrix(form)
             else:
@@ -539,7 +563,7 @@ class TestConstructionChecks:
             p[i, 0] += 0.9e-12
             p[i, i] -= 0.9e-12
         assert [c.name for c in validate_mixing(p, make_graph("ring", 10)).failures()] == ["column_sums"]
-        for form in (p, _RowSparse.from_dense(p)):
+        for form in (p, _RowSparse.of(p)):
             with pytest.raises(NotStochastic, match="^mixing matrix fails column_sums"):
                 MixingMatrix(form)
 
@@ -553,13 +577,13 @@ class TestConstructionChecks:
 def both_forms(n: int) -> tuple[MixingMatrix, MixingMatrix]:
     """Ring-n Metropolis weights as a dense P and as the CSR form of the same matrix."""
     dense = metropolis_weights(make_graph("ring", n))
-    return dense, MixingMatrix(_RowSparse.from_dense(dense.p))
+    return dense, MixingMatrix(_RowSparse.of(dense.p))
 
 
 def wide_rows(n: int) -> MixingMatrix:
     """A CSR P with 9 equal entries per row, at offsets -4..4 on a cycle."""
     cols = np.sort((np.arange(n)[:, None] + np.arange(-4, 5)) % n, axis=1)
-    return MixingMatrix(_RowSparse(np.full(9 * n, 1 / 9), cols.ravel(), np.arange(0, 9 * n, 9)))
+    return MixingMatrix(_RowSparse(np.repeat(np.arange(n), 9), cols.ravel(), np.full(9 * n, 1 / 9), n))
 
 
 def assert_rounds_match_the_power(mix: MixingMatrix, x: np.ndarray, k: int) -> None:
@@ -577,6 +601,11 @@ class TestValidateMixing:
         # the largest |dim - n| of a matrix; any other ndim is infinitely far from (n, n)
         report = validate_mixing(np.full(shape, 0.25), make_graph("ring", 4))
         assert report.checks == (MixingCheck("shape", False, deviation),)
+
+    @pytest.mark.parametrize("p", [[[1.0, 0.0], [0.0]], "ab"], ids=["ragged", "string"])
+    def test_weights_numpy_cannot_convert_fail_shape(self, p):
+        report = validate_mixing(p, make_graph("ring", 2))
+        assert report.checks == (MixingCheck("shape", False, np.inf),)
 
     def test_ring_sigma2_limit_is_where_the_docstring_puts_it(self, monkeypatch):
         # 1 - sigma2 = 4 pi^2 / (3 n^2) crosses SIGMA2_MARGIN between these sizes

@@ -186,9 +186,14 @@ MUTANTS = {
     ),
     "symmetry-skips-absent-transpose": (
         "topology.py",
-        "        asym = float(np.abs(vals - p.transposed_values()).max(initial=0.0))\n",
-        "        partner = p.transposed_values()\n"
-        "        asym = float(np.abs((vals - partner)[partner != 0]).max(initial=0.0))\n",
+        "        asym = float(np.abs(np.where(vals == partner, 0.0, vals - partner)).max(initial=0.0))\n",
+        "        asym = float(np.abs(np.where((vals == partner) | (partner == 0), 0.0, vals - partner)).max(initial=0.0))\n",
+        ("tests/test_topology.py",),
+    ),
+    "symmetry-subtracts-equal-infinities": (
+        "topology.py",
+        "        asym = float(np.abs(np.where(vals == partner, 0.0, vals - partner)).max(initial=0.0))\n",
+        "        asym = float(np.abs(vals - partner).max(initial=0.0))\n",
         ("tests/test_topology.py",),
     ),
     "column-sums-read-as-row-sums": (
@@ -199,14 +204,14 @@ MUTANTS = {
     ),
     "mixing-matrix-accepts-any-p": (
         "topology.py",
-        "        for c in _weight_checks(p):\n",
+        "        for c in _weight_checks(sparse):\n",
         "        for c in ():\n",
         ("tests/test_topology.py",),
     ),
     "mixing-matrix-skips-column-sums": (
         "topology.py",
-        "        for c in _weight_checks(p):\n",
-        "        for c in _weight_checks(p)[:3]:\n",
+        "        for c in _weight_checks(sparse):\n",
+        "        for c in _weight_checks(sparse)[:3]:\n",
         ("tests/test_topology.py",),
     ),
     "families-miss-infinities": (
@@ -248,9 +253,18 @@ MUTANTS = {
     ),
     "csr-keys-from-columns": (
         "numerics.py",
-        "            rows = self.triplets()[0]\n",
-        "            rows = self.cols\n",
+        "            self._keys = (self.rows[:, None] * d + np.arange(d)).ravel()\n",
+        "            self._keys = (self.cols[:, None] * d + np.arange(d)).ravel()\n",
         ("tests/test_numerics.py",),
+    ),
+    "unconvertible-p-raises-numpys-error": (
+        "numerics.py",
+        "        try:\n"
+        "            p = np.asarray(p, dtype=float)\n"
+        "        except (TypeError, ValueError, OverflowError) as exc:  # a ragged list, a string\n",
+        "        p = np.asarray(p, dtype=float)\n"
+        "        if False:\n",
+        ("tests/test_numerics.py", "tests/test_topology.py"),
     ),
     "csr-keys-kept-across-widths": (
         "numerics.py",
@@ -284,8 +298,8 @@ MUTANTS = {
     ),
     "shape-deviation-from-the-first-dim": (
         "topology.py",
-        "        off = max(abs(dim - g.n) for dim in p.shape) if len(p.shape) == 2 else math.inf\n",
-        "        off = abs(p.shape[0] - g.n)\n",
+        "        off = max(abs(dim - g.n) for dim in shape) if len(shape) == 2 else math.inf\n",
+        "        off = abs(shape[0] - g.n)\n",
         ("tests/test_topology.py",),
     ),
     "nonfinite-start-accepted": (
