@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 from .errors import InsufficientData, InvalidParams, MissingReference
-from .numerics import is_real, row_norms
+from .numerics import is_finite_real, row_norms
 from .objectives import ProblemInstance
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -210,7 +210,7 @@ def estimate_rate(log: MetricsLog, tail_fraction: float = 0.5) -> RateEstimate:
     ``tail_fraction``, a real number in (0, 1], enter the fit. Raises
     InsufficientData with fewer than 10 usable records in that window.
     """
-    if not (is_real(tail_fraction) and 0 < tail_fraction <= 1):
+    if not (is_finite_real(tail_fraction) and 0 < tail_fraction <= 1):
         raise InvalidParams(f"tail_fraction must be a real number in (0, 1], got {tail_fraction!r}")
     iterations, gaps = log.table[:, 0], log.table[:, 1]
     k_cut = TRANSIENT_FRACTION * iterations[-1] if len(log) else 0.0

@@ -284,19 +284,6 @@ def _full_runs(instance, mix, x0, name, algo_cfg, grid, target):
         yield _tune_point(instance, mix, x0, name, replace(algo_cfg, epsilon=eps), target)
 
 
-def _best(points):
-    """``(result, log)`` of the first ``(result, state, log)`` of ``points`` least under ``_tune_key``.
-
-    No losing log is held while the next point runs.
-    """
-    best, best_log = None, None
-    for result, _, log in points:
-        if best is None or _tune_key(result) < _tune_key(best):
-            best, best_log = result, log
-        del log
-    return best, best_log
-
-
 def _tune_winner(instance, mix, x0, name, algo_cfg, grid, target):
     """``(winner, winner's log)`` of ``name`` over ``grid``: the point a full grid run picks.
 
@@ -314,31 +301,34 @@ def _tune_winner(instance, mix, x0, name, algo_cfg, grid, target):
     gives the rate. A displaced leader's pair is dropped, so one state and
     at most hit + 1 rows are held per leader. If every leader diverges or
     fails after its hit, the early ranking was wrong, and every point runs
-    in full from iteration 0, as in ``tune_epsilon``. Only the best log is
-    kept.
+    in full from iteration 0, as in ``tune_epsilon``. ``min`` under
+    ``_tune_key`` ranks the points: it keeps the first of ties and holds
+    only the best point while it pulls the next, so no losing log is held.
     """
-    cap, leaders, best, best_log = algo_cfg.max_iters, [], None, None
+    cap, leaders, best = algo_cfg.max_iters, [], None
     for i, eps in enumerate(grid, 1):
         # A last point with no hit before it caps nothing: a stop at its hit would only waste its block's rest.
         early = bool(leaders) or i < len(grid)
-        point = replace(algo_cfg, epsilon=eps, max_iters=cap)
-        result, state, log = _tune_point(instance, mix, x0, name, point, target, stop_at_target=early)
+        capped = replace(algo_cfg, epsilon=eps, max_iters=cap)
+        point = _tune_point(instance, mix, x0, name, capped, target, stop_at_target=early)
+        result = point[0]
         if early and result.status == "reached":
             tied = leaders if leaders and result.iterations == cap else []
-            leaders = [*tied, (eps, (state, log))]
-            cap, best, best_log = result.iterations, None, None
-        elif not leaders and (best is None or _tune_key(result) < _tune_key(best)):
-            best, best_log = result, log
-        del state, log  # no losing log is held while the next point runs
+            leaders = [*tied, (eps, point[1:])]
+            cap, best = result.iterations, None
+        elif not leaders:
+            best = point if best is None else min(best, point, key=lambda p: _tune_key(p[0]))
+        del point
     if leaders:
         resumed = (
             _tune_point(instance, mix, x0, name, replace(algo_cfg, epsilon=eps), target, start=start)
             for eps, start in leaders
         )
-        best, best_log = _best(resumed)
-        if best.status != "reached":
-            best, best_log = _best(_full_runs(instance, mix, x0, name, algo_cfg, grid, target))
-    return best, best_log
+        best = min(resumed, key=lambda p: _tune_key(p[0]))
+        if best[0].status != "reached":
+            full = _full_runs(instance, mix, x0, name, algo_cfg, grid, target)
+            best = min(full, key=lambda p: _tune_key(p[0]))
+    return best[0], best[2]
 
 
 def _tune_key(r: TuneResult):

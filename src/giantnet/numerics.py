@@ -39,10 +39,12 @@ circulant, that array and the eigensolver's copy of it are the only
 n x n arrays sigma2 allocates. A matrix with a NaN or infinite entry has
 sigma2 NaN and reaches neither solver.
 
-``is_integer``, ``is_real`` and ``is_finite_real`` are the type tests
+``is_integer`` and ``is_finite_real`` are the type tests
 every constructor applies to its scalar fields.
 
 All functions are pure; returned arrays are fresh and never alias inputs.
+``_RowSparse`` is the exception: ``of`` returns a ``_RowSparse`` argument
+itself, and ``@`` keeps its keys between calls.
 """
 
 from __future__ import annotations
@@ -63,15 +65,11 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def is_real(value) -> bool:
-    """True for Python and NumPy real scalars (integers included, NaN too); never a bool."""
-    return isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
-
-
 def is_finite_real(value) -> bool:
-    """``is_real`` and finite as a float: no NaN, no infinity, no integer too large for a float."""
+    """A real Python or NumPy scalar, not a bool, finite as a float: no NaN, infinity or integer past float range."""
+    real = isinstance(value, (int, float, np.integer, np.floating)) and not isinstance(value, bool)
     try:
-        return is_real(value) and math.isfinite(value)
+        return real and math.isfinite(value)
     except OverflowError:  # an integer beyond the float range
         return False
 
@@ -146,9 +144,10 @@ class _RowSparse:
     """A square n x n matrix as its stored entries: ``rows``, ``cols`` and ``vals``, sorted by row, then column.
 
     No position is stored twice, so the keys rows * n + cols ascend
-    strictly in storage order: ``transposed_values`` finds partners by
-    ``searchsorted`` over them, and every row sum adds its entries in
-    column order. A stored entry may be 0, and a row may store none.
+    strictly in storage order (the constructor raises DimensionMismatch
+    otherwise): ``transposed_values`` finds partners by ``searchsorted``
+    over them, and every row sum adds its entries in column order. A
+    stored entry may be 0, and a row may store none.
     ``of`` is the one conversion into this form. ``@`` takes an (n,)
     vector or an (n, d) stack: it gathers x at the stored columns, scales
     the gather by the values, and adds each row's products a_ij * x_j
@@ -160,6 +159,9 @@ class _RowSparse:
     """
 
     def __init__(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int):
+        keys = rows * n + cols
+        if not (keys[1:] > keys[:-1]).all():
+            raise DimensionMismatch("stored entries must be sorted by row, then column, with no position twice")
         self.rows, self.cols, self.vals, self.n = rows, cols, vals, n
         self._keys = np.zeros(0, dtype=np.int64)  # the bincount keys of __matmul__, for the last d
 

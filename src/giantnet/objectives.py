@@ -46,7 +46,7 @@ import numpy as np
 from numpy.random import Generator, Philox
 
 from .errors import DimensionMismatch, InvalidSpec
-from .numerics import is_finite_real, is_integer, is_real, spd_factorize_stack, spd_solve_stack
+from .numerics import is_finite_real, is_integer, spd_factorize_stack, spd_solve_stack
 from .topology import MAX_NODES
 
 # Quadratic heterogeneity h maps to per-agent eigenvalues drawn
@@ -384,7 +384,7 @@ class ProblemSpec:
             raise InvalidSpec(f"d must be an integer >= 1, got {self.d!r}")
         if not is_integer(self.samples_per_agent):
             raise InvalidSpec(f"samples_per_agent must be an integer, got {self.samples_per_agent!r}")
-        if not (is_real(self.heterogeneity) and 0 <= self.heterogeneity <= MAX_HETEROGENEITY):
+        if not (is_finite_real(self.heterogeneity) and 0 <= self.heterogeneity <= MAX_HETEROGENEITY):
             raise InvalidSpec(
                 f"heterogeneity must be a number in [0, {MAX_HETEROGENEITY:.4g}], got {self.heterogeneity!r}"
             )

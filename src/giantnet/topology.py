@@ -135,13 +135,13 @@ class MixingMatrix:
         """P^k as a dense array, by repeated left-to-right multiplication.
 
         On a dense P, ``power(1)`` is ``p`` itself, and the association
-        order is pinned so that k rounds of mixing and a single
-        multiplication by the power are bitwise equal. A sparse P gives the
-        power of its ``toarray()`` form, an n x n array, for checks at
-        small n: ``mix`` never calls this on a sparse P, and its k products
-        by P agree with one product by the power to a few ulp, not bit
-        for bit. Each call builds the power afresh; ``mix`` keeps what it
-        applies.
+        order is pinned: ``mix`` applies ``power(k)`` itself, so a K = 2
+        giant step on P is bitwise a K = 1 step on ``p @ p`` (acceptance
+        criterion 9). A sparse P gives the power of its ``toarray()``
+        form, an n x n array, for checks at small n: ``mix`` never calls
+        this on a sparse P, and its k products by P agree with one product
+        by the power to a few ulp, not bit for bit. Each call builds the
+        power afresh; ``mix`` keeps what it applies.
         """
         if not (is_integer(k) and k >= 1):
             raise InvalidParams(f"k must be a positive integer, got {k}")
@@ -157,12 +157,14 @@ class MixingMatrix:
         On a sparse P the rounds are k products by P; on a dense P they are
         one product by ``power(k)``, built at the first call for that k.
         Raises InvalidParams unless k is a positive integer, and
-        DimensionMismatch for any other shape of ``x``.
+        DimensionMismatch for any other shape of ``x`` and for an ``x``
+        that is not an array (nothing is converted).
         """
         if not (is_integer(k) and k >= 1):  # 2.0 or True would hit the memo of 2 or 1
             raise InvalidParams(f"k must be a positive integer, got {k}")
-        if x.ndim not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis
-            raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got shape {x.shape}")
+        if getattr(x, "ndim", None) not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis
+            got = f"shape {x.shape}" if hasattr(x, "shape") else f"a {type(x).__name__}"
+            raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got {got}")
         if x.shape[0] != self.n:
             raise DimensionMismatch(f"mixing matrix is {self.n}x{self.n} for {x.shape[0]} agents")
         if isinstance(self.p, _RowSparse):

@@ -8,7 +8,7 @@ central differences check any cost's derivatives against its values.
 ``trajectory`` runs giant, gt and dgd the same way: dense ``p @ x`` per
 consensus round, one ``np.linalg.solve`` per agent, and the six metrics
 of every iteration from the per-agent formulas. ``csr_product`` is a
-CSR product in plain Python floats, one row sum at a time. ``Loop`` is a user
+sparse product in plain Python floats, one row sum at a time. ``Loop`` is a user
 family over such per-agent functions, evaluated one agent at a time, so
 the package's own paths can run on agents written outside it.
 """
@@ -92,14 +92,22 @@ class Loop(AgentFamily):
 
 
 def csr_product(csr, x):
-    """``csr @ x`` for an (n,) vector or an (n, d) stack: each row added from 0.0, left to right in column order."""
+    """``csr @ x`` for an (n,) vector or an (n, d) stack: each row added from 0.0, left to right in column order.
+
+    Where the running sum and the next term are both NaN, the sum keeps
+    its own payload, as ``np.bincount`` does. Python's ``+`` leaves that
+    choice to the interpreter: CPython 3.11 keeps the left payload in its
+    specialized float add and the right one under a ``sys.settrace``
+    tracer, so the rule is spelled out to give the same bits either way.
+    """
     stack = np.asarray(x).reshape(len(x), -1)
     d, rows = stack.shape[1], stack.tolist()
     out = [[0.0] * d for _ in range(csr.n)]
     # the triplets are sorted by row, then column, so each row is added in column order
     for r, c, v in zip(csr.rows.tolist(), csr.cols.tolist(), csr.vals.tolist()):
         for k in range(d):
-            out[r][k] = out[r][k] + v * rows[c][k]
+            total, term = out[r][k], v * rows[c][k]
+            out[r][k] = total if total != total and term != term else total + term
     return np.array(out, dtype=float).reshape(np.shape(x))
 
 

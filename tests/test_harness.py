@@ -1,5 +1,7 @@
+import gc
 import json
 import re
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -492,23 +494,30 @@ class TestCompare:
         assert sum(r[3] for r in runs) <= 3429
         assert compare_checks <= 159
 
-    @pytest.mark.parametrize("blowup", ["diverges", "fails"])
-    def test_a_leader_that_breaks_after_its_hit_falls_back_to_full_runs(self, monkeypatch, blowup):
-        # giant at eps 0.05 reaches 1e-6 first (iteration 88, then 0.1 at 91); here its
-        # step, a pure function of the state, throws x to 1e13 or raises once every agent
-        # is within 1e-6 of x*, long after the hit, so only its full run breaks.
+    @pytest.fixture(params=["diverges", "fails"])
+    def blowup(self, request, monkeypatch):
+        """How giant's leader on the shipped quadratic ring breaks after its hit.
+
+        giant at eps 0.05 reaches 1e-6 first (iteration 88, then 0.1 at 91); here its
+        step, a pure function of the state, throws x to 1e13 or raises once every agent
+        is within 1e-6 of x*, long after the hit, so only its full run breaks.
+        """
         cfg = load_config(str(CONFIGS / "quadratic_ring.json"))
         x_star = build_instance(cfg).reference_solution
         giant_step = algorithms.giant_step
 
         def step(state, instance, mix, algo_cfg):
             if algo_cfg.epsilon == 0.05 and np.abs(state.x - x_star).max() < 1e-6:
-                if blowup == "fails":
+                if request.param == "fails":
                     raise NotPositiveDefinite("injected after the hit")
                 return algorithms.NetworkState(np.full_like(state.x, 1e13), state.g, state.w)
             return giant_step(state, instance, mix, algo_cfg)
 
         monkeypatch.setattr(algorithms, "giant_step", step)
+        return request.param
+
+    def test_a_leader_that_breaks_after_its_hit_falls_back_to_full_runs(self, blowup):
+        cfg = load_config(str(CONFIGS / "quadratic_ring.json"))
         best, results = tune_epsilon(cfg, cfg.epsilon_grid, target=1e-6)
         broken = {"diverges": "diverged", "fails": "failed"}[blowup]
         assert [(r.epsilon, r.status) for r in results[1:3]] == [(0.05, broken), (0.1, "reached")]
@@ -518,6 +527,26 @@ class TestCompare:
         _, log = run("giant", instance, mix, replace(cfg.algorithm, epsilon=best), initial_stack(cfg, instance))
         (winner,) = [r for r in results if r.epsilon == best]
         assert best == 0.1 and giant == replace(winner, rate=estimate_rate(log).rate)
+
+    def test_the_fallback_holds_no_losing_log(self, monkeypatch, blowup):
+        # a fallback full run (no target, no start) starts with at most the best earlier log alive
+        logs, alive = [], []
+
+        def recorded(name, instance, mix, algo_cfg, x0, **kwargs):
+            fallback = kwargs.get("target") is None and kwargs.get("start") is None
+            if fallback:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in logs))
+            state, log = run(name, instance, mix, algo_cfg, x0, **kwargs)
+            if fallback:
+                logs.append(weakref.ref(log))
+            return state, log
+
+        monkeypatch.setattr(harness, "run", recorded)
+        cfg = load_config(str(CONFIGS / "quadratic_ring.json"))
+        compare(cfg, ("giant",), target=1e-6)
+        assert len(alive) == len(cfg.epsilon_grid) >= 3
+        assert max(alive) <= 1, alive
 
 
 def indefinite_far_out(center):

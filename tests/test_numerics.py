@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -394,6 +396,22 @@ class TestRowProduct:
             with np.errstate(invalid="ignore", over="ignore"):
                 out = csr @ x
             assert out.tobytes() == csr_product(csr, x).tobytes()
+
+    def test_reference_bits_do_not_depend_on_a_tracer(self):
+        # CPython 3.11 adds two NaNs keeping the left payload, but the right one under sys.settrace (coverage, pdb)
+        csr = _random_csr(np.full(600, 5), seed=45)
+        x = _awkward_stack((600, 3), seed=55)
+        plain, previous = csr_product(csr, x).tobytes(), sys.gettrace()
+
+        def tracer(frame, event, arg):
+            return tracer
+
+        sys.settrace(tracer)
+        try:
+            traced = csr_product(csr, x).tobytes()
+        finally:
+            sys.settrace(previous)
+        assert traced == plain
 
     def test_integer_stack_is_promoted(self):
         csr = _random_csr(np.tile([3, 1, 0, 5], 25), seed=65)

@@ -401,6 +401,12 @@ class TestGenerateProblem:
         spec = ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=MAX_HETEROGENEITY)
         assert np.isfinite(generate_problem(1, spec).lipschitz)
 
+    @pytest.mark.parametrize("h", [np.float16(np.inf), np.float32(np.inf)], ids=["float16", "float32"])
+    def test_narrow_float_infinity_is_rejected(self, h):
+        # MAX_HETEROGENEITY rounds to inf in these types: the range check alone would let inf in
+        with pytest.raises(InvalidSpec, match=r"^heterogeneity must be a number in \[0, "):
+            ProblemSpec(kind="quadratic", n=2, d=2, heterogeneity=h)
+
 
 class TestStackRows:
     """A family of n > 1 agents takes stacks of n rows only; a family of one agent takes any number."""

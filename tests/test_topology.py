@@ -188,6 +188,15 @@ class TestMix:
         with pytest.raises(DimensionMismatch, match=r"^mix takes an \(n,\) vector or an \(n, d\) stack, got shape"):
             mix.mix(x)
 
+    @pytest.mark.parametrize("n, sparse", [(4, False), (12, True)])
+    def test_rejects_a_list_without_converting_it(self, monkeypatch, n, sparse):
+        if sparse:
+            monkeypatch.setattr(topology, "SPARSE_RATIO", 0)
+        mix = metropolis_weights(make_graph("ring", n))
+        assert isinstance(mix.p, _RowSparse) == sparse
+        with pytest.raises(DimensionMismatch, match=r"^mix takes an \(n,\) vector or an \(n, d\) stack, got a list$"):
+            mix.mix([[float(i)] for i in range(n)])
+
     @pytest.mark.parametrize("shape", [(5,), (5, 2)])
     def test_wrong_agent_count_names_it(self, shape):
         with pytest.raises(DimensionMismatch, match="^mixing matrix is 4x4 for 5 agents$"):
@@ -329,6 +338,17 @@ class TestCsrWeights:
         assert np.array_equal(np.stack((csr.rows, csr.cols)), np.nonzero(p != 0))
         assert np.array_equal(csr.toarray(), p, equal_nan=True)
         assert _RowSparse.of(csr) is csr
+
+    @pytest.mark.parametrize(
+        "rows, cols",
+        [([1, 0, 0, 1], [0, 0, 1, 1]), ([0, 0, 0, 1], [0, 1, 1, 1])],
+        ids=["out-of-row-order", "a-position-twice"],
+    )
+    def test_entries_out_of_key_order_are_rejected(self, rows, cols):
+        # out of row order, the symmetric doubly stochastic P of 0.5s read as asymmetric
+        with pytest.raises(DimensionMismatch, match="^stored entries must be sorted by row, then column, with no "):
+            _RowSparse(np.array(rows), np.array(cols), np.full(4, 0.5), 2)
+        assert MixingMatrix(_RowSparse(np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1]), np.full(4, 0.5), 2)).n == 2
 
     @pytest.mark.parametrize("kind, n", [("ring", 700), ("grid", 676), ("star", 400)])
     def test_csr_powers_match_the_dense_powers(self, kind, n):

@@ -86,8 +86,8 @@ MUTANTS = {
     ),
     "tune-caps-before-the-best-hit": (
         "harness.py",
-        "            cap, best, best_log = result.iterations, None, None\n",
-        "            cap, best, best_log = result.iterations - 1, None, None\n",
+        "            cap, best = result.iterations, None\n",
+        "            cap, best = result.iterations - 1, None\n",
         ("tests/test_harness.py",),
     ),
     "tune-keeps-the-capped-log": (
@@ -98,7 +98,7 @@ MUTANTS = {
     ),
     "tune-trusts-the-early-winner": (
         "harness.py",
-        '        if best.status != "reached":\n',
+        '        if best[0].status != "reached":\n',
         "        if False:\n",
         ("tests/test_harness.py",),
     ),
@@ -146,8 +146,9 @@ MUTANTS = {
     ),
     "mix-takes-any-ndim": (
         "topology.py",
-        "        if x.ndim not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis\n"
-        '            raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got shape {x.shape}")\n',
+        '        if getattr(x, "ndim", None) not in (1, 2):  # P^k @ a 3-D stack would mix along its second axis\n'
+        '            got = f"shape {x.shape}" if hasattr(x, "shape") else f"a {type(x).__name__}"\n'
+        '            raise DimensionMismatch(f"mix takes an (n,) vector or an (n, d) stack, got {got}")\n',
         "",
         ("tests/test_topology.py",),
     ),
@@ -293,7 +294,7 @@ MUTANTS = {
     "logistic-takes-infinite-ridge": (
         "objectives.py",
         "        if not (is_finite_real(self.ridge) and self.ridge > 0):\n",
-        "        if not (is_real(self.ridge) and self.ridge > 0):\n",
+        "        if not (is_finite_real(self.ridge) and self.ridge > 0 or self.ridge == np.inf):\n",
         ("tests/test_stacked.py",),
     ),
     "shape-deviation-from-the-first-dim": (
@@ -308,6 +309,19 @@ MUTANTS = {
         '        raise InvalidParams(f"x0 must be finite, got {bad} of {x0.size} entries NaN or infinite")\n',
         "",
         ("tests/test_blocks.py",),
+    ),
+    "tune-fallback-holds-every-log": (
+        "harness.py",
+        "            best = min(full, key=lambda p: _tune_key(p[0]))\n",
+        "            best = min(list(full), key=lambda p: _tune_key(p[0]))\n",
+        ("tests/test_harness.py",),
+    ),
+    "row-sparse-takes-any-order": (
+        "numerics.py",
+        "        if not (keys[1:] > keys[:-1]).all():\n"
+        '            raise DimensionMismatch("stored entries must be sorted by row, then column, with no position twice")\n',
+        "",
+        ("tests/test_topology.py",),
     ),
 }
 
